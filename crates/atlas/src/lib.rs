@@ -12,7 +12,7 @@
 //!
 //! * an [`logs::AtlasDataset`] — the three log datasets plus probe metadata,
 //!   in exactly the shape the analysis pipeline (`dynaddr-core`) consumes,
-//!   with JSON-lines (de)serialization;
+//!   stored on disk as one columnar `dataset.store` file;
 //! * a [`truth::GroundTruth`] — what actually happened, for validating the
 //!   pipeline's inferences.
 //!
@@ -41,11 +41,10 @@ pub mod world;
 pub use config::{FillerSpec, IspSpec, OutageSpec, WorldConfig};
 pub use logs::{
     AtlasDataset, ConnectionLogEntry, KrootPingRecord, LoadError, PeerAddr, ProbeMeta,
-    SosUptimeRecord, StoreFormat,
+    SosUptimeRecord,
 };
 pub use sim::{
-    simulate, simulate_instrumented, simulate_instrumented_opts, simulate_to_store,
-    simulate_with_options, simulate_with_shard_cap, QueueTelemetry, SimOptions, SimOutput,
+    simulate, simulate_to_store, simulate_with_options, QueueTelemetry, SimOptions, SimOutput,
     SimStats,
 };
 pub use stream::DatasetStream;

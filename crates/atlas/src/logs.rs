@@ -9,19 +9,14 @@
 //! * **SOS-uptime dataset** (§3.5) — the probe's uptime counter, reported on
 //!   every new TCP connection; a counter reset reveals a reboot.
 //!
-//! Records have two on-disk representations, selected by [`StoreFormat`]:
-//! the default segmented columnar binary (`dataset.store`, see
-//! [`crate::store`]) with per-segment checksums and a parallel decoder, and
-//! the legacy JSON-lines interchange (one record per line, four `.jsonl`
-//! files), mirroring how the paper's authors scraped per-probe logs from
-//! the RIPE Atlas API. [`AtlasDataset::load_dir`] sniffs the store magic
-//! bytes and falls back to JSONL, so either layout loads transparently;
-//! JSONL readers tolerate blank lines and reject malformed ones with line
-//! numbers.
+//! On disk a dataset directory holds one `dataset.store` file: the
+//! segmented columnar binary of [`crate::store`], with per-segment
+//! checksums and a parallel decoder. [`AtlasDataset::save_dir`] writes it
+//! and [`AtlasDataset::load_dir`] reads it back, with errors naming the
+//! file (and segment) that failed.
 
-use dynaddr_store::{ReadMode, RecoveryReport, StoreError, MAGIC};
+use dynaddr_store::{ReadMode, RecoveryReport, StoreError};
 use dynaddr_types::{Country, ProbeId, ProbeTag, ProbeVersion, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -33,7 +28,7 @@ pub fn testing_address() -> Ipv4Addr {
 }
 
 /// The publicly visible address a connection came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PeerAddr {
     /// An IPv4 peer — the subject of the study.
     V4(Ipv4Addr),
@@ -78,7 +73,7 @@ impl From<Ipv6Addr> for PeerAddr {
 }
 
 /// One connection-log entry (§3.1, Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConnectionLogEntry {
     /// The probe that made the connection.
     pub probe: ProbeId,
@@ -91,7 +86,7 @@ pub struct ConnectionLogEntry {
 }
 
 /// One k-root ping measurement record (§3.4, Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KrootPingRecord {
     /// The measuring probe.
     pub probe: ProbeId,
@@ -114,7 +109,7 @@ impl KrootPingRecord {
 }
 
 /// One SOS-uptime record (§3.5, Table 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SosUptimeRecord {
     /// The reporting probe.
     pub probe: ProbeId,
@@ -133,7 +128,7 @@ impl SosUptimeRecord {
 
 /// Probe metadata from the probe archive (§3.1): hardware version, country,
 /// and voluntary tags.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeMeta {
     /// The probe id.
     pub probe: ProbeId,
@@ -157,8 +152,7 @@ pub struct AtlasDataset {
     /// SOS-uptime records, sorted by (probe, timestamp).
     pub uptime: Vec<SosUptimeRecord>,
     /// Per-probe range index over the three logs, built by
-    /// [`AtlasDataset::normalize`]. Derived data: excluded from equality and
-    /// serialization.
+    /// [`AtlasDataset::normalize`]. Derived data: excluded from equality.
     pub index: ProbeIndex,
 }
 
@@ -183,33 +177,6 @@ impl PartialEq for AtlasDataset {
             && self.connections == other.connections
             && self.kroot == other.kroot
             && self.uptime == other.uptime
-    }
-}
-
-impl Serialize for AtlasDataset {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("meta".to_string(), self.meta.to_value()),
-            ("connections".to_string(), self.connections.to_value()),
-            ("kroot".to_string(), self.kroot.to_value()),
-            ("uptime".to_string(), self.uptime.to_value()),
-        ])
-    }
-}
-
-impl<'de> Deserialize<'de> for AtlasDataset {
-    fn deserialize(v: &serde::Value) -> Result<AtlasDataset, serde::de::Error> {
-        let fields = serde::__private::expect_object(v, "AtlasDataset")?;
-        let get = |name| serde::__private::field(fields, name, "AtlasDataset");
-        Ok(AtlasDataset {
-            meta: Deserialize::deserialize(get("meta")?)?,
-            connections: Deserialize::deserialize(get("connections")?)?,
-            kroot: Deserialize::deserialize(get("kroot")?)?,
-            uptime: Deserialize::deserialize(get("uptime")?)?,
-            // Rebuilt on the next normalize; the accessors fall back to
-            // binary search until then.
-            index: ProbeIndex::default(),
-        })
     }
 }
 
@@ -318,29 +285,6 @@ impl AtlasDataset {
         problems
     }
 
-    /// Serializes the whole dataset into four JSON-lines documents.
-    pub fn to_jsonl(&self) -> DatasetJsonl {
-        DatasetJsonl {
-            meta: to_jsonl(&self.meta),
-            connections: to_jsonl(&self.connections),
-            kroot: to_jsonl(&self.kroot),
-            uptime: to_jsonl(&self.uptime),
-        }
-    }
-
-    /// Parses a dataset back from four JSON-lines documents.
-    pub fn from_jsonl(docs: &DatasetJsonl) -> Result<AtlasDataset, JsonlError> {
-        let mut ds = AtlasDataset {
-            meta: from_jsonl(&docs.meta)?,
-            connections: from_jsonl(&docs.connections)?,
-            kroot: from_jsonl(&docs.kroot)?,
-            uptime: from_jsonl(&docs.uptime)?,
-            index: ProbeIndex::default(),
-        };
-        ds.normalize();
-        Ok(ds)
-    }
-
     /// Encodes the dataset as one segmented columnar store file
     /// (see [`crate::store`]).
     pub fn to_store_bytes(&self) -> Vec<u8> {
@@ -348,7 +292,7 @@ impl AtlasDataset {
     }
 
     /// Decodes a dataset from store bytes, failing on the first corrupt
-    /// segment. The result is normalized, like [`AtlasDataset::from_jsonl`].
+    /// segment. The result is normalized.
     pub fn from_store_bytes(bytes: &[u8]) -> Result<AtlasDataset, StoreError> {
         crate::store::dataset_from_bytes(bytes, ReadMode::Strict).map(|(ds, _)| ds)
     }
@@ -361,148 +305,32 @@ impl AtlasDataset {
         crate::store::dataset_from_bytes(bytes, ReadMode::Recover)
     }
 
-    /// Writes the dataset to a directory in the default format
-    /// ([`StoreFormat::Store`], a single `dataset.store` file).
+    /// Writes the dataset to `dir/dataset.store`, creating `dir` if needed.
     pub fn save_dir(&self, dir: &Path) -> std::io::Result<()> {
-        self.save_dir_format(dir, StoreFormat::default())
-    }
-
-    /// Writes the dataset to a directory in the given format, removing any
-    /// stale files of the other format so the directory never holds two
-    /// diverging copies.
-    pub fn save_dir_format(&self, dir: &Path, format: StoreFormat) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        match format {
-            StoreFormat::Store => {
-                std::fs::write(dir.join("dataset.store"), self.to_store_bytes())?;
-                for name in ["meta.jsonl", "connections.jsonl", "kroot.jsonl", "uptime.jsonl"] {
-                    remove_if_present(&dir.join(name))?;
-                }
-            }
-            StoreFormat::Jsonl => {
-                let docs = self.to_jsonl();
-                std::fs::write(dir.join("meta.jsonl"), docs.meta)?;
-                std::fs::write(dir.join("connections.jsonl"), docs.connections)?;
-                std::fs::write(dir.join("kroot.jsonl"), docs.kroot)?;
-                std::fs::write(dir.join("uptime.jsonl"), docs.uptime)?;
-                remove_if_present(&dir.join("dataset.store"))?;
-            }
-        }
-        Ok(())
+        std::fs::write(dir.join("dataset.store"), self.to_store_bytes())
     }
 
-    /// Loads a dataset previously written by [`AtlasDataset::save_dir`],
-    /// auto-detecting the format: a `dataset.store` file that starts with
-    /// the store magic bytes wins, otherwise the legacy `.jsonl` files are
-    /// read. Errors name the offending file (and segment, for store files).
+    /// Loads the dataset [`AtlasDataset::save_dir`] wrote to `dir`.
+    /// Errors name the offending file (and segment).
     pub fn load_dir(dir: &Path) -> Result<AtlasDataset, LoadError> {
-        match Self::sniff_format(dir) {
-            StoreFormat::Store => Self::load_dir_as(dir, StoreFormat::Store),
-            StoreFormat::Jsonl => Self::load_dir_as(dir, StoreFormat::Jsonl),
-        }
+        Self::load_file(&dir.join("dataset.store"))
+    }
+
+    /// Loads a dataset from one store file under any name.
+    pub fn load_file(path: &Path) -> Result<AtlasDataset, LoadError> {
+        let bytes = read_file(path)?;
+        AtlasDataset::from_store_bytes(&bytes)
+            .map_err(|source| LoadError::Store { path: path.to_path_buf(), source })
     }
 
     /// Like [`AtlasDataset::load_dir`], but a corrupt store segment is
-    /// skipped instead of fatal; the report says what was dropped. JSONL
-    /// directories load as-is with a clean report.
+    /// skipped instead of fatal; the report says what was dropped.
     pub fn load_dir_recover(dir: &Path) -> Result<(AtlasDataset, RecoveryReport), LoadError> {
-        match Self::sniff_format(dir) {
-            StoreFormat::Store => {
-                let path = dir.join("dataset.store");
-                let bytes = read_file(&path)?;
-                AtlasDataset::from_store_bytes_recover(&bytes)
-                    .map_err(|source| LoadError::Store { path, source })
-            }
-            StoreFormat::Jsonl => {
-                Self::load_dir_as(dir, StoreFormat::Jsonl).map(|ds| (ds, RecoveryReport::default()))
-            }
-        }
-    }
-
-    /// Loads a dataset from a directory in one explicit format, with no
-    /// sniffing — pass [`StoreFormat::Jsonl`] to insist on the legacy files
-    /// even when a `dataset.store` is present.
-    pub fn load_dir_as(dir: &Path, format: StoreFormat) -> Result<AtlasDataset, LoadError> {
-        match format {
-            StoreFormat::Store => {
-                let path = dir.join("dataset.store");
-                let bytes = read_file(&path)?;
-                AtlasDataset::from_store_bytes(&bytes)
-                    .map_err(|source| LoadError::Store { path, source })
-            }
-            StoreFormat::Jsonl => {
-                let docs = DatasetJsonl {
-                    meta: read_text(&dir.join("meta.jsonl"))?,
-                    connections: read_text(&dir.join("connections.jsonl"))?,
-                    kroot: read_text(&dir.join("kroot.jsonl"))?,
-                    uptime: read_text(&dir.join("uptime.jsonl"))?,
-                };
-                // Parse document by document so a malformed line is
-                // attributed to its file, not just a line number.
-                let mut ds = AtlasDataset {
-                    meta: parse_doc(dir, "meta.jsonl", &docs.meta)?,
-                    connections: parse_doc(dir, "connections.jsonl", &docs.connections)?,
-                    kroot: parse_doc(dir, "kroot.jsonl", &docs.kroot)?,
-                    uptime: parse_doc(dir, "uptime.jsonl", &docs.uptime)?,
-                    index: ProbeIndex::default(),
-                };
-                ds.normalize();
-                Ok(ds)
-            }
-        }
-    }
-
-    /// Which format [`AtlasDataset::load_dir`] would read from `dir`: store
-    /// when `dataset.store` exists and begins with the store magic bytes,
-    /// JSONL otherwise. A `dataset.store` with damaged magic falls back to
-    /// the legacy `.jsonl` files when those exist, but sniffs as store when
-    /// they don't — so the corruption surfaces as a typed error instead of
-    /// a misleading "meta.jsonl not found".
-    pub fn sniff_format(dir: &Path) -> StoreFormat {
-        let mut head = [0u8; MAGIC.len()];
-        match std::fs::File::open(dir.join("dataset.store")) {
-            Ok(mut f) => {
-                use std::io::Read as _;
-                let magic_ok = f.read_exact(&mut head).is_ok() && head == MAGIC;
-                if magic_ok || !dir.join("meta.jsonl").exists() {
-                    StoreFormat::Store
-                } else {
-                    StoreFormat::Jsonl
-                }
-            }
-            Err(_) => StoreFormat::Jsonl,
-        }
-    }
-}
-
-/// On-disk representation of a dataset directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StoreFormat {
-    /// Segmented columnar binary: one checksummed `dataset.store` file.
-    /// The default since it decodes in parallel and is far smaller.
-    #[default]
-    Store,
-    /// Legacy JSON-lines interchange: four `.jsonl` files.
-    Jsonl,
-}
-
-impl StoreFormat {
-    /// Parses a `--format` flag value (`store` or `jsonl`).
-    pub fn parse(s: &str) -> Option<StoreFormat> {
-        match s {
-            "store" => Some(StoreFormat::Store),
-            "jsonl" => Some(StoreFormat::Jsonl),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for StoreFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            StoreFormat::Store => "store",
-            StoreFormat::Jsonl => "jsonl",
-        })
+        let path = dir.join("dataset.store");
+        let bytes = read_file(&path)?;
+        AtlasDataset::from_store_bytes_recover(&bytes)
+            .map_err(|source| LoadError::Store { path, source })
     }
 }
 
@@ -515,13 +343,6 @@ pub enum LoadError {
         path: PathBuf,
         /// The underlying I/O error.
         source: std::io::Error,
-    },
-    /// A JSON-lines document failed to parse.
-    Jsonl {
-        /// The file that failed.
-        path: PathBuf,
-        /// The parse error (with its line number).
-        source: JsonlError,
     },
     /// A store file failed to decode.
     Store {
@@ -538,9 +359,6 @@ impl fmt::Display for LoadError {
             LoadError::Io { path, source } => {
                 write!(f, "{}: {source}", path.display())
             }
-            LoadError::Jsonl { path, source } => {
-                write!(f, "{}: {source}", path.display())
-            }
             LoadError::Store { path, source } => {
                 write!(f, "{}: {source}", path.display())
             }
@@ -552,7 +370,6 @@ impl std::error::Error for LoadError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             LoadError::Io { source, .. } => Some(source),
-            LoadError::Jsonl { source, .. } => Some(source),
             LoadError::Store { source, .. } => Some(source),
         }
     }
@@ -567,28 +384,8 @@ impl From<LoadError> for std::io::Error {
     }
 }
 
-fn parse_doc<T: for<'de> Deserialize<'de> + Send>(
-    dir: &Path,
-    name: &str,
-    doc: &str,
-) -> Result<Vec<T>, LoadError> {
-    from_jsonl(doc).map_err(|source| LoadError::Jsonl { path: dir.join(name), source })
-}
-
 fn read_file(path: &Path) -> Result<Vec<u8>, LoadError> {
     std::fs::read(path).map_err(|source| LoadError::Io { path: path.to_path_buf(), source })
-}
-
-fn read_text(path: &Path) -> Result<String, LoadError> {
-    std::fs::read_to_string(path)
-        .map_err(|source| LoadError::Io { path: path.to_path_buf(), source })
-}
-
-fn remove_if_present(path: &Path) -> std::io::Result<()> {
-    match std::fs::remove_file(path) {
-        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
-        _ => Ok(()),
-    }
 }
 
 /// Contiguous slice of a (probe, …)-sorted log belonging to one probe.
@@ -626,64 +423,6 @@ fn indexed_slice<'a, T, F: Fn(&T) -> ProbeId>(
         Some(&(lo, hi)) => &items[lo..hi],
         None => &[],
     }
-}
-
-/// The four JSON-lines documents of a serialized dataset.
-#[derive(Debug, Clone, Default)]
-pub struct DatasetJsonl {
-    /// Probe metadata document.
-    pub meta: String,
-    /// Connection-log document.
-    pub connections: String,
-    /// k-root ping document.
-    pub kroot: String,
-    /// SOS-uptime document.
-    pub uptime: String,
-}
-
-/// Error from parsing a JSON-lines document.
-#[derive(Debug)]
-pub struct JsonlError {
-    /// 1-based line number.
-    pub line: usize,
-    /// Underlying JSON error.
-    pub source: serde_json::Error,
-}
-
-impl fmt::Display for JsonlError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "jsonl parse error on line {}: {}", self.line, self.source)
-    }
-}
-
-impl std::error::Error for JsonlError {}
-
-/// Serializes records as one JSON object per line.
-pub fn to_jsonl<T: Serialize>(items: &[T]) -> String {
-    let mut out = String::new();
-    for item in items {
-        out.push_str(&serde_json::to_string(item).expect("log records serialize infallibly"));
-        out.push('\n');
-    }
-    out
-}
-
-/// Parses one JSON object per line; blank lines are skipped.
-///
-/// Lines are independent, so parsing fans out across the executor's workers;
-/// results come back in document order, and on malformed input the reported
-/// error is the earliest bad line, exactly as the sequential loop gave.
-pub fn from_jsonl<T: for<'de> Deserialize<'de> + Send>(doc: &str) -> Result<Vec<T>, JsonlError> {
-    let lines: Vec<(usize, &str)> = doc
-        .lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .collect();
-    dynaddr_exec::par_map(&lines, |&(idx, line)| {
-        serde_json::from_str(line).map_err(|source| JsonlError { line: idx + 1, source })
-    })
-    .into_iter()
-    .collect()
 }
 
 #[cfg(test)]
@@ -758,48 +497,6 @@ mod tests {
         assert_eq!(ds.connections_of(ProbeId(3)).len(), 0);
         assert!(ds.meta_of(ProbeId(2)).is_some());
         assert!(ds.meta_of(ProbeId(9)).is_none());
-    }
-
-    #[test]
-    fn jsonl_roundtrip_dataset() {
-        let mut ds = AtlasDataset::default();
-        ds.meta.push(ProbeMeta {
-            probe: ProbeId(206),
-            version: ProbeVersion::V3,
-            country: Country::new("DE").unwrap(),
-            tags: vec![ProbeTag::Home, ProbeTag::Dsl],
-        });
-        ds.connections.push(entry(206, 0, 3600, "91.55.174.103"));
-        ds.kroot.push(KrootPingRecord {
-            probe: ProbeId(206),
-            timestamp: SimTime(120),
-            sent: 3,
-            success: 0,
-            lts_secs: 388,
-        });
-        ds.uptime.push(SosUptimeRecord {
-            probe: ProbeId(206),
-            timestamp: SimTime(0),
-            uptime_secs: 262_531,
-        });
-        ds.normalize();
-        let docs = ds.to_jsonl();
-        let back = AtlasDataset::from_jsonl(&docs).unwrap();
-        assert_eq!(ds, back);
-    }
-
-    #[test]
-    fn jsonl_reports_bad_lines() {
-        let doc = "{\"probe\":1,\"timestamp\":0,\"sent\":3,\"success\":3,\"lts_secs\":10}\nnot json\n";
-        let err = from_jsonl::<KrootPingRecord>(doc).unwrap_err();
-        assert_eq!(err.line, 2);
-    }
-
-    #[test]
-    fn jsonl_skips_blank_lines() {
-        let doc = "\n{\"probe\":1,\"timestamp\":0,\"sent\":3,\"success\":3,\"lts_secs\":10}\n\n";
-        let recs = from_jsonl::<KrootPingRecord>(doc).unwrap();
-        assert_eq!(recs.len(), 1);
     }
 
     #[test]

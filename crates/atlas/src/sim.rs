@@ -98,26 +98,11 @@ pub struct SimOutput {
 /// `dynaddr-exec` executor. The output is byte-identical at any worker
 /// count.
 pub fn simulate(config: &WorldConfig) -> SimOutput {
-    simulate_with_shard_cap(config, None)
+    simulate_with_options(config, &SimOptions::default()).0
 }
 
-/// Like [`simulate`], but folds the world's independent components into at
-/// most `cap` shards (`None` keeps one shard per component). The output is
-/// byte-identical for every `cap` and worker count; the knob exists so
-/// tests can pin shard layouts and callers can trade scheduling
-/// granularity against per-shard overhead.
-pub fn simulate_with_shard_cap(config: &WorldConfig, cap: Option<usize>) -> SimOutput {
-    simulate_with_options(config, &SimOptions { shard_cap: cap, ..SimOptions::default() })
-}
-
-/// Like [`simulate`], with the full set of sharding knobs.
-pub fn simulate_with_options(config: &WorldConfig, opts: &SimOptions) -> SimOutput {
-    simulate_instrumented_opts(config, opts).0
-}
-
-/// Knobs controlling how the world is partitioned. Every combination
-/// produces byte-identical output; the options trade scheduling granularity
-/// against per-shard overhead.
+/// Reference layouts for tests. Every combination produces byte-identical
+/// output; the determinism tests set these to pin that equivalence.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimOptions {
     /// Fold the world's components into at most this many shards
@@ -130,8 +115,7 @@ pub struct SimOptions {
     /// per-share components. Setting this restores the coarse layout.
     pub unify_all_isps: bool,
     /// Materialize every shard's nets and probes serially, before the
-    /// parallel shard map, instead of inside it. Reference mode for the CI
-    /// gate: shard-local construction must produce the same bytes.
+    /// parallel shard map, instead of inside it.
     pub serial_build: bool,
 }
 
@@ -200,7 +184,7 @@ impl QueueTelemetry {
     }
 }
 
-/// Wall-clock breakdown of one [`simulate`] call, recorded by `perfsnap`.
+/// Wall-clock breakdown of one simulation.
 #[derive(Debug, Clone, Copy)]
 pub struct SimStats {
     /// How many shards the world was partitioned into.
@@ -233,35 +217,11 @@ impl SimStats {
     }
 }
 
-/// [`simulate_with_shard_cap`] plus per-stage timings.
-pub fn simulate_instrumented(
-    config: &WorldConfig,
-    cap: Option<usize>,
-) -> (SimOutput, SimStats) {
-    simulate_instrumented_opts(config, &SimOptions { shard_cap: cap, ..SimOptions::default() })
-}
-
-/// [`simulate_with_options`] plus per-stage timings and queue telemetry.
-pub fn simulate_instrumented_opts(
-    config: &WorldConfig,
-    opts: &SimOptions,
-) -> (SimOutput, SimStats) {
-    let sp_plan = dynaddr_obs::span("world_plan");
-    let mut world = World::build(config);
-    let base_truth = std::mem::take(&mut world.truth);
-    let admin = world.admin.clone();
-    let mut shards = world.into_shards(opts);
-    let n_shards = shards.len();
-    let plan_s = sp_plan.finish_secs();
-    let mut serial_build_s = 0.0;
-    if opts.serial_build {
-        // Reference mode: materialize every shard up front, serially, so CI
-        // can diff the default shard-local construction against it.
-        for shard in &mut shards {
-            serial_build_s += shard.materialize();
-        }
-    }
-    let progress = dynaddr_obs::Progress::start("sim_shards", n_shards as u64);
+/// [`simulate`] with explicit options, plus per-stage timings and queue
+/// telemetry.
+pub fn simulate_with_options(config: &WorldConfig, opts: &SimOptions) -> (SimOutput, SimStats) {
+    let (shards, world_truth, part) = partition(config, opts);
+    let progress = dynaddr_obs::Progress::start("sim_shards", part.shards as u64);
     let sp_loop = dynaddr_obs::span("sim_event_loop");
     let (mut output, queue, shard_build_s) = dynaddr_exec::par_fold(
         shards,
@@ -280,20 +240,7 @@ pub fn simulate_instrumented_opts(
     );
     let loop_wall_s = sp_loop.finish_secs();
     progress.finish();
-    // Attach the world-level truth no shard owns.
-    output.truth.isp_policies = base_truth.isp_policies;
-    output.truth.firmware_dates = base_truth.firmware_dates;
-    if n_shards == 0 {
-        // No nets, so no shard could replay the admin event; the unsharded
-        // loop would still have popped it and recorded the fact.
-        if let Some((asn, when, _)) = admin {
-            if when < SimTime::YEAR_END {
-                output.truth.admin_renumbering = Some((asn, when));
-            }
-        }
-    }
-    let world_build_s = plan_s + serial_build_s + shard_build_s;
-    let event_loop_s = (loop_wall_s - shard_build_s).max(0.0);
+    output.truth = merge_truths(output.truth, world_truth);
 
     let filler_s = {
         let sp = dynaddr_obs::span("sim_filler");
@@ -307,11 +254,8 @@ pub fn simulate_instrumented_opts(
         output.truth.normalize();
         sp.finish_secs()
     };
-    queue.publish(n_shards);
-    (
-        output,
-        SimStats { shards: n_shards, world_build_s, event_loop_s, filler_s, normalize_s, queue },
-    )
+    let stats = part.stats(queue, shard_build_s, loop_wall_s, filler_s, normalize_s);
+    (output, stats)
 }
 
 /// Runs the simulation out-of-core, writing `dataset.store` at `out_path`.
@@ -322,7 +266,7 @@ pub fn simulate_instrumented_opts(
 /// the file through a [`StreamWriter`]. Because probes are partitioned
 /// across shards, merging sorted shard runs by key reproduces the global
 /// stable sort exactly — the file is byte-identical to
-/// `simulate_with_options(config, opts).dataset.to_store_bytes()`, but the
+/// `simulate_with_options(config, opts).0.dataset.to_store_bytes()`, but the
 /// full dataset never materializes: peak memory is the largest live shard
 /// plus one decoded segment per run, not the dataset.
 ///
@@ -335,19 +279,7 @@ pub fn simulate_to_store(
     opts: &SimOptions,
     out_path: &std::path::Path,
 ) -> Result<(GroundTruth, SimStats), StoreError> {
-    let sp_plan = dynaddr_obs::span("world_plan");
-    let mut world = World::build(config);
-    let base_truth = std::mem::take(&mut world.truth);
-    let admin = world.admin.clone();
-    let mut shards = world.into_shards(opts);
-    let n_shards = shards.len();
-    let plan_s = sp_plan.finish_secs();
-    let mut serial_build_s = 0.0;
-    if opts.serial_build {
-        for shard in &mut shards {
-            serial_build_s += shard.materialize();
-        }
-    }
+    let (shards, world_truth, part) = partition(config, opts);
     let spill_path = out_path.with_extension("spill");
     let sink = Mutex::new(SegmentSink::create(&spill_path)?);
     // The fold must stay infallible for par_fold, so the first append
@@ -358,7 +290,7 @@ pub fn simulate_to_store(
         e
     };
 
-    let progress = dynaddr_obs::Progress::start("sim_shards_to_store", n_shards as u64);
+    let progress = dynaddr_obs::Progress::start("sim_shards_to_store", part.shards as u64);
     let sp_loop = dynaddr_obs::span("sim_event_loop");
     let runs: Vec<(u64, Sim)> =
         shards.into_iter().enumerate().map(|(i, s)| (i as u64, s)).collect();
@@ -396,22 +328,11 @@ pub fn simulate_to_store(
     if let Some(e) = sink_err.into_inner().expect("sink error lock") {
         return Err(fail(e));
     }
-    let mut truth = truth;
-    truth.isp_policies = base_truth.isp_policies;
-    truth.firmware_dates = base_truth.firmware_dates;
-    if n_shards == 0 {
-        if let Some((asn, when, _)) = admin {
-            if when < SimTime::YEAR_END {
-                truth.admin_renumbering = Some((asn, when));
-            }
-        }
-    }
-    let world_build_s = plan_s + serial_build_s + shard_build_s;
-    let event_loop_s = (loop_wall_s - shard_build_s).max(0.0);
+    let mut truth = merge_truths(truth, world_truth);
 
     let filler_s = {
         let sp = dynaddr_obs::span("sim_filler");
-        crate::fill::generate_filler_to_sink(config, max_id + 1, n_shards as u64, &sink)
+        crate::fill::generate_filler_to_sink(config, max_id + 1, part.shards as u64, &sink)
             .map_err(&fail)?;
         sp.finish_secs()
     };
@@ -436,11 +357,66 @@ pub fn simulate_to_store(
     merged?;
     truth.normalize();
     let normalize_s = sp_merge.finish_secs();
-    queue.publish(n_shards);
-    Ok((
-        truth,
-        SimStats { shards: n_shards, world_build_s, event_loop_s, filler_s, normalize_s, queue },
-    ))
+    let stats = part.stats(queue, shard_build_s, loop_wall_s, filler_s, normalize_s);
+    Ok((truth, stats))
+}
+
+/// The serial half of a simulation that both entry points share around
+/// their per-shard fold.
+struct Partition {
+    shards: usize,
+    /// Serial construction seconds: the world plan, plus every shard's
+    /// materialization in `serial_build` mode.
+    build_s: f64,
+}
+
+/// Plans the world and partitions it into shards. The returned truth is
+/// the part no shard owns, merged after the fold like one more shard's:
+/// ISP policies, firmware dates and, when there is no shard to replay it,
+/// the administrative renumbering.
+fn partition(config: &WorldConfig, opts: &SimOptions) -> (Vec<Sim>, GroundTruth, Partition) {
+    let sp_plan = dynaddr_obs::span("world_plan");
+    let mut world = World::build(config);
+    let mut world_truth = std::mem::take(&mut world.truth);
+    let admin = world.admin.as_ref().map(|(asn, when, _)| (*asn, *when));
+    let mut shards = world.into_shards(opts);
+    if shards.is_empty() {
+        // No nets, so no shard replays the admin event; the unsharded loop
+        // would still have popped it and recorded the fact.
+        world_truth.admin_renumbering = admin.filter(|(_, when)| *when < SimTime::YEAR_END);
+    }
+    let mut build_s = sp_plan.finish_secs();
+    if opts.serial_build {
+        for shard in &mut shards {
+            build_s += shard.materialize();
+        }
+    }
+    let part = Partition { shards: shards.len(), build_s };
+    (shards, world_truth, part)
+}
+
+impl Partition {
+    /// Publishes the queue telemetry and assembles the stage timings.
+    /// Shards materialize inside the event-loop wall time, so their build
+    /// seconds move from the loop to `world_build_s`.
+    fn stats(
+        &self,
+        queue: QueueTelemetry,
+        shard_build_s: f64,
+        loop_wall_s: f64,
+        filler_s: f64,
+        normalize_s: f64,
+    ) -> SimStats {
+        queue.publish(self.shards);
+        SimStats {
+            shards: self.shards,
+            world_build_s: self.build_s + shard_build_s,
+            event_loop_s: (loop_wall_s - shard_build_s).max(0.0),
+            filler_s,
+            normalize_s,
+            queue,
+        }
+    }
 }
 
 fn empty_output() -> SimOutput {
@@ -462,7 +438,8 @@ fn merge_outputs(mut a: SimOutput, b: SimOutput) -> SimOutput {
 }
 
 /// The ground-truth half of [`merge_outputs`], shared with the streamed
-/// path (which never materializes the merged dataset).
+/// path (which never materializes the merged dataset) and used to attach
+/// the world-level truth after the fold.
 fn merge_truths(mut a: GroundTruth, mut b: GroundTruth) -> GroundTruth {
     a.changes.append(&mut b.changes);
     a.outages.append(&mut b.outages);
@@ -1619,6 +1596,21 @@ mod tests {
         let a = simulate(&w);
         let b = simulate(&w2);
         assert_ne!(a.dataset.connections, b.dataset.connections);
+    }
+
+    #[test]
+    fn admin_event_without_nets_is_still_recorded() {
+        // No ISPs means no shard to replay the event; both entry points
+        // must still record it, as the unsharded loop would.
+        let mut w = WorldConfig::empty(5);
+        let when = SimTime::from_date(6, 1, 0, 0, 0);
+        w.admin_renumber = Some((Asn(64500), when, Vec::new()));
+        assert_eq!(simulate(&w).truth.admin_renumbering, Some((Asn(64500), when)));
+        let path = std::env::temp_dir()
+            .join(format!("dynaddr-admin-no-nets-{}.store", std::process::id()));
+        let (truth, _) = simulate_to_store(&w, &SimOptions::default(), &path).expect("simulates");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(truth.admin_renumbering, Some((Asn(64500), when)));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! Datasets are written as one multi-table file (`dataset.store`), ground
 //! truth as another (`truth.store`); see [`crate::logs::AtlasDataset::save_dir`]
-//! for the directory wiring and the JSONL interchange fallback.
+//! for the directory wiring.
 
 use crate::logs::{
     AtlasDataset, ConnectionLogEntry, KrootPingRecord, PeerAddr, ProbeIndex, ProbeMeta,
@@ -606,7 +606,7 @@ pub fn dataset_to_bytes(ds: &AtlasDataset) -> Vec<u8> {
 }
 
 /// Decodes a dataset store file, normalizing the result (the per-probe
-/// index is derived data and is rebuilt, like the JSONL path does).
+/// index is derived data and is rebuilt).
 pub fn dataset_from_bytes(
     bytes: &[u8],
     mode: ReadMode,
@@ -901,8 +901,6 @@ mod tests {
         let (back, report) = dataset_from_bytes(&bytes, ReadMode::Strict).unwrap();
         assert!(report.is_clean());
         assert_eq!(ds, back);
-        // Byte-identical through the JSONL fingerprint too.
-        assert_eq!(ds.to_jsonl().connections, back.to_jsonl().connections);
         // Re-encode is idempotent.
         assert_eq!(bytes, dataset_to_bytes(&back));
     }

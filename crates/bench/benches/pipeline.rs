@@ -1,7 +1,7 @@
 //! Criterion benches for the analysis pipeline — one measurement per paper
 //! experiment, so regressions in any stage are visible individually.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use dynaddr_atlas::world::{paper_route_tables, paper_world};
 use dynaddr_atlas::{simulate, SimOutput};
 use dynaddr_core::filtering::{filter_probes, FilterReport};
@@ -71,22 +71,6 @@ fn bench_full(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_jsonl(c: &mut Criterion) {
-    let (out, _, _) = world();
-    let docs = out.dataset.to_jsonl();
-    let mut group = c.benchmark_group("jsonl");
-    group.sample_size(10);
-    group.bench_function("serialize", |b| b.iter(|| out.dataset.to_jsonl()));
-    group.bench_function("parse", |b| {
-        b.iter_batched(
-            || docs.clone(),
-            |d| dynaddr_atlas::AtlasDataset::from_jsonl(&d).expect("valid"),
-            BatchSize::LargeInput,
-        )
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_filtering,
@@ -94,7 +78,6 @@ criterion_group!(
     bench_geo,
     bench_outages,
     bench_prefixes,
-    bench_full,
-    bench_jsonl
+    bench_full
 );
 criterion_main!(benches);

@@ -48,7 +48,7 @@
 //! if they differ by even one byte.
 
 use dynaddr_atlas::world::{paper_route_tables, paper_world};
-use dynaddr_atlas::{simulate, simulate_instrumented, simulate_to_store, SimOptions, SimOutput};
+use dynaddr_atlas::{simulate, simulate_to_store, simulate_with_options, SimOptions, SimOutput};
 use dynaddr_bench::{peak_rss_bytes, tier_scale, TIER_NAMES};
 use dynaddr_obs::{error, info, span};
 use dynaddr_core::filtering::filter_probes;
@@ -157,12 +157,8 @@ struct ExecSnapshot {
 
 #[derive(Serialize)]
 struct DiskSizes {
-    /// Dataset serialized as the four legacy JSONL documents.
-    jsonl_bytes: usize,
-    /// The same dataset as one columnar `dataset.store` file.
+    /// The dataset as one columnar `dataset.store` file.
     store_bytes: usize,
-    /// store_bytes / jsonl_bytes (lower is better).
-    store_over_jsonl: f64,
 }
 
 /// End-to-end streamed run of one named tier, measured in its own process.
@@ -198,7 +194,7 @@ struct Snapshot {
     sim_shards: usize,
     /// Event-queue telemetry of one simulation (thread-independent).
     sim_queue: QueueSnapshot,
-    /// On-disk size of the dataset in each format (thread-independent).
+    /// On-disk size of the dataset (thread-independent).
     dataset_bytes: DiskSizes,
     /// Peak RSS of the snapshot process itself (all materialized stage
     /// timings included; bytes, 0 off-Linux).
@@ -360,13 +356,12 @@ fn main() {
     // never mistake it for a measured iteration.
     {
         let _warm = span("warmup").warmup();
-        std::hint::black_box(simulate_instrumented(&world, None));
+        std::hint::black_box(simulate_with_options(&world, &SimOptions::default()));
         std::hint::black_box(analyze(
             &sim_out.dataset,
             &snaps,
             &dynaddr_core::pipeline::AnalysisConfig::default(),
         ));
-        std::hint::black_box(sim_out.dataset.to_jsonl());
         std::hint::black_box(sim_out.dataset.to_store_bytes());
     }
 
@@ -386,21 +381,7 @@ fn main() {
     };
     dynaddr_exec::set_threads(None);
 
-    let jsonl = sim_out.dataset.to_jsonl();
-    let jsonl_bytes = jsonl.meta.len()
-        + jsonl.connections.len()
-        + jsonl.kroot.len()
-        + jsonl.uptime.len();
-    let store_bytes = sim_out.dataset.to_store_bytes().len();
-    let dataset_bytes = DiskSizes {
-        jsonl_bytes,
-        store_bytes,
-        store_over_jsonl: if jsonl_bytes > 0 {
-            store_bytes as f64 / jsonl_bytes as f64
-        } else {
-            0.0
-        },
-    };
+    let dataset_bytes = DiskSizes { store_bytes: sim_out.dataset.to_store_bytes().len() };
 
     let stages = one
         .into_iter()
@@ -762,7 +743,7 @@ fn run_all(
             (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
         for _ in 0..iters {
             let t0 = Instant::now();
-            let (out, stats) = simulate_instrumented(world, None);
+            let (out, stats) = simulate_with_options(world, &SimOptions::default());
             let total = t0.elapsed().as_secs_f64() * 1e3;
             std::hint::black_box(out);
             best_total = best_total.min(total);
@@ -820,19 +801,9 @@ fn run_all(
         std::hint::black_box(analyze(dataset, snaps, &cfg));
     });
 
-    // Serialization stages: the legacy JSONL path against the columnar
-    // store. Both decode stages include normalize() — each is the full
-    // bytes-to-usable-dataset cost.
-    let jsonl = dataset.to_jsonl();
+    // Serialization stages. The decode stage includes normalize() — the
+    // full bytes-to-usable-dataset cost.
     let store = dataset.to_store_bytes();
-    time("jsonl_encode", &mut || {
-        std::hint::black_box(dataset.to_jsonl());
-    });
-    time("jsonl_parse", &mut || {
-        std::hint::black_box(
-            dynaddr_atlas::AtlasDataset::from_jsonl(&jsonl).expect("jsonl round-trips"),
-        );
-    });
     time("store_encode", &mut || {
         std::hint::black_box(dataset.to_store_bytes());
     });

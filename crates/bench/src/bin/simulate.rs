@@ -2,8 +2,7 @@
 //!
 //! Usage:
 //!   simulate --out DIR [--scale S | --tier NAME] [--seed N] [--threads N]
-//!            [--format store|jsonl] [--serial-build] [--streamed]
-//!            [--trace FILE]
+//!            [--streamed] [--trace FILE]
 //!
 //! Writes into DIR:
 //!   dataset.store                                             (the dataset)
@@ -11,47 +10,42 @@
 //!   ip2as/2015-MM.pfx2as                                      (12 snapshots)
 //!   names.json                                                (ASN → name)
 //!
-//! With `--format jsonl` the dataset is written as the legacy four `.jsonl`
-//! files and the truth as `truth.json` instead. The dataset directory is
-//! exactly what the `analyze` binary consumes in either format — the
+//! The directory is exactly what the `analyze` binary consumes — the
 //! pipeline runs from the files alone, as it would on real scraped logs.
 //!
 //! `--tier NAME` is sugar for the named scale (s005, s02, paper, 10x,
 //! 100x). `--streamed` encodes each simulator shard's output into
 //! `dataset.store` as it completes instead of materializing the dataset —
 //! required above `paper` scale, byte-identical below it (CI diffs it).
-//! Streamed output is store-format only.
 //!
 //! `--trace FILE` writes a JSONL observability sidecar (spans, metrics,
 //! heartbeats, executor stats); the dataset bytes are identical with and
 //! without it. `DYNADDR_LOG` (error|warn|info|debug) sets the stderr
-//! log level.
+//! log level. A missing or malformed flag value exits 2 with the usage
+//! line.
 
 use dynaddr_atlas::world::{paper_route_tables, paper_world};
-use dynaddr_atlas::{simulate_to_store, simulate_with_options, SimOptions, StoreFormat};
-use dynaddr_bench::tier_scale;
+use dynaddr_atlas::{simulate, simulate_to_store, SimOptions};
+use dynaddr_bench::{flag_value, tier_scale};
 use dynaddr_obs::{error, info};
 use dynaddr_store::{ColumnarRecord, SegmentFileReader};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: simulate --out DIR [--scale S | --tier NAME] [--seed N] \
-                     [--threads N] [--format store|jsonl] [--serial-build] [--streamed] \
-                     [--trace FILE]";
+                     [--threads N] [--streamed] [--trace FILE]";
 
 fn main() {
     let mut scale = 0.1f64;
     let mut seed = 2015u64;
     let mut out: Option<PathBuf> = None;
-    let mut format = StoreFormat::default();
-    let mut opts = SimOptions::default();
     let mut streamed = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--scale" => scale = args.next().expect("--scale value").parse().expect("numeric"),
+            "--scale" => scale = flag_value(&mut args, "--scale", USAGE),
             "--tier" => {
-                let name = args.next().expect("--tier name");
+                let name: String = flag_value(&mut args, "--tier", USAGE);
                 scale = tier_scale(&name).unwrap_or_else(|| {
                     error!(
                         "unknown tier {name:?} (want one of {})",
@@ -61,25 +55,17 @@ fn main() {
                 });
             }
             "--streamed" => streamed = true,
-            "--seed" => seed = args.next().expect("--seed value").parse().expect("numeric"),
-            "--out" => out = Some(PathBuf::from(args.next().expect("--out dir"))),
+            "--seed" => seed = flag_value(&mut args, "--seed", USAGE),
+            "--out" => out = Some(flag_value(&mut args, "--out", USAGE)),
             "--trace" => {
-                dynaddr_bench::init_trace_or_exit(&PathBuf::from(args.next().expect("--trace file")));
-            }
-            "--format" => {
-                let v = args.next().expect("--format value");
-                format = StoreFormat::parse(&v).unwrap_or_else(|| {
-                    error!("unknown format {v:?} (want store or jsonl)");
-                    std::process::exit(2);
-                });
+                dynaddr_bench::init_trace_or_exit(&flag_value::<PathBuf>(
+                    &mut args, "--trace", USAGE,
+                ));
             }
             // Overrides the DYNADDR_THREADS environment variable.
-            "--threads" => dynaddr_exec::set_threads(Some(
-                args.next().expect("--threads value").parse().expect("numeric"),
-            )),
-            // Reference mode: materialize all shards serially before the
-            // parallel map. Output must be byte-identical (CI diffs it).
-            "--serial-build" => opts.serial_build = true,
+            "--threads" => {
+                dynaddr_exec::set_threads(Some(flag_value(&mut args, "--threads", USAGE)))
+            }
             other => {
                 error!("unknown argument {other}");
                 eprintln!("{USAGE}");
@@ -98,22 +84,13 @@ fn main() {
 
     // counts: probes, connection entries, kroot records, uptime records.
     let (truth, counts) = if streamed {
-        if matches!(format, StoreFormat::Jsonl) {
-            error!("--streamed writes the store format only");
-            std::process::exit(2);
-        }
         std::fs::create_dir_all(&out_dir).expect("create out dir");
         let store_path = out_dir.join("dataset.store");
-        let (truth, _stats) =
-            simulate_to_store(&world, &opts, &store_path).unwrap_or_else(|e| {
+        let (truth, _stats) = simulate_to_store(&world, &SimOptions::default(), &store_path)
+            .unwrap_or_else(|e| {
                 error!("streamed simulate failed: {e}");
                 std::process::exit(1);
             });
-        // Match save_dir_format: never leave the other format's files
-        // shadowing the one just written.
-        for name in ["meta.jsonl", "connections.jsonl", "kroot.jsonl", "uptime.jsonl"] {
-            let _ = std::fs::remove_file(out_dir.join(name));
-        }
         // Row counts come from the footer index — the dataset itself is
         // never in memory on this path.
         let reader = SegmentFileReader::open(&store_path).expect("reopen dataset.store");
@@ -125,8 +102,8 @@ fn main() {
         ];
         (truth, counts)
     } else {
-        let output = simulate_with_options(&world, &opts);
-        output.dataset.save_dir_format(&out_dir, format).expect("write dataset");
+        let output = simulate(&world);
+        output.dataset.save_dir(&out_dir).expect("write dataset");
         let counts = [
             output.dataset.meta.len() as u64,
             output.dataset.connections.len() as u64,
@@ -137,23 +114,7 @@ fn main() {
     };
 
     snaps.save_dir(&out_dir.join("ip2as")).expect("write snapshots");
-    // Like save_dir_format, drop the other format's truth file so the
-    // directory never holds two diverging copies.
-    match format {
-        StoreFormat::Store => {
-            std::fs::write(out_dir.join("truth.store"), truth.to_store_bytes())
-                .expect("write truth");
-            let _ = std::fs::remove_file(out_dir.join("truth.json"));
-        }
-        StoreFormat::Jsonl => {
-            std::fs::write(
-                out_dir.join("truth.json"),
-                serde_json::to_string_pretty(&truth).expect("truth serializes"),
-            )
-            .expect("write truth");
-            let _ = std::fs::remove_file(out_dir.join("truth.store"));
-        }
-    }
+    std::fs::write(out_dir.join("truth.store"), truth.to_store_bytes()).expect("write truth");
     let names: BTreeMap<u32, String> = truth
         .isp_policies
         .iter()
@@ -166,7 +127,7 @@ fn main() {
     .expect("write names");
 
     info!(
-        "wrote {} ({format} format): {} probes, {} connection entries, {} kroot records, {} uptime records",
+        "wrote {}: {} probes, {} connection entries, {} kroot records, {} uptime records",
         out_dir.display(),
         counts[0],
         counts[1],

@@ -85,6 +85,25 @@ pub fn peak_rss_bytes() -> u64 {
     dynaddr_obs::peak_rss_bytes()
 }
 
+/// The value after `flag` on the command line, parsed. A missing or
+/// malformed value is a usage error: the message and `usage` go to stderr
+/// and the process exits 2.
+pub fn flag_value<T>(args: &mut impl Iterator<Item = String>, flag: &str, usage: &str) -> T
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let parsed = match args.next() {
+        None => Err(format!("{flag} needs a value")),
+        Some(v) => v.parse().map_err(|e| format!("{flag} {v:?}: {e}")),
+    };
+    parsed.unwrap_or_else(|msg| {
+        dynaddr_obs::error!("{msg}");
+        eprintln!("{usage}");
+        std::process::exit(2);
+    })
+}
+
 /// Shared `--trace FILE` handling for the bench bins: installs the JSONL
 /// sidecar sink, exiting with a message if the file cannot be created.
 pub fn init_trace_or_exit(path: &std::path::Path) {

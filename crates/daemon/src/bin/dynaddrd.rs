@@ -19,11 +19,11 @@
 //! diffs. With `--exit-after-replay` the daemon then shuts down; without
 //! it, it keeps serving until killed.
 //!
-//! `--data` names the dataset directory (for `ip2as/` and `names.json`);
-//! it defaults to the replay file's parent directory. Query mode is the
-//! matching client: it prints one daemon reply human-readably, and
-//! `--wait-sealed` polls until the stream is sealed first — the CI hook
-//! for "replay finished".
+//! The replay FILE is any store file; `--data` names the directory that
+//! supplies `ip2as/` and `names.json`, and defaults to the replay file's
+//! parent directory. Query mode is the matching client: it prints one
+//! daemon reply human-readably, and `--wait-sealed` polls until the stream
+//! is sealed first — the CI hook for "replay finished".
 
 #[cfg(unix)]
 fn main() {
@@ -124,8 +124,8 @@ fn run_daemon(args: Vec<String>) -> Result<(), String> {
             ),
         }
     }
-    let dataset = AtlasDataset::load_dir(&dir)
-        .map_err(|e| format!("failed to load dataset: {e}"))?;
+    let dataset = AtlasDataset::load_file(&replay_file)
+        .map_err(|e| format!("failed to load replay file {e}"))?;
 
     let daemon = Arc::new(Daemon::new(snaps, cfg));
     let server = serve(Arc::clone(&daemon), &socket).map_err(|e| e.to_string())?;

@@ -1,9 +1,8 @@
 //! # dynaddr-store
 //!
-//! A binary, segmented, columnar on-disk format for the project's datasets,
-//! replacing monolithic JSON-lines round-trips on the simulate-once /
-//! analyze-many path (JSONL stays the interchange format; this is the fast
-//! local store).
+//! A binary, segmented, columnar on-disk format for the project's datasets:
+//! the one file format between the simulator, the analyzer and the
+//! servers.
 //!
 //! A store file is a sequence of independent **segments**, each covering a
 //! contiguous run of rows of one table. Within a segment every column is

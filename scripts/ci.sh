@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
-# CI gate: release build, full workspace tests, a perfsnap smoke run, a
-# store-vs-jsonl round-trip smoke, a query-serving smoke (queryd/queryc), a
-# shard-local-vs-serial world-build smoke, and the quickstart example.
+# CI gate: release build, workspace and benchmark-harness tests, a perfsnap
+# smoke run, CLI usage errors, store, query-serving (queryd/queryc),
+# dynaddrd replay, streamed and traced pipeline smokes, and the quickstart.
 #
 # The smoke run times the pipeline at a tiny scale (0.01) just to prove the
 # bench binary exits 0 and writes valid JSON — it is NOT a benchmark and its
@@ -18,6 +18,10 @@ cargo build --release --workspace
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
+
+echo "==> benchmark harness tests (against the workspace crates)"
+cargo test --release --offline --manifest-path perfbench/harness/Cargo.toml \
+    --target-dir target/perfbench-harness
 
 echo "==> perfsnap smoke (scale 0.01, tier ladder s005 only)"
 SNAP="$(mktemp /tmp/perfsnap-smoke.XXXXXX.json)"
@@ -44,19 +48,17 @@ grep -q '"replay_rows_per_sec"' "$SNAP"
 grep -q '"point_p99_ns"' "$SNAP"
 grep -q '"sealed_matches_batch": true' "$SNAP"
 
-echo "==> store round-trip smoke (scale 0.01, store vs jsonl)"
-# The same world written in both formats must analyze to identical reports.
+echo "==> CLI usage errors (exit 2, not a panic)"
+exits_2() { CODE=0; "$@" > /dev/null 2>&1 || CODE=$?; test "$CODE" -eq 2; }
+exits_2 ./target/release/simulate --out "$SMOKE/bad" --seed abc
+exits_2 ./target/release/analyze --threads
+
+echo "==> store smoke (scale 0.01): the reference report the smokes below diff"
 cargo run --release -q -p dynaddr-bench --bin simulate -- \
-    --out "$SMOKE/store" --scale 0.01 --seed 5 --format store
-cargo run --release -q -p dynaddr-bench --bin simulate -- \
-    --out "$SMOKE/jsonl" --scale 0.01 --seed 5 --format jsonl
+    --out "$SMOKE/store" --scale 0.01 --seed 5
 test -f "$SMOKE/store/dataset.store"
-test -f "$SMOKE/jsonl/meta.jsonl"
 cargo run --release -q -p dynaddr-bench --bin analyze -- \
     --data "$SMOKE/store" --report "$SMOKE/store.txt" > /dev/null
-cargo run --release -q -p dynaddr-bench --bin analyze -- \
-    --data "$SMOKE/jsonl" --report "$SMOKE/jsonl.txt" > /dev/null
-diff "$SMOKE/store.txt" "$SMOKE/jsonl.txt"
 
 echo "==> query serving smoke (queryd on the scale-0.01 store)"
 # The daemon's cache-backed answers must match the batch-loaded local
@@ -66,7 +68,7 @@ QSOCK="$SMOKE/queryd.sock"
 ./target/release/queryd --data "$SMOKE/store" --socket "$QSOCK" \
     --trace "$SMOKE/queryd-trace.jsonl" 2> "$SMOKE/queryd.err" &
 QPID=$!
-trap 'kill "$QPID" 2>/dev/null; rm -rf "$SNAP" "$SMOKE"' EXIT
+trap 'kill "$QPID" 2>/dev/null || true; rm -rf "$SNAP" "$SMOKE"' EXIT
 ./target/release/queryc --data "$SMOKE/store" --socket "$QSOCK" \
     --count 400 --seed 99 --out "$SMOKE/q-remote-cold.txt"
 ./target/release/queryc --data "$SMOKE/store" --socket "$QSOCK" \
@@ -82,8 +84,12 @@ echo "==> dynaddrd replay smoke (scale 0.01 store, daemon vs batch report)"
 # Replaying the full stream through the live per-probe state machines and
 # sealing must reproduce the batch analyzer's report byte for byte — at 1
 # thread, 2 threads, and the ambient count. Mid-replay, the daemon must
-# answer rolling point queries over its socket.
-trap 'kill "$DPID" 2>/dev/null; rm -rf "$SNAP" "$SMOKE"' EXIT
+# answer rolling point queries over its socket. It replays the named file,
+# here a renamed copy whose directory holds no dataset.store.
+trap 'kill "$DPID" 2>/dev/null || true; rm -rf "$SNAP" "$SMOKE"' EXIT
+mkdir "$SMOKE/replay"
+cp "$SMOKE/store/dataset.store" "$SMOKE/replay/renamed.store"
+cp -R "$SMOKE/store/ip2as" "$SMOKE/store/names.json" "$SMOKE/replay/"
 for THREADS in 1 2 ambient; do
     DSOCK="$SMOKE/dynaddrd-$THREADS.sock"
     DREPORT="$SMOKE/dynaddrd-$THREADS.txt"
@@ -92,7 +98,7 @@ for THREADS in 1 2 ambient; do
     else
         set -- --threads "$THREADS"
     fi
-    ./target/release/dynaddrd --replay "$SMOKE/store/dataset.store" \
+    ./target/release/dynaddrd --replay "$SMOKE/replay/renamed.store" \
         --socket "$DSOCK" --rate max --report "$DREPORT" \
         --trace "$SMOKE/dynaddrd-$THREADS-trace.jsonl" \
         "$@" 2> "$SMOKE/dynaddrd-$THREADS.err" &
@@ -116,17 +122,6 @@ for THREADS in 1 2 ambient; do
     kill "$DPID"
     wait "$DPID" 2>/dev/null || true
 done
-
-echo "==> build-mode smoke (scale 0.01, shard-local vs serial world build)"
-# Nets and probes are normally materialized inside the parallel shard map;
-# --serial-build materializes them up front on one thread. The two
-# construction orders must analyze to identical reports.
-cargo run --release -q -p dynaddr-bench --bin simulate -- \
-    --out "$SMOKE/serial" --scale 0.01 --seed 5 --serial-build
-test -f "$SMOKE/serial/dataset.store"
-cargo run --release -q -p dynaddr-bench --bin analyze -- \
-    --data "$SMOKE/serial" --report "$SMOKE/serial.txt" > /dev/null
-diff "$SMOKE/store.txt" "$SMOKE/serial.txt"
 
 echo "==> streamed pipeline smoke (scale 0.01, streamed vs batch)"
 # Shard-streamed store writing must produce the byte-identical file, and

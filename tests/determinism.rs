@@ -41,23 +41,23 @@ fn oversubscribed_executor_is_still_identical() {
     assert_eq!(sequential, many, "64-thread report differs from sequential");
 }
 
-/// Serializes a full `SimOutput` — all four dataset documents plus the
+/// Serializes a full `SimOutput` — the dataset's store bytes plus the
 /// ground truth — produced at the given worker count and sharding options.
-fn sim_fingerprint_opts(threads: Option<usize>, opts: &SimOptions, seed: u64) -> String {
+/// The store encoding is lossless (`tests/store.rs` round-trips arbitrary
+/// datasets through it), so equal fingerprints mean equal outputs.
+fn sim_fingerprint_opts(threads: Option<usize>, opts: &SimOptions, seed: u64) -> Vec<u8> {
     dynaddr_exec::set_threads(threads);
     let world = paper_world(0.02, seed);
-    let out = simulate_with_options(&world, opts);
+    let (out, _stats) = simulate_with_options(&world, opts);
     dynaddr_exec::set_threads(None);
-    let docs = out.dataset.to_jsonl();
     let truth = serde_json::to_string(&out.truth).expect("truth serializes");
-    format!(
-        "{}\n{}\n{}\n{}\n{truth}",
-        docs.meta, docs.connections, docs.kroot, docs.uptime
-    )
+    let mut bytes = out.dataset.to_store_bytes();
+    bytes.extend_from_slice(truth.as_bytes());
+    bytes
 }
 
 /// [`sim_fingerprint_opts`] with only a forced shard cap.
-fn sim_fingerprint(threads: Option<usize>, cap: Option<usize>, seed: u64) -> String {
+fn sim_fingerprint(threads: Option<usize>, cap: Option<usize>, seed: u64) -> Vec<u8> {
     sim_fingerprint_opts(threads, &SimOptions { shard_cap: cap, ..SimOptions::default() }, seed)
 }
 

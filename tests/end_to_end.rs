@@ -5,7 +5,6 @@ mod common;
 
 use common::{harness, SCALE, SEED};
 use dynaddr::analysis::outages::{detect_network_outages, detect_power_outages, detect_reboots};
-use dynaddr::atlas::logs::AtlasDataset;
 use dynaddr::atlas::world::{paper_route_tables, paper_world};
 use dynaddr::atlas::{simulate, ChangeCause};
 
@@ -41,14 +40,6 @@ fn different_seed_changes_logs_but_not_shapes() {
         rows.iter().find(|r| r.asn == 3320).map(|r| r.d_hours),
         Some(24)
     );
-}
-
-#[test]
-fn dataset_roundtrips_through_jsonl() {
-    let h = harness();
-    let docs = h.out.dataset.to_jsonl();
-    let back = AtlasDataset::from_jsonl(&docs).expect("parse back");
-    assert_eq!(h.out.dataset, back);
 }
 
 /// The simulator thins quiet-period k-root heartbeats (see the log-thinning

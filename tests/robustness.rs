@@ -182,13 +182,4 @@ proptest! {
             prop_assert!(pair[0].center_hours <= pair[1].center_hours);
         }
     }
-
-    /// JSONL round-trip for arbitrary connection entries.
-    #[test]
-    fn jsonl_roundtrip(entries in arb_entries()) {
-        use dynaddr::atlas::logs::{from_jsonl, to_jsonl};
-        let doc = to_jsonl(&entries);
-        let back: Vec<ConnectionLogEntry> = from_jsonl(&doc).unwrap();
-        prop_assert_eq!(entries, back);
-    }
 }

@@ -4,7 +4,7 @@
 //! and directory loading attributes every failure to the file (and segment)
 //! that caused it.
 
-use dynaddr::atlas::logs::{LoadError, StoreFormat};
+use dynaddr::atlas::logs::LoadError;
 use dynaddr::atlas::{
     AtlasDataset, ConnectionLogEntry, GroundTruth, KrootPingRecord, PeerAddr, ProbeMeta,
     SosUptimeRecord,
@@ -271,48 +271,36 @@ fn ground_truth_roundtrips_including_exact_floats() {
 }
 
 // ---------------------------------------------------------------------------
-// Directory loading: formats, sniffing, and error attribution
+// Directory loading and error attribution
 // ---------------------------------------------------------------------------
 
 #[test]
-fn save_dir_roundtrips_in_both_formats() {
+fn save_dir_roundtrips() {
     let ds = sample_dataset();
-    for format in [StoreFormat::Store, StoreFormat::Jsonl] {
-        let dir = temp_dir(&format!("fmt-{format}"));
-        ds.save_dir_format(&dir, format).expect("saves");
-        assert_eq!(AtlasDataset::sniff_format(&dir), format);
-        let back = AtlasDataset::load_dir(&dir).expect("loads");
-        assert_eq!(ds, back);
-        // Forcing the written format explicitly also works.
-        assert_eq!(ds, AtlasDataset::load_dir_as(&dir, format).expect("forced load"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-#[test]
-fn rewriting_in_the_other_format_leaves_no_stale_files() {
-    let ds = sample_dataset();
-    let dir = temp_dir("stale");
-    ds.save_dir_format(&dir, StoreFormat::Jsonl).expect("saves jsonl");
-    ds.save_dir_format(&dir, StoreFormat::Store).expect("saves store");
-    assert!(!dir.join("meta.jsonl").exists(), "jsonl files must be removed");
-    assert!(dir.join("dataset.store").exists());
-    ds.save_dir_format(&dir, StoreFormat::Jsonl).expect("saves jsonl again");
-    assert!(!dir.join("dataset.store").exists(), "store file must be removed");
+    let dir = temp_dir("save");
+    ds.save_dir(&dir).expect("saves");
     assert_eq!(ds, AtlasDataset::load_dir(&dir).expect("loads"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn load_errors_name_the_offending_file() {
-    // Empty directory: the failure names the first missing jsonl file.
+    // Empty directory: the failure names the missing store file.
     let dir = temp_dir("missing");
     std::fs::create_dir_all(&dir).unwrap();
     let err = AtlasDataset::load_dir(&dir).unwrap_err();
     assert!(matches!(err, LoadError::Io { .. }));
-    assert!(err.to_string().contains("meta.jsonl"), "{err}");
+    assert!(err.to_string().contains("dataset.store"), "{err}");
 
-    // Garbage store file with no jsonl fallback: named, typed as store.
+    // Legacy JSON-lines files are not a dataset: still the missing store.
+    for name in ["meta.jsonl", "connections.jsonl", "kroot.jsonl", "uptime.jsonl"] {
+        std::fs::write(dir.join(name), "{}\n").unwrap();
+    }
+    let err = AtlasDataset::load_dir(&dir).unwrap_err();
+    assert!(matches!(err, LoadError::Io { .. }));
+    assert!(err.to_string().contains("dataset.store"), "{err}");
+
+    // Garbage store file: named, typed as store.
     std::fs::write(dir.join("dataset.store"), b"not a store file at all").unwrap();
     let err = AtlasDataset::load_dir(&dir).unwrap_err();
     assert!(matches!(
@@ -320,18 +308,6 @@ fn load_errors_name_the_offending_file() {
         LoadError::Store { source: StoreError::BadMagic { .. }, .. }
     ));
     assert!(err.to_string().contains("dataset.store"), "{err}");
-    std::fs::remove_dir_all(&dir).ok();
-
-    // A malformed jsonl line is attributed to its file.
-    let dir = temp_dir("badline");
-    sample_dataset().save_dir_format(&dir, StoreFormat::Jsonl).expect("saves");
-    let path = dir.join("kroot.jsonl");
-    let mut doc = std::fs::read_to_string(&path).unwrap();
-    doc.push_str("{not json\n");
-    std::fs::write(&path, doc).unwrap();
-    let err = AtlasDataset::load_dir(&dir).unwrap_err();
-    assert!(matches!(err, LoadError::Jsonl { .. }));
-    assert!(err.to_string().contains("kroot.jsonl"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 
     // A corrupt segment inside dataset.store is named file-and-segment.
@@ -350,18 +326,6 @@ fn load_errors_name_the_offending_file() {
     let (recovered, report) = AtlasDataset::load_dir_recover(&dir).expect("recovers");
     assert!(!report.is_clean());
     assert!(recovered.meta.len() <= ds.meta.len());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn damaged_magic_falls_back_to_jsonl_when_legacy_files_exist() {
-    let ds = sample_dataset();
-    let dir = temp_dir("fallback");
-    ds.save_dir_format(&dir, StoreFormat::Jsonl).expect("saves jsonl");
-    // A stray non-store file named dataset.store must not shadow good data.
-    std::fs::write(dir.join("dataset.store"), b"stray bytes, wrong magic").unwrap();
-    assert_eq!(AtlasDataset::sniff_format(&dir), StoreFormat::Jsonl);
-    assert_eq!(ds, AtlasDataset::load_dir(&dir).expect("falls back to jsonl"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
