@@ -238,12 +238,18 @@ impl AtlasDataset {
     }
 
     /// Validates structural invariants external data must satisfy before
-    /// analysis: per-probe connection entries non-overlapping with
-    /// `end >= start`, k-root success counts within sent counts, and every
-    /// log row belonging to a probe with metadata. Returns human-readable
-    /// problems (empty = valid). Call after [`AtlasDataset::normalize`].
+    /// analysis: one metadata row per probe, per-probe connection entries
+    /// non-overlapping with `end >= start`, k-root success counts within
+    /// sent counts, and every log row belonging to a probe with metadata.
+    /// Returns human-readable problems (empty = valid). Call after
+    /// [`AtlasDataset::normalize`].
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
+        for pair in self.meta.windows(2) {
+            if pair[0].probe == pair[1].probe {
+                problems.push(format!("{}: duplicate metadata rows", pair[0].probe));
+            }
+        }
         let known: std::collections::HashSet<u32> =
             self.meta.iter().map(|m| m.probe.0).collect();
         for c in &self.connections {
@@ -554,6 +560,11 @@ mod tests {
         let problems = orphan.validate();
         assert!(problems.iter().any(|p| p.contains("without metadata")));
         assert!(problems.iter().any(|p| p.contains("exceeds sent")));
+
+        // A probe introduced twice.
+        ds.meta.push(ProbeMeta::default());
+        ds.normalize();
+        assert!(ds.validate().iter().any(|p| p.contains("duplicate metadata")));
     }
 
     #[test]

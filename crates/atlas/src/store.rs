@@ -606,25 +606,57 @@ pub fn dataset_to_bytes(ds: &AtlasDataset) -> Vec<u8> {
 }
 
 /// Decodes a dataset store file, normalizing the result (the per-probe
-/// index is derived data and is rebuilt).
+/// index is derived data and is rebuilt). In either mode, rows out of
+/// probe order are a [`StoreError::OutOfOrder`]: the meta table must hold
+/// one row per probe in ascending order, and a log table's probe ids must
+/// never decrease.
 pub fn dataset_from_bytes(
     bytes: &[u8],
     mode: ReadMode,
 ) -> Result<(AtlasDataset, RecoveryReport), StoreError> {
     let (reader, notes) = open(bytes, mode)?;
     let mut report = RecoveryReport { notes, dropped: Vec::new() };
-    let (meta, d) = reader.decode_table::<ProbeMeta>(mode)?;
-    report.dropped.extend(d);
-    let (connections, d) = reader.decode_table::<ConnectionLogEntry>(mode)?;
-    report.dropped.extend(d);
-    let (kroot, d) = reader.decode_table::<KrootPingRecord>(mode)?;
-    report.dropped.extend(d);
-    let (uptime, d) = reader.decode_table::<SosUptimeRecord>(mode)?;
-    report.dropped.extend(d);
+    let meta = decode_ordered::<ProbeMeta>(&reader, mode, &mut report)?;
+    let connections = decode_ordered::<ConnectionLogEntry>(&reader, mode, &mut report)?;
+    let kroot = decode_ordered::<KrootPingRecord>(&reader, mode, &mut report)?;
+    let uptime = decode_ordered::<SosUptimeRecord>(&reader, mode, &mut report)?;
     let mut ds =
         AtlasDataset { meta, connections, kroot, uptime, index: ProbeIndex::default() };
     ds.normalize();
     Ok((ds, report))
+}
+
+/// Decodes one dataset table, recording dropped segments, and checks its
+/// probe order.
+fn decode_ordered<R: ColumnarRecord>(
+    reader: &FileReader<'_>,
+    mode: ReadMode,
+    report: &mut RecoveryReport,
+) -> Result<Vec<R>, StoreError> {
+    let (rows, dropped) = reader.decode_table::<R>(mode)?;
+    report.dropped.extend(dropped);
+    check_probe_order(&rows, None)?;
+    Ok(rows)
+}
+
+/// Checks that `rows`, in file order and following a row keyed `prev`,
+/// keep [`AtlasDataset`]'s probe order: the meta table holds one row per
+/// probe in ascending order, and a log table's probe ids never decrease.
+/// Returns the last key seen. The analysis drivers rely on this order and
+/// disagree without it, so both readers reject a file that breaks it.
+pub(crate) fn check_probe_order<R: ColumnarRecord>(
+    rows: &[R],
+    mut prev: Option<u32>,
+) -> Result<Option<u32>, StoreError> {
+    let one_per_probe = R::TABLE_ID == ProbeMeta::TABLE_ID;
+    for row in rows {
+        let key = row.key();
+        if let Some(prev) = prev.filter(|&p| key < p || (one_per_probe && key == p)) {
+            return Err(StoreError::OutOfOrder { table: R::TABLE_NAME.to_string(), key, prev });
+        }
+        prev = Some(key);
+    }
+    Ok(prev)
 }
 
 /// Encodes a ground truth as one multi-table store file.

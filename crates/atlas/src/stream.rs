@@ -17,6 +17,7 @@
 use crate::logs::{
     AtlasDataset, ConnectionLogEntry, KrootPingRecord, ProbeMeta, SosUptimeRecord,
 };
+use crate::store::check_probe_order;
 use dynaddr_store::{ColumnarRecord, SegmentFileReader, SegmentInfo, StoreError};
 use std::path::Path;
 
@@ -33,6 +34,9 @@ struct TableCursor<R> {
     next: usize,
     /// Decoded rows of the current segment not yet handed out.
     buf: Vec<R>,
+    /// Key of the last row handed out; every row is handed out once, in
+    /// file order, so checking each take against it checks the table.
+    last: Option<u32>,
 }
 
 impl<R: ColumnarRecord> TableCursor<R> {
@@ -44,7 +48,7 @@ impl<R: ColumnarRecord> TableCursor<R> {
             .copied()
             .enumerate()
             .collect();
-        TableCursor { segs, next: 0, buf: Vec::new() }
+        TableCursor { segs, next: 0, buf: Vec::new(), last: None }
     }
 
     fn exhausted(&self) -> bool {
@@ -67,6 +71,7 @@ impl<R: ColumnarRecord> TableCursor<R> {
             let take = (n - out.len()).min(self.buf.len());
             out.extend(self.buf.drain(..take));
         }
+        self.last = check_probe_order(&out, self.last)?;
         Ok(out)
     }
 
@@ -94,6 +99,7 @@ impl<R: ColumnarRecord> TableCursor<R> {
                 break;
             }
         }
+        self.last = check_probe_order(&out, self.last)?;
         Ok(out)
     }
 }
@@ -138,7 +144,10 @@ impl DatasetStream {
     /// Decodes and returns the next batch of whole probes, `None` once
     /// every table is drained. Each batch is normalized and indexed, so
     /// `connections_of`/`kroot_of`/`uptime_of` work as on the full
-    /// dataset (restricted to the batch's probes).
+    /// dataset (restricted to the batch's probes). Rows out of probe order
+    /// are a [`StoreError::OutOfOrder`], as in
+    /// [`crate::store::dataset_from_bytes`]; a log row that goes back to a
+    /// lower probe id may only surface in a later batch.
     pub fn next_batch(&mut self) -> Result<Option<AtlasDataset>, StoreError> {
         let meta = self.meta.take_count(&mut self.reader, self.batch_probes)?;
         // Rows beyond the last meta'd probe can only exist in a file not

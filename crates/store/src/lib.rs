@@ -154,6 +154,16 @@ pub enum StoreError {
         /// What was wrong with it.
         reason: String,
     },
+    /// A table's rows are out of key order: a key repeats in a table that
+    /// holds one row per key, or a key is lower than the one before it.
+    OutOfOrder {
+        /// The table.
+        table: String,
+        /// The offending row's key (the probe id).
+        key: u32,
+        /// The key of the row before it in the file.
+        prev: u32,
+    },
     /// An underlying file operation failed (streamed writers and the
     /// file-backed reader only; in-memory paths never produce this).
     Io {
@@ -185,6 +195,10 @@ impl fmt::Display for StoreError {
             StoreError::SegmentCorrupt { table, index, offset, reason } => write!(
                 f,
                 "corrupt {table} segment {index} at offset {offset}: {reason}"
+            ),
+            StoreError::OutOfOrder { table, key, prev } => write!(
+                f,
+                "{table} rows out of probe order: probe {key} after probe {prev}"
             ),
             StoreError::Io { context, source } => write!(f, "store i/o: {context}: {source}"),
         }

@@ -412,3 +412,68 @@ fn sink_merges_interleaved_runs_to_canonical_bytes() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+// ---------------------------------------------------------------------------
+// Probe order: a file that breaks it is rejected, never analyzed
+// ---------------------------------------------------------------------------
+
+/// Saves `ds` with its rows in the order given and asserts that every
+/// reader rejects the file with a typed error naming `table`.
+fn assert_out_of_order(ds: &AtlasDataset, tag: &str, table: &str) {
+    use dynaddr::atlas::stream::{DatasetStream, DEFAULT_BATCH_PROBES};
+
+    let dir = temp_dir(tag);
+    ds.save_dir(&dir).expect("saves");
+    let check = |what: &str, err: &StoreError| {
+        assert!(
+            matches!(err, StoreError::OutOfOrder { table: t, .. } if t == table),
+            "{what}: expected an out-of-order {table} error, got {err}"
+        );
+        assert!(err.to_string().contains(table), "{what}: {err}");
+    };
+    for (what, loaded) in [
+        ("load_dir", AtlasDataset::load_dir(&dir).map(|_| ())),
+        ("load_dir_recover", AtlasDataset::load_dir_recover(&dir).map(|_| ())),
+    ] {
+        match loaded {
+            Err(LoadError::Store { source, .. }) => check(what, &source),
+            Err(other) => panic!("{what}: expected a store error, got {other}"),
+            Ok(()) => panic!("{what}: loaded a file out of probe order"),
+        }
+    }
+    for batch in [1, DEFAULT_BATCH_PROBES] {
+        let mut stream = DatasetStream::with_batch_probes(&dir.join("dataset.store"), batch)
+            .expect("index reads");
+        let err = loop {
+            match stream.next_batch() {
+                Ok(Some(_)) => continue,
+                Ok(None) => panic!("batch={batch}: streamed a file out of probe order"),
+                Err(e) => break e,
+            }
+        };
+        check(&format!("DatasetStream batch={batch}"), &err);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn small_world() -> AtlasDataset {
+    dynaddr::atlas::simulate(&dynaddr::atlas::paper_world(0.01, 3)).dataset
+}
+
+#[test]
+fn duplicate_meta_row_is_rejected() {
+    let mut ds = small_world();
+    let mid = ds.meta.len() / 2;
+    let dup = ds.meta[mid].clone();
+    ds.meta.insert(mid, dup);
+    assert_out_of_order(&ds, "dup-meta", "meta");
+}
+
+#[test]
+fn reversed_log_tables_are_rejected() {
+    let mut ds = small_world();
+    ds.kroot.reverse();
+    ds.uptime.reverse();
+    // Tables are checked in file order; k-root comes before uptime.
+    assert_out_of_order(&ds, "reversed", "kroot");
+}
