@@ -18,6 +18,13 @@
 //!    autonomous systems are additionally marked **multi-AS** (kept for the
 //!    geographic analysis with cross-AS changes discarded; dropped entirely
 //!    from the AS-level analysis).
+//!
+//! [`ProbeMachine`] is the funnel half of the per-probe kernel. The batch
+//! and streamed drivers classify whole probes a batch at a time
+//! ([`filter_probes`] takes the whole dataset as one batch) and fold the
+//! verdicts into a [`FilterReport`] in meta order. The live analyzer feeds
+//! each machine one connection at a time and keeps rolling
+//! [`FilterCounts`] through the same tally.
 
 use crate::changes::{EventExtractor, ProbeEvents};
 use dynaddr_atlas::logs::{testing_address, AtlasDataset, ConnectionLogEntry, ProbeMeta};
@@ -95,6 +102,7 @@ pub struct FilterCounts {
 }
 
 /// Output of the filtering stage.
+#[derive(Default)]
 pub struct FilterReport {
     /// Funnel counts (Table 2).
     pub counts: FilterCounts,
@@ -106,127 +114,70 @@ pub struct FilterReport {
 }
 
 impl FilterCounts {
-    /// Tallies one classification into its funnel bucket.
-    fn record(&mut self, class: ProbeClass) {
+    /// Adds one verdict to (or, with `add` false, removes it from) its
+    /// funnel bucket and rebalances the derived AS-level count. The only
+    /// way a verdict enters the counts: the batch fold and the live
+    /// analyzer's rolling counts both go through here.
+    pub(crate) fn tally(&mut self, class: ProbeClass, multi_as: bool, add: bool) {
+        let bump = |slot: &mut usize| {
+            if add {
+                *slot += 1;
+            } else {
+                *slot -= 1;
+            }
+        };
         match class {
-            ProbeClass::Ipv6Only => self.ipv6_only += 1,
-            ProbeClass::DualStack => self.dual_stack += 1,
-            ProbeClass::Tagged => self.tagged += 1,
-            ProbeClass::Multihomed => self.multihomed += 1,
-            ProbeClass::TestingOnly => self.testing_only += 1,
-            ProbeClass::NeverChanged => self.never_changed += 1,
-            ProbeClass::Analyzable => self.analyzable_geo += 1,
+            ProbeClass::Ipv6Only => bump(&mut self.ipv6_only),
+            ProbeClass::DualStack => bump(&mut self.dual_stack),
+            ProbeClass::Tagged => bump(&mut self.tagged),
+            ProbeClass::Multihomed => bump(&mut self.multihomed),
+            ProbeClass::TestingOnly => bump(&mut self.testing_only),
+            ProbeClass::NeverChanged => bump(&mut self.never_changed),
+            ProbeClass::Analyzable => {
+                bump(&mut self.analyzable_geo);
+                if multi_as {
+                    bump(&mut self.multi_as);
+                }
+            }
         }
-    }
-
-    /// Adds another partial tally — the `par_fold` merge. Every field is a
-    /// plain sum, so the merge is associative with the default as identity.
-    fn absorb(&mut self, other: &FilterCounts) {
-        self.total += other.total;
-        self.never_changed += other.never_changed;
-        self.dual_stack += other.dual_stack;
-        self.ipv6_only += other.ipv6_only;
-        self.tagged += other.tagged;
-        self.multihomed += other.multihomed;
-        self.testing_only += other.testing_only;
-        self.analyzable_geo += other.analyzable_geo;
-        self.multi_as += other.multi_as;
-        self.analyzable_as += other.analyzable_as;
+        self.analyzable_as = self.analyzable_geo - self.multi_as;
     }
 }
 
-/// Runs the Table 2 funnel over a dataset.
+impl FilterReport {
+    /// Folds in one probe's final verdict. Analyzable probes append in push
+    /// order, which every driver keeps at meta (ascending id) order.
+    pub(crate) fn push(&mut self, id: u32, class: ProbeClass, probe: Option<AnalyzableProbe>) {
+        self.counts.total += 1;
+        self.counts.tally(class, probe.as_ref().is_some_and(|p| p.multi_as), true);
+        self.classes.insert(id, class);
+        self.probes.extend(probe);
+    }
+
+    /// Classifies one batch of whole probes (every probe whose meta row is
+    /// in `batch` has all its connections there too) on the executor's
+    /// workers, then pushes the verdicts in meta order.
+    pub(crate) fn push_batch(&mut self, batch: &AtlasDataset, snapshots: &MonthlySnapshots) {
+        let verdicts = dynaddr_exec::par_map(&batch.meta, |meta| {
+            classify(meta, batch.connections_of(meta.probe), snapshots)
+        });
+        for (meta, (class, probe)) in batch.meta.iter().zip(verdicts) {
+            self.push(meta.probe.0, class, probe);
+        }
+    }
+}
+
+/// Runs the Table 2 funnel over a dataset: the whole dataset as one batch
+/// of the per-probe kernel's first half.
 ///
-/// Each probe's classification depends only on its own logs, so the per-probe
-/// work fans out across the executor's workers; the funnel counts, class map,
-/// and probe list are then reduced with a `par_fold` whose merge is a plain
-/// monoid — counter sums, disjoint-key map union, chunk-order vector
-/// concatenation — keeping the report identical at any worker count.
+/// Each probe's classification depends only on its own logs, so the
+/// per-probe work fans out across the executor's workers; the verdicts are
+/// then folded in meta order, keeping the report identical at any worker
+/// count.
 pub fn filter_probes(dataset: &AtlasDataset, snapshots: &MonthlySnapshots) -> FilterReport {
-    let mut filter = StreamingFilter::new();
-    filter.push(dataset, snapshots);
-    filter.finish()
-}
-
-/// The Table 2 funnel as an incremental fold over dataset batches.
-///
-/// Classification is per-probe, so feeding the dataset in any batching —
-/// the whole thing at once ([`filter_probes`]) or probe-range batches from
-/// a [`dynaddr_atlas::DatasetStream`] — produces identical output: counts
-/// are sums, the class map unions disjoint keys, and probes concatenate in
-/// push order (ascending probe ids when batches arrive in file order).
-pub struct StreamingFilter {
-    counts: FilterCounts,
-    classes: BTreeMap<u32, ProbeClass>,
-    probes: Vec<AnalyzableProbe>,
-}
-
-impl Default for StreamingFilter {
-    fn default() -> StreamingFilter {
-        StreamingFilter::new()
-    }
-}
-
-impl StreamingFilter {
-    /// An empty funnel.
-    pub fn new() -> StreamingFilter {
-        StreamingFilter {
-            counts: FilterCounts::default(),
-            classes: BTreeMap::new(),
-            probes: Vec::new(),
-        }
-    }
-
-    /// Folds one batch of whole probes into the funnel (every probe whose
-    /// meta row is in the batch must have all its connections there too).
-    pub fn push(&mut self, batch: &AtlasDataset, snapshots: &MonthlySnapshots) {
-        let classified: Vec<(ProbeClass, Option<AnalyzableProbe>)> =
-            dynaddr_exec::par_map(&batch.meta, |meta| {
-                classify(meta, batch.connections_of(meta.probe), snapshots)
-            });
-
-        let items: Vec<(u32, ProbeClass, Option<AnalyzableProbe>)> = batch
-            .meta
-            .iter()
-            .zip(classified)
-            .map(|(meta, (class, probe))| (meta.probe.0, class, probe))
-            .collect();
-        let (counts, classes, mut probes) = dynaddr_exec::par_fold(
-            items,
-            || (FilterCounts::default(), BTreeMap::new(), Vec::new()),
-            |(mut counts, mut classes, mut probes), (id, class, probe)| {
-                counts.record(class);
-                classes.insert(id, class);
-                probes.extend(probe);
-                (counts, classes, probes)
-            },
-            |(mut ca, mut la, mut pa), (cb, lb, mut pb)| {
-                ca.absorb(&cb);
-                la.extend(lb);
-                pa.append(&mut pb);
-                (ca, la, pa)
-            },
-        );
-        self.counts.absorb(&counts);
-        self.counts.total += batch.meta.len();
-        self.classes.extend(classes);
-        self.probes.append(&mut probes);
-    }
-
-    /// The analyzable probes accumulated so far, in push order (callers
-    /// streaming per-probe work can process `probes()[prev..]` after each
-    /// push).
-    pub fn probes(&self) -> &[AnalyzableProbe] {
-        &self.probes
-    }
-
-    /// Closes the funnel: derives the cross-batch counts (multi-AS and the
-    /// AS-level analyzable set) and returns the report.
-    pub fn finish(mut self) -> FilterReport {
-        self.counts.multi_as = self.probes.iter().filter(|p| p.multi_as).count();
-        self.counts.analyzable_as = self.counts.analyzable_geo - self.counts.multi_as;
-        FilterReport { counts: self.counts, classes: self.classes, probes: self.probes }
-    }
+    let mut report = FilterReport::default();
+    report.push_batch(dataset, snapshots);
+    report
 }
 
 /// Incremental Table 2 classifier for one probe: the state machine behind
@@ -738,7 +689,7 @@ mod tests {
 
     #[test]
     fn funnel_is_identical_at_any_worker_count() {
-        // The Table 2 reduction runs through par_fold: counts, class map,
+        // The Table 2 verdicts fan out through par_map: counts, class map,
         // and probe order must not depend on how the probe list is chunked.
         let mut m_tag = meta(4);
         m_tag.tags = vec![ProbeTag::Core];

@@ -58,9 +58,7 @@ pub mod report;
 pub mod stats;
 pub mod ttf;
 
-pub use filtering::{
-    filter_probes, FilterCounts, FilterReport, ProbeClass, ProbeMachine, StreamingFilter,
-};
+pub use filtering::{filter_probes, FilterCounts, FilterReport, ProbeClass, ProbeMachine};
 pub use live::{replay_plan, IncrementalAnalyzer, IngestStats, ProbeView, ReplayRow, ReplayStep};
 pub use pipeline::{
     analyze, analyze_streamed, analyze_streamed_batched, AnalysisConfig, AnalysisReport,

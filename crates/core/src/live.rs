@@ -1,35 +1,29 @@
 //! Live incremental analysis: the whole pipeline as per-probe state
 //! machines over an append-only record stream.
 //!
-//! [`IncrementalAnalyzer`] is the resident-daemon form of the batch
-//! pipeline: it holds one [`ProbeMachine`], [`RebootDetector`],
-//! [`NetworkOutageDetector`], and [`KrootBracketer`] per probe, consumes
-//! records one at a time in arrival order, maintains rolling Table 2
-//! counts and ingest statistics, and can [`seal`](IncrementalAnalyzer::seal)
-//! at any point into a full [`AnalysisReport`].
+//! [`IncrementalAnalyzer`] is the record-by-record driver of the per-probe
+//! kernel (see [`crate::pipeline`]). Each probe gets a [`ProbeMachine`] and
+//! the outage machines, fed in arrival order. Rolling Table 2 counts
+//! (provisional until the stream ends) and ingest statistics are kept as
+//! records arrive, and [`seal`](IncrementalAnalyzer::seal) renders a full
+//! [`AnalysisReport`] at any point.
 //!
 //! **Replay equivalence** is the module's contract: replaying a complete
 //! dataset through the analyzer (all meta rows, then every record in
 //! arrival order — see [`replay_plan`]) and sealing produces a report
 //! byte-for-byte identical to [`crate::pipeline::analyze`] over the same
-//! dataset. The seal path reuses the batch pipeline's own
-//! `finish_analysis`, firmware filter, and association code, so the only
-//! logic that could diverge is the per-record state machines — and those
-//! are the very machines the batch entry points drive, pinned further by
-//! the workspace determinism tests and the ci.sh daemon gate.
+//! dataset. Seal finishes clones of the machines and hands their output to
+//! the global finish every driver shares, and the batch drivers feed each
+//! probe's machines the same per-table record order, so nothing per-probe
+//! or global exists twice.
 
-use crate::assoc::{associate_network, associate_power, AssociatedOutage};
-use crate::filtering::{AnalyzableProbe, FilterCounts, FilterReport, ProbeClass, ProbeMachine};
-use crate::firmware::{reboot_series, strip_firmware_reboots};
-use crate::outages::{
-    classify_bracket, DarkBracket, KrootBracketer, NetworkOutage, NetworkOutageDetector,
-    PowerOutage, Reboot, RebootDetector,
-};
-use crate::pipeline::{AnalysisConfig, AnalysisReport, FirmwarePanel, OutageAnalysis};
+use crate::filtering::{FilterCounts, FilterReport, ProbeClass, ProbeMachine};
+use crate::outages::OutageMachines;
+use crate::pipeline::{finish_analysis, finish_outages, AnalysisConfig, AnalysisReport};
 use dynaddr_atlas::logs::{
     AtlasDataset, ConnectionLogEntry, KrootPingRecord, ProbeMeta, SosUptimeRecord,
 };
-use dynaddr_exec::{par_map, par_map_flat};
+use dynaddr_exec::par_map;
 use dynaddr_ip2as::MonthlySnapshots;
 use dynaddr_types::SimTime;
 use std::collections::BTreeMap;
@@ -81,13 +75,11 @@ pub struct ProbeView {
     pub had_testing: bool,
 }
 
-/// Per-probe machine bundle.
+/// One probe's kernel: the funnel machine and the outage machines.
 #[derive(Debug, Clone)]
 struct ProbeState {
     machine: ProbeMachine,
-    reboots: RebootDetector,
-    netout: NetworkOutageDetector,
-    bracketer: KrootBracketer,
+    outages: OutageMachines,
     reboot_count: usize,
     /// Funnel bucket this probe currently occupies in the rolling counts.
     counted: (ProbeClass, bool),
@@ -106,34 +98,6 @@ pub struct IncrementalAnalyzer {
     probes: BTreeMap<u32, ProbeState>,
     counts: FilterCounts,
     stats: IngestStats,
-}
-
-/// Adds (or removes) one probe from its funnel bucket and rebalances the
-/// derived AS-level count, mirroring `FilterCounts::record` plus the
-/// cross-probe derivation in `StreamingFilter::finish`.
-fn tally(c: &mut FilterCounts, class: ProbeClass, multi_as: bool, add: bool) {
-    let bump = |slot: &mut usize| {
-        if add {
-            *slot += 1;
-        } else {
-            *slot -= 1;
-        }
-    };
-    match class {
-        ProbeClass::Ipv6Only => bump(&mut c.ipv6_only),
-        ProbeClass::DualStack => bump(&mut c.dual_stack),
-        ProbeClass::Tagged => bump(&mut c.tagged),
-        ProbeClass::Multihomed => bump(&mut c.multihomed),
-        ProbeClass::TestingOnly => bump(&mut c.testing_only),
-        ProbeClass::NeverChanged => bump(&mut c.never_changed),
-        ProbeClass::Analyzable => {
-            bump(&mut c.analyzable_geo);
-            if multi_as {
-                bump(&mut c.multi_as);
-            }
-        }
-    }
-    c.analyzable_as = c.analyzable_geo - c.multi_as;
 }
 
 impl IncrementalAnalyzer {
@@ -157,19 +121,10 @@ impl IncrementalAnalyzer {
         }
         let machine = ProbeMachine::new(meta.clone());
         let counted = (machine.class(), machine.multi_as());
-        tally(&mut self.counts, counted.0, counted.1, true);
+        self.counts.tally(counted.0, counted.1, true);
         self.counts.total += 1;
-        self.probes.insert(
-            id,
-            ProbeState {
-                machine,
-                reboots: RebootDetector::new(),
-                netout: NetworkOutageDetector::new(),
-                bracketer: KrootBracketer::new(),
-                reboot_count: 0,
-                counted,
-            },
-        );
+        let outages = OutageMachines::default();
+        self.probes.insert(id, ProbeState { machine, outages, reboot_count: 0, counted });
         self.stats.meta_rows += 1;
     }
 
@@ -187,8 +142,8 @@ impl IncrementalAnalyzer {
         st.machine.push(e, &self.snapshots);
         let now = (st.machine.class(), st.machine.multi_as());
         if now != st.counted {
-            tally(&mut self.counts, st.counted.0, st.counted.1, false);
-            tally(&mut self.counts, now.0, now.1, true);
+            self.counts.tally(st.counted.0, st.counted.1, false);
+            self.counts.tally(now.0, now.1, true);
             st.counted = now;
         }
         // Counts reset to zero when a probe settles out of the analyzable
@@ -205,10 +160,9 @@ impl IncrementalAnalyzer {
             self.stats.unknown_probe_rows += 1;
             return;
         };
-        let before = st.netout.outages().len();
-        st.netout.push(r);
-        st.bracketer.push_kroot(r.timestamp);
-        self.stats.network_outages += (st.netout.outages().len() - before) as u64;
+        let before = st.outages.network_outages();
+        st.outages.push_kroot(r);
+        self.stats.network_outages += (st.outages.network_outages() - before) as u64;
         self.stats.kroot_rows += 1;
         self.frontier(r.timestamp);
     }
@@ -219,14 +173,10 @@ impl IncrementalAnalyzer {
             self.stats.unknown_probe_rows += 1;
             return;
         };
-        if let Some(reboot) = st.reboots.push(r) {
-            st.bracketer.push_reboot(reboot);
+        if st.outages.push_uptime(r) {
             st.reboot_count += 1;
             self.stats.reboots += 1;
         }
-        // Safe prune bound: every future reboot of this probe boots after
-        // this record's timestamp (the reboot rule requires it).
-        st.bracketer.prune(r.timestamp);
         self.stats.uptime_rows += 1;
         self.frontier(r.timestamp);
     }
@@ -277,7 +227,7 @@ impl IncrementalAnalyzer {
             entries: st.machine.entries_len(),
             changes: st.machine.changes_len(),
             gaps: st.machine.gaps_len(),
-            network_outages: st.netout.outages().len(),
+            network_outages: st.outages.network_outages(),
             reboots: st.reboot_count,
             had_testing: st.machine.had_testing(),
         })
@@ -289,95 +239,17 @@ impl IncrementalAnalyzer {
     /// is byte-identical to [`crate::pipeline::analyze`].
     pub fn seal(&self, cfg: &AnalysisConfig) -> AnalysisReport {
         let _sp = dynaddr_obs::span("live_seal");
-        // ----- Filtering funnel (Table 2) --------------------------------
-        let states: Vec<(u32, &ProbeState)> =
-            self.probes.iter().map(|(id, st)| (*id, st)).collect();
-        let finished: Vec<(u32, ProbeClass, Option<AnalyzableProbe>)> =
-            par_map(&states, |(id, st)| {
-                let (class, probe) = st.machine.clone().finish();
-                (*id, class, probe)
-            });
-        let mut counts = FilterCounts { total: states.len(), ..FilterCounts::default() };
-        let mut classes = BTreeMap::new();
-        let mut probes = Vec::new();
-        for (id, class, probe) in finished {
-            tally(&mut counts, class, probe.as_ref().is_some_and(|p| p.multi_as), true);
-            classes.insert(id, class);
-            probes.extend(probe);
+        let states: Vec<(&u32, &ProbeState)> = self.probes.iter().collect();
+        let verdicts = par_map(&states, |(_, st)| st.machine.clone().finish());
+        let mut report = FilterReport::default();
+        for ((id, _), (class, probe)) in states.iter().zip(verdicts) {
+            report.push(**id, class, probe);
         }
-        let report = FilterReport { counts, classes, probes };
-
-        // ----- Outage side -----------------------------------------------
-        // Per analyzable probe (ascending id, the batch fan-out order):
-        // resolved reboot brackets and completed network outages.
-        let per_probe: Vec<(Vec<(Reboot, DarkBracket)>, Vec<NetworkOutage>)> =
-            par_map(&report.probes, |p| {
-                let st = &self.probes[&p.probe().0];
-                (st.bracketer.clone().finish(), st.netout.clone().finish())
-            });
-        // The global reboot population feeds the firmware series, exactly
-        // as the batch concatenation over analyzable probes does.
-        let mut all_reboots: Vec<Reboot> = Vec::new();
-        for (pairs, _) in &per_probe {
-            all_reboots.extend(pairs.iter().map(|(r, _)| *r));
-        }
-        let series = reboot_series(&all_reboots);
-        let firmware = FirmwarePanel {
-            daily: series.daily_unique_probes.clone(),
-            median: series.median,
-            update_days: series.update_days.clone(),
-        };
-        let cleaned = strip_firmware_reboots(&all_reboots, &series.update_days);
-        drop(all_reboots);
-        let mut by_probe: BTreeMap<u32, Vec<Reboot>> = BTreeMap::new();
-        for r in &cleaned {
-            by_probe.entry(r.probe.0).or_default().push(*r);
-        }
-
-        let zipped: Vec<(&AnalyzableProbe, &(Vec<(Reboot, DarkBracket)>, Vec<NetworkOutage>))> =
-            report.probes.iter().zip(per_probe.iter()).collect();
-        let outages: Vec<AssociatedOutage> = par_map_flat(&zipped, |(p, (pairs, network))| {
-            let mut found = associate_network(&p.events.gaps, network);
-            // Power analysis only on hardware with reliable uptime counters.
-            if p.meta.version.reliable_uptime() {
-                let reboots =
-                    by_probe.get(&p.probe().0).map(|v| v.as_slice()).unwrap_or(&[]);
-                let power = power_from_brackets(reboots, pairs, network);
-                found.extend(associate_power(&p.events.gaps, &power));
-            }
-            found
-        });
-        let oa = OutageAnalysis { outages, reboots: cleaned, firmware };
-        crate::pipeline::finish_analysis(report, oa, &self.snapshots, cfg)
+        let outages =
+            par_map(&report.probes, |p| self.probes[&p.probe().0].outages.clone().finish());
+        let oa = finish_outages(&report.probes, outages, true);
+        finish_analysis(report, oa, &self.snapshots, cfg)
     }
-}
-
-/// The power-outage verdicts for a firmware-cleaned reboot subsequence,
-/// from the probe's resolved brackets. Equivalent to the batch
-/// `detect_power_outages(cleaned, kroot, network)`: `pairs` holds every
-/// detected reboot of the probe in order with its batch-identical bracket,
-/// and `cleaned` is a subsequence of those reboots.
-fn power_from_brackets(
-    cleaned: &[Reboot],
-    pairs: &[(Reboot, DarkBracket)],
-    network: &[NetworkOutage],
-) -> Vec<PowerOutage> {
-    let mut out = Vec::new();
-    let mut j = 0usize;
-    for r in cleaned {
-        while j < pairs.len() && pairs[j].0 != *r {
-            j += 1;
-        }
-        let Some((_, bracket)) = pairs.get(j) else {
-            debug_assert!(false, "cleaned reboot missing from bracket list");
-            break;
-        };
-        if let Some(p) = classify_bracket(r, *bracket, network) {
-            out.push(p);
-        }
-        j += 1;
-    }
-    out
 }
 
 /// One row of a replay plan: an index into its dataset table.

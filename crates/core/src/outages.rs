@@ -308,6 +308,73 @@ impl KrootBracketer {
     }
 }
 
+/// One probe's outage-side kernel output.
+#[derive(Debug, Clone)]
+pub(crate) struct ProbeOutages {
+    /// Every detected reboot with its k-root bracket, in reboot order.
+    pub(crate) brackets: Vec<(Reboot, DarkBracket)>,
+    /// Completed network outages, in time order.
+    pub(crate) network: Vec<NetworkOutage>,
+}
+
+/// The outage half of the per-probe kernel: [`RebootDetector`],
+/// [`NetworkOutageDetector`] and [`KrootBracketer`] over one probe's k-root
+/// and uptime records, fed in arrival order. Nothing here needs the
+/// firmware update days, so every driver can run it in the same pass as
+/// the funnel; the power-outage verdicts wait for the global finish.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct OutageMachines {
+    reboots: RebootDetector,
+    netout: NetworkOutageDetector,
+    bracketer: KrootBracketer,
+}
+
+impl OutageMachines {
+    /// Runs the machines over one probe's time-sorted rows, merged in
+    /// `replay_plan`'s arrival order: k-root first on equal timestamps.
+    pub(crate) fn run(kroot: &[KrootPingRecord], uptime: &[SosUptimeRecord]) -> ProbeOutages {
+        let mut m = OutageMachines::default();
+        let mut kroot = kroot.iter().peekable();
+        for u in uptime {
+            while let Some(r) = kroot.next_if(|r| r.timestamp <= u.timestamp) {
+                m.push_kroot(r);
+            }
+            m.push_uptime(u);
+        }
+        kroot.for_each(|r| m.push_kroot(r));
+        m.finish()
+    }
+
+    /// Feeds the next k-root record (time order).
+    pub(crate) fn push_kroot(&mut self, r: &KrootPingRecord) {
+        self.netout.push(r);
+        self.bracketer.push_kroot(r.timestamp);
+    }
+
+    /// Feeds the next SOS-uptime record (time order); returns whether it
+    /// revealed a reboot.
+    pub(crate) fn push_uptime(&mut self, r: &SosUptimeRecord) -> bool {
+        let reboot = self.reboots.push(r);
+        if let Some(reboot) = reboot {
+            self.bracketer.push_reboot(reboot);
+        }
+        // Safe prune bound: every future reboot of this probe boots after
+        // this record's timestamp (the reboot rule requires it).
+        self.bracketer.prune(r.timestamp);
+        reboot.is_some()
+    }
+
+    /// Completed network outages so far.
+    pub(crate) fn network_outages(&self) -> usize {
+        self.netout.outages().len()
+    }
+
+    /// Closes the open loss run and the pending brackets.
+    pub(crate) fn finish(self) -> ProbeOutages {
+        ProbeOutages { brackets: self.bracketer.finish(), network: self.netout.finish() }
+    }
+}
+
 /// Applies the §3.6 power-outage rule to one bracketed reboot: the dark
 /// window must span at least two measurement rounds (a round is missing) and
 /// must not overlap a *network* outage (priority ordering).
@@ -340,7 +407,8 @@ pub fn classify_bracket(
 /// measurement rounds (i.e., at least one round is missing), and the records
 /// inside the gap (there are none, by construction of the brackets) did not
 /// already mark it as a *network* outage. Batch driver over
-/// [`KrootBracketer`] + [`classify_bracket`].
+/// [`KrootBracketer`] + [`classify_bracket`] for callers holding one
+/// probe's rows; the pipeline classifies the same brackets in its finish.
 pub fn detect_power_outages(
     reboots: &[Reboot],
     kroot: &[KrootPingRecord],

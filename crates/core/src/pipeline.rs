@@ -7,24 +7,41 @@
 //! firmware filtering (Fig. 6), conditional change probabilities
 //! (Figs. 7–8, Table 6), duration-bucketed renumbering (Fig. 9), and the
 //! prefix-change analysis (Table 7).
+//!
+//! The method is per probe except for one global step. The per-probe
+//! kernel is the funnel's [`ProbeMachine`](crate::filtering::ProbeMachine)
+//! over a probe's connections, then the outage machines over its k-root and
+//! uptime rows. Only the §5.2 firmware filter needs every probe's reboots,
+//! so one global finish follows the kernel: firmware series → strip →
+//! power verdicts from the k-root brackets → association →
+//! `finish_analysis`. Three drivers feed the kernel:
+//!
+//! * [`analyze`] runs it over the whole dataset as one batch;
+//! * [`analyze_streamed_batched`] runs it over each [`DatasetStream`]
+//!   batch, reading the store file once;
+//! * [`crate::live::IncrementalAnalyzer`] runs it record by record.
+//!
+//! A batch gets two fan-outs: the funnel over its meta rows, then the
+//! outage machines over its analyzable probes only.
 
 use crate::assoc::{
     associate_network, associate_power, AssociatedOutage, CondProb, DurationBuckets,
     OutageKind,
 };
-use crate::filtering::{
-    filter_probes, AnalyzableProbe, FilterCounts, FilterReport, StreamingFilter,
-};
-use crate::firmware::{reboot_series, strip_firmware_reboots};
+use crate::filtering::{filter_probes, AnalyzableProbe, FilterCounts, FilterReport};
+use crate::firmware::{reboot_series, strip_firmware_reboots, RebootSeries};
 use crate::geo::{as_distributions, continent_distributions, country_as_distributions};
 use crate::hourly::{peak_window_fraction, periodic_change_hours};
-use crate::outages::{detect_network_outages, detect_power_outages, detect_reboots, Reboot};
+use crate::outages::{
+    classify_bracket, DarkBracket, NetworkOutage, OutageMachines, PowerOutage, ProbeOutages,
+    Reboot,
+};
 use crate::periodic::{table5, PeriodicConfig, Table5Row};
 use crate::prefixes::{prefix_changes, Table7};
 use crate::ttf::TtfCurve;
 use dynaddr_atlas::logs::AtlasDataset;
 use dynaddr_atlas::stream::{DatasetStream, DEFAULT_BATCH_PROBES};
-use dynaddr_exec::{par_map_flat, par_run};
+use dynaddr_exec::{par_map, par_map_flat, par_run};
 use dynaddr_ip2as::MonthlySnapshots;
 use dynaddr_store::StoreError;
 use dynaddr_types::{Asn, ProbeId};
@@ -266,43 +283,13 @@ pub fn outage_analysis_opts(
     probes: &[AnalyzableProbe],
     filter_firmware: bool,
 ) -> OutageAnalysis {
-    // Reboots across all analyzable probes feed the Fig. 6 series; detection
-    // reads each probe's own uptime log, so it fans out per probe.
-    let all_reboots: Vec<Reboot> =
-        par_map_flat(probes, |p| detect_reboots(dataset.uptime_of(p.probe())));
-    let series = reboot_series(&all_reboots);
-    let firmware = FirmwarePanel {
-        daily: series.daily_unique_probes.clone(),
-        median: series.median,
-        update_days: series.update_days.clone(),
-    };
-    let cleaned = if filter_firmware {
-        strip_firmware_reboots(&all_reboots, &series.update_days)
-    } else {
-        // The unfiltered ablation keeps every reboot; nothing reads
-        // `all_reboots` past this point, so move it instead of cloning.
-        all_reboots
-    };
+    finish_outages(probes, probe_outages(dataset, probes), filter_firmware)
+}
 
-    // Per-probe detection + gap association, again independent per probe:
-    // workers share the dataset and the cleaned reboot map read-only.
-    let mut by_probe: BTreeMap<u32, Vec<Reboot>> = BTreeMap::new();
-    for r in &cleaned {
-        by_probe.entry(r.probe.0).or_default().push(*r);
-    }
-    let outages = par_map_flat(probes, |p| {
-        let kroot = dataset.kroot_of(p.probe());
-        let network = detect_network_outages(kroot);
-        let mut found = associate_network(&p.events.gaps, &network);
-        // Power analysis only on hardware with reliable uptime counters.
-        if p.meta.version.reliable_uptime() {
-            let reboots = by_probe.get(&p.probe().0).map(|v| v.as_slice()).unwrap_or(&[]);
-            let power = detect_power_outages(reboots, kroot, &network);
-            found.extend(associate_power(&p.events.gaps, &power));
-        }
-        found
-    });
-    OutageAnalysis { outages, reboots: cleaned, firmware }
+/// The kernel's second fan-out: the outage machines over each analyzable
+/// probe's k-root and uptime rows in `batch`.
+fn probe_outages(batch: &AtlasDataset, probes: &[AnalyzableProbe]) -> Vec<ProbeOutages> {
+    par_map(probes, |p| OutageMachines::run(batch.kroot_of(p.probe()), batch.uptime_of(p.probe())))
 }
 
 /// Runs the complete pipeline.
@@ -325,17 +312,18 @@ pub fn analyze(
     finish_analysis(report, oa, snapshots, cfg)
 }
 
-/// [`analyze`] over a `dataset.store` file, one probe batch at a time.
+/// [`analyze`] over a `dataset.store` file, one probe batch at a time, in
+/// one pass over the file.
 ///
-/// Only the filtering funnel and outage detection read raw logs; both fold
-/// over whole-probe batches, so the pipeline streams the file twice —
-/// pass 1 classifies probes and detects reboots (the uptime table is
-/// dropped batch by batch), the firmware series is derived globally, and
-/// pass 2 detects and associates outages (dropping the k-root table, by
-/// far the file's heaviest, batch by batch). Everything downstream runs on
-/// the retained [`AnalyzableProbe`]s exactly as in [`analyze`]; the report
-/// is byte-identical to the materialized path's. Peak memory is the
-/// analyzable probes plus one batch, not the dataset.
+/// Only the per-probe kernel reads raw logs, and it needs nothing global,
+/// so each batch of whole probes runs the same two fan-outs [`analyze`]
+/// runs over the whole dataset: the funnel classifies the batch's probes,
+/// then the outage machines run over its analyzable ones. The batch is
+/// dropped after that. The global finish (firmware series, strip, power
+/// verdicts, association) and everything downstream then run exactly as
+/// in [`analyze`], so the report is byte-identical to the materialized
+/// path's. Peak memory is the analyzable probes and their outage-machine
+/// output plus one batch, not the dataset.
 pub fn analyze_streamed(
     path: &Path,
     snapshots: &MonthlySnapshots,
@@ -352,83 +340,93 @@ pub fn analyze_streamed_batched(
     batch_probes: usize,
 ) -> Result<AnalysisReport, StoreError> {
     let _sp = dynaddr_obs::span("analyze_streamed");
-    // ----- Pass 1: filtering funnel + reboot detection --------------------
     let mut stream = DatasetStream::with_batch_probes(path, batch_probes)?;
-    let sp_pass1 = dynaddr_obs::span("pass1_filter_reboots");
-    let progress = dynaddr_obs::Progress::start("analyze_pass1", stream.total_probes());
-    let mut filter = StreamingFilter::new();
-    let mut all_reboots: Vec<Reboot> = Vec::new();
+    let progress = dynaddr_obs::Progress::start("analyze_streamed", stream.total_probes());
+    let mut report = FilterReport::default();
+    let mut outages = Vec::new();
     while let Some(batch) = stream.next_batch()? {
-        let prev = filter.probes().len();
-        filter.push(&batch, snapshots);
-        // Reboot detection reads only this batch's uptime rows; fresh
-        // probes are appended in file order, so the concatenation matches
-        // the materialized path's single par_map_flat.
-        let fresh = &filter.probes()[prev..];
-        all_reboots
-            .extend(par_map_flat(fresh, |p| detect_reboots(batch.uptime_of(p.probe()))));
+        let fresh = report.probes.len();
+        report.push_batch(&batch, snapshots);
+        outages.extend(probe_outages(&batch, &report.probes[fresh..]));
         progress.add(batch.meta.len() as u64);
     }
     progress.finish();
-    drop(sp_pass1);
-    let report = filter.finish();
+    let oa = finish_outages(&report.probes, outages, true);
+    Ok(finish_analysis(report, oa, snapshots, cfg))
+}
 
-    // ----- Firmware series (needs the global reboot population) -----------
-    let series = reboot_series(&all_reboots);
-    let firmware = FirmwarePanel {
-        daily: series.daily_unique_probes.clone(),
-        median: series.median,
-        update_days: series.update_days.clone(),
+/// The global finish of the outage side, shared by every driver: the
+/// Fig. 6 series over all analyzable probes' reboots, the firmware strip
+/// (unless the ablation turns it off), the power verdicts from each
+/// probe's brackets, and gap association. `per_probe` is parallel to
+/// `probes`.
+pub(crate) fn finish_outages(
+    probes: &[AnalyzableProbe],
+    per_probe: Vec<ProbeOutages>,
+    filter_firmware: bool,
+) -> OutageAnalysis {
+    let all_reboots: Vec<Reboot> =
+        per_probe.iter().flat_map(|o| o.brackets.iter().map(|(r, _)| *r)).collect();
+    let RebootSeries { daily_unique_probes, median, update_days } = reboot_series(&all_reboots);
+    let cleaned = if filter_firmware {
+        strip_firmware_reboots(&all_reboots, &update_days)
+    } else {
+        all_reboots
     };
-    let cleaned = strip_firmware_reboots(&all_reboots, &series.update_days);
-    drop(all_reboots);
+    let firmware = FirmwarePanel { daily: daily_unique_probes, median, update_days };
+
     let mut by_probe: BTreeMap<u32, Vec<Reboot>> = BTreeMap::new();
     for r in &cleaned {
         by_probe.entry(r.probe.0).or_default().push(*r);
     }
-
-    // ----- Pass 2: outage detection + association -------------------------
-    let mut stream = DatasetStream::with_batch_probes(path, batch_probes)?;
-    let sp_pass2 = dynaddr_obs::span("pass2_outages");
-    let progress = dynaddr_obs::Progress::start("analyze_pass2", stream.total_probes());
-    let probes = &report.probes;
-    let mut outages: Vec<AssociatedOutage> = Vec::new();
-    // Analyzable probes are in ascending id order, so each batch consumes
-    // a contiguous slice of them.
-    let mut next = 0usize;
-    while let Some(batch) = stream.next_batch()? {
-        progress.add(batch.meta.len() as u64);
-        let Some(last) = batch.meta.last() else { continue };
-        let hi = last.probe.0;
-        let lo = next;
-        while next < probes.len() && probes[next].probe().0 <= hi {
-            next += 1;
+    let zipped: Vec<(&AnalyzableProbe, ProbeOutages)> = probes.iter().zip(per_probe).collect();
+    let outages = par_map_flat(&zipped, |(p, o)| {
+        let mut found = associate_network(&p.events.gaps, &o.network);
+        // Power analysis only on hardware with reliable uptime counters.
+        if p.meta.version.reliable_uptime() {
+            let reboots = by_probe.get(&p.probe().0).map(|v| v.as_slice()).unwrap_or(&[]);
+            let power = power_from_brackets(reboots, &o.brackets, &o.network);
+            found.extend(associate_power(&p.events.gaps, &power));
         }
-        let in_batch = &probes[lo..next];
-        outages.extend(par_map_flat(in_batch, |p| {
-            let kroot = batch.kroot_of(p.probe());
-            let network = detect_network_outages(kroot);
-            let mut found = associate_network(&p.events.gaps, &network);
-            if p.meta.version.reliable_uptime() {
-                let reboots =
-                    by_probe.get(&p.probe().0).map(|v| v.as_slice()).unwrap_or(&[]);
-                let power = detect_power_outages(reboots, kroot, &network);
-                found.extend(associate_power(&p.events.gaps, &power));
-            }
-            found
-        }));
-    }
-    progress.finish();
-    drop(sp_pass2);
-    let oa = OutageAnalysis { outages, reboots: cleaned, firmware };
-    Ok(finish_analysis(report, oa, snapshots, cfg))
+        found
+    });
+    OutageAnalysis { outages, reboots: cleaned, firmware }
 }
 
-/// Everything downstream of the two dataset-consuming stages: turns the
-/// filter report and outage analysis into the full [`AnalysisReport`].
-/// Shared verbatim by [`analyze`], [`analyze_streamed`], and the live
-/// analyzer's seal ([`crate::live::IncrementalAnalyzer::seal`]), which is
-/// what makes the three paths byte-identical.
+/// The power-outage verdicts for a firmware-cleaned reboot subsequence,
+/// from the probe's resolved brackets. `pairs` holds every detected reboot
+/// of the probe in order with its bracket, and `cleaned` is a subsequence
+/// of those reboots; a bracket depends only on its own boot instant and
+/// the k-root timestamps, so this matches `detect_power_outages` over
+/// `cleaned` and the probe's k-root rows.
+fn power_from_brackets(
+    cleaned: &[Reboot],
+    pairs: &[(Reboot, DarkBracket)],
+    network: &[NetworkOutage],
+) -> Vec<PowerOutage> {
+    let mut out = Vec::new();
+    let mut j = 0usize;
+    for r in cleaned {
+        while j < pairs.len() && pairs[j].0 != *r {
+            j += 1;
+        }
+        let Some((_, bracket)) = pairs.get(j) else {
+            debug_assert!(false, "cleaned reboot missing from bracket list");
+            break;
+        };
+        if let Some(p) = classify_bracket(r, *bracket, network) {
+            out.push(p);
+        }
+        j += 1;
+    }
+    out
+}
+
+/// Everything downstream of the per-probe kernel and the outage finish:
+/// turns the filter report and outage analysis into the full
+/// [`AnalysisReport`]. Shared verbatim by [`analyze`], [`analyze_streamed`],
+/// and the live analyzer's seal
+/// ([`crate::live::IncrementalAnalyzer::seal`]).
 pub(crate) fn finish_analysis(
     report: FilterReport,
     oa: OutageAnalysis,
