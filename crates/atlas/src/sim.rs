@@ -18,16 +18,16 @@
 //!
 //! ## Sharding
 //!
-//! There is no single global event loop. [`World::build`] computes only the
-//! cheap partition plan: per-net construction recipes ([`NetPlan`]) and
-//! per-probe placements ([`ProbePlan`]) under stable global ids, which
-//! [`World::into_shards`] groups into connected components (see
-//! [`crate::shard`]): each share-net is its own unit — share pools are
+//! There is no single global event loop. `World::build` computes only the
+//! cheap partition plan: per-net construction recipes (`NetPlan`) and
+//! per-probe placements (`ProbePlan`) under stable global ids, which
+//! `World::into_shards` groups into connected components (see
+//! `crate::shard`): each share-net is its own unit — share pools are
 //! independent, so nets of one ASN are only coupled (and unified) when an
 //! administrative-renumbering event targets that ASN — and mover probes add
 //! the only cross-ISP edges. The expensive half of construction — pools,
 //! servers, probe state — happens *inside* the shard map
-//! ([`Sim::materialize`]), so it parallelizes like the event loops
+//! (`Sim::materialize`), so it parallelizes like the event loops
 //! themselves. Each shard owns its nets, its probes, and its own
 //! [`EventQueue`], so shards run concurrently on the `dynaddr-exec`
 //! executor with no shared mutable state. Every random draw comes from a

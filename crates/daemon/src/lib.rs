@@ -5,7 +5,8 @@
 //! whole paper pipeline as per-probe state machines — behind a mutex, and
 //! serves its rolling state over the same Unix-socket protocol `queryd`
 //! speaks. `dynaddrd` and `queryd` share one serving front-end
-//! ([`dynaddr_query::server`]); only the [`Answerer`] behind it differs.
+//! ([`dynaddr_query::server`]); only the
+//! [`Answerer`](dynaddr_query::Answerer) behind it differs.
 //!
 //! Two ways records arrive:
 //!

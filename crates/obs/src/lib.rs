@@ -8,7 +8,7 @@
 //! heartbeats, the `--trace` JSONL sidecar).
 //!
 //! Layers:
-//! - [`span`]: RAII stage timers with parent nesting, per-thread buffers,
+//! - [`span`](mod@span): RAII stage timers with parent nesting, per-thread buffers,
 //!   and a deterministic global merge (`take_spans` sorts by start, seq).
 //! - [`metrics`]: global counters, gauges, and fixed-bucket log2
 //!   [`Histogram`]s whose `merge` is elementwise u64 addition.

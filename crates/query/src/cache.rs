@@ -1,7 +1,7 @@
 //! Sharded LRU cache of decoded segments.
 //!
 //! Keys are footer positions (segment ordinals), values are `Arc`s of
-//! whatever the caller decodes — the engine stores [`crate::engine::Decoded`]
+//! whatever the caller decodes — the engine stores its decoded
 //! row vectors. The key space is spread over a power-of-two number of
 //! shards by a splitmix hash, each shard behind its own mutex, so readers
 //! on different segments never contend. Each shard holds its slice of the

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
-# CI gate: release build, workspace and benchmark-harness tests, a perfsnap
-# smoke run, CLI usage errors, store, query-serving (queryd/queryc),
-# dynaddrd replay, streamed and traced pipeline smokes, and the quickstart.
+# CI gate: release build, workspace and benchmark-harness tests, the docs
+# with warnings denied, a perfsnap smoke run, CLI usage errors, store,
+# query-serving (queryd/queryc), dynaddrd replay, streamed and traced
+# pipeline smokes, and the quickstart.
 #
 # The smoke run times the pipeline at a tiny scale (0.01) just to prove the
 # bench binary exits 0 and writes valid JSON — it is NOT a benchmark and its
@@ -18,6 +19,11 @@ cargo build --release --workspace
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
+
+echo "==> cargo doc --workspace --no-deps (warnings denied)"
+# A doc link to a deleted, renamed or private item fails here instead of
+# dangling in the rendered docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> benchmark harness tests (against the workspace crates)"
 cargo test --release --offline --manifest-path perfbench/harness/Cargo.toml \
