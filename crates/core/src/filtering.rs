@@ -159,7 +159,11 @@ impl FilterReport {
     /// workers, then pushes the verdicts in meta order.
     pub(crate) fn push_batch(&mut self, batch: &AtlasDataset, snapshots: &MonthlySnapshots) {
         let verdicts = dynaddr_exec::par_map(&batch.meta, |meta| {
-            classify(meta, batch.connections_of(meta.probe), snapshots)
+            let mut machine = ProbeMachine::new(meta.clone());
+            for e in batch.connections_of(meta.probe) {
+                machine.push(e, snapshots);
+            }
+            machine.finish()
         });
         for (meta, (class, probe)) in batch.meta.iter().zip(verdicts) {
             self.push(meta.probe.0, class, probe);
@@ -181,8 +185,7 @@ pub fn filter_probes(dataset: &AtlasDataset, snapshots: &MonthlySnapshots) -> Fi
 }
 
 /// Incremental Table 2 classifier for one probe: the state machine behind
-/// [`filter_probes`]'s per-probe `classify`, usable one connection-log entry
-/// at a time.
+/// [`filter_probes`], usable one connection-log entry at a time.
 ///
 /// Feed entries in start-time order with [`push`](Self::push);
 /// [`finish`](Self::finish) runs the funnel in the paper's order and yields
@@ -409,20 +412,6 @@ impl ProbeMachine {
         };
         (ProbeClass::Analyzable, Some(probe))
     }
-}
-
-/// Classifies one probe; analyzable probes also yield their cleaned data.
-/// Batch driver over [`ProbeMachine`].
-fn classify(
-    meta: &ProbeMeta,
-    all_entries: &[ConnectionLogEntry],
-    snapshots: &MonthlySnapshots,
-) -> (ProbeClass, Option<AnalyzableProbe>) {
-    let mut m = ProbeMachine::new(meta.clone());
-    for e in all_entries {
-        m.push(e, snapshots);
-    }
-    m.finish()
 }
 
 impl AnalyzableProbe {

@@ -79,8 +79,7 @@ fn reports(
 
     let path = write_store(ds, segment_rows);
     for batch in [1, 7, DEFAULT_BATCH_PROBES] {
-        let report =
-            analyze_streamed_batched(&path, snaps, cfg, batch).expect("streamed analyze");
+        let report = analyze_streamed_batched(&path, snaps, cfg, batch).expect("streamed analyze");
         out.push((format!("analyze_streamed_batched batch={batch}"), json(report)));
     }
     std::fs::remove_file(&path).ok();
@@ -155,10 +154,8 @@ fn arb_share() -> impl Strategy<Value = AccessShare> {
                 access: AccessConfig::Ppp(PppConfig {
                     session_cap: CAPS_H[period].map(SimDuration::from_hours),
                     skip_renumber_prob: skip,
-                    skip_extension: flag.then_some(DurationDist::Uniform {
-                        lo: 4.0 * 3_600.0,
-                        hi: 44.0 * 3_600.0,
-                    }),
+                    skip_extension: flag
+                        .then_some(DurationDist::Uniform { lo: 4.0 * 3_600.0, hi: 44.0 * 3_600.0 }),
                     ..PppConfig::default()
                 }),
                 schedule: None,
@@ -202,8 +199,8 @@ fn arb_world_knobs() -> impl Strategy<Value = WorldKnobs> {
             alternating,
             testing_static: testing,
         });
-    let admin = (any::<bool>(), 0usize..4, 30i64..330)
-        .prop_map(|(on, isp, day)| on.then_some((isp, day)));
+    let admin =
+        (any::<bool>(), 0usize..4, 30i64..330).prop_map(|(on, isp, day)| on.then_some((isp, day)));
     (filler, 0usize..=2, any::<bool>(), admin)
 }
 
@@ -215,9 +212,8 @@ fn build_world(seed: u64, isps: Vec<IspKnobs>, knobs: WorldKnobs) -> WorldConfig
     for (k, ((probes, first, second), (allocation, outage_mult))) in isps.into_iter().enumerate() {
         let asn = 64_900 + k as u32;
         let mut isp = IspSpec::new(&format!("ISP {k}"), asn, COUNTRIES[k % 4], probes);
-        isp.prefixes = (0..2)
-            .map(|j| format!("{}.{j}.0.0/16", 20 + k).parse().expect("prefix"))
-            .collect();
+        isp.prefixes =
+            (0..2).map(|j| format!("{}.{j}.0.0/16", 20 + k).parse().expect("prefix")).collect();
         isp.allocation = match allocation {
             0 => AllocationPolicy::PreferPrevious,
             1 => AllocationPolicy::RandomAny,
@@ -411,12 +407,19 @@ fn probe_rows_straddle_segment_boundaries() {
 
 #[test]
 fn network_outage_open_at_the_last_kroot_record() {
+    // The probe's k-root log stops at `last`, one lost round into an
+    // outage whose connection gap is followed by a fresh connection. The
+    // outage exists only if the open loss run is flushed at the end.
+    let last = 2 * DAY + 12 * HOUR;
     let mut p = outaged(1);
-    // Pings are lost from half an hour before the last round onwards.
-    p.network.push((3 * DAY - 30 * 60, 3 * DAY + HOUR));
-    let ds = dataset(&[p, outaged(2)]);
-    let last = ds.kroot_of(ProbeId(1)).last().expect("k-root rows");
-    assert!(last.all_lost(), "the loss run must still be open at the last record");
+    p.network.push((last - 200, last + 2 * HOUR));
+    let mut ds = dataset(&[p, outaged(2)]);
+    ds.kroot.retain(|r| r.probe != ProbeId(1) || r.timestamp <= SimTime(last));
+    ds.normalize();
+    let kroot = ds.kroot_of(ProbeId(1));
+    assert!(kroot.last().is_some_and(|r| r.all_lost() && r.timestamp == SimTime(last)));
+    let network = dynaddr::analysis::outages::detect_network_outages(kroot);
+    assert_eq!(network.last().map(|n| (n.start, n.end)), Some((SimTime(last), SimTime(last))));
     assert_drivers_agree(&ds, &snaps(), 64);
 }
 
