@@ -1,5 +1,5 @@
 //! Building a custom world from scratch — and round-tripping the dataset
-//! through the on-disk JSON-lines format.
+//! through the on-disk `dataset.store` format.
 //!
 //! Configures two fictional ISPs with known policies (a 36-hour periodic
 //! PPPoE DSL network and a stable DHCP cable network), simulates a year,
