@@ -309,7 +309,7 @@ impl KrootBracketer {
 }
 
 /// One probe's outage-side kernel output.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ProbeOutages {
     /// Every detected reboot with its k-root bracket, in reboot order.
     pub(crate) brackets: Vec<(Reboot, DarkBracket)>,
