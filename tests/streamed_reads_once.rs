@@ -10,7 +10,7 @@ use dynaddr::store::FileReader;
 #[test]
 fn streamed_analyze_reads_each_segment_once() {
     let dir = std::env::temp_dir().join(format!("dynaddr-reads-once-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+    std::fs::create_dir_all(&dir).expect("create temp dir");
     let path = dir.join("dataset.store");
     let world = paper_world(0.01, 3);
     simulate_to_store(&world, &SimOptions::default(), &path).expect("streamed sim");
