@@ -643,8 +643,9 @@ fn decode_ordered<R: ColumnarRecord>(
 /// keep [`AtlasDataset`]'s probe order: the meta table holds one row per
 /// probe in ascending order, and a log table's probe ids never decrease.
 /// Returns the last key seen. The analysis drivers rely on this order and
-/// disagree without it, so both readers reject a file that breaks it.
-pub(crate) fn check_probe_order<R: ColumnarRecord>(
+/// disagree without it, and the query engine's binary searches need it,
+/// so every reader rejects a file that breaks it.
+pub fn check_probe_order<R: ColumnarRecord>(
     rows: &[R],
     mut prev: Option<u32>,
 ) -> Result<Option<u32>, StoreError> {

@@ -10,6 +10,18 @@
 //! so a hot segment is decoded once and shared as an `Arc` by every
 //! thread that touches it.
 //!
+//! A probe lookup is two binary searches per table: `partition_point`
+//! over the footer's key spans finds the segments that can hold the
+//! probe, then `partition_point` inside each cached segment finds its
+//! rows. The reply builders read those rows straight out of the cached
+//! segment; only a probe whose rows straddle a segment boundary has its
+//! parts copied into one vector. Both searches need rows in probe order,
+//! so the engine enforces it with the same [`check_probe_order`] every
+//! other reader uses: at open over the footer's key spans and the meta
+//! and connection rows it decodes for the indexes, and on every segment
+//! the cache decodes later. A file out of order fails to open, or
+//! answers [`Response::Error`] for the probes of the offending segment.
+//!
 //! Responses are pure functions of the file contents. Nothing in the
 //! answer path reads the cache state, the thread count, or any clock —
 //! which is the whole determinism argument: cold, warm, and thrashing
@@ -29,9 +41,10 @@ use crate::proto::{
     TruthChangeReply, TruthOutageReply, UptimeReply,
 };
 use dynaddr_atlas::truth::{ChangeCause, TruthChange, TruthOutage};
+use dynaddr_atlas::store::{self as atlas_store, check_probe_order};
 use dynaddr_atlas::{
     logs::{ConnectionLogEntry, KrootPingRecord, PeerAddr, ProbeMeta, SosUptimeRecord},
-    store as atlas_store, GroundTruth, TruthOutageKind,
+    GroundTruth, TruthOutageKind,
 };
 use dynaddr_core::changes::{extract_events, strip_testing_entries};
 use dynaddr_core::outages::{detect_network_outages, detect_reboots};
@@ -40,6 +53,7 @@ use dynaddr_store::{decode_segment_at, ColumnarRecord, FileReader, ReadMode, Seg
 use dynaddr_types::{Asn, ProbeId, ProbeTag, ProbeVersion};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -136,11 +150,44 @@ cached_table!(ConnectionLogEntry, Connections);
 cached_table!(KrootPingRecord, Kroot);
 cached_table!(SosUptimeRecord, Uptime);
 
+/// One probe's rows of one table, as [`QueryEngine::rows_for`] found
+/// them.
+enum ProbeRows<R> {
+    /// A row range of one cached segment, borrowed. The segment stays
+    /// alive until the reply is built, even if the cache evicts it.
+    Borrowed(Arc<Decoded>, Range<usize>),
+    /// The parts of rows that straddle segment boundaries, concatenated;
+    /// also the empty start of a lookup.
+    Owned(Vec<R>),
+}
+
+impl<R: CachedTable> ProbeRows<R> {
+    /// Appends the rows `range` of the cached segment `seg`.
+    fn push(self, seg: Arc<Decoded>, range: Range<usize>) -> ProbeRows<R> {
+        let mut rows = match self {
+            ProbeRows::Owned(rows) if rows.is_empty() => return ProbeRows::Borrowed(seg, range),
+            ProbeRows::Owned(rows) => rows,
+            ProbeRows::Borrowed(prev, prev_range) => R::rows(&prev)[prev_range].to_vec(),
+        };
+        rows.extend_from_slice(&R::rows(&seg)[range]);
+        ProbeRows::Owned(rows)
+    }
+
+    fn as_slice(&self) -> &[R] {
+        match self {
+            ProbeRows::Borrowed(seg, range) => &R::rows(seg)[range.clone()],
+            ProbeRows::Owned(rows) => rows,
+        }
+    }
+}
+
 /// One dataset table's footer slice: `(cache key = footer position,
-/// per-table ordinal, segment info)` in file order.
+/// per-table ordinal, segment info)` in file order. The key spans ascend
+/// ([`QueryEngine::from_parts`] rejects a file where they do not), so
+/// the segments that can hold a probe are found by `partition_point` on
+/// `key_hi`.
 struct TableMap {
     segs: Vec<(usize, usize, SegmentInfo)>,
-    sorted: bool,
 }
 
 /// Ground truth regrouped per probe for O(log n) serving.
@@ -218,8 +265,13 @@ impl QueryEngine {
         truth: Option<&GroundTruth>,
         opts: &EngineOptions,
     ) -> Result<QueryEngine, EngineError> {
-        let mut tables: [TableMap; 4] =
-            std::array::from_fn(|_| TableMap { segs: Vec::new(), sorted: true });
+        const NAMES: [&str; 4] = [
+            ProbeMeta::TABLE_NAME,
+            ConnectionLogEntry::TABLE_NAME,
+            KrootPingRecord::TABLE_NAME,
+            SosUptimeRecord::TABLE_NAME,
+        ];
+        let mut tables: [TableMap; 4] = std::array::from_fn(|_| TableMap { segs: Vec::new() });
         {
             let reader = FileReader::open(&bytes)?;
             for (pos, info) in reader.segments().iter().enumerate() {
@@ -229,10 +281,22 @@ impl QueryEngine {
                     continue;
                 };
                 let t = &mut tables[slot];
-                if let Some(&(_, _, prev)) = t.segs.last() {
-                    if prev.key_lo > info.key_lo || prev.key_hi > info.key_hi {
-                        t.sorted = false;
+                // The key spans ascend in file order. A probe's log rows
+                // may straddle a segment boundary; its one meta row cannot.
+                let one_per_probe = info.table == ProbeMeta::TABLE_ID;
+                let violation = match t.segs.last() {
+                    Some(&(_, _, prev))
+                        if info.key_lo < prev.key_hi
+                            || (one_per_probe && info.key_lo == prev.key_hi) =>
+                    {
+                        Some((info.key_lo, prev.key_hi))
                     }
+                    _ if info.key_hi < info.key_lo => Some((info.key_hi, info.key_lo)),
+                    _ => None,
+                };
+                if let Some((key, prev)) = violation {
+                    let table = NAMES[slot].to_string();
+                    return Err(StoreError::OutOfOrder { table, key, prev }.into());
                 }
                 let ordinal = t.segs.len();
                 t.segs.push((pos, ordinal, *info));
@@ -241,19 +305,26 @@ impl QueryEngine {
         // One streaming pass for the secondary indexes: decode the meta
         // and connection tables segment by segment (parallel decode,
         // sequential fold — the fold order is file order regardless of
-        // worker count, so the index is thread-count invariant).
+        // worker count, so the index is thread-count invariant). The fold
+        // also checks the rows' probe order across the whole table.
         let mut builder = StatsBuilder::new(snaps);
         let meta_slot = (ProbeMeta::TABLE_ID - 1) as usize;
         let conn_slot = (ConnectionLogEntry::TABLE_ID - 1) as usize;
+        let mut last = None;
         for batch in dynaddr_exec::par_map(&tables[meta_slot].segs, |&(_, ordinal, info)| {
             decode_segment_at::<ProbeMeta>(&bytes, ordinal, info)
         }) {
-            builder.add_meta(&batch?);
+            let batch = batch?;
+            last = check_probe_order(&batch, last)?;
+            builder.add_meta(&batch);
         }
+        let mut last = None;
         for batch in dynaddr_exec::par_map(&tables[conn_slot].segs, |&(_, ordinal, info)| {
             decode_segment_at::<ConnectionLogEntry>(&bytes, ordinal, info)
         }) {
-            builder.add_connections(&batch?);
+            let batch = batch?;
+            last = check_probe_order(&batch, last)?;
+            builder.add_connections(&batch);
         }
         Ok(QueryEngine {
             bytes,
@@ -291,49 +362,64 @@ impl QueryEngine {
         self.cache.clear();
     }
 
-    /// One table's rows for one key, through the cache.
-    fn rows_for<R: CachedTable>(&self, key: u32) -> Result<Vec<R>, StoreError> {
-        let t = &self.tables[(R::TABLE_ID - 1) as usize];
-        let candidates = if t.sorted {
-            &t.segs[t.segs.partition_point(|&(_, _, info)| info.key_hi < key)..]
-        } else {
-            &t.segs[..]
-        };
-        let mut rows = Vec::new();
+    /// One table's rows for one key, through the cache: one cache lookup
+    /// per segment whose key span holds `key`, and a binary search inside
+    /// each. A segment the cache decodes is checked for probe order before
+    /// it is cached.
+    fn rows_for<R: CachedTable>(&self, key: u32) -> Result<ProbeRows<R>, StoreError> {
+        let segs = &self.tables[(R::TABLE_ID - 1) as usize].segs;
+        let first = segs.partition_point(|&(_, _, info)| info.key_hi < key);
+        let candidates = segs[first..].iter().take_while(|&&(_, _, info)| info.key_lo <= key);
+        let mut rows = ProbeRows::Owned(Vec::new());
         for &(pos, ordinal, info) in candidates {
-            if t.sorted && info.key_lo > key {
-                break;
-            }
-            if !(info.key_lo..=info.key_hi).contains(&key) {
-                continue;
-            }
-            let decoded = self.cache.get_or_try_insert(pos, || {
+            let seg = self.cache.get_or_try_insert(pos, || {
                 let batch = decode_segment_at::<R>(&self.bytes, ordinal, info)?;
+                check_probe_order(&batch, None)?;
                 let wrapped = R::wrap(batch);
                 let cost = wrapped.cost();
                 Ok::<_, StoreError>((wrapped, cost))
             })?;
-            rows.extend(R::rows(&decoded).iter().filter(|r| r.key() == key).cloned());
+            let all = R::rows(&seg);
+            let lo = all.partition_point(|r| r.key() < key);
+            let hi = all.partition_point(|r| r.key() <= key);
+            rows = rows.push(seg, lo..hi);
         }
         Ok(rows)
     }
 
-    /// Raw rows for one probe (the [`Request::ProbeRecords`] payload).
-    pub fn records(&self, probe: ProbeId) -> Result<ProbeRecordsReply, StoreError> {
-        let meta = self.rows_for::<ProbeMeta>(probe.0)?.into_iter().next();
+    /// Hands one probe's rows of all four tables to a reply builder.
+    fn reply<T>(
+        &self,
+        probe: ProbeId,
+        build: impl FnOnce(
+            u32,
+            Option<&ProbeMeta>,
+            &[ConnectionLogEntry],
+            &[KrootPingRecord],
+            &[SosUptimeRecord],
+        ) -> T,
+    ) -> Result<T, StoreError> {
+        let meta = self.rows_for::<ProbeMeta>(probe.0)?;
         let connections = self.rows_for::<ConnectionLogEntry>(probe.0)?;
         let kroot = self.rows_for::<KrootPingRecord>(probe.0)?;
         let uptime = self.rows_for::<SosUptimeRecord>(probe.0)?;
-        Ok(records_reply(probe.0, meta.as_ref(), &connections, &kroot, &uptime))
+        Ok(build(
+            probe.0,
+            meta.as_slice().first(),
+            connections.as_slice(),
+            kroot.as_slice(),
+            uptime.as_slice(),
+        ))
+    }
+
+    /// Raw rows for one probe (the [`Request::ProbeRecords`] payload).
+    pub fn records(&self, probe: ProbeId) -> Result<ProbeRecordsReply, StoreError> {
+        self.reply(probe, records_reply)
     }
 
     /// Decoded series for one probe (the [`Request::ProbeSeries`] payload).
     pub fn series(&self, probe: ProbeId) -> Result<ProbeSeriesReply, StoreError> {
-        let meta = self.rows_for::<ProbeMeta>(probe.0)?.into_iter().next();
-        let connections = self.rows_for::<ConnectionLogEntry>(probe.0)?;
-        let kroot = self.rows_for::<KrootPingRecord>(probe.0)?;
-        let uptime = self.rows_for::<SosUptimeRecord>(probe.0)?;
-        Ok(series_reply(probe.0, meta.as_ref(), &connections, &kroot, &uptime))
+        self.reply(probe, series_reply)
     }
 
     /// Answers one request. Store-level failures become

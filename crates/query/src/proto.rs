@@ -20,8 +20,10 @@
 //! which is what lets the determinism tests compare responses byte for
 //! byte across thread counts and cache states.
 //!
-//! Frames are capped at [`MAX_FRAME`] on read so a corrupt or hostile
-//! length prefix cannot ask the peer to allocate gigabytes.
+//! Frames are capped at [`MAX_FRAME`] on read, and a frame's buffer grows
+//! only as its body arrives (from at most 64 KiB up front), so a corrupt
+//! or hostile length prefix cannot make the reader allocate more than the
+//! sender actually sends.
 
 use dynaddr_store::varint;
 use dynaddr_types::{Asn, ProbeId};
@@ -30,6 +32,10 @@ use std::io::{self, Read, Write};
 
 /// Upper bound on a frame body accepted from the wire (64 MiB).
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// Most bytes [`read_frame`] reserves before a frame's body arrives
+/// (64 KiB); a longer body grows the buffer as it is received.
+const FRAME_RESERVE: usize = 64 << 10;
 
 /// A query, as issued by clients and answered by the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1163,7 +1169,8 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
 }
 
 /// Reads one frame. `Ok(None)` is a clean EOF before the first length
-/// byte; anything else short is an error.
+/// byte; anything else short is an [`io::ErrorKind::UnexpectedEof`]. The
+/// body buffer is sized by the bytes received, never by the header alone.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
     let mut got = 0;
@@ -1184,8 +1191,14 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
         ));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::with_capacity(len.min(FRAME_RESERVE));
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("truncated frame body: {} of {len} bytes", body.len()),
+        ));
+    }
     Ok(Some(body))
 }
 
@@ -1352,6 +1365,45 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
         assert!(read_frame(&mut r).unwrap().is_none());
+    }
+
+    /// Serves `data` and records the size of every buffer it is offered.
+    struct Recorder<'a> {
+        data: &'a [u8],
+        offered: Vec<usize>,
+    }
+
+    impl Read for Recorder<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.offered.push(buf.len());
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn frame_buffer_grows_with_the_body_not_the_header() {
+        // A header claiming the largest legal body, then a few bytes and
+        // EOF: an error, and no read is offered more than the reserve.
+        let mut header = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        header.extend_from_slice(b"abc");
+        let mut r = Recorder { data: &header, offered: Vec::new() };
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let largest = r.offered.iter().copied().max().unwrap();
+        assert!(largest <= FRAME_RESERVE, "offered a {largest}-byte buffer");
+
+        // A body longer than the reserve still arrives whole.
+        let body: Vec<u8> = (0..3 * FRAME_RESERVE + 7).map(|i| i as u8).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &body).unwrap();
+        let mut r = Recorder { data: &buf, offered: Vec::new() };
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), body);
+
+        // A few-byte request frame costs one allocation of its own size.
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &to_bytes(&Request::ProbeSeries(ProbeId(4242)))).unwrap();
+        let small = read_frame(&mut &buf[..]).unwrap().unwrap();
+        assert_eq!(small.capacity(), small.len());
     }
 
     #[test]

@@ -11,11 +11,15 @@ use dynaddr_atlas::logs::{
 use dynaddr_atlas::store::StoreIndex;
 use dynaddr_atlas::truth::{ChangeCause, GroundTruth, TruthChange, TruthOutage, TruthOutageKind};
 use dynaddr_ip2as::{MonthlySnapshots, RouteTable};
-use dynaddr_query::proto::{self, Request};
+use dynaddr_query::proto::{self, Request, Response};
 use dynaddr_query::{
     CacheConfig, EngineOptions, LocalAnswerer, QueryClient, QueryEngine, Workload,
 };
-use dynaddr_store::FileWriter;
+use dynaddr_query::engine::EngineError;
+use dynaddr_store::crc32::crc32;
+use dynaddr_store::{
+    varint, FileReader, FileWriter, SegmentInfo, StoreError, DEFAULT_SEGMENT_ROWS,
+};
 use dynaddr_types::{
     Asn, Country, Prefix, ProbeId, ProbeTag, ProbeVersion, SimDuration, SimTime,
 };
@@ -106,11 +110,11 @@ fn truth() -> GroundTruth {
     t
 }
 
-/// Encodes the dataset with tiny segments so every table spans many —
-/// the geometry that actually exercises the segment cache and the
-/// footer binary search.
-fn store_bytes(ds: &AtlasDataset) -> Vec<u8> {
-    let mut w = FileWriter::with_segment_rows(16);
+/// Encodes the dataset with `segment_rows`-row segments. Small segments
+/// make every table span many — the geometry that exercises the segment
+/// cache, the footer binary search, and probes straddling boundaries.
+fn store_bytes(ds: &AtlasDataset, segment_rows: usize) -> Vec<u8> {
+    let mut w = FileWriter::with_segment_rows(segment_rows);
     w.write_table(&ds.meta);
     w.write_table(&ds.connections);
     w.write_table(&ds.kroot);
@@ -118,12 +122,34 @@ fn store_bytes(ds: &AtlasDataset) -> Vec<u8> {
     w.finish()
 }
 
+/// Re-encodes the footer of a store file after `edit`, with a valid
+/// checksum, so the file reaches the engine's own checks.
+fn with_footer(bytes: &[u8], edit: impl FnOnce(&mut [SegmentInfo])) -> Vec<u8> {
+    let mut entries = FileReader::open(bytes).expect("opens").segments().to_vec();
+    edit(&mut entries);
+    let trailer = &bytes[bytes.len() - 16..];
+    let footer_offset = u64::from_le_bytes(trailer[..8].try_into().unwrap()) as usize;
+    let mut footer = Vec::new();
+    varint::write_u64(&mut footer, entries.len() as u64);
+    for e in &entries {
+        footer.push(e.table);
+        for v in [u64::from(e.key_lo), u64::from(e.key_hi), e.rows, e.offset, e.len] {
+            varint::write_u64(&mut footer, v);
+        }
+    }
+    let mut out = bytes[..footer_offset].to_vec();
+    out.extend_from_slice(&footer);
+    out.extend_from_slice(&crc32(&footer).to_le_bytes());
+    out.extend_from_slice(trailer);
+    out
+}
+
 fn engine_with(budget: usize) -> QueryEngine {
     let ds = dataset();
     let snaps = snaps();
     let t = truth();
     QueryEngine::from_parts(
-        store_bytes(&ds),
+        store_bytes(&ds, 16),
         &snaps,
         Some(&t),
         &EngineOptions { cache: CacheConfig { shards: 4, budget_bytes: budget, ..Default::default() } },
@@ -152,61 +178,90 @@ fn engine_matches_local_oracle_and_dataset() {
     let ds = dataset();
     let snaps = snaps();
     let t = truth();
-    let bytes = store_bytes(&ds);
-    let engine = QueryEngine::from_parts(
-        bytes.clone(),
-        &snaps,
-        Some(&t),
-        &EngineOptions::default(),
-    )
-    .unwrap();
     let local = LocalAnswerer::from_parts(ds.clone(), &snaps, Some(&t));
+    // One-row segments spread a probe's rows over many segments; 2 and 3
+    // rows split them at varying offsets; 16 puts some probes in one
+    // segment and straddles others; the default holds the whole table.
+    for segment_rows in [1, 2, 3, 16, DEFAULT_SEGMENT_ROWS] {
+        let bytes = store_bytes(&ds, segment_rows);
+        let engine =
+            QueryEngine::from_parts(bytes.clone(), &snaps, Some(&t), &EngineOptions::default())
+                .unwrap();
 
-    // Universe agreement first: same probes/ASes/countries on both sides.
-    assert_eq!(engine.stats().probes(), local.stats().probes());
-    assert_eq!(engine.stats().asns(), local.stats().asns());
-    assert_eq!(engine.stats().countries(), local.stats().countries());
+        // Universe agreement first: same probes/ASes/countries on both sides.
+        assert_eq!(engine.stats().probes(), local.stats().probes());
+        assert_eq!(engine.stats().asns(), local.stats().asns());
+        assert_eq!(engine.stats().countries(), local.stats().countries());
 
-    let mut requests = vec![
-        Request::Ping,
-        Request::TopMovers(0),
-        Request::TopMovers(5),
-        Request::TopMovers(1000),
-        Request::AsSummary(Asn(1)),
-        Request::CountrySummary("XX".into()),
-        Request::ProbeRecords(ProbeId(99_999)),
-        Request::ProbeSeries(ProbeId(99_999)),
-        Request::ProbeTruth(ProbeId(99_999)),
-    ];
-    for p in 0..PROBES {
-        requests.push(Request::ProbeRecords(ProbeId(p)));
-        requests.push(Request::ProbeSeries(ProbeId(p)));
-        requests.push(Request::ProbeTruth(ProbeId(p)));
-    }
-    for a in engine.stats().asns() {
-        requests.push(Request::AsSummary(Asn(a)));
-    }
-    for cc in engine.stats().countries() {
-        requests.push(Request::CountrySummary(cc));
-    }
-    for req in &requests {
-        let from_engine = engine.query(req);
-        let from_local = local.answer(req);
-        assert_eq!(from_engine, from_local, "diverged on {req:?}");
-        assert_eq!(proto::to_bytes(&from_engine), proto::to_bytes(&from_local));
-    }
+        let mut requests = vec![
+            Request::Ping,
+            Request::TopMovers(0),
+            Request::TopMovers(5),
+            Request::TopMovers(1000),
+            Request::AsSummary(Asn(1)),
+            Request::CountrySummary("XX".into()),
+            Request::ProbeRecords(ProbeId(99_999)),
+            Request::ProbeSeries(ProbeId(99_999)),
+            Request::ProbeTruth(ProbeId(99_999)),
+        ];
+        for p in 0..PROBES {
+            requests.push(Request::ProbeRecords(ProbeId(p)));
+            requests.push(Request::ProbeSeries(ProbeId(p)));
+            requests.push(Request::ProbeTruth(ProbeId(p)));
+        }
+        for a in engine.stats().asns() {
+            requests.push(Request::AsSummary(Asn(a)));
+        }
+        for cc in engine.stats().countries() {
+            requests.push(Request::CountrySummary(cc));
+        }
+        for req in &requests {
+            let from_engine = engine.query(req);
+            let from_local = local.answer(req);
+            assert_eq!(from_engine, from_local, "{segment_rows}-row segments diverged on {req:?}");
+            assert_eq!(proto::to_bytes(&from_engine), proto::to_bytes(&from_local));
+        }
 
-    // Spot-check the records path against the dataset accessors and the
-    // open-once store index (satellite: read_probe_indexed).
-    let index = StoreIndex::open(&bytes).unwrap();
-    for p in [ProbeId(0), ProbeId(17), ProbeId(PROBES - 1), ProbeId(4242)] {
-        let records = engine.records(p).unwrap();
-        assert_eq!(records.connections.len(), ds.connections_of(p).len());
-        assert_eq!(records.kroot.len(), ds.kroot_of(p).len());
-        assert_eq!(records.meta.is_some(), ds.meta_of(p).is_some());
-        let via_index = index.read_probe_indexed(p).unwrap();
-        assert_eq!(via_index.connections, ds.connections_of(p));
-        assert_eq!(via_index.uptime, ds.uptime_of(p));
+        // Spot-check the records path against the dataset accessors and the
+        // open-once store index (`read_probe_indexed`).
+        let index = StoreIndex::open(&bytes).unwrap();
+        for p in [ProbeId(0), ProbeId(17), ProbeId(PROBES - 1), ProbeId(4242)] {
+            let records = engine.records(p).unwrap();
+            assert_eq!(records.connections.len(), ds.connections_of(p).len());
+            assert_eq!(records.kroot.len(), ds.kroot_of(p).len());
+            assert_eq!(records.meta.is_some(), ds.meta_of(p).is_some());
+            let via_index = index.read_probe_indexed(p).unwrap();
+            assert_eq!(via_index.connections, ds.connections_of(p));
+            assert_eq!(via_index.uptime, ds.uptime_of(p));
+        }
+    }
+}
+
+#[test]
+fn engine_rejects_footer_spans_out_of_order() {
+    let bytes = store_bytes(&dataset(), 16);
+    let open = |bytes: Vec<u8>| {
+        QueryEngine::from_parts(bytes, &snaps(), None, &EngineOptions::default()).map(|_| ())
+    };
+    open(with_footer(&bytes, |_| {})).expect("an unedited footer opens");
+    // A k-root span whose end lies below its start.
+    let inverted = with_footer(&bytes, |e| {
+        let s = e.iter_mut().find(|s| s.table == 3 && s.key_lo < s.key_hi).expect("span");
+        std::mem::swap(&mut s.key_lo, &mut s.key_hi);
+    });
+    // A meta segment starting at the previous one's last probe, which
+    // would give that probe two meta rows.
+    let touching = with_footer(&bytes, |e| {
+        assert!(e[0].table == 1 && e[1].table == 1, "meta segments come first");
+        e[1].key_lo = e[0].key_hi;
+    });
+    for (what, bytes, table) in [("inverted", inverted, "kroot"), ("touching", touching, "meta")] {
+        match open(bytes) {
+            Err(EngineError::Store(StoreError::OutOfOrder { table: t, .. })) => {
+                assert_eq!(t, table, "{what}")
+            }
+            other => panic!("{what}: expected an out-of-order {table} error, got {other:?}"),
+        }
     }
 }
 
@@ -305,10 +360,18 @@ fn socket_serving_matches_in_process_answers() {
             let got = clients[(i % 3) as usize].request_bytes(&req).expect("request");
             assert_eq!(got, expected, "request {i} diverged over the socket");
         }
+    }
+    {
         // A malformed frame gets an Error response, not a hangup for
         // the well-formed requests that follow.
-        let resp = clients[0].request(&Request::Ping).expect("ping");
-        assert_eq!(resp, dynaddr_query::Response::Pong);
+        let mut raw = std::os::unix::net::UnixStream::connect(&path).expect("connect");
+        proto::write_frame(&mut raw, &[200]).expect("send unknown request tag");
+        let body = proto::read_frame(&mut raw).expect("reply").expect("no hangup");
+        let resp: Response = proto::from_bytes(&body).expect("reply decodes");
+        assert!(matches!(resp, Response::Error(_)), "malformed frame answered {resp:?}");
+        proto::write_frame(&mut raw, &proto::to_bytes(&Request::Ping)).expect("send ping");
+        let body = proto::read_frame(&mut raw).expect("reply").expect("no hangup");
+        assert_eq!(proto::from_bytes::<Response>(&body).expect("reply decodes"), Response::Pong);
     }
 
     handle.stop();

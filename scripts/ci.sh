@@ -2,7 +2,8 @@
 # CI gate: release build, workspace and benchmark-harness tests, the docs
 # with warnings denied, a perfsnap smoke run, CLI usage errors, store,
 # query-serving (queryd/queryc), dynaddrd replay, streamed and traced
-# pipeline smokes, and the quickstart.
+# pipeline smokes, the paper-tier memory ceilings (streamed analyze and
+# queryd), and the quickstart.
 #
 # The smoke run times the pipeline at a tiny scale (0.01) just to prove the
 # bench binary exits 0 and writes valid JSON — it is NOT a benchmark and its
@@ -174,6 +175,29 @@ RSS="$(sed -n 's/^peak_rss_bytes: //p' "$SMOKE/paper-analyze.err")"
 echo "    paper-tier streamed analyze peak RSS: $RSS bytes"
 test -n "$RSS"
 test "$RSS" -lt 157286400
+
+echo "==> paper-tier queryd smoke (memory ceiling, remote vs local)"
+# queryd on the paper-tier store with a fixed 64 MiB segment cache must
+# answer a seeded batch byte-identically to the batch-loaded oracle and
+# peak under 140 MiB RSS (about 119 MiB on a 2-vCPU Xeon VM). With the
+# 256 MiB default the peak tracks how much of the store the requests
+# touch.
+QSOCK="$SMOKE/queryd-paper.sock"
+./target/release/queryd --data "$SMOKE/paper" --socket "$QSOCK" --cache-mb 64 \
+    2> "$SMOKE/queryd-paper.err" &
+QPID=$!
+trap 'kill "$QPID" 2>/dev/null || true; rm -rf "$SNAP" "$SMOKE"' EXIT
+./target/release/queryc --data "$SMOKE/paper" --socket "$QSOCK" \
+    --count 2000 --seed 99 --out "$SMOKE/qp-remote.txt"
+./target/release/queryc --data "$SMOKE/paper" \
+    --count 2000 --seed 99 --out "$SMOKE/qp-local.txt"
+diff "$SMOKE/qp-remote.txt" "$SMOKE/qp-local.txt"
+HWM="$(sed -n 's/^VmHWM:[[:space:]]*\([0-9]*\) kB$/\1/p' "/proc/$QPID/status")"
+echo "    paper-tier queryd peak RSS: $HWM kB"
+test -n "$HWM"
+test "$HWM" -lt 143360
+kill "$QPID"
+wait "$QPID" 2>/dev/null || true
 
 echo "==> quickstart example smoke"
 cargo run --release -q --example quickstart > /dev/null

@@ -10,11 +10,13 @@ use dynaddr::atlas::{
     SosUptimeRecord,
 };
 use dynaddr::atlas::truth::IspPolicyTruth;
-use dynaddr::store::{FileReader, ReadMode, StoreError, MAGIC};
+use dynaddr::store::{ColumnarRecord, FileReader, ReadMode, SegmentInfo, StoreError, MAGIC};
 use dynaddr::types::{Country, ProbeId, ProbeTag, ProbeVersion, SimTime};
+use dynaddr_query::engine::EngineError;
+use dynaddr_query::{EngineOptions, QueryEngine, Request, Response};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("dynaddr-store-{tag}-{}", std::process::id()))
@@ -417,26 +419,26 @@ fn sink_merges_interleaved_runs_to_canonical_bytes() {
 // Probe order: a file that breaks it is rejected, never analyzed
 // ---------------------------------------------------------------------------
 
-/// Saves `ds` with its rows in the order given and asserts that every
-/// reader rejects the file with a typed error naming `table`.
-fn assert_out_of_order(ds: &AtlasDataset, tag: &str, table: &str) {
+/// Asserts that `err` is an out-of-order error naming `table`.
+fn assert_names_table(what: &str, err: &StoreError, table: &str) {
+    assert!(
+        matches!(err, StoreError::OutOfOrder { table: t, .. } if t == table),
+        "{what}: expected an out-of-order {table} error, got {err}"
+    );
+    assert!(err.to_string().contains(table), "{what}: {err}");
+}
+
+/// Asserts that the batch loaders and `DatasetStream` reject the store
+/// in `dir` with a typed error naming `table`.
+fn assert_readers_reject(dir: &Path, table: &str) {
     use dynaddr::atlas::stream::{DatasetStream, DEFAULT_BATCH_PROBES};
 
-    let dir = temp_dir(tag);
-    ds.save_dir(&dir).expect("saves");
-    let check = |what: &str, err: &StoreError| {
-        assert!(
-            matches!(err, StoreError::OutOfOrder { table: t, .. } if t == table),
-            "{what}: expected an out-of-order {table} error, got {err}"
-        );
-        assert!(err.to_string().contains(table), "{what}: {err}");
-    };
     for (what, loaded) in [
-        ("load_dir", AtlasDataset::load_dir(&dir).map(|_| ())),
-        ("load_dir_recover", AtlasDataset::load_dir_recover(&dir).map(|_| ())),
+        ("load_dir", AtlasDataset::load_dir(dir).map(|_| ())),
+        ("load_dir_recover", AtlasDataset::load_dir_recover(dir).map(|_| ())),
     ] {
         match loaded {
-            Err(LoadError::Store { source, .. }) => check(what, &source),
+            Err(LoadError::Store { source, .. }) => assert_names_table(what, &source, table),
             Err(other) => panic!("{what}: expected a store error, got {other}"),
             Ok(()) => panic!("{what}: loaded a file out of probe order"),
         }
@@ -451,7 +453,21 @@ fn assert_out_of_order(ds: &AtlasDataset, tag: &str, table: &str) {
                 Err(e) => break e,
             }
         };
-        check(&format!("DatasetStream batch={batch}"), &err);
+        assert_names_table(&format!("DatasetStream batch={batch}"), &err, table);
+    }
+}
+
+/// Saves `ds` with its rows in the order given and asserts that every
+/// reader, the query engine's open included, rejects the file with a
+/// typed error naming `table`.
+fn assert_out_of_order(ds: &AtlasDataset, tag: &str, table: &str) {
+    let dir = temp_dir(tag);
+    ds.save_dir(&dir).expect("saves");
+    assert_readers_reject(&dir, table);
+    match QueryEngine::open_dir(&dir, &EngineOptions::default()) {
+        Err(EngineError::Store(err)) => assert_names_table("QueryEngine::open_dir", &err, table),
+        Err(other) => panic!("QueryEngine::open_dir: expected a store error, got {other}"),
+        Ok(_) => panic!("QueryEngine::open_dir: opened a file out of probe order"),
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -476,4 +492,60 @@ fn reversed_log_tables_are_rejected() {
     ds.uptime.reverse();
     // Tables are checked in file order; k-root comes before uptime.
     assert_out_of_order(&ds, "reversed", "kroot");
+}
+
+/// Swaps two adjacent rows of different probes inside the first segment
+/// that `bytes` (the dataset's store file) writes for `rows`' table, and
+/// returns that segment's footer entry. The segment's key span does not
+/// change; only the rows inside it fall out of order.
+fn swap_inside_first_segment<R: ColumnarRecord>(bytes: &[u8], rows: &mut [R]) -> SegmentInfo {
+    let reader = FileReader::open(bytes).expect("opens");
+    let segs: Vec<_> = reader.segments().iter().filter(|s| s.table == R::TABLE_ID).collect();
+    assert!(segs.len() > 1, "the {} table needs more than one segment", R::TABLE_NAME);
+    let first = *segs[0];
+    let at = (0..first.rows as usize - 1)
+        .find(|&i| rows[i].key() != rows[i + 1].key())
+        .expect("two probes in the first segment");
+    rows.swap(at, at + 1);
+    first
+}
+
+#[test]
+fn rows_swapped_inside_one_segment_are_rejected() {
+    let mut ds = small_world();
+    let first = swap_inside_first_segment(&ds.to_store_bytes(), &mut ds.kroot);
+    let dir = temp_dir("swapped");
+    ds.save_dir(&dir).expect("saves");
+    assert_readers_reject(&dir, "kroot");
+
+    // The engine decodes no k-root segment at open, and the key spans
+    // still ascend, so it opens. The swapped segment's probes answer an
+    // error naming the table; every other probe answers as usual.
+    let engine = QueryEngine::open_dir(&dir, &EngineOptions::default()).expect("engine opens");
+    let (mut failed, mut served) = (0, 0);
+    for probe in ds.meta.iter().map(|m| m.probe) {
+        let in_segment = (first.key_lo..=first.key_hi).contains(&probe.0);
+        for req in [Request::ProbeRecords(probe), Request::ProbeSeries(probe)] {
+            match engine.query(&req) {
+                Response::Error(msg) if in_segment => {
+                    assert!(msg.contains("kroot"), "{req:?}: {msg}");
+                    failed += 1;
+                }
+                Response::Error(msg) => panic!("{req:?} outside the swapped segment: {msg}"),
+                _ if in_segment => panic!("{req:?} in the swapped segment answered no error"),
+                _ => served += 1,
+            }
+        }
+    }
+    assert!(failed > 0 && served > 0, "{failed} failed, {served} served");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn connection_rows_swapped_inside_one_segment_fail_the_engine_at_open() {
+    // The engine decodes the connection table at open for its indexes,
+    // so unlike a k-root segment it rejects the file there.
+    let mut ds = small_world();
+    swap_inside_first_segment(&ds.to_store_bytes(), &mut ds.connections);
+    assert_out_of_order(&ds, "swapped-conn", "connections");
 }
