@@ -48,5 +48,7 @@ pub use sim::{
     SimStats,
 };
 pub use stream::DatasetStream;
+/// The store's error type, which every dataset reader returns.
+pub use dynaddr_store::StoreError;
 pub use truth::{ChangeCause, GroundTruth, TruthOutage, TruthOutageKind};
 pub use world::{paper_route_tables, paper_world};

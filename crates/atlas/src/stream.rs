@@ -141,6 +141,15 @@ impl DatasetStream {
         self.reader.table_rows(ProbeMeta::TABLE_ID)
     }
 
+    /// Rows of the three log tables the file's index records, available
+    /// before any batch is decoded.
+    pub fn total_log_rows(&self) -> u64 {
+        [ConnectionLogEntry::TABLE_ID, KrootPingRecord::TABLE_ID, SosUptimeRecord::TABLE_ID]
+            .into_iter()
+            .map(|table| self.reader.table_rows(table))
+            .sum()
+    }
+
     /// Decodes and returns the next batch of whole probes, `None` once
     /// every table is drained. Each batch is normalized and indexed, so
     /// `connections_of`/`kroot_of`/`uptime_of` work as on the full
@@ -310,6 +319,9 @@ mod tests {
         for batch_probes in [1usize, 7, 64, 100_000] {
             let mut stream = DatasetStream::with_batch_probes(&path, batch_probes).unwrap();
             assert_eq!(stream.total_probes(), out.dataset.meta.len() as u64);
+            let log_rows =
+                out.dataset.connections.len() + out.dataset.kroot.len() + out.dataset.uptime.len();
+            assert_eq!(stream.total_log_rows(), log_rows as u64);
             let mut rebuilt = AtlasDataset::default();
             let mut last_hi: Option<u32> = None;
             while let Some(batch) = stream.next_batch().unwrap() {

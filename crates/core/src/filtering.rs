@@ -142,6 +142,33 @@ impl FilterCounts {
         }
         self.analyzable_as = self.analyzable_geo - self.multi_as;
     }
+
+    /// Adds another set of counts bucket by bucket: how the live
+    /// analyzer folds in a batch of probes tallied apart from it.
+    pub(crate) fn add(&mut self, other: &FilterCounts) {
+        let FilterCounts {
+            total,
+            never_changed,
+            dual_stack,
+            ipv6_only,
+            tagged,
+            multihomed,
+            testing_only,
+            analyzable_geo,
+            multi_as,
+            analyzable_as,
+        } = other;
+        self.total += total;
+        self.never_changed += never_changed;
+        self.dual_stack += dual_stack;
+        self.ipv6_only += ipv6_only;
+        self.tagged += tagged;
+        self.multihomed += multihomed;
+        self.testing_only += testing_only;
+        self.analyzable_geo += analyzable_geo;
+        self.multi_as += multi_as;
+        self.analyzable_as += analyzable_as;
+    }
 }
 
 impl FilterReport {

@@ -59,7 +59,10 @@ pub mod stats;
 pub mod ttf;
 
 pub use filtering::{filter_probes, FilterCounts, FilterReport, ProbeClass, ProbeMachine};
-pub use live::{replay_plan, IncrementalAnalyzer, IngestStats, ProbeView, ReplayRow, ReplayStep};
+pub use live::{
+    batch_ranges, build_probes, replay_plan, IncrementalAnalyzer, IngestStats, ProbeBatch,
+    ProbeView, ReplayRow, ReplayStep, SealedProbes,
+};
 pub use pipeline::{
     analyze, analyze_streamed, analyze_streamed_batched, AnalysisConfig, AnalysisReport,
 };

@@ -1,32 +1,48 @@
 //! Live incremental analysis: the whole pipeline as per-probe state
 //! machines over an append-only record stream.
 //!
-//! [`IncrementalAnalyzer`] is the record-by-record driver of the per-probe
-//! kernel (see [`crate::pipeline`]). Each probe gets a [`ProbeMachine`] and
-//! the outage machines, fed in arrival order. Rolling Table 2 counts
+//! [`IncrementalAnalyzer`] holds one per-probe kernel (see
+//! [`crate::pipeline`]) for every probe: a [`ProbeMachine`] and the outage
+//! machines. Records reach it two ways:
+//!
+//! * **record by record**, in arrival order, through
+//!   [`push_meta`](IncrementalAnalyzer::push_meta) and the three row
+//!   pushes (or [`apply`](IncrementalAnalyzer::apply) over a
+//!   [`replay_plan`]) — the path for a paced replay or a live collector;
+//! * **a batch of whole probes at a time**: [`build_probes`] runs a batch
+//!   through the kernel on the executor's workers with no analyzer in
+//!   sight, and [`install`](IncrementalAnalyzer::install) adds the built
+//!   probes and their rolling deltas in one step — the path for replaying
+//!   a store at full speed, probe-major.
+//!
+//! Both paths push through the same per-probe methods, so a probe fed the
+//! same rows ends in the same state either way. Rolling Table 2 counts
 //! (provisional until the stream ends) and ingest statistics are kept as
 //! records arrive, and [`seal`](IncrementalAnalyzer::seal) renders a full
 //! [`AnalysisReport`] at any point.
 //!
 //! **Replay equivalence** is the module's contract: replaying a complete
 //! dataset through the analyzer (all meta rows, then every record in
-//! arrival order — see [`replay_plan`]) and sealing produces a report
-//! byte-for-byte identical to [`crate::pipeline::analyze`] over the same
-//! dataset. Seal finishes clones of the machines and hands their output to
-//! the global finish every driver shares, and the batch drivers feed each
-//! probe's machines the same per-table record order, so nothing per-probe
-//! or global exists twice.
+//! arrival order — see [`replay_plan`] — or every probe through
+//! [`build_probes`]) and sealing produces a report byte-for-byte
+//! identical to [`crate::pipeline::analyze`] over the same dataset. Seal
+//! finishes clones of the machines and hands their output to the global
+//! finish every driver shares, and every driver feeds each probe's
+//! machines the same per-table record order, so nothing per-probe or
+//! global exists twice.
 
 use crate::filtering::{FilterCounts, FilterReport, ProbeClass, ProbeMachine};
-use crate::outages::OutageMachines;
+use crate::outages::{in_arrival_order, OutageMachines, ProbeOutages};
 use crate::pipeline::{finish_analysis, finish_outages, AnalysisConfig, AnalysisReport};
 use dynaddr_atlas::logs::{
     AtlasDataset, ConnectionLogEntry, KrootPingRecord, ProbeMeta, SosUptimeRecord,
 };
 use dynaddr_exec::par_map;
 use dynaddr_ip2as::MonthlySnapshots;
-use dynaddr_types::SimTime;
+use dynaddr_types::{ProbeId, SimTime};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Rolling ingest counters — cheap integers a daemon can report without
 /// touching per-probe state.
@@ -54,6 +70,40 @@ pub struct IngestStats {
     pub frontier_secs: i64,
 }
 
+impl IngestStats {
+    /// Log rows taken in: the three log tables' accepted rows plus the
+    /// unknown-probe rows dropped.
+    pub fn log_rows(&self) -> u64 {
+        self.connection_rows + self.kroot_rows + self.uptime_rows + self.unknown_probe_rows
+    }
+
+    /// Adds a batch's counters; the frontier is the later of the two.
+    fn add(&mut self, other: &IngestStats) {
+        let IngestStats {
+            meta_rows,
+            connection_rows,
+            kroot_rows,
+            uptime_rows,
+            unknown_probe_rows,
+            changes,
+            gaps,
+            network_outages,
+            reboots,
+            frontier_secs,
+        } = other;
+        self.meta_rows += meta_rows;
+        self.connection_rows += connection_rows;
+        self.kroot_rows += kroot_rows;
+        self.uptime_rows += uptime_rows;
+        self.unknown_probe_rows += unknown_probe_rows;
+        self.changes += changes;
+        self.gaps += gaps;
+        self.network_outages += network_outages;
+        self.reboots += reboots;
+        self.frontier_secs = self.frontier_secs.max(*frontier_secs);
+    }
+}
+
 /// A point-in-time view of one probe's rolling state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeView {
@@ -75,7 +125,28 @@ pub struct ProbeView {
     pub had_testing: bool,
 }
 
-/// One probe's kernel: the funnel machine and the outage machines.
+/// The rolling aggregates pushes add to: the funnel counts and the ingest
+/// counters. The analyzer keeps the running totals; a [`ProbeBatch`]
+/// carries its own, which [`IncrementalAnalyzer::install`] adds.
+#[derive(Debug, Clone, Default)]
+struct Rolling {
+    counts: FilterCounts,
+    stats: IngestStats,
+}
+
+impl Rolling {
+    fn add(&mut self, other: &Rolling) {
+        self.counts.add(&other.counts);
+        self.stats.add(&other.stats);
+    }
+
+    fn arrived(&mut self, t: SimTime) {
+        self.stats.frontier_secs = self.stats.frontier_secs.max(t.0);
+    }
+}
+
+/// One probe's kernel: the funnel machine and the outage machines. Its
+/// methods are the only per-record logic; both ingest paths call them.
 #[derive(Debug, Clone)]
 struct ProbeState {
     machine: ProbeMachine,
@@ -85,100 +156,112 @@ struct ProbeState {
     counted: (ProbeClass, bool),
 }
 
+impl ProbeState {
+    /// A fresh probe, tallied into `to`.
+    fn new(meta: &ProbeMeta, to: &mut Rolling) -> ProbeState {
+        let machine = ProbeMachine::new(meta.clone());
+        let counted = (machine.class(), machine.multi_as());
+        to.counts.tally(counted.0, counted.1, true);
+        to.counts.total += 1;
+        to.stats.meta_rows += 1;
+        ProbeState { machine, outages: OutageMachines::default(), reboot_count: 0, counted }
+    }
+
+    /// Feeds one connection-log entry (per-probe start-time order).
+    fn push_connection(
+        &mut self,
+        e: &ConnectionLogEntry,
+        snapshots: &MonthlySnapshots,
+        to: &mut Rolling,
+    ) {
+        let (changes0, gaps0) = (self.machine.changes_len(), self.machine.gaps_len());
+        self.machine.push(e, snapshots);
+        let now = (self.machine.class(), self.machine.multi_as());
+        if now != self.counted {
+            to.counts.tally(self.counted.0, self.counted.1, false);
+            to.counts.tally(now.0, now.1, true);
+            self.counted = now;
+        }
+        // Counts reset to zero when a probe settles out of the analyzable
+        // funnel (heavy state dropped); only forward motion is tallied.
+        to.stats.changes += self.machine.changes_len().saturating_sub(changes0) as u64;
+        to.stats.gaps += self.machine.gaps_len().saturating_sub(gaps0) as u64;
+        to.stats.connection_rows += 1;
+        to.arrived(e.start);
+    }
+
+    /// Feeds one k-root ping record (per-probe time order).
+    fn push_kroot(&mut self, r: &KrootPingRecord, to: &mut Rolling) {
+        let before = self.outages.network_outages();
+        self.outages.push_kroot(r);
+        to.stats.network_outages += (self.outages.network_outages() - before) as u64;
+        to.stats.kroot_rows += 1;
+        to.arrived(r.timestamp);
+    }
+
+    /// Feeds one SOS-uptime record (per-probe time order).
+    fn push_uptime(&mut self, r: &SosUptimeRecord, to: &mut Rolling) {
+        if self.outages.push_uptime(r) {
+            self.reboot_count += 1;
+            to.stats.reboots += 1;
+        }
+        to.stats.uptime_rows += 1;
+        to.arrived(r.timestamp);
+    }
+}
+
 /// The live pipeline: per-probe state machines + rolling aggregates.
 ///
 /// Feed [`push_meta`](Self::push_meta) first for every probe, then records
 /// in arrival order via [`push_connection`](Self::push_connection) /
 /// [`push_kroot`](Self::push_kroot) / [`push_uptime`](Self::push_uptime)
-/// (or [`apply`](Self::apply) over a [`replay_plan`]). Query rolling state
-/// any time; [`seal`](Self::seal) renders the full report without
-/// disturbing the live state.
+/// (or [`apply`](Self::apply) over a [`replay_plan`]); or
+/// [`install`](Self::install) whole probes that [`build_probes`] built.
+/// Query rolling state any time; [`seal`](Self::seal) renders the full
+/// report without disturbing the live state.
 pub struct IncrementalAnalyzer {
     snapshots: MonthlySnapshots,
     probes: BTreeMap<u32, ProbeState>,
-    counts: FilterCounts,
-    stats: IngestStats,
+    rolling: Rolling,
 }
 
 impl IncrementalAnalyzer {
     /// An empty analyzer over the given IP-to-AS snapshots.
     pub fn new(snapshots: MonthlySnapshots) -> IncrementalAnalyzer {
-        IncrementalAnalyzer {
-            snapshots,
-            probes: BTreeMap::new(),
-            counts: FilterCounts::default(),
-            stats: IngestStats::default(),
-        }
+        IncrementalAnalyzer { snapshots, probes: BTreeMap::new(), rolling: Rolling::default() }
     }
 
     /// Introduces a probe. Records for probes without a meta row are
     /// dropped (and counted), matching the batch pipeline, which iterates
     /// the meta table.
     pub fn push_meta(&mut self, meta: &ProbeMeta) {
-        let id = meta.probe.0;
-        if self.probes.contains_key(&id) {
-            return;
+        if let Entry::Vacant(slot) = self.probes.entry(meta.probe.0) {
+            slot.insert(ProbeState::new(meta, &mut self.rolling));
         }
-        let machine = ProbeMachine::new(meta.clone());
-        let counted = (machine.class(), machine.multi_as());
-        self.counts.tally(counted.0, counted.1, true);
-        self.counts.total += 1;
-        let outages = OutageMachines::default();
-        self.probes.insert(id, ProbeState { machine, outages, reboot_count: 0, counted });
-        self.stats.meta_rows += 1;
-    }
-
-    fn frontier(&mut self, t: SimTime) {
-        self.stats.frontier_secs = self.stats.frontier_secs.max(t.0);
     }
 
     /// Feeds one connection-log entry (per-probe start-time order).
     pub fn push_connection(&mut self, e: &ConnectionLogEntry) {
-        let Some(st) = self.probes.get_mut(&e.probe.0) else {
-            self.stats.unknown_probe_rows += 1;
-            return;
-        };
-        let (changes0, gaps0) = (st.machine.changes_len(), st.machine.gaps_len());
-        st.machine.push(e, &self.snapshots);
-        let now = (st.machine.class(), st.machine.multi_as());
-        if now != st.counted {
-            self.counts.tally(st.counted.0, st.counted.1, false);
-            self.counts.tally(now.0, now.1, true);
-            st.counted = now;
+        match self.probes.get_mut(&e.probe.0) {
+            Some(st) => st.push_connection(e, &self.snapshots, &mut self.rolling),
+            None => self.rolling.stats.unknown_probe_rows += 1,
         }
-        // Counts reset to zero when a probe settles out of the analyzable
-        // funnel (heavy state dropped); only forward motion is tallied.
-        self.stats.changes += st.machine.changes_len().saturating_sub(changes0) as u64;
-        self.stats.gaps += st.machine.gaps_len().saturating_sub(gaps0) as u64;
-        self.stats.connection_rows += 1;
-        self.frontier(e.start);
     }
 
     /// Feeds one k-root ping record (per-probe time order).
     pub fn push_kroot(&mut self, r: &KrootPingRecord) {
-        let Some(st) = self.probes.get_mut(&r.probe.0) else {
-            self.stats.unknown_probe_rows += 1;
-            return;
-        };
-        let before = st.outages.network_outages();
-        st.outages.push_kroot(r);
-        self.stats.network_outages += (st.outages.network_outages() - before) as u64;
-        self.stats.kroot_rows += 1;
-        self.frontier(r.timestamp);
+        match self.probes.get_mut(&r.probe.0) {
+            Some(st) => st.push_kroot(r, &mut self.rolling),
+            None => self.rolling.stats.unknown_probe_rows += 1,
+        }
     }
 
     /// Feeds one SOS-uptime record (per-probe time order).
     pub fn push_uptime(&mut self, r: &SosUptimeRecord) {
-        let Some(st) = self.probes.get_mut(&r.probe.0) else {
-            self.stats.unknown_probe_rows += 1;
-            return;
-        };
-        if st.outages.push_uptime(r) {
-            st.reboot_count += 1;
-            self.stats.reboots += 1;
+        match self.probes.get_mut(&r.probe.0) {
+            Some(st) => st.push_uptime(r, &mut self.rolling),
+            None => self.rolling.stats.unknown_probe_rows += 1,
         }
-        self.stats.uptime_rows += 1;
-        self.frontier(r.timestamp);
     }
 
     /// Applies one replay step against its source dataset.
@@ -190,8 +273,9 @@ impl IncrementalAnalyzer {
         }
     }
 
-    /// Replays a whole dataset: all meta rows, then every record in arrival
-    /// order. After this, [`seal`](Self::seal) matches the batch report.
+    /// Replays a whole dataset record by record: all meta rows, then every
+    /// record in arrival order. After this, [`seal`](Self::seal) matches
+    /// the batch report.
     pub fn replay(&mut self, ds: &AtlasDataset) {
         for meta in &ds.meta {
             self.push_meta(meta);
@@ -201,16 +285,27 @@ impl IncrementalAnalyzer {
         }
     }
 
+    /// Adds the probes [`build_probes`] built, with their rolling deltas,
+    /// in one step: a reader sees either none of the batch or all of it,
+    /// each probe whole. The batch's probes must be new to the analyzer,
+    /// as they are when one store is replayed probe-major into a fresh
+    /// analyzer.
+    pub fn install(&mut self, batch: ProbeBatch) {
+        debug_assert!(batch.probes.iter().all(|(id, _)| !self.probes.contains_key(id)));
+        self.rolling.add(&batch.delta);
+        self.probes.extend(batch.probes);
+    }
+
     /// The rolling Table 2 funnel counts (provisional classes over the
     /// records seen so far; identical to the sealed counts once the stream
     /// is complete).
     pub fn rolling_counts(&self) -> &FilterCounts {
-        &self.counts
+        &self.rolling.counts
     }
 
     /// The rolling ingest counters.
     pub fn stats(&self) -> &IngestStats {
-        &self.stats
+        &self.rolling.stats
     }
 
     /// Number of probes introduced so far.
@@ -233,12 +328,11 @@ impl IncrementalAnalyzer {
         })
     }
 
-    /// Seals a snapshot of the live state into the full report. The live
-    /// state is untouched (machines are cloned to run their `finish`), so a
-    /// daemon can keep ingesting afterwards. After a complete replay this
-    /// is byte-identical to [`crate::pipeline::analyze`].
-    pub fn seal(&self, cfg: &AnalysisConfig) -> AnalysisReport {
-        let _sp = dynaddr_obs::span("live_seal");
+    /// The per-probe half of a [`seal`](Self::seal): clones of every
+    /// probe's machines, finished. A daemon takes this under its state
+    /// lock and runs [`SealedProbes::finish`] after releasing it.
+    pub fn seal_probes(&self) -> SealedProbes {
+        let _sp = dynaddr_obs::span("live_seal_probes");
         let states: Vec<(&u32, &ProbeState)> = self.probes.iter().collect();
         let verdicts = par_map(&states, |(_, st)| st.machine.clone().finish());
         let mut report = FilterReport::default();
@@ -247,9 +341,137 @@ impl IncrementalAnalyzer {
         }
         let outages =
             par_map(&report.probes, |p| self.probes[&p.probe().0].outages.clone().finish());
-        let oa = finish_outages(&report.probes, outages, true);
-        finish_analysis(report, oa, &self.snapshots, cfg)
+        SealedProbes { report, outages, snapshots: self.snapshots.clone() }
     }
+
+    /// Seals a snapshot of the live state into the full report. The live
+    /// state is untouched (machines are cloned to run their `finish`), so a
+    /// daemon can keep ingesting afterwards. After a complete replay this
+    /// is byte-identical to [`crate::pipeline::analyze`].
+    pub fn seal(&self, cfg: &AnalysisConfig) -> AnalysisReport {
+        let _sp = dynaddr_obs::span("live_seal");
+        self.seal_probes().finish(cfg)
+    }
+}
+
+/// Every probe's finished machines at one instant: the per-probe half of
+/// [`IncrementalAnalyzer::seal`], detached from the analyzer.
+pub struct SealedProbes {
+    report: FilterReport,
+    outages: Vec<ProbeOutages>,
+    snapshots: MonthlySnapshots,
+}
+
+impl SealedProbes {
+    /// The global half of a seal: the outage finish (firmware series,
+    /// strip, power verdicts, association) and every table and figure.
+    pub fn finish(self, cfg: &AnalysisConfig) -> AnalysisReport {
+        let _sp = dynaddr_obs::span("live_seal_finish");
+        let oa = finish_outages(&self.report.probes, self.outages, true);
+        finish_analysis(self.report, oa, &self.snapshots, cfg)
+    }
+}
+
+/// A batch of probes run through the per-probe kernel by
+/// [`build_probes`], with the rolling deltas they add, ready for
+/// [`IncrementalAnalyzer::install`].
+pub struct ProbeBatch {
+    probes: Vec<(u32, ProbeState)>,
+    delta: Rolling,
+}
+
+impl ProbeBatch {
+    /// What installing the batch adds to [`IncrementalAnalyzer::stats`].
+    pub fn stats(&self) -> &IngestStats {
+        &self.delta.stats
+    }
+}
+
+/// Runs one batch of whole probes through the per-probe kernel on the
+/// executor's workers, apart from any analyzer: the meta rows
+/// `ds.meta[probes]` and every log row of `ds` in their span.
+///
+/// The span starts after the previous meta row's probe id and runs
+/// through the range's last id, or through the end of every log table
+/// when the range ends the meta table. Ranges that partition `ds.meta`
+/// therefore partition the log rows too, so a log row whose probe has no
+/// meta row is counted in `unknown_probe_rows` by exactly one batch, as
+/// the record path counts it. A meta row repeating its predecessor's id
+/// is skipped, as [`IncrementalAnalyzer::push_meta`] keeps the first.
+///
+/// Each probe gets what the record path gives it: its connections in
+/// table order, then its k-root and uptime rows merged k-root first on
+/// equal timestamps, the only orders its machines are sensitive to. `ds`
+/// must be normalized: a [`DatasetStream`](dynaddr_atlas::DatasetStream)
+/// batch is, with `probes` covering its whole meta table.
+pub fn build_probes(
+    ds: &AtlasDataset,
+    probes: Range<usize>,
+    snapshots: &MonthlySnapshots,
+) -> ProbeBatch {
+    let _sp = dynaddr_obs::span("build_probes");
+    let fresh: Vec<&ProbeMeta> = probes
+        .clone()
+        .filter(|&i| i == 0 || ds.meta[i - 1].probe != ds.meta[i].probe)
+        .map(|i| &ds.meta[i])
+        .collect();
+    let built = par_map(&fresh, |meta| {
+        let mut to = Rolling::default();
+        let mut st = ProbeState::new(meta, &mut to);
+        for e in ds.connections_of(meta.probe) {
+            st.push_connection(e, snapshots, &mut to);
+        }
+        let mut fed = (st, to);
+        in_arrival_order(
+            ds.kroot_of(meta.probe),
+            ds.uptime_of(meta.probe),
+            &mut fed,
+            |(st, to), r| st.push_kroot(r, to),
+            |(st, to), u| st.push_uptime(u, to),
+        );
+        fed
+    });
+    let mut batch =
+        ProbeBatch { probes: Vec::with_capacity(built.len()), delta: Rolling::default() };
+    for (meta, (st, delta)) in fresh.iter().zip(built) {
+        batch.delta.add(&delta);
+        batch.probes.push((meta.probe.0, st));
+    }
+    let stats = &mut batch.delta.stats;
+    stats.unknown_probe_rows = span_rows(ds, &probes, &ds.connections, |e| e.probe)
+        + span_rows(ds, &probes, &ds.kroot, |r| r.probe)
+        + span_rows(ds, &probes, &ds.uptime, |r| r.probe)
+        - stats.connection_rows
+        - stats.kroot_rows
+        - stats.uptime_rows;
+    batch
+}
+
+/// The meta ranges a probe-major replay of a whole in-memory dataset
+/// hands [`build_probes`]: consecutive runs of `per_batch` meta rows (at
+/// least one), or a single empty range when there are no meta rows, so
+/// that their log rows are still counted.
+pub fn batch_ranges(meta_rows: usize, per_batch: usize) -> impl Iterator<Item = Range<usize>> {
+    let per_batch = per_batch.max(1);
+    let batches = meta_rows.div_ceil(per_batch).max(1);
+    (0..batches).map(move |b| b * per_batch..((b + 1) * per_batch).min(meta_rows))
+}
+
+/// How many rows of one probe-sorted log table lie in `ds.meta[probes]`'s
+/// span (see [`build_probes`]).
+fn span_rows<R>(
+    ds: &AtlasDataset,
+    probes: &Range<usize>,
+    rows: &[R],
+    probe: impl Fn(&R) -> ProbeId,
+) -> u64 {
+    // Rows up to and including the probe of meta row `i - 1`.
+    let cut = |i: usize| match i.checked_sub(1) {
+        None => 0,
+        Some(last) => rows.partition_point(|r| probe(r) <= ds.meta[last].probe),
+    };
+    let end = if probes.end == ds.meta.len() { rows.len() } else { cut(probes.end) };
+    (end - cut(probes.start)) as u64
 }
 
 /// One row of a replay plan: an index into its dataset table.
@@ -364,6 +586,91 @@ mod tests {
             render_full(&sealed, &cfg.as_names),
             render_full(&batch, &cfg.as_names)
         );
+    }
+
+    /// Replays `ds` probe-major: every batch of `per_batch` probes built
+    /// apart from the analyzer, then installed.
+    fn install_in_batches(live: &mut IncrementalAnalyzer, ds: &AtlasDataset, per_batch: usize) {
+        for range in batch_ranges(ds.meta.len(), per_batch) {
+            let batch = build_probes(ds, range, &live.snapshots);
+            live.install(batch);
+        }
+    }
+
+    /// The batch path ends where the record path ends: the same probe
+    /// views, rolling counts, ingest counters and sealed report, at any
+    /// batch size.
+    #[test]
+    fn installed_batches_match_the_record_path() {
+        let world = paper_world(0.01, 3);
+        let out = dynaddr_atlas::simulate(&world);
+        let ds = &out.dataset;
+        let snaps = paper_route_tables(&world);
+        let cfg = AnalysisConfig { fig3_min_years: 0.01, ..AnalysisConfig::default() };
+        let mut record = IncrementalAnalyzer::new(snaps.clone());
+        record.replay(ds);
+        let want = render_full(&record.seal(&cfg), &cfg.as_names);
+        for per_batch in [1, 7, 100_000] {
+            let mut live = IncrementalAnalyzer::new(snaps.clone());
+            install_in_batches(&mut live, ds, per_batch);
+            assert_eq!(live.stats(), record.stats(), "per_batch={per_batch}");
+            assert_eq!(live.rolling_counts(), record.rolling_counts(), "per_batch={per_batch}");
+            for m in &ds.meta {
+                assert_eq!(live.probe_view(m.probe.0), record.probe_view(m.probe.0));
+            }
+            assert_eq!(render_full(&live.seal(&cfg), &cfg.as_names), want, "per_batch={per_batch}");
+        }
+        let rows = ds.connections.len() + ds.kroot.len() + ds.uptime.len();
+        assert_eq!(record.stats().log_rows() as usize, rows);
+    }
+
+    /// Log rows of probes without a meta row, below the first meta id,
+    /// between two and past the last, are counted once by whichever batch
+    /// spans them, as the record path counts them.
+    #[test]
+    fn unknown_probe_rows_are_counted_once_at_any_batch_size() {
+        let snaps = MonthlySnapshots::uniform(dynaddr_ip2as::RouteTable::new());
+        let conn = |probe: u32, start: i64| ConnectionLogEntry {
+            probe: dynaddr_types::ProbeId(probe),
+            start: SimTime(start),
+            end: SimTime(start + 60),
+            peer: dynaddr_atlas::logs::PeerAddr::V4("10.0.0.1".parse().unwrap()),
+        };
+        let uptime = |probe: u32, t: i64| SosUptimeRecord {
+            probe: dynaddr_types::ProbeId(probe),
+            timestamp: SimTime(t),
+            uptime_secs: t as u64,
+        };
+        let meta =
+            |probe: u32| ProbeMeta { probe: dynaddr_types::ProbeId(probe), ..ProbeMeta::default() };
+        let mut ds = AtlasDataset {
+            meta: vec![meta(3), meta(5), meta(8)],
+            connections: [1, 3, 3, 4, 5, 6, 6, 8, 9, 12]
+                .iter()
+                .map(|&p| conn(p, 100 * p as i64))
+                .collect(),
+            uptime: [2, 5, 7, 8, 20].iter().map(|&p| uptime(p, 10 * p as i64)).collect(),
+            ..AtlasDataset::default()
+        };
+        ds.normalize();
+        let mut record = IncrementalAnalyzer::new(snaps.clone());
+        record.replay(&ds);
+        assert_eq!(record.stats().unknown_probe_rows, 9);
+        let per_batch: Vec<u64> = batch_ranges(ds.meta.len(), 1)
+            .map(|range| build_probes(&ds, range, &snaps).stats().unknown_probe_rows)
+            .collect();
+        assert_eq!(per_batch, [2, 1, 6], "ids 1-2 | 4 | 6, 7, 9, 12, 20");
+        for per_batch in [1, 2, 3] {
+            let mut live = IncrementalAnalyzer::new(snaps.clone());
+            install_in_batches(&mut live, &ds, per_batch);
+            assert_eq!(live.stats(), record.stats(), "per_batch={per_batch}");
+        }
+        // No meta rows at all: one empty range still counts every row.
+        let orphans = AtlasDataset { meta: Vec::new(), ..ds.clone() };
+        let mut live = IncrementalAnalyzer::new(snaps);
+        install_in_batches(&mut live, &orphans, 512);
+        assert_eq!(live.stats().unknown_probe_rows, 15);
+        assert_eq!(live.probes_tracked(), 0);
     }
 
     #[test]

@@ -329,19 +329,34 @@ pub(crate) struct OutageMachines {
     bracketer: KrootBracketer,
 }
 
+/// Feeds one probe's time-sorted k-root and uptime rows to `sink` merged
+/// in `replay_plan`'s arrival order: k-root first on equal timestamps.
+/// Every probe-major driver feeds the outage machines through here.
+pub(crate) fn in_arrival_order<S>(
+    kroot: &[KrootPingRecord],
+    uptime: &[SosUptimeRecord],
+    sink: &mut S,
+    mut on_kroot: impl FnMut(&mut S, &KrootPingRecord),
+    mut on_uptime: impl FnMut(&mut S, &SosUptimeRecord),
+) {
+    let mut kroot = kroot.iter().peekable();
+    for u in uptime {
+        while let Some(r) = kroot.next_if(|r| r.timestamp <= u.timestamp) {
+            on_kroot(sink, r);
+        }
+        on_uptime(sink, u);
+    }
+    kroot.for_each(|r| on_kroot(sink, r));
+}
+
 impl OutageMachines {
-    /// Runs the machines over one probe's time-sorted rows, merged in
-    /// `replay_plan`'s arrival order: k-root first on equal timestamps.
+    /// Runs the machines over one probe's time-sorted rows, merged by
+    /// [`in_arrival_order`].
     pub(crate) fn run(kroot: &[KrootPingRecord], uptime: &[SosUptimeRecord]) -> ProbeOutages {
         let mut m = OutageMachines::default();
-        let mut kroot = kroot.iter().peekable();
-        for u in uptime {
-            while let Some(r) = kroot.next_if(|r| r.timestamp <= u.timestamp) {
-                m.push_kroot(r);
-            }
+        in_arrival_order(kroot, uptime, &mut m, |m, r| m.push_kroot(r), |m, u| {
             m.push_uptime(u);
-        }
-        kroot.for_each(|r| m.push_kroot(r));
+        });
         m.finish()
     }
 

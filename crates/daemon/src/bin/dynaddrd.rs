@@ -8,16 +8,22 @@
 //!          [--wait-sealed SECS]
 //! ```
 //!
-//! Daemon mode binds `--socket`, then replays every record of the store
-//! file in arrival order — paced by `--rate` (recorded seconds per
-//! wall-clock second; default `max`) — while answering point queries
-//! (`DaemonSnapshot`, `DaemonProbe`, `IngestStats`, plus the front-end's
-//! `ServerStats`) from the rolling state. When the replay completes, the
-//! stream is sealed and the full report is written to `--report`
-//! (atomically, via a rename) — byte-for-byte the report `analyze --data`
-//! prints for the same directory, which is exactly what the CI smoke
-//! diffs. With `--exit-after-replay` the daemon then shuts down; without
-//! it, it keeps serving until killed.
+//! Daemon mode binds `--socket`, then replays the store file while
+//! answering point queries (`DaemonSnapshot`, `DaemonProbe`,
+//! `IngestStats`, plus the front-end's `ServerStats`) from the rolling
+//! state. At `--rate max` (the default) only the file's footer is read
+//! before binding; the replay then streams the file probe-major, one
+//! batch of whole probes at a time, each built off the state lock, so
+//! probes appear whole a batch at a time and memory stays at one batch
+//! plus the machines. `--rate N` loads the file and pushes every record
+//! in arrival order, N recorded seconds per wall-clock second. When the
+//! replay completes, the stream is sealed and the full report is written
+//! to `--report` (atomically, via a rename) — byte-for-byte the report
+//! `analyze --data` prints for the same directory, which is exactly what
+//! the CI smoke diffs. With `--exit-after-replay` the daemon then shuts
+//! down; without it, it keeps serving until killed. If the replay or the
+//! report write fails, the daemon logs the error, stops serving,
+//! publishes no report and exits 1.
 //!
 //! The replay FILE is any store file; `--data` names the directory that
 //! supplies `ip2as/` and `names.json`, and defaults to the replay file's
@@ -53,6 +59,7 @@ fn run() -> Result<(), String> {
 #[cfg(unix)]
 fn run_daemon(args: Vec<String>) -> Result<(), String> {
     use dynaddr_atlas::logs::AtlasDataset;
+    use dynaddr_atlas::DatasetStream;
     use dynaddr_core::pipeline::AnalysisConfig;
     use dynaddr_daemon::{Daemon, Rate};
     use dynaddr_ip2as::MonthlySnapshots;
@@ -124,46 +131,90 @@ fn run_daemon(args: Vec<String>) -> Result<(), String> {
             ),
         }
     }
-    let dataset = AtlasDataset::load_file(&replay_file)
-        .map_err(|e| format!("failed to load replay file {e}"))?;
+    // At max rate only the footer is read here; paced replay needs the
+    // whole file in memory for its arrival-order plan.
+    let (source, probes) = match rate {
+        Rate::Max => {
+            let stream = DatasetStream::open(&replay_file)
+                .map_err(|e| format!("failed to open replay file {}: {e}", replay_file.display()))?;
+            let probes = stream.total_probes();
+            (Source::Stream(stream), probes)
+        }
+        Rate::Multiplier(_) => {
+            let dataset = AtlasDataset::load_file(&replay_file)
+                .map_err(|e| format!("failed to load replay file {e}"))?;
+            let probes = dataset.meta.len() as u64;
+            (Source::Paced(dataset, rate), probes)
+        }
+    };
 
     let daemon = Arc::new(Daemon::new(snaps, cfg));
     let server = serve(Arc::clone(&daemon), &socket).map_err(|e| e.to_string())?;
     let handle = server.handle();
     eprintln!(
-        "dynaddrd: replaying {} ({} probes) at {:?} — listening on {}",
+        "dynaddrd: replaying {} ({probes} probes) at {rate:?} — listening on {}",
         replay_file.display(),
-        dataset.meta.len(),
-        rate,
         socket.display()
     );
 
     let ingest_daemon = Arc::clone(&daemon);
-    let report_path = report.clone();
     let ingest = std::thread::spawn(move || -> Result<(), String> {
-        ingest_daemon.replay(&dataset, rate);
-        let text = ingest_daemon.seal_text();
-        if let Some(path) = &report_path {
-            // Atomic publish: the CI smoke polls for this file, so it must
-            // never observe a half-written report.
-            let tmp = path.with_extension("tmp");
-            std::fs::write(&tmp, &text).map_err(|e| format!("{}: {e}", tmp.display()))?;
-            std::fs::rename(&tmp, path).map_err(|e| format!("{}: {e}", path.display()))?;
-            dynaddr_obs::info!("wrote sealed report to {}", path.display());
+        let done = replay_and_publish(&ingest_daemon, source, &replay_file, report.as_deref());
+        if let Err(e) = &done {
+            dynaddr_obs::error!("{e}");
         }
         // Make the replay's trace durable now: a daemon is typically
         // killed, not shut down, so waiting for exit would lose the tail.
         dynaddr_obs::flush_trace();
-        if exit_after_replay {
+        // A failure stops serving even without --exit-after-replay: no
+        // report a caller waits for would ever be published.
+        if exit_after_replay || done.is_err() {
             handle.stop();
         }
-        Ok(())
+        done
     });
 
     let served = server.run().map_err(|e| e.to_string());
     let ingested = ingest.join().map_err(|_| "ingest thread panicked".to_string())?;
     dynaddr_obs::flush_trace();
     served.and(ingested)
+}
+
+/// Where the replay's records come from.
+#[cfg(unix)]
+enum Source {
+    /// `--rate max`: the store, streamed probe-major.
+    Stream(dynaddr_atlas::DatasetStream),
+    /// `--rate N`: the loaded dataset, replayed in arrival order.
+    Paced(dynaddr_atlas::logs::AtlasDataset, dynaddr_daemon::Rate),
+}
+
+/// Replays `source`, seals, and publishes the report to `report`, if
+/// given. On error nothing is published.
+#[cfg(unix)]
+fn replay_and_publish(
+    daemon: &dynaddr_daemon::Daemon,
+    source: Source,
+    replay_file: &std::path::Path,
+    report: Option<&std::path::Path>,
+) -> Result<(), String> {
+    match source {
+        Source::Stream(stream) => daemon
+            .replay_stream(stream)
+            .map_err(|e| format!("replay of {} failed: {e}", replay_file.display()))?,
+        Source::Paced(dataset, rate) => daemon.replay(&dataset, rate),
+    }
+    let text = daemon.seal_text();
+    if let Some(path) = report {
+        // Atomic publish: the CI smoke polls for this file, so it must
+        // never observe a half-written report.
+        let tmp = path.with_extension("tmp");
+        let failed = |e: std::io::Error| format!("failed to write report {}: {e}", path.display());
+        std::fs::write(&tmp, &text).map_err(failed)?;
+        std::fs::rename(&tmp, path).map_err(failed)?;
+        dynaddr_obs::info!("wrote sealed report to {}", path.display());
+    }
+    Ok(())
 }
 
 #[cfg(unix)]

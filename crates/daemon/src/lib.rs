@@ -8,20 +8,30 @@
 //! ([`dynaddr_query::server`]); only the
 //! [`Answerer`](dynaddr_query::Answerer) behind it differs.
 //!
-//! Two ways records arrive:
+//! Three ways records arrive:
 //!
-//! * **Replay** ([`Daemon::replay`]): every record of a `dataset.store`,
-//!   stably ordered by arrival time, optionally paced by a rate multiple
-//!   of simulated real time ([`Rate`]). This is the CI-pinned path: a full
+//! * **Replay at full speed** ([`Daemon::replay_stream`] over a
+//!   [`DatasetStream`], or [`Daemon::replay`] with [`Rate::Max`] over a
+//!   loaded dataset): probe-major, one batch of whole probes at a time.
+//!   Each batch runs through the per-probe kernel on the executor's
+//!   workers with no lock held ([`build_probes`]), then goes in under
+//!   one short lock hold. The paper's method is per probe, so no global
+//!   time order is needed, and a store replays in the memory of one
+//!   batch plus the machines. This is the CI-pinned path: a full
 //!   replay followed by [`Daemon::seal_text`] renders **byte-for-byte**
 //!   the report the batch `analyze` binary prints for the same directory.
+//! * **Paced replay** ([`Daemon::replay`] with [`Rate::Multiplier`]):
+//!   every record of a loaded dataset in arrival order
+//!   ([`replay_plan`]), each pushed at its recorded time scaled by the
+//!   rate.
 //! * **Live pushes** ([`Daemon::push_meta`] and friends): the same entry
 //!   points, one record at a time, for ingesting a simulator or collector
 //!   as it emits.
 //!
 //! Point queries ([`Request::DaemonSnapshot`], [`Request::DaemonProbe`],
 //! [`Request::IngestStats`]) answer from rolling state in O(1)–O(log n)
-//! under a brief lock; sealing clones the per-probe machines, so the
+//! under a brief lock. Sealing finishes clones of the per-probe machines
+//! under the lock and runs the global finish after releasing it, so the
 //! stream keeps flowing while a report renders. Ingest volume and seal
 //! spans flow into `dynaddr-obs` (`daemon.*` counters, `daemon.replay`
 //! heartbeats) and from there into the `--trace` sidecar.
@@ -32,7 +42,9 @@
 use dynaddr_atlas::logs::{
     AtlasDataset, ConnectionLogEntry, KrootPingRecord, ProbeMeta, SosUptimeRecord,
 };
-use dynaddr_core::live::{replay_plan, IncrementalAnalyzer};
+use dynaddr_atlas::stream::DEFAULT_BATCH_PROBES;
+use dynaddr_atlas::{DatasetStream, StoreError};
+use dynaddr_core::live::{batch_ranges, build_probes, replay_plan, IncrementalAnalyzer, ProbeBatch};
 use dynaddr_core::pipeline::AnalysisConfig;
 use dynaddr_core::report::render_full;
 use dynaddr_core::ProbeClass;
@@ -40,7 +52,7 @@ use dynaddr_ip2as::MonthlySnapshots;
 use dynaddr_query::proto::{DaemonProbeReply, DaemonSnapshotReply, IngestStatsReply};
 use dynaddr_query::{Request, Response};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Replay pacing: how fast recorded time is pushed relative to wall time.
@@ -65,15 +77,12 @@ impl Rate {
     }
 }
 
-/// How many records are applied per lock acquisition during an unpaced
-/// replay — large enough to keep the lock cheap, small enough that point
-/// queries never wait noticeably.
-const REPLAY_CHUNK: usize = 256;
-
 /// The resident daemon state: the incremental analyzer plus the ingest
 /// bookkeeping the wire protocol reports.
 pub struct Daemon {
     live: Mutex<IncrementalAnalyzer>,
+    /// The analyzer's snapshots, for building batches off the lock.
+    snapshots: MonthlySnapshots,
     cfg: AnalysisConfig,
     started: Instant,
     rows_planned: AtomicU64,
@@ -99,7 +108,8 @@ impl Daemon {
     /// would use, so sealed reports are comparable).
     pub fn new(snapshots: MonthlySnapshots, cfg: AnalysisConfig) -> Daemon {
         Daemon {
-            live: Mutex::new(IncrementalAnalyzer::new(snapshots)),
+            live: Mutex::new(IncrementalAnalyzer::new(snapshots.clone())),
+            snapshots,
             cfg,
             started: Instant::now(),
             rows_planned: AtomicU64::new(0),
@@ -108,89 +118,124 @@ impl Daemon {
         }
     }
 
+    /// The analyzer, locked. A poisoned lock means a thread panicked in
+    /// the middle of an update, so the rolling state is no longer whole.
+    fn state(&self) -> MutexGuard<'_, IncrementalAnalyzer> {
+        self.live.lock().expect("a thread panicked while holding the daemon state")
+    }
+
     /// Introduces one probe (live ingestion entry point).
     pub fn push_meta(&self, meta: &ProbeMeta) {
-        self.live.lock().unwrap().push_meta(meta);
+        self.state().push_meta(meta);
     }
 
     /// Feeds one connection-log entry (live ingestion entry point).
     pub fn push_connection(&self, e: &ConnectionLogEntry) {
-        self.live.lock().unwrap().push_connection(e);
+        self.state().push_connection(e);
         self.rows_ingested.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Feeds one k-root ping record (live ingestion entry point).
     pub fn push_kroot(&self, r: &KrootPingRecord) {
-        self.live.lock().unwrap().push_kroot(r);
+        self.state().push_kroot(r);
         self.rows_ingested.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Feeds one SOS-uptime record (live ingestion entry point).
     pub fn push_uptime(&self, r: &SosUptimeRecord) {
-        self.live.lock().unwrap().push_uptime(r);
+        self.state().push_uptime(r);
         self.rows_ingested.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Replays a whole dataset in arrival order: all meta rows first, then
-    /// every record, paced by `rate`. Point queries interleave freely —
-    /// the lock is released between chunks (unpaced) or records (paced).
+    /// Replays a whole dataset, paced by `rate`, into a daemon that
+    /// tracks none of its probes yet. Point queries interleave freely.
+    ///
+    /// At [`Rate::Max`] the replay is probe-major: the dataset's meta rows
+    /// in batches of [`DEFAULT_BATCH_PROBES`], each built off the lock and
+    /// installed whole, exactly as [`replay_stream`](Self::replay_stream)
+    /// replays a store. Paced, it pushes all meta rows first, then every
+    /// record in arrival order ([`replay_plan`]) at its recorded time
+    /// scaled by the rate, one lock hold per record. `ds` must be
+    /// normalized.
     pub fn replay(&self, ds: &AtlasDataset, rate: Rate) {
-        let plan = replay_plan(ds);
-        self.rows_planned.store(plan.len() as u64, Ordering::Relaxed);
+        let rows = (ds.connections.len() + ds.kroot.len() + ds.uptime.len()) as u64;
+        self.rows_planned.store(rows, Ordering::Relaxed);
+        let progress = dynaddr_obs::Progress::start("daemon.replay", rows);
+        match rate {
+            Rate::Max => {
+                for range in batch_ranges(ds.meta.len(), DEFAULT_BATCH_PROBES) {
+                    self.install(build_probes(ds, range, &self.snapshots), &progress);
+                }
+            }
+            Rate::Multiplier(m) => self.replay_paced(ds, m, &progress),
+        }
+        progress.finish();
+    }
+
+    /// The paced half of [`replay`](Self::replay): meta rows, then the
+    /// arrival-order plan, one record per lock hold.
+    fn replay_paced(&self, ds: &AtlasDataset, m: f64, progress: &dynaddr_obs::Progress) {
         {
-            let mut live = self.live.lock().unwrap();
+            let mut live = self.state();
             for meta in &ds.meta {
                 live.push_meta(meta);
             }
         }
         dynaddr_obs::counter_add("daemon.meta_rows", ds.meta.len() as u64);
-        let progress = dynaddr_obs::Progress::start("daemon.replay", plan.len() as u64);
-        match rate {
-            Rate::Max => {
-                for chunk in plan.chunks(REPLAY_CHUNK) {
-                    let mut live = self.live.lock().unwrap();
-                    for step in chunk {
-                        live.apply(ds, step.row);
-                    }
-                    drop(live);
-                    self.rows_ingested.fetch_add(chunk.len() as u64, Ordering::Relaxed);
-                    dynaddr_obs::counter_add("daemon.rows_ingested", chunk.len() as u64);
-                    progress.add(chunk.len() as u64);
-                }
+        let plan = replay_plan(ds);
+        let Some(first) = plan.first() else {
+            return;
+        };
+        let origin = first.time.0;
+        let wall_start = Instant::now();
+        for step in &plan {
+            let due = Duration::from_secs_f64(((step.time.0 - origin).max(0) as f64) / m);
+            let elapsed = wall_start.elapsed();
+            if due > elapsed {
+                std::thread::sleep(due - elapsed);
             }
-            Rate::Multiplier(m) => {
-                let Some(first) = plan.first() else {
-                    progress.finish();
-                    return;
-                };
-                let origin = first.time.0;
-                let wall_start = Instant::now();
-                for step in &plan {
-                    let due = Duration::from_secs_f64(
-                        ((step.time.0 - origin).max(0) as f64) / m,
-                    );
-                    let elapsed = wall_start.elapsed();
-                    if due > elapsed {
-                        std::thread::sleep(due - elapsed);
-                    }
-                    self.live.lock().unwrap().apply(ds, step.row);
-                    self.rows_ingested.fetch_add(1, Ordering::Relaxed);
-                    dynaddr_obs::counter_add("daemon.rows_ingested", 1);
-                    progress.add(1);
-                }
-            }
+            self.state().apply(ds, step.row);
+            self.rows_ingested.fetch_add(1, Ordering::Relaxed);
+            dynaddr_obs::counter_add("daemon.rows_ingested", 1);
+            progress.add(1);
+        }
+    }
+
+    /// Replays a store at full speed, probe-major, into a daemon that
+    /// tracks none of its probes yet: each [`DatasetStream`] batch is
+    /// built off the lock and installed whole, so the daemon holds one
+    /// decoded batch beside its machines, never the store. The planned row
+    /// count comes from the store's footer. A store error ends the replay;
+    /// the batches installed before it stay.
+    pub fn replay_stream(&self, mut stream: DatasetStream) -> Result<(), StoreError> {
+        let rows = stream.total_log_rows();
+        self.rows_planned.store(rows, Ordering::Relaxed);
+        let progress = dynaddr_obs::Progress::start("daemon.replay", rows);
+        while let Some(batch) = stream.next_batch()? {
+            self.install(build_probes(&batch, 0..batch.meta.len(), &self.snapshots), &progress);
         }
         progress.finish();
+        Ok(())
+    }
+
+    /// Installs one built batch under a single lock hold.
+    fn install(&self, batch: ProbeBatch, progress: &dynaddr_obs::Progress) {
+        let (probes, rows) = (batch.stats().meta_rows, batch.stats().log_rows());
+        self.state().install(batch);
+        self.rows_ingested.fetch_add(rows, Ordering::Relaxed);
+        dynaddr_obs::counter_add("daemon.meta_rows", probes);
+        dynaddr_obs::counter_add("daemon.rows_ingested", rows);
+        progress.add(rows);
     }
 
     /// Seals a snapshot of the live stream into the full rendered report —
     /// the exact text the batch `analyze` binary prints, once the stream
-    /// is complete. The live state keeps ingesting afterwards.
+    /// is complete. Only the per-probe half holds the lock; the global
+    /// finish and rendering run after it is released, and the live state
+    /// keeps ingesting afterwards.
     pub fn seal_text(&self) -> String {
-        let report = {
-            let live = self.live.lock().unwrap();
-            live.seal(&self.cfg)
-        };
+        let probes = self.state().seal_probes();
+        let report = probes.finish(&self.cfg);
         self.sealed.store(true, Ordering::Relaxed);
         dynaddr_obs::counter_add("daemon.seals", 1);
         render_full(&report, &self.cfg.as_names)
@@ -203,7 +248,7 @@ impl Daemon {
 
     /// The rolling funnel + event totals, as the wire reports them.
     pub fn snapshot_reply(&self) -> DaemonSnapshotReply {
-        let live = self.live.lock().unwrap();
+        let live = self.state();
         let c = live.rolling_counts();
         let s = live.stats();
         DaemonSnapshotReply {
@@ -229,7 +274,7 @@ impl Daemon {
 
     /// One probe's rolling state, if introduced.
     pub fn probe_reply(&self, id: u32) -> Option<DaemonProbeReply> {
-        let view = self.live.lock().unwrap().probe_view(id)?;
+        let view = self.state().probe_view(id)?;
         Some(DaemonProbeReply {
             probe: id,
             class: class_code(view.class),
@@ -245,7 +290,7 @@ impl Daemon {
 
     /// The ingest counters and replay progress, as the wire reports them.
     pub fn ingest_reply(&self) -> IngestStatsReply {
-        let stats = self.live.lock().unwrap().stats().clone();
+        let stats = self.state().stats().clone();
         IngestStatsReply {
             meta_rows: stats.meta_rows,
             connection_rows: stats.connection_rows,
@@ -318,6 +363,76 @@ mod tests {
         let batch = dynaddr_core::pipeline::analyze(&ds, &snaps, daemon.config());
         assert_eq!(sealed, render_full(&batch, &daemon.config().as_names));
         assert!(daemon.ingest_reply().sealed);
+    }
+
+    /// Streaming the store file ends where the in-memory replay ends: the
+    /// same ingest counters, rolling state and sealed report, with the
+    /// planned rows read from the footer.
+    #[test]
+    fn stream_replay_matches_in_memory_replay() {
+        let (daemon, ds) = small_daemon();
+        daemon.replay(&ds, Rate::Max);
+        let dir = std::env::temp_dir().join(format!("dynaddrd-stream-{}", std::process::id()));
+        ds.save_dir(&dir).unwrap();
+        let (streamed, _) = small_daemon();
+        streamed.replay_stream(DatasetStream::open(&dir.join("dataset.store")).unwrap()).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let (a, b) = (daemon.ingest_reply(), streamed.ingest_reply());
+        assert_eq!(b.rows_planned, a.rows_planned);
+        assert_eq!(b.rows_ingested, b.rows_planned);
+        assert_eq!(
+            (b.meta_rows, b.connection_rows, b.kroot_rows, b.uptime_rows, b.unknown_probe_rows),
+            (a.meta_rows, a.connection_rows, a.kroot_rows, a.uptime_rows, a.unknown_probe_rows)
+        );
+        assert_eq!(b.frontier_secs, a.frontier_secs);
+        assert_eq!(streamed.snapshot_reply(), daemon.snapshot_reply());
+        assert_eq!(streamed.seal_text(), daemon.seal_text());
+    }
+
+    /// While a max-rate replay runs, every probe a query sees is whole: its
+    /// reply already equals the one after the replay. Probes arrive a
+    /// batch at a time, and the planned rows are known from the start.
+    #[test]
+    fn mid_replay_state_shows_whole_probes() {
+        use std::sync::atomic::AtomicBool;
+
+        let world = paper_world(0.1, 3);
+        let ds = dynaddr_atlas::simulate(&world).dataset;
+        assert!(ds.meta.len() > 2 * DEFAULT_BATCH_PROBES, "three batches or more");
+        let rows = (ds.connections.len() + ds.kroot.len() + ds.uptime.len()) as u64;
+        let daemon = Daemon::new(paper_route_tables(&world), AnalysisConfig::default());
+        let done = AtomicBool::new(false);
+        let (seen, mid_replay) = std::thread::scope(|s| {
+            let asker = s.spawn(|| {
+                let (mut seen, mut mid_replay) = (Vec::new(), 0usize);
+                let mut k = 0usize;
+                while daemon.ingest_reply().rows_planned == 0 && !done.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                while !done.load(Ordering::Acquire) {
+                    k = (k + 97) % ds.meta.len();
+                    seen.extend(daemon.probe_reply(ds.meta[k].probe.0));
+                    let ingest = daemon.ingest_reply();
+                    assert_eq!(ingest.rows_planned, rows);
+                    let tracked = daemon.snapshot_reply().probes_tracked as usize;
+                    assert!(
+                        tracked.is_multiple_of(DEFAULT_BATCH_PROBES) || tracked == ds.meta.len(),
+                        "{tracked} probes tracked: not whole batches"
+                    );
+                    mid_replay += usize::from(tracked < ds.meta.len());
+                }
+                (seen, mid_replay)
+            });
+            daemon.replay(&ds, Rate::Max);
+            done.store(true, Ordering::Release);
+            asker.join().expect("query thread")
+        });
+        for reply in &seen {
+            assert_eq!(daemon.probe_reply(reply.probe).as_ref(), Some(reply));
+        }
+        let ingest = daemon.ingest_reply();
+        assert_eq!((ingest.rows_ingested, ingest.rows_planned), (rows, rows));
+        eprintln!("{} probe replies checked, {mid_replay} taken mid-replay", seen.len());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 # CI gate: release build, workspace and benchmark-harness tests, the docs
 # with warnings denied, a perfsnap smoke run, CLI usage errors, store,
 # query-serving (queryd/queryc), dynaddrd replay, streamed and traced
-# pipeline smokes, the paper-tier memory ceilings (streamed analyze and
-# queryd), and the quickstart.
+# pipeline smokes, the paper-tier memory ceilings (streamed analyze,
+# dynaddrd and queryd), and the quickstart.
 #
 # The smoke run times the pipeline at a tiny scale (0.01) just to prove the
 # bench binary exits 0 and writes valid JSON — it is NOT a benchmark and its
@@ -170,11 +170,38 @@ echo "==> paper-tier streamed smoke (memory ceiling)"
 cargo run --release -q -p dynaddr-bench --bin simulate -- \
     --out "$SMOKE/paper" --tier paper --streamed
 cargo run --release -q -p dynaddr-bench --bin analyze -- \
-    --data "$SMOKE/paper" --streamed > /dev/null 2> "$SMOKE/paper-analyze.err"
+    --data "$SMOKE/paper" --streamed --report "$SMOKE/paper.txt" \
+    > /dev/null 2> "$SMOKE/paper-analyze.err"
 RSS="$(sed -n 's/^peak_rss_bytes: //p' "$SMOKE/paper-analyze.err")"
 echo "    paper-tier streamed analyze peak RSS: $RSS bytes"
 test -n "$RSS"
 test "$RSS" -lt 157286400
+
+echo "==> paper-tier dynaddrd smoke (memory ceiling, sealed vs streamed analyze)"
+# At --rate max dynaddrd replays the store probe-major, one batch of
+# whole probes at a time, so it holds one batch beside the machines, not
+# the store. Its sealed report must equal the streamed analyzer's, and it
+# must peak under 200 MiB RSS (about 180 MiB on a 2-vCPU Xeon VM).
+DSOCK="$SMOKE/dynaddrd-paper.sock"
+DREPORT="$SMOKE/paper-dynaddrd.txt"
+./target/release/dynaddrd --replay "$SMOKE/paper/dataset.store" --socket "$DSOCK" \
+    --rate max --report "$DREPORT" 2> "$SMOKE/dynaddrd-paper.err" &
+DPID=$!
+trap 'kill "$DPID" 2>/dev/null || true; rm -rf "$SNAP" "$SMOKE"' EXIT
+N=0
+until [ -f "$DREPORT" ]; do
+    kill -0 "$DPID" 2>/dev/null || { cat "$SMOKE/dynaddrd-paper.err"; exit 1; }
+    N=$((N+1))
+    [ "$N" -lt 1200 ] || { echo "dynaddrd paper report never appeared"; exit 1; }
+    sleep 0.1
+done
+diff "$SMOKE/paper.txt" "$DREPORT"
+HWM="$(sed -n 's/^VmHWM:[[:space:]]*\([0-9]*\) kB$/\1/p' "/proc/$DPID/status")"
+echo "    paper-tier dynaddrd peak RSS: $HWM kB"
+test -n "$HWM"
+test "$HWM" -lt 204800
+kill "$DPID"
+wait "$DPID" 2>/dev/null || true
 
 echo "==> paper-tier queryd smoke (memory ceiling, remote vs local)"
 # queryd on the paper-tier store with a fixed 64 MiB segment cache must

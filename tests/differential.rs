@@ -1,17 +1,19 @@
 //! A differential net under the three analysis drivers.
 //!
 //! The batch analyzer (`analyze`), the out-of-core analyzer
-//! (`analyze_streamed_batched`) and the live analyzer
-//! (`IncrementalAnalyzer::replay` + `seal`) must agree byte for byte on
+//! (`analyze_streamed_batched`) and the live analyzer, fed record by
+//! record (`IncrementalAnalyzer::replay`) or probe-major in batches
+//! (`build_probes` + `install`), then sealed, must agree byte for byte on
 //! every dataset, not just on the paper world `tests/determinism.rs`
-//! pins. The property test builds small random worlds the way
+//! pins. The two live paths must also end with the same rolling counts
+//! and ingest counters. The property test builds small random worlds the way
 //! `examples/custom_world.rs` builds one by hand; the named tests build
 //! datasets row by row with the edge shapes the drivers could split on.
 
 use dynaddr::analysis::pipeline::{
     analyze, analyze_streamed_batched, AnalysisConfig, AnalysisReport,
 };
-use dynaddr::analysis::IncrementalAnalyzer;
+use dynaddr::analysis::{batch_ranges, build_probes, IncrementalAnalyzer};
 use dynaddr::atlas::config::{
     AccessShare, CpeSchedule, FillerSpec, IspSpec, OutageSpec, WorldConfig,
 };
@@ -61,7 +63,9 @@ fn write_store(ds: &AtlasDataset, segment_rows: usize) -> PathBuf {
 /// Every driver's report on `ds` as `(driver, JSON)`: `analyze` at 1 and
 /// 2 threads, the streamed analyzer at batch sizes 1, 7 and the default
 /// over a store file cut every `segment_rows` rows, and a full replay
-/// through the live analyzer, then seal.
+/// through the live analyzer, then seal: record by record, and probe-major
+/// at batch sizes 1, 7 and the default. The probe-major replays must end
+/// with the record replay's rolling counts and ingest counters.
 fn reports(
     ds: &AtlasDataset,
     snaps: &MonthlySnapshots,
@@ -84,9 +88,18 @@ fn reports(
     }
     std::fs::remove_file(&path).ok();
 
-    let mut live = IncrementalAnalyzer::new(snaps.clone());
-    live.replay(ds);
-    out.push(("replay+seal".to_string(), json(live.seal(cfg))));
+    let mut record = IncrementalAnalyzer::new(snaps.clone());
+    record.replay(ds);
+    out.push(("replay+seal".to_string(), json(record.seal(cfg))));
+    for batch in [1, 7, DEFAULT_BATCH_PROBES] {
+        let mut live = IncrementalAnalyzer::new(snaps.clone());
+        for range in batch_ranges(ds.meta.len(), batch) {
+            live.install(build_probes(ds, range, snaps));
+        }
+        assert_eq!(live.rolling_counts(), record.rolling_counts(), "install batch={batch}");
+        assert_eq!(live.stats(), record.stats(), "install batch={batch}");
+        out.push((format!("build_probes+install+seal batch={batch}"), json(live.seal(cfg))));
+    }
     out
 }
 
@@ -451,4 +464,32 @@ fn uptime_and_kroot_records_share_a_timestamp() {
     assert!(kroot.contains(&reboots[0].report_time));
     assert!(ds.uptime.iter().all(|u| kroot.contains(&u.timestamp) || u.probe != ProbeId(1)));
     assert_drivers_agree(&ds, &snaps(), 64);
+}
+
+#[test]
+fn log_rows_of_probes_without_a_meta_row() {
+    // Probes 1, 3 and 9 have log rows but no meta row: below the first
+    // meta id, between two, and past the last.
+    let mut ds = dataset(&[outaged(2), outaged(4)]);
+    let orphans = dataset(&[outaged(1), outaged(3), outaged(9)]);
+    ds.connections.extend(orphans.connections.iter().cloned());
+    ds.kroot.extend(orphans.kroot.iter().cloned());
+    ds.uptime.extend(orphans.uptime.iter().cloned());
+    ds.normalize();
+    let orphan_rows =
+        (orphans.connections.len() + orphans.kroot.len() + orphans.uptime.len()) as u64;
+    let all_rows = (ds.connections.len() + ds.kroot.len() + ds.uptime.len()) as u64;
+    assert_drivers_agree(&ds, &snaps(), 64);
+
+    // The daemon's probe-major replay and its paced, record-by-record one
+    // count them alike.
+    use dynaddr_daemon::{Daemon, Rate};
+    for rate in [Rate::Max, Rate::Multiplier(1e12)] {
+        let daemon = Daemon::new(snaps(), AnalysisConfig::default());
+        daemon.replay(&ds, rate);
+        let ingest = daemon.ingest_reply();
+        assert_eq!(ingest.unknown_probe_rows, orphan_rows, "{rate:?}");
+        assert_eq!((ingest.rows_ingested, ingest.rows_planned), (all_rows, all_rows), "{rate:?}");
+        assert_eq!(ingest.meta_rows, 2, "{rate:?}");
+    }
 }
