@@ -38,8 +38,9 @@
 //! The pop order is byte-for-byte the order the previous `BinaryHeap`
 //! implementation produced — a property-based differential test below
 //! drives both through randomized interleavings. The queue also counts its
-//! traffic ([`QueueStats`]): `perfsnap` aggregates per-shard queue
-//! telemetry into `BENCH_pipeline.json`.
+//! traffic ([`QueueStats`]): each simulation sums the shards' counts into
+//! the `sim.*` metrics (pushes, pops, occupancy, resizes), which
+//! `simulate --trace` writes to its sidecar.
 
 use dynaddr_types::time::DAY;
 use dynaddr_types::SimTime;

@@ -729,109 +729,6 @@ fn open(bytes: &[u8], mode: ReadMode) -> Result<(FileReader<'_>, Vec<String>), S
     }
 }
 
-// ---------------------------------------------------------------------------
-// Random access
-// ---------------------------------------------------------------------------
-
-/// Everything one probe contributed to a dataset store file, decoded
-/// without touching the other probes' segments.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ProbeRecords {
-    /// The probe's metadata, if present.
-    pub meta: Option<ProbeMeta>,
-    /// The probe's connection-log entries.
-    pub connections: Vec<ConnectionLogEntry>,
-    /// The probe's k-root ping records.
-    pub kroot: Vec<KrootPingRecord>,
-    /// The probe's SOS-uptime records.
-    pub uptime: Vec<SosUptimeRecord>,
-}
-
-/// A dataset store opened for repeated single-probe reads: the footer is
-/// parsed once and split into per-table segment lists, so each
-/// [`StoreIndex::read_probe_indexed`] call pays only for the segments it
-/// decodes, not an O(footer) re-parse. Normalized files have non-decreasing
-/// key ranges per table, which the index detects and exploits with binary
-/// search; unsorted (hand-built) files fall back to a linear scan.
-pub struct StoreIndex<'a> {
-    bytes: &'a [u8],
-    /// One entry per dataset table id 1..=4: `(per-table segment ordinal,
-    /// footer info)` in file order, plus whether the key ranges are sorted.
-    tables: [TableSegments; 4],
-}
-
-struct TableSegments {
-    segs: Vec<(usize, dynaddr_store::SegmentInfo)>,
-    sorted: bool,
-}
-
-impl<'a> StoreIndex<'a> {
-    /// Parses the footer once and indexes the four dataset tables.
-    pub fn open(bytes: &'a [u8]) -> Result<StoreIndex<'a>, StoreError> {
-        let reader = FileReader::open(bytes)?;
-        let mut tables: [TableSegments; 4] =
-            std::array::from_fn(|_| TableSegments { segs: Vec::new(), sorted: true });
-        for info in reader.segments() {
-            let Some(slot) = (1..=4).contains(&info.table).then(|| (info.table - 1) as usize)
-            else {
-                continue;
-            };
-            let t = &mut tables[slot];
-            if let Some(&(_, prev)) = t.segs.last() {
-                if prev.key_lo > info.key_lo || prev.key_hi > info.key_hi {
-                    t.sorted = false;
-                }
-            }
-            let ordinal = t.segs.len();
-            t.segs.push((ordinal, *info));
-        }
-        Ok(StoreIndex { bytes, tables })
-    }
-
-    /// Decodes `key`'s rows of one table, touching only covering segments.
-    fn rows_for<R: ColumnarRecord>(&self, key: u32) -> Result<Vec<R>, StoreError> {
-        let t = &self.tables[(R::TABLE_ID - 1) as usize];
-        let candidates = if t.sorted {
-            // First segment whose range could still contain the key.
-            &t.segs[t.segs.partition_point(|&(_, info)| info.key_hi < key)..]
-        } else {
-            &t.segs[..]
-        };
-        let mut rows = Vec::new();
-        for &(ordinal, info) in candidates {
-            if t.sorted && info.key_lo > key {
-                break;
-            }
-            if (info.key_lo..=info.key_hi).contains(&key) {
-                rows.extend(
-                    dynaddr_store::decode_segment_at::<R>(self.bytes, ordinal, info)?
-                        .into_iter()
-                        .filter(|r| r.key() == key),
-                );
-            }
-        }
-        Ok(rows)
-    }
-
-    /// Random access: everything one probe contributed, decoded without
-    /// touching the other probes' segments (or the footer again).
-    pub fn read_probe_indexed(&self, probe: ProbeId) -> Result<ProbeRecords, StoreError> {
-        Ok(ProbeRecords {
-            meta: self.rows_for::<ProbeMeta>(probe.0)?.into_iter().next(),
-            connections: self.rows_for::<ConnectionLogEntry>(probe.0)?,
-            kroot: self.rows_for::<KrootPingRecord>(probe.0)?,
-            uptime: self.rows_for::<SosUptimeRecord>(probe.0)?,
-        })
-    }
-}
-
-/// Random-access read of one probe from dataset store bytes. Thin wrapper
-/// over [`StoreIndex`]; callers doing repeated lookups should open the
-/// index once instead of paying the footer parse per call.
-pub fn read_probe(bytes: &[u8], probe: ProbeId) -> Result<ProbeRecords, StoreError> {
-    StoreIndex::open(bytes)?.read_probe_indexed(probe)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -963,19 +860,6 @@ mod tests {
         let (back, _) = truth_from_bytes(&truth_to_bytes(&truth), ReadMode::Strict).unwrap();
         assert_eq!(truth.admin_renumbering, back.admin_renumbering);
         assert!(back.changes.is_empty() && back.isp_policies.is_empty());
-    }
-
-    #[test]
-    fn probe_random_access_matches_full_decode() {
-        let ds = sample_dataset();
-        let bytes = dataset_to_bytes(&ds);
-        for p in [ProbeId(0), ProbeId(7), ProbeId(11), ProbeId(999)] {
-            let got = read_probe(&bytes, p).unwrap();
-            assert_eq!(got.meta.as_ref(), ds.meta_of(p));
-            assert_eq!(got.connections, ds.connections_of(p));
-            assert_eq!(got.kroot, ds.kroot_of(p));
-            assert_eq!(got.uptime, ds.uptime_of(p));
-        }
     }
 
     #[test]

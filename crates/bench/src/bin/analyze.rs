@@ -3,7 +3,6 @@
 //! Usage:
 //!   analyze --data DIR [--report FILE] [--json FILE] [--threads N]
 //!           [--recover] [--streamed] [--trace FILE]
-//!   analyze --tier NAME [--seed N] [--streamed] [--trace FILE] [...]
 //!
 //! DIR must contain the dataset as a `dataset.store` file and an `ip2as/`
 //! snapshot directory (the layout the `simulate` binary writes; external
@@ -20,11 +19,6 @@
 //! materialized path's. Either way the process's peak RSS is printed to
 //! stderr on exit (`peak_rss_bytes: N`) so CI can assert a memory ceiling.
 //!
-//! `--tier NAME` (s005|s02|paper|10x|100x) is self-contained: instead of
-//! reading `--data`, it simulates the named tier in-process (seeded by
-//! `--seed`, default 11) into a scratch store file and analyzes that —
-//! the one-command way to drive the full pipeline at any rung.
-//!
 //! `--trace FILE` writes a JSONL observability sidecar (spans, metrics,
 //! heartbeats, executor stats). Tracing is strictly off the output path:
 //! the report bytes are identical with and without it. `DYNADDR_LOG`
@@ -32,8 +26,6 @@
 //! malformed flag value exits 2 with the usage line.
 
 use dynaddr_atlas::logs::AtlasDataset;
-use dynaddr_atlas::sim::{simulate_to_store, SimOptions};
-use dynaddr_atlas::world::{paper_route_tables, paper_world};
 use dynaddr_bench::flag_value;
 use dynaddr_core::pipeline::{analyze, analyze_streamed, AnalysisConfig, AnalysisReport};
 use dynaddr_core::report::render_full;
@@ -43,13 +35,10 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 const USAGE: &str = "usage: analyze --data DIR [--report FILE] [--json FILE] [--threads N] \
-                     [--recover] [--streamed] [--trace FILE]\n\
-       analyze --tier NAME [--seed N] [--streamed] [--trace FILE] [...]";
+                     [--recover] [--streamed] [--trace FILE]";
 
 fn main() {
     let mut data: Option<PathBuf> = None;
-    let mut tier: Option<String> = None;
-    let mut seed: u64 = 11;
     let mut report_file: Option<PathBuf> = None;
     let mut json_file: Option<PathBuf> = None;
     let mut recover = false;
@@ -58,8 +47,6 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--data" => data = Some(flag_value(&mut args, "--data", USAGE)),
-            "--tier" => tier = Some(flag_value(&mut args, "--tier", USAGE)),
-            "--seed" => seed = flag_value(&mut args, "--seed", USAGE),
             "--streamed" => streamed = true,
             "--report" => report_file = Some(flag_value(&mut args, "--report", USAGE)),
             "--json" => json_file = Some(flag_value(&mut args, "--json", USAGE)),
@@ -81,19 +68,11 @@ fn main() {
         }
     }
 
-    // --tier simulates its own dataset; --data reads one. Exactly one.
-    let (report, as_names): (AnalysisReport, BTreeMap<u32, String>) = match (tier, data) {
-        (Some(_), Some(_)) => {
-            error!("--tier and --data are mutually exclusive");
-            std::process::exit(2);
-        }
-        (None, None) => {
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-        (Some(name), None) => run_tier(&name, seed, streamed, recover),
-        (None, Some(dir)) => run_data_dir(&dir, streamed, recover),
+    let Some(dir) = data else {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
     };
+    let (report, as_names) = run_data_dir(&dir, streamed, recover);
 
     let text = render_full(&report, &as_names);
     println!("{text}");
@@ -114,68 +93,7 @@ fn main() {
     eprintln!("peak_rss_bytes: {}", dynaddr_bench::peak_rss_bytes());
 }
 
-/// Self-contained tier mode: simulate the named tier to a scratch store
-/// file, then analyze it (streamed or materialized).
-fn run_tier(
-    name: &str,
-    seed: u64,
-    streamed: bool,
-    recover: bool,
-) -> (AnalysisReport, BTreeMap<u32, String>) {
-    if recover {
-        error!("--tier simulates a fresh store file (no --recover)");
-        std::process::exit(2);
-    }
-    let Some(scale) = dynaddr_bench::tier_scale(name) else {
-        error!(
-            "unknown tier {name:?} (want {})",
-            dynaddr_bench::TIER_NAMES.join("|")
-        );
-        std::process::exit(2);
-    };
-    let world = paper_world(scale, seed);
-    let snaps = paper_route_tables(&world);
-    let dir = std::env::temp_dir().join(format!(
-        "dynaddr-analyze-tier-{}-{}",
-        name,
-        std::process::id()
-    ));
-    let store_path = dir.join("dataset.store");
-    let mut cfg =
-        AnalysisConfig { fig3_min_years: 3.0 * scale.min(1.0), ..AnalysisConfig::default() };
-    // Every failure below still reaches the scratch-directory cleanup.
-    let report = (|| -> Result<AnalysisReport, String> {
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        info!("simulating tier {name} (scale {scale}, seed {seed}) to {}...", store_path.display());
-        let (truth, _stats) = simulate_to_store(&world, &SimOptions::default(), &store_path)
-            .map_err(|e| format!("tier simulation failed: {e}"))?;
-        cfg.as_names =
-            truth.isp_policies.iter().map(|(asn, p)| (*asn, p.name.clone())).collect();
-        if streamed {
-            info!("streaming {}...", store_path.display());
-            analyze_streamed(&store_path, &snaps, &cfg)
-                .map_err(|e| format!("streamed analyze failed: {e}"))
-        } else {
-            let dataset = AtlasDataset::load_dir(&dir)
-                .map_err(|e| format!("failed to load tier dataset: {e}"))?;
-            info!(
-                "analyzing {} probes / {} connection entries...",
-                dataset.meta.len(),
-                dataset.connections.len()
-            );
-            Ok(analyze(&dataset, &snaps, &cfg))
-        }
-    })();
-    let _ = std::fs::remove_dir_all(&dir);
-    let report = report.unwrap_or_else(|e| {
-        error!("{e}");
-        std::process::exit(1);
-    });
-    (report, cfg.as_names)
-}
-
-/// Classic mode: load the dataset and snapshots from a directory.
+/// Loads the snapshots and names from `dir` and analyzes its dataset.
 fn run_data_dir(
     dir: &Path,
     streamed: bool,

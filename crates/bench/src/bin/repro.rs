@@ -1,17 +1,30 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
 //! Usage:
-//!   repro [--scale S] [--seed N] [--out DIR] [--threads N]
-//!         [all|table2|fig1|fig2|fig3|table5|fig4|fig5|fig6|fig7|fig8|
-//!          table6|fig9|table7|table1|truth]
+//!   repro [--scale S] [--seed N] [--out DIR] [--threads N] [all|EXPERIMENT...]
+//!
+//! EXPERIMENT is one of table1, table2, fig1–fig9, table5–table7, admin,
+//! churn, truth, ablation-ttf, ablation-firmware and ablation-assoc.
 //!
 //! Prints the selected experiment (default: all) to stdout; with `--out`,
-//! also writes one text file per experiment into DIR.
+//! also writes one text file per experiment into DIR. A malformed flag
+//! value or an unknown experiment name exits 2 with the usage line,
+//! before anything is simulated.
 
-use dynaddr_bench::{run_repro, Repro};
+use dynaddr_bench::{flag_value, run_repro, Repro};
 use dynaddr_core::report;
-use dynaddr_obs::info;
+use dynaddr_obs::{error, info};
 use std::collections::BTreeMap;
+
+const USAGE: &str =
+    "usage: repro [--scale S] [--seed N] [--out DIR] [--threads N] [all|EXPERIMENT...]";
+
+/// Every experiment `render` knows, in the order `all` prints them.
+const EXPERIMENTS: [&str; 20] = [
+    "table1", "table2", "fig1", "fig2", "fig3", "table5", "fig4", "fig5", "fig6", "fig7", "fig8",
+    "table6", "fig9", "table7", "admin", "churn", "truth", "ablation-ttf", "ablation-firmware",
+    "ablation-assoc",
+];
 
 fn main() {
     let mut scale = 0.25f64;
@@ -21,31 +34,27 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--scale" => scale = args.next().expect("--scale value").parse().expect("numeric scale"),
-            "--seed" => seed = args.next().expect("--seed value").parse().expect("numeric seed"),
-            "--out" => out_dir = Some(args.next().expect("--out dir")),
+            "--scale" => scale = flag_value(&mut args, "--scale", USAGE),
+            "--seed" => seed = flag_value(&mut args, "--seed", USAGE),
+            "--out" => out_dir = Some(flag_value(&mut args, "--out", USAGE)),
             // Overrides the DYNADDR_THREADS environment variable.
-            "--threads" => dynaddr_exec::set_threads(Some(
-                args.next().expect("--threads value").parse().expect("numeric"),
-            )),
+            "--threads" => {
+                dynaddr_exec::set_threads(Some(flag_value(&mut args, "--threads", USAGE)))
+            }
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: repro [--scale S] [--seed N] [--out DIR] [--threads N] [experiments...]"
-                );
+                eprintln!("{USAGE}");
                 return;
             }
             other => which.push(other.to_string()),
         }
     }
+    if let Some(bad) = which.iter().find(|w| *w != "all" && !EXPERIMENTS.contains(&w.as_str())) {
+        error!("unknown experiment {bad:?} (want all or one of {})", EXPERIMENTS.join(", "));
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    }
     if which.is_empty() || which.iter().any(|w| w == "all") {
-        which = [
-            "table1", "table2", "fig1", "fig2", "fig3", "table5", "fig4", "fig5", "fig6",
-            "fig7", "fig8", "table6", "fig9", "table7", "admin", "churn", "truth", "ablation-ttf",
-            "ablation-firmware", "ablation-assoc",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        which = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
     }
 
     info!("simulating paper world at scale {scale} (seed {seed})...");
@@ -98,7 +107,7 @@ fn render(which: &str, repro: &Repro) -> String {
         "ablation-ttf" => render_ablation_ttf(repro),
         "ablation-firmware" => render_ablation_firmware(repro),
         "ablation-assoc" => render_ablation_assoc(repro),
-        other => format!("unknown experiment: {other}\n"),
+        other => unreachable!("experiment {other:?} is checked against EXPERIMENTS in main"),
     }
 }
 

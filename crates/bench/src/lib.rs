@@ -1,7 +1,11 @@
 //! # dynaddr-bench
 //!
-//! Benchmark harness and the `repro` binary that regenerates every table
-//! and figure of the paper. See `src/bin/repro.rs` and `benches/`.
+//! The command-line front of the pipeline: `simulate` writes a dataset
+//! directory, `analyze` runs the paper's pipeline over one, `repro`
+//! regenerates every table and figure in-process, and `perfsnap` climbs
+//! the streamed scale ladder and gates the cost of `--trace`. This
+//! library holds what they share. The repository benchmark is
+//! `perfbench/`, which drives these binaries.
 
 #![forbid(unsafe_code)]
 
@@ -61,10 +65,9 @@ pub const TIER_NAMES: [&str; 5] = ["s005", "s02", "paper", "10x", "100x"];
 /// World scale for a named tier (`None` for unknown names).
 ///
 /// A *tier* is a named multiple of the paper's deployment (10,977 probes
-/// at `paper`): `s005`/`s02` match the perfsnap and CI smoke scales
-/// already in use, `10x`/`100x` stress the streaming pipeline up to
-/// ~1.1 M probes. Binaries accept `--tier NAME` as sugar for the
-/// corresponding `--scale`.
+/// at `paper`): `s005`/`s02` are the small rungs of perfsnap's ladder,
+/// `10x`/`100x` stress the streaming pipeline up to ~1.1 M probes.
+/// `simulate --tier NAME` is sugar for the corresponding `--scale`.
 pub fn tier_scale(name: &str) -> Option<f64> {
     Some(match name {
         "s005" => 0.05,

@@ -8,7 +8,7 @@
 //! ([`dynaddr_query::server`]); only the
 //! [`Answerer`](dynaddr_query::Answerer) behind it differs.
 //!
-//! Three ways records arrive:
+//! Two ways records arrive:
 //!
 //! * **Replay at full speed** ([`Daemon::replay_stream`] over a
 //!   [`DatasetStream`], or [`Daemon::replay`] with [`Rate::Max`] over a
@@ -24,9 +24,6 @@
 //!   every record of a loaded dataset in arrival order
 //!   ([`replay_plan`]), each pushed at its recorded time scaled by the
 //!   rate.
-//! * **Live pushes** ([`Daemon::push_meta`] and friends): the same entry
-//!   points, one record at a time, for ingesting a simulator or collector
-//!   as it emits.
 //!
 //! Point queries ([`Request::DaemonSnapshot`], [`Request::DaemonProbe`],
 //! [`Request::IngestStats`]) answer from rolling state in O(1)–O(log n)
@@ -39,9 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dynaddr_atlas::logs::{
-    AtlasDataset, ConnectionLogEntry, KrootPingRecord, ProbeMeta, SosUptimeRecord,
-};
+use dynaddr_atlas::logs::AtlasDataset;
 use dynaddr_atlas::stream::DEFAULT_BATCH_PROBES;
 use dynaddr_atlas::{DatasetStream, StoreError};
 use dynaddr_core::live::{batch_ranges, build_probes, replay_plan, IncrementalAnalyzer, ProbeBatch};
@@ -122,29 +117,6 @@ impl Daemon {
     /// the middle of an update, so the rolling state is no longer whole.
     fn state(&self) -> MutexGuard<'_, IncrementalAnalyzer> {
         self.live.lock().expect("a thread panicked while holding the daemon state")
-    }
-
-    /// Introduces one probe (live ingestion entry point).
-    pub fn push_meta(&self, meta: &ProbeMeta) {
-        self.state().push_meta(meta);
-    }
-
-    /// Feeds one connection-log entry (live ingestion entry point).
-    pub fn push_connection(&self, e: &ConnectionLogEntry) {
-        self.state().push_connection(e);
-        self.rows_ingested.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Feeds one k-root ping record (live ingestion entry point).
-    pub fn push_kroot(&self, r: &KrootPingRecord) {
-        self.state().push_kroot(r);
-        self.rows_ingested.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Feeds one SOS-uptime record (live ingestion entry point).
-    pub fn push_uptime(&self, r: &SosUptimeRecord) {
-        self.state().push_uptime(r);
-        self.rows_ingested.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Replays a whole dataset, paced by `rate`, into a daemon that

@@ -8,8 +8,8 @@
 use dynaddr_atlas::logs::{
     AtlasDataset, ConnectionLogEntry, KrootPingRecord, PeerAddr, ProbeMeta, SosUptimeRecord,
 };
-use dynaddr_atlas::store::StoreIndex;
 use dynaddr_atlas::truth::{ChangeCause, GroundTruth, TruthChange, TruthOutage, TruthOutageKind};
+use dynaddr_atlas::{paper_route_tables, paper_world, simulate};
 use dynaddr_ip2as::{MonthlySnapshots, RouteTable};
 use dynaddr_query::proto::{self, Request, Response};
 use dynaddr_query::{
@@ -185,8 +185,7 @@ fn engine_matches_local_oracle_and_dataset() {
     for segment_rows in [1, 2, 3, 16, DEFAULT_SEGMENT_ROWS] {
         let bytes = store_bytes(&ds, segment_rows);
         let engine =
-            QueryEngine::from_parts(bytes.clone(), &snaps, Some(&t), &EngineOptions::default())
-                .unwrap();
+            QueryEngine::from_parts(bytes, &snaps, Some(&t), &EngineOptions::default()).unwrap();
 
         // Universe agreement first: same probes/ASes/countries on both sides.
         assert_eq!(engine.stats().probes(), local.stats().probes());
@@ -222,17 +221,12 @@ fn engine_matches_local_oracle_and_dataset() {
             assert_eq!(proto::to_bytes(&from_engine), proto::to_bytes(&from_local));
         }
 
-        // Spot-check the records path against the dataset accessors and the
-        // open-once store index (`read_probe_indexed`).
-        let index = StoreIndex::open(&bytes).unwrap();
+        // Spot-check the records path against the dataset accessors.
         for p in [ProbeId(0), ProbeId(17), ProbeId(PROBES - 1), ProbeId(4242)] {
             let records = engine.records(p).unwrap();
             assert_eq!(records.connections.len(), ds.connections_of(p).len());
             assert_eq!(records.kroot.len(), ds.kroot_of(p).len());
             assert_eq!(records.meta.is_some(), ds.meta_of(p).is_some());
-            let via_index = index.read_probe_indexed(p).unwrap();
-            assert_eq!(via_index.connections, ds.connections_of(p));
-            assert_eq!(via_index.uptime, ds.uptime_of(p));
         }
     }
 }
@@ -309,6 +303,34 @@ fn responses_byte_identical_across_thread_counts() {
             );
         }
     }
+}
+
+#[test]
+fn cold_engine_warms_to_an_80_percent_hit_rate() {
+    // A simulated world, stored with the default segment size, so the
+    // hit rate reflects how the real store's segments are shared.
+    let world = paper_world(0.01, 11);
+    let out = simulate(&world);
+    let engine = QueryEngine::from_parts(
+        out.dataset.to_store_bytes(),
+        &paper_route_tables(&world),
+        Some(&out.truth),
+        &EngineOptions::default(),
+    )
+    .expect("engine opens");
+    let w = workload_for(&engine);
+    for i in 0..1_000 {
+        engine.query(&w.request(i));
+    }
+    let stats = engine.cache_stats();
+    assert!(stats.misses > 0, "a fresh engine starts with a cold cache");
+    assert!(
+        stats.hit_rate() >= 0.80,
+        "hit rate {:.3} ({} hits, {} misses) is below 0.80",
+        stats.hit_rate(),
+        stats.hits,
+        stats.misses
+    );
 }
 
 #[test]

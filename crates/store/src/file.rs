@@ -306,7 +306,7 @@ impl<'a> FileReader<'a> {
             .enumerate()
             .collect();
         let decoded: Vec<Result<Vec<R>, StoreError>> =
-            dynaddr_exec::par_map(&segs, |&(index, info)| self.decode_one::<R>(index, info));
+            dynaddr_exec::par_map(&segs, |&(i, info)| decode_segment_at(self.bytes, i, info));
         dynaddr_obs::counter_add("store.segments_read", segs.len() as u64);
         dynaddr_obs::counter_add(
             "store.bytes_read",
@@ -333,35 +333,6 @@ impl<'a> FileReader<'a> {
             }
         }
         Ok((rows, dropped))
-    }
-
-    /// Random access: decodes only the segments whose key range covers
-    /// `key` and returns that key's rows, in file order. Strict.
-    pub fn decode_key<R: ColumnarRecord>(&self, key: u32) -> Result<Vec<R>, StoreError> {
-        let mut rows = Vec::new();
-        let mut index = 0usize;
-        for e in &self.entries {
-            if e.table != R::TABLE_ID {
-                continue;
-            }
-            if (e.key_lo..=e.key_hi).contains(&key) {
-                rows.extend(
-                    self.decode_one::<R>(index, *e)?.into_iter().filter(|r| r.key() == key),
-                );
-            }
-            index += 1;
-        }
-        Ok(rows)
-    }
-
-    /// Verifies and decodes one segment, wrapping any failure in an error
-    /// naming the segment.
-    fn decode_one<R: ColumnarRecord>(
-        &self,
-        index: usize,
-        info: SegmentInfo,
-    ) -> Result<Vec<R>, StoreError> {
-        decode_segment_at(self.bytes, index, info)
     }
 }
 
@@ -740,18 +711,6 @@ mod tests {
             assert_eq!(one, sample_file(1000, 64), "threads={threads}");
         }
         dynaddr_exec::set_threads(None);
-    }
-
-    #[test]
-    fn key_random_access_matches_filter() {
-        let bytes = sample_file(100, 7);
-        let reader = FileReader::open(&bytes).unwrap();
-        let all = sample_rows(100);
-        for key in [0u32, 5, 33, 999] {
-            let got = reader.decode_key::<Row>(key).unwrap();
-            let want: Vec<Row> = all.iter().filter(|r| r.key == key).cloned().collect();
-            assert_eq!(got, want, "key={key}");
-        }
     }
 
     #[test]

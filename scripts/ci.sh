@@ -1,14 +1,14 @@
 #!/usr/bin/env sh
 # CI gate: release build, workspace and benchmark-harness tests, the docs
-# with warnings denied, a perfsnap smoke run, CLI usage errors, store,
-# query-serving (queryd/queryc), dynaddrd replay, streamed and traced
-# pipeline smokes, the paper-tier memory ceilings (streamed analyze,
-# dynaddrd and queryd), and the quickstart.
+# with warnings denied, perfsnap's trace-overhead gate and a one-rung
+# ladder, CLI usage errors, store, query-serving (queryd/queryc), dynaddrd
+# replay, streamed and traced pipeline smokes, the paper-tier memory
+# ceilings (streamed analyze, dynaddrd and queryd), and the quickstart.
 #
-# The smoke run times the pipeline at a tiny scale (0.01) just to prove the
-# bench binary exits 0 and writes valid JSON — it is NOT a benchmark and its
-# numbers are meaningless; refresh BENCH_pipeline.json with the default
-# scale on quiet hardware instead.
+# The perfsnap step fails if tracing costs more than 2% (and 10 ms) of an
+# untraced analyze, and proves the s005 ladder rung writes valid JSON. Its
+# ladder numbers are not a benchmark: refresh BENCH_pipeline.json with a
+# default perfsnap run, and measure speed with perfbench/run.py.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -30,35 +30,27 @@ echo "==> benchmark harness tests (against the workspace crates)"
 cargo test --release --offline --manifest-path perfbench/harness/Cargo.toml \
     --target-dir target/perfbench-harness
 
-echo "==> perfsnap smoke (scale 0.01, tier ladder s005 only)"
+echo "==> perfsnap (trace-overhead gate, tier ladder s005 only)"
 SNAP="$(mktemp /tmp/perfsnap-smoke.XXXXXX.json)"
 SMOKE="$(mktemp -d /tmp/dynaddr-smoke.XXXXXX)"
 trap 'rm -rf "$SNAP" "$SMOKE"' EXIT
-cargo run --release -q -p dynaddr-bench --bin perfsnap -- \
-    --scale 0.01 --iters 1 --tiers s005 --lookups 5000 --out "$SNAP"
+cargo run --release -q -p dynaddr-bench --bin perfsnap -- --tiers s005 --out "$SNAP"
 
 python3 -m json.tool "$SNAP" > /dev/null
-grep -q '"sim_queue"' "$SNAP"
-grep -q '"world_build"' "$SNAP"
-grep -q '"sim_event_loop"' "$SNAP"
-grep -q '"store_decode"' "$SNAP"
-grep -q '"dataset_bytes"' "$SNAP"
+grep -q '"tiers"' "$SNAP"
 grep -q '"probes_per_sec"' "$SNAP"
 grep -q '"peak_rss_bytes"' "$SNAP"
-grep -q '"exec_stats"' "$SNAP"
-grep -q '"tasks_per_worker"' "$SNAP"
 grep -q '"trace_overhead_pct"' "$SNAP"
-grep -q '"lookups_per_sec"' "$SNAP"
-grep -q '"cache_hit_rate"' "$SNAP"
-grep -q '"latency_p99_us"' "$SNAP"
-grep -q '"replay_rows_per_sec"' "$SNAP"
-grep -q '"point_p99_ns"' "$SNAP"
-grep -q '"sealed_matches_batch": true' "$SNAP"
 
 echo "==> CLI usage errors (exit 2, not a panic)"
 exits_2() { CODE=0; "$@" > /dev/null 2>&1 || CODE=$?; test "$CODE" -eq 2; }
 exits_2 ./target/release/simulate --out "$SMOKE/bad" --seed abc
 exits_2 ./target/release/analyze --threads
+exits_2 ./target/release/analyze --tier paper
+exits_2 ./target/release/perfsnap --seed abc
+exits_2 ./target/release/repro --seed abc
+# An unknown experiment is refused before the world is simulated.
+exits_2 ./target/release/repro fgi1
 
 echo "==> store smoke (scale 0.01): the reference report the smokes below diff"
 cargo run --release -q -p dynaddr-bench --bin simulate -- \
