@@ -17,17 +17,14 @@
 
 use crate::config::WorldConfig;
 use crate::logs::{
-    testing_address, ConnectionLogEntry, PeerAddr, ProbeMeta, SosUptimeRecord,
+    testing_address, AtlasDataset, ConnectionLogEntry, PeerAddr, ProbeMeta, SosUptimeRecord,
 };
-use crate::sim::SimOutput;
-use dynaddr_store::{SegmentSink, StoreError};
 use dynaddr_types::rng::SeedTree;
 use dynaddr_types::time::DAY;
 use dynaddr_types::{Country, ProbeId, ProbeTag, ProbeVersion, SimDuration, SimTime};
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use std::net::{Ipv4Addr, Ipv6Addr};
-use std::sync::Mutex;
 
 /// Populations at or below this many probes generate serially: executor
 /// dispatch and per-task buffers cost more than the generation itself
@@ -56,39 +53,33 @@ enum FillerKind {
     TestingStatic,
 }
 
-/// Appends filler probes to a simulation output.
+/// Generates the filler population, handing each chunk of probes to
+/// `emit` with its run id: `first_run`, `first_run + 1`, and so on.
 ///
 /// Each probe is generated independently from its own `("filler", id)` RNG
-/// stream, so the work runs on the `dynaddr-exec` executor and the output
-/// is byte-identical at any worker count. Ids are assigned in category
-/// order (never-changed, dual-stack, IPv6-only, tagged, alternating,
-/// testing-static), ascending, right after the highest analyzable id.
-pub fn generate_filler(config: &WorldConfig, out: &mut SimOutput) {
-    let next_id = out
-        .dataset
-        .meta
-        .iter()
-        .map(|m| m.probe.0)
-        .max()
-        .unwrap_or(0)
-        + 1;
+/// stream, so the chunks run on the `dynaddr-exec` executor and their rows
+/// are identical at any worker count. Ids are assigned in category order
+/// (never-changed, dual-stack, IPv6-only, tagged, alternating,
+/// testing-static), ascending from `next_id`, and each chunk holds its
+/// probes' rows in id order.
+pub(crate) fn generate_filler(
+    config: &WorldConfig,
+    next_id: u32,
+    first_run: u64,
+    emit: &(dyn Fn(u64, AtlasDataset) + Sync),
+) {
     let jobs = filler_jobs(config, next_id);
     let seeds = SeedTree::new(config.seed);
     // One task per probe made executor dispatch the dominant cost at bench
-    // scale: small populations generate serially, large ones in chunks of
-    // FILLER_JOB_CHUNK probes. Each probe still draws from its own
-    // `("filler", id)` stream, so the bytes are identical either way.
-    let pieces: Vec<SimPiece> = if jobs.len() <= FILLER_SERIAL_CUTOFF {
-        vec![generate_jobs(&seeds, &jobs)]
-    } else {
-        let chunks: Vec<&[(u32, FillerKind)]> = jobs.chunks(FILLER_JOB_CHUNK).collect();
-        dynaddr_exec::par_map(&chunks, |chunk| generate_jobs(&seeds, chunk))
-    };
-    for mut piece in pieces {
-        out.dataset.meta.append(&mut piece.meta);
-        out.dataset.connections.append(&mut piece.connections);
-        out.dataset.uptime.append(&mut piece.uptime);
-    }
+    // scale: small populations generate as one chunk on the calling
+    // thread, large ones in chunks of FILLER_JOB_CHUNK probes.
+    let size = if jobs.len() <= FILLER_SERIAL_CUTOFF { jobs.len().max(1) } else { FILLER_JOB_CHUNK };
+    let chunks: Vec<(u64, &[(u32, FillerKind)])> = jobs
+        .chunks(size)
+        .enumerate()
+        .map(|(i, chunk)| (first_run + i as u64, chunk))
+        .collect();
+    dynaddr_exec::par_map(&chunks, |&(run, chunk)| emit(run, generate_jobs(&seeds, chunk)));
 }
 
 /// Plans the filler population: one `(id, kind)` job per probe, ids
@@ -113,10 +104,9 @@ fn filler_jobs(config: &WorldConfig, next_id: u32) -> Vec<(u32, FillerKind)> {
     jobs
 }
 
-/// Generates a slice of jobs into one piece, appending records in job
-/// order (ascending ids — the order [`generate_filler`] has always used).
-fn generate_jobs(seeds: &SeedTree, jobs: &[(u32, FillerKind)]) -> SimPiece {
-    let mut piece = SimPiece::default();
+/// Generates a slice of jobs, appending records in job order.
+fn generate_jobs(seeds: &SeedTree, jobs: &[(u32, FillerKind)]) -> AtlasDataset {
+    let mut piece = AtlasDataset::default();
     for &(id, kind) in jobs {
         let mut gen = FillerGen { rng: seeds.rng_for_id("filler", u64::from(id)), piece };
         gen.generate(ProbeId(id), kind);
@@ -125,47 +115,9 @@ fn generate_jobs(seeds: &SeedTree, jobs: &[(u32, FillerKind)]) -> SimPiece {
     piece
 }
 
-/// Streams the filler population straight into a [`SegmentSink`], one run
-/// per job chunk (runs `base_run..`), each run sorted with the canonical
-/// `normalize()` keys — the out-of-core counterpart of
-/// [`generate_filler`], producing the same probes byte for byte.
-pub(crate) fn generate_filler_to_sink(
-    config: &WorldConfig,
-    next_id: u32,
-    base_run: u64,
-    sink: &Mutex<SegmentSink>,
-) -> Result<(), StoreError> {
-    let jobs = filler_jobs(config, next_id);
-    let seeds = SeedTree::new(config.seed);
-    let chunks: Vec<(u64, &[(u32, FillerKind)])> = jobs
-        .chunks(FILLER_JOB_CHUNK)
-        .enumerate()
-        .map(|(i, chunk)| (base_run + i as u64, chunk))
-        .collect();
-    let results = dynaddr_exec::par_map(&chunks, |&(run, chunk)| {
-        let mut piece = generate_jobs(&seeds, chunk);
-        piece.meta.sort_by_key(|m| m.probe);
-        piece.connections.sort_by_key(|c| (c.probe, c.start, c.end));
-        piece.uptime.sort_by_key(|u| (u.probe, u.timestamp));
-        let mut sink = sink.lock().expect("filler sink lock");
-        sink.append(run, &piece.meta)
-            .and_then(|_| sink.append(run, &piece.connections))
-            .and_then(|_| sink.append(run, &piece.uptime))
-    });
-    results.into_iter().collect()
-}
-
-/// The log records one filler probe contributes.
-#[derive(Default)]
-struct SimPiece {
-    meta: Vec<ProbeMeta>,
-    connections: Vec<ConnectionLogEntry>,
-    uptime: Vec<SosUptimeRecord>,
-}
-
 struct FillerGen {
     rng: ChaCha12Rng,
-    piece: SimPiece,
+    piece: AtlasDataset,
 }
 
 impl FillerGen {
@@ -351,9 +303,7 @@ impl FillerGen {
 mod tests {
     use super::*;
     use crate::config::FillerSpec;
-    use crate::sim::{simulate, SimOutput};
-    use crate::truth::GroundTruth;
-    use crate::logs::AtlasDataset;
+    use crate::sim::simulate;
 
     fn filler_only_world() -> WorldConfig {
         let mut w = WorldConfig::empty(5);
@@ -369,18 +319,16 @@ mod tests {
         w
     }
 
-    fn run_filler(w: &WorldConfig) -> SimOutput {
-        let mut out = SimOutput { dataset: AtlasDataset::default(), truth: GroundTruth::default() };
-        generate_filler(w, &mut out);
-        out.dataset.normalize();
-        out
+    /// A world without ISPs simulates to its filler probes alone.
+    fn run_filler(w: &WorldConfig) -> AtlasDataset {
+        simulate(w).dataset
     }
 
     #[test]
     fn counts_match_spec() {
         let w = filler_only_world();
         let out = run_filler(&w);
-        assert_eq!(out.dataset.meta.len(), 10 + 8 + 4 + 5 + 6 + 3);
+        assert_eq!(out.meta.len(), 10 + 8 + 4 + 5 + 6 + 3);
     }
 
     #[test]
@@ -388,13 +336,9 @@ mod tests {
         let w = filler_only_world();
         let out = run_filler(&w);
         // First 10 probes are never-changed.
-        for m in out.dataset.meta.iter().take(10) {
-            let peers: std::collections::HashSet<_> = out
-                .dataset
-                .connections_of(m.probe)
-                .iter()
-                .map(|c| c.peer)
-                .collect();
+        for m in out.meta.iter().take(10) {
+            let peers: std::collections::HashSet<_> =
+                out.connections_of(m.probe).iter().map(|c| c.peer).collect();
             assert_eq!(peers.len(), 1, "{} should hold one address", m.probe);
         }
     }
@@ -403,8 +347,8 @@ mod tests {
     fn dual_stack_mixes_families() {
         let w = filler_only_world();
         let out = run_filler(&w);
-        for m in out.dataset.meta.iter().skip(10).take(8) {
-            let conns = out.dataset.connections_of(m.probe);
+        for m in out.meta.iter().skip(10).take(8) {
+            let conns = out.connections_of(m.probe);
             let v4 = conns.iter().filter(|c| c.peer.is_v4()).count();
             let v6 = conns.len() - v4;
             assert!(v4 > 0 && v6 > 0, "{} should mix families", m.probe);
@@ -415,8 +359,8 @@ mod tests {
     fn ipv6_only_probes_have_no_v4() {
         let w = filler_only_world();
         let out = run_filler(&w);
-        for m in out.dataset.meta.iter().skip(18).take(4) {
-            assert!(out.dataset.connections_of(m.probe).iter().all(|c| !c.peer.is_v4()));
+        for m in out.meta.iter().skip(18).take(4) {
+            assert!(out.connections_of(m.probe).iter().all(|c| !c.peer.is_v4()));
         }
     }
 
@@ -424,7 +368,7 @@ mod tests {
     fn tagged_probes_carry_disqualifying_tags() {
         let w = filler_only_world();
         let out = run_filler(&w);
-        for m in out.dataset.meta.iter().skip(22).take(5) {
+        for m in out.meta.iter().skip(22).take(5) {
             assert!(m.tags.iter().any(|t| t.disqualifies()), "{:?}", m);
         }
     }
@@ -433,8 +377,8 @@ mod tests {
     fn alternating_probes_pin_one_address() {
         let w = filler_only_world();
         let out = run_filler(&w);
-        for m in out.dataset.meta.iter().skip(27).take(6) {
-            let conns = out.dataset.connections_of(m.probe);
+        for m in out.meta.iter().skip(27).take(6) {
+            let conns = out.connections_of(m.probe);
             // Even-indexed connections share one fixed address.
             let fixed = conns[0].peer;
             for (k, c) in conns.iter().enumerate() {
@@ -449,8 +393,8 @@ mod tests {
     fn testing_static_probes_start_at_ripe() {
         let w = filler_only_world();
         let out = run_filler(&w);
-        for m in out.dataset.meta.iter().skip(33).take(3) {
-            let conns = out.dataset.connections_of(m.probe);
+        for m in out.meta.iter().skip(33).take(3) {
+            let conns = out.connections_of(m.probe);
             assert_eq!(conns[0].peer, PeerAddr::V4(testing_address()));
             let rest: std::collections::HashSet<_> =
                 conns.iter().skip(1).map(|c| c.peer).collect();
@@ -464,12 +408,12 @@ mod tests {
         let mut isp = crate::config::IspSpec::new("Net", 64500, "DE", 3);
         isp.prefixes = vec!["10.0.0.0/20".parse().unwrap()];
         w.isps.push(isp);
-        let out = simulate(&w);
-        assert_eq!(out.dataset.meta.len(), 3 + 36);
+        let out = simulate(&w).dataset;
+        assert_eq!(out.meta.len(), 3 + 36);
         // Filler ids must not collide with analyzable ids.
-        let mut ids: Vec<u32> = out.dataset.meta.iter().map(|m| m.probe.0).collect();
+        let mut ids: Vec<u32> = out.meta.iter().map(|m| m.probe.0).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), out.dataset.meta.len());
+        assert_eq!(ids.len(), out.meta.len());
     }
 }

@@ -199,7 +199,9 @@ pub struct SimStats {
     pub event_loop_s: f64,
     /// Seconds spent generating filler probes.
     pub filler_s: f64,
-    /// Seconds spent in the final canonical sorts.
+    /// Seconds spent putting the rows in canonical order: the global sorts
+    /// of [`simulate_with_options`], or the spill merge of
+    /// [`simulate_to_store`].
     pub normalize_s: f64,
     /// Aggregate queue traffic across shards.
     pub queue: QueueTelemetry,
@@ -219,53 +221,41 @@ impl SimStats {
 
 /// [`simulate`] with explicit options, plus per-stage timings and queue
 /// telemetry.
+///
+/// Collects every shard's and filler chunk's rows in memory and sorts
+/// them once, globally, with `normalize()`: the reference the out-of-core
+/// [`simulate_to_store`] is held to byte for byte.
 pub fn simulate_with_options(config: &WorldConfig, opts: &SimOptions) -> (SimOutput, SimStats) {
-    let (shards, world_truth, part) = partition(config, opts);
-    let progress = dynaddr_obs::Progress::start("sim_shards", part.shards as u64);
-    let sp_loop = dynaddr_obs::span("sim_event_loop");
-    let (mut output, queue, shard_build_s) = dynaddr_exec::par_fold(
-        shards,
-        || (empty_output(), QueueTelemetry::default(), 0.0f64),
-        |(acc, tel, build_s), mut shard| {
-            let b = shard.run();
-            let q = shard.queue.stats();
-            progress.add(1);
-            (
-                merge_outputs(acc, SimOutput { dataset: shard.dataset, truth: shard.truth }),
-                tel.absorb(q),
-                build_s + b,
-            )
-        },
-        |(a, ta, ba), (b, tb, bb)| (merge_outputs(a, b), ta.merge(tb), ba + bb),
-    );
-    let loop_wall_s = sp_loop.finish_secs();
-    progress.finish();
-    output.truth = merge_truths(output.truth, world_truth);
-
-    let filler_s = {
-        let sp = dynaddr_obs::span("sim_filler");
-        crate::fill::generate_filler(config, &mut output);
-        sp.finish_secs()
-    };
-
-    let normalize_s = {
-        let sp = dynaddr_obs::span("sim_normalize");
-        output.dataset.normalize();
-        output.truth.normalize();
-        sp.finish_secs()
-    };
-    let stats = part.stats(queue, shard_build_s, loop_wall_s, filler_s, normalize_s);
-    (output, stats)
+    let pieces = Mutex::new(Vec::new());
+    let (mut truth, mut stats) = run_world(config, opts, &|run, rows| {
+        pieces.lock().expect("pieces lock").push((run, rows));
+    });
+    let sp = dynaddr_obs::span("sim_normalize");
+    let mut pieces = pieces.into_inner().expect("pieces lock");
+    // Run order, the sink merge's tie-break, so the stable sort below
+    // keeps the reference deterministic even if two runs shared a probe.
+    pieces.sort_by_key(|&(run, _)| run);
+    let mut dataset = AtlasDataset::default();
+    for (_, mut rows) in pieces {
+        dataset.meta.append(&mut rows.meta);
+        dataset.connections.append(&mut rows.connections);
+        dataset.kroot.append(&mut rows.kroot);
+        dataset.uptime.append(&mut rows.uptime);
+    }
+    dataset.normalize();
+    truth.normalize();
+    stats.normalize_s = sp.finish_secs();
+    (SimOutput { dataset, truth }, stats)
 }
 
 /// Runs the simulation out-of-core, writing `dataset.store` at `out_path`.
 ///
-/// Each shard sorts its finished rows with the canonical `normalize()`
-/// keys and appends them to a [`SegmentSink`] run as it completes (filler
-/// chunks become further runs); the sink's key-ordered merge then streams
-/// the file through a [`StreamWriter`]. Because probes are partitioned
-/// across shards, merging sorted shard runs by key reproduces the global
-/// stable sort exactly — the file is byte-identical to
+/// Each shard and filler chunk sorts its rows with the canonical
+/// `normalize()` keys and appends them to a [`SegmentSink`] run as it
+/// completes; the sink's key-ordered merge then streams the file through
+/// a [`StreamWriter`]. Because probes are partitioned across runs,
+/// merging sorted runs by key reproduces the global stable sort exactly —
+/// the file is byte-identical to
 /// `simulate_with_options(config, opts).0.dataset.to_store_bytes()`, but the
 /// full dataset never materializes: peak memory is the largest live shard
 /// plus one decoded segment per run, not the dataset.
@@ -279,102 +269,73 @@ pub fn simulate_to_store(
     opts: &SimOptions,
     out_path: &std::path::Path,
 ) -> Result<(GroundTruth, SimStats), StoreError> {
-    let (shards, world_truth, part) = partition(config, opts);
     let spill_path = out_path.with_extension("spill");
     let sink = Mutex::new(SegmentSink::create(&spill_path)?);
-    // The fold must stay infallible for par_fold, so the first append
-    // failure parks here and the remaining shards skip their appends.
+    // The fold must stay infallible, so the first append failure parks
+    // here until the fold is done.
     let sink_err: Mutex<Option<StoreError>> = Mutex::new(None);
-    let fail = |e: StoreError| -> StoreError {
-        let _ = std::fs::remove_file(&spill_path);
-        e
-    };
-
-    let progress = dynaddr_obs::Progress::start("sim_shards_to_store", part.shards as u64);
-    let sp_loop = dynaddr_obs::span("sim_event_loop");
-    let runs: Vec<(u64, Sim)> =
-        shards.into_iter().enumerate().map(|(i, s)| (i as u64, s)).collect();
-    let (truth, queue, shard_build_s, max_id) = dynaddr_exec::par_fold(
-        runs,
-        || (GroundTruth::default(), QueueTelemetry::default(), 0.0f64, 0u32),
-        |(acc, tel, build_s, max_id), (run, mut shard)| {
-            let b = shard.run();
-            let q = shard.queue.stats();
-            progress.add(1);
-            let mut ds = shard.dataset;
-            // Shard-local canonical sort: same keys, same stability as
-            // AtlasDataset::normalize, restricted to this shard's probes.
-            ds.meta.sort_by_key(|m| m.probe);
-            ds.connections.sort_by_key(|c| (c.probe, c.start, c.end));
-            ds.kroot.sort_by_key(|k| (k.probe, k.timestamp));
-            ds.uptime.sort_by_key(|u| (u.probe, u.timestamp));
-            let shard_max = ds.meta.iter().map(|m| m.probe.0).max().unwrap_or(0);
-            let appended = {
-                let mut sink = sink.lock().expect("sink lock");
-                sink.append(run, &ds.meta)
-                    .and_then(|_| sink.append(run, &ds.connections))
-                    .and_then(|_| sink.append(run, &ds.kroot))
-                    .and_then(|_| sink.append(run, &ds.uptime))
-            };
-            if let Err(e) = appended {
-                sink_err.lock().expect("sink error lock").get_or_insert(e);
-            }
-            (merge_truths(acc, shard.truth), tel.absorb(q), build_s + b, max_id.max(shard_max))
-        },
-        |(a, ta, ba, ma), (b, tb, bb, mb)| (merge_truths(a, b), ta.merge(tb), ba + bb, ma.max(mb)),
-    );
-    let loop_wall_s = sp_loop.finish_secs();
-    progress.finish();
-    if let Some(e) = sink_err.into_inner().expect("sink error lock") {
-        return Err(fail(e));
-    }
-    let mut truth = merge_truths(truth, world_truth);
-
-    let filler_s = {
-        let sp = dynaddr_obs::span("sim_filler");
-        crate::fill::generate_filler_to_sink(config, max_id + 1, part.shards as u64, &sink)
-            .map_err(&fail)?;
-        sp.finish_secs()
-    };
+    let (mut truth, mut stats) = run_world(config, opts, &|run, mut rows| {
+        // Run-local canonical sort: same keys, same stability as
+        // AtlasDataset::normalize, restricted to this run's probes.
+        rows.meta.sort_by_key(|m| m.probe);
+        rows.connections.sort_by_key(|c| (c.probe, c.start, c.end));
+        rows.kroot.sort_by_key(|k| (k.probe, k.timestamp));
+        rows.uptime.sort_by_key(|u| (u.probe, u.timestamp));
+        let appended = {
+            let mut sink = sink.lock().expect("sink lock");
+            sink.append(run, &rows.meta)
+                .and_then(|_| sink.append(run, &rows.connections))
+                .and_then(|_| sink.append(run, &rows.kroot))
+                .and_then(|_| sink.append(run, &rows.uptime))
+        };
+        if let Err(e) = appended {
+            sink_err.lock().expect("sink error lock").get_or_insert(e);
+        }
+    });
 
     let sp_merge = dynaddr_obs::span("store_merge");
-    let merged: Result<(), StoreError> = (|| {
-        let mut merger = sink.into_inner().expect("sink lock").finish()?;
-        let file = std::fs::File::create(out_path)
-            .map_err(|e| StoreError::io(format!("create {}", out_path.display()), e))?;
-        let mut out = std::io::BufWriter::new(file);
-        let mut w = StreamWriter::new(&mut out)?;
-        merger.merge_table::<ProbeMeta, _>(&mut w)?;
-        merger.merge_table::<ConnectionLogEntry, _>(&mut w)?;
-        merger.merge_table::<KrootPingRecord, _>(&mut w)?;
-        merger.merge_table::<SosUptimeRecord, _>(&mut w)?;
-        w.finish()?;
-        use std::io::Write as _;
-        out.flush()
-            .map_err(|e| StoreError::io(format!("flush {}", out_path.display()), e))
-    })();
+    let merged = match sink_err.into_inner().expect("sink error lock") {
+        Some(e) => Err(e),
+        None => merge_spill(sink.into_inner().expect("sink lock"), out_path),
+    };
     let _ = std::fs::remove_file(&spill_path);
     merged?;
     truth.normalize();
-    let normalize_s = sp_merge.finish_secs();
-    let stats = part.stats(queue, shard_build_s, loop_wall_s, filler_s, normalize_s);
+    stats.normalize_s = sp_merge.finish_secs();
     Ok((truth, stats))
 }
 
-/// The serial half of a simulation that both entry points share around
-/// their per-shard fold.
-struct Partition {
-    shards: usize,
-    /// Serial construction seconds: the world plan, plus every shard's
-    /// materialization in `serial_build` mode.
-    build_s: f64,
+/// Merges a finished spill's runs into the store file at `out_path`, one
+/// table at a time in file order.
+fn merge_spill(sink: SegmentSink, out_path: &std::path::Path) -> Result<(), StoreError> {
+    let mut merger = sink.finish()?;
+    let file = std::fs::File::create(out_path)
+        .map_err(|e| StoreError::io(format!("create {}", out_path.display()), e))?;
+    let mut w = StreamWriter::new(std::io::BufWriter::new(file))?;
+    merger.merge_table::<ProbeMeta, _>(&mut w)?;
+    merger.merge_table::<ConnectionLogEntry, _>(&mut w)?;
+    merger.merge_table::<KrootPingRecord, _>(&mut w)?;
+    merger.merge_table::<SosUptimeRecord, _>(&mut w)?;
+    w.finish()?;
+    Ok(())
 }
 
-/// Plans the world and partitions it into shards. The returned truth is
-/// the part no shard owns, merged after the fold like one more shard's:
-/// ISP policies, firmware dates and, when there is no shard to replay it,
-/// the administrative renumbering.
-fn partition(config: &WorldConfig, opts: &SimOptions) -> (Vec<Sim>, GroundTruth, Partition) {
+/// The one shard fold both entry points share. Plans and partitions the
+/// world, runs every shard on the executor, then generates the filler
+/// probes, handing each finished shard's and filler chunk's rows to
+/// `emit` with its run id: the shard's position in the deterministic
+/// shard order, filler chunks numbered after the last shard. Returns the
+/// merged ground truth, not yet normalized, and the stats; the caller,
+/// which puts the rows in order, fills in [`SimStats::normalize_s`].
+fn run_world(
+    config: &WorldConfig,
+    opts: &SimOptions,
+    emit: &(dyn Fn(u64, AtlasDataset) + Sync),
+) -> (GroundTruth, SimStats) {
+    // The world plan. The truth it returns is the part no shard owns,
+    // merged after the fold like one more shard's: ISP policies, firmware
+    // dates and, when there is no shard to replay it, the administrative
+    // renumbering.
     let sp_plan = dynaddr_obs::span("world_plan");
     let mut world = World::build(config);
     let mut world_truth = std::mem::take(&mut world.truth);
@@ -385,61 +346,56 @@ fn partition(config: &WorldConfig, opts: &SimOptions) -> (Vec<Sim>, GroundTruth,
         // would still have popped it and recorded the fact.
         world_truth.admin_renumbering = admin.filter(|(_, when)| *when < SimTime::YEAR_END);
     }
-    let mut build_s = sp_plan.finish_secs();
+    let mut plan_build_s = sp_plan.finish_secs();
     if opts.serial_build {
         for shard in &mut shards {
-            build_s += shard.materialize();
+            plan_build_s += shard.materialize();
         }
     }
-    let part = Partition { shards: shards.len(), build_s };
-    (shards, world_truth, part)
+    let n_shards = shards.len();
+
+    let progress = dynaddr_obs::Progress::start("sim_shards", n_shards as u64);
+    let sp_loop = dynaddr_obs::span("sim_event_loop");
+    let runs: Vec<(u64, Sim)> =
+        shards.into_iter().enumerate().map(|(i, s)| (i as u64, s)).collect();
+    let (truth, queue, shard_build_s, max_id) = dynaddr_exec::par_fold(
+        runs,
+        || (GroundTruth::default(), QueueTelemetry::default(), 0.0f64, 0u32),
+        |(acc, tel, build_s, max_id), (run, mut shard)| {
+            let b = shard.run();
+            let q = shard.queue.stats();
+            progress.add(1);
+            let shard_max = shard.dataset.meta.iter().map(|m| m.probe.0).max().unwrap_or(0);
+            emit(run, shard.dataset);
+            (merge_truths(acc, shard.truth), tel.absorb(q), build_s + b, max_id.max(shard_max))
+        },
+        |(a, ta, ba, ma), (b, tb, bb, mb)| (merge_truths(a, b), ta.merge(tb), ba + bb, ma.max(mb)),
+    );
+    let loop_wall_s = sp_loop.finish_secs();
+    progress.finish();
+    let truth = merge_truths(truth, world_truth);
+
+    let sp_filler = dynaddr_obs::span("sim_filler");
+    crate::fill::generate_filler(config, max_id + 1, n_shards as u64, emit);
+    let filler_s = sp_filler.finish_secs();
+
+    // Shards materialize inside the event-loop wall time, so their build
+    // seconds move from the loop to `world_build_s`.
+    queue.publish(n_shards);
+    let stats = SimStats {
+        shards: n_shards,
+        world_build_s: plan_build_s + shard_build_s,
+        event_loop_s: (loop_wall_s - shard_build_s).max(0.0),
+        filler_s,
+        normalize_s: 0.0,
+        queue,
+    };
+    (truth, stats)
 }
 
-impl Partition {
-    /// Publishes the queue telemetry and assembles the stage timings.
-    /// Shards materialize inside the event-loop wall time, so their build
-    /// seconds move from the loop to `world_build_s`.
-    fn stats(
-        &self,
-        queue: QueueTelemetry,
-        shard_build_s: f64,
-        loop_wall_s: f64,
-        filler_s: f64,
-        normalize_s: f64,
-    ) -> SimStats {
-        queue.publish(self.shards);
-        SimStats {
-            shards: self.shards,
-            world_build_s: self.build_s + shard_build_s,
-            event_loop_s: (loop_wall_s - shard_build_s).max(0.0),
-            filler_s,
-            normalize_s,
-            queue,
-        }
-    }
-}
-
-fn empty_output() -> SimOutput {
-    SimOutput { dataset: AtlasDataset::default(), truth: GroundTruth::default() }
-}
-
-/// Concatenates two partial outputs, left before right. Associative with
-/// [`empty_output`] as identity — exactly what `par_fold` needs — and order
-/// differences between shard layouts are erased by the canonical
-/// `normalize` sorts afterwards.
-fn merge_outputs(mut a: SimOutput, b: SimOutput) -> SimOutput {
-    let mut bd = b.dataset;
-    a.dataset.meta.append(&mut bd.meta);
-    a.dataset.connections.append(&mut bd.connections);
-    a.dataset.kroot.append(&mut bd.kroot);
-    a.dataset.uptime.append(&mut bd.uptime);
-    a.truth = merge_truths(a.truth, b.truth);
-    a
-}
-
-/// The ground-truth half of [`merge_outputs`], shared with the streamed
-/// path (which never materializes the merged dataset) and used to attach
-/// the world-level truth after the fold.
+/// Concatenates two partial truths, left before right: the fold's merge,
+/// also used to attach the world-level truth after it. `normalize` sorts
+/// the result.
 fn merge_truths(mut a: GroundTruth, mut b: GroundTruth) -> GroundTruth {
     a.changes.append(&mut b.changes);
     a.outages.append(&mut b.outages);

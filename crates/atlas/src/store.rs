@@ -21,8 +21,8 @@ use crate::truth::{
     ChangeCause, GroundTruth, IspPolicyTruth, TruthChange, TruthOutage, TruthOutageKind,
 };
 use dynaddr_store::{
-    ColumnBuilder, ColumnKind, ColumnReader, ColumnarRecord, DecodeError, FileReader, FileWriter,
-    ReadMode, RecoveryReport, StoreError,
+    ColumnBuilder, ColumnKind, ColumnReader, ColumnarRecord, DecodeError, FileReader, ReadMode,
+    RecoveryReport, StoreError, StreamWriter,
 };
 use dynaddr_types::{Asn, Country, ProbeId, ProbeTag, ProbeVersion, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -597,12 +597,15 @@ impl ColumnarRecord for AdminRow {
 
 /// Encodes a dataset as one multi-table store file.
 pub fn dataset_to_bytes(ds: &AtlasDataset) -> Vec<u8> {
-    let mut w = FileWriter::new();
-    w.write_table(&ds.meta);
-    w.write_table(&ds.connections);
-    w.write_table(&ds.kroot);
-    w.write_table(&ds.uptime);
-    w.finish()
+    let write = || {
+        let mut w = StreamWriter::new(Vec::new())?;
+        w.write_table(&ds.meta)?;
+        w.write_table(&ds.connections)?;
+        w.write_table(&ds.kroot)?;
+        w.write_table(&ds.uptime)?;
+        w.finish()
+    };
+    write().expect("a write into memory cannot fail")
 }
 
 /// Decodes a dataset store file, normalizing the result (the per-probe
@@ -662,31 +665,34 @@ pub fn check_probe_order<R: ColumnarRecord>(
 
 /// Encodes a ground truth as one multi-table store file.
 pub fn truth_to_bytes(truth: &GroundTruth) -> Vec<u8> {
-    let mut w = FileWriter::new();
-    w.write_table(&truth.changes);
-    w.write_table(&truth.outages);
     let reboots: Vec<FirmwareReboot> = truth
         .firmware_reboots
         .iter()
         .map(|&(probe, time)| FirmwareReboot { probe, time })
         .collect();
-    w.write_table(&reboots);
     let dates: Vec<FirmwareDate> =
         truth.firmware_dates.iter().map(|&t| FirmwareDate(t)).collect();
-    w.write_table(&dates);
     let policies: Vec<PolicyRow> = truth
         .isp_policies
         .iter()
         .map(|(&asn, policy)| PolicyRow { asn, policy: policy.clone() })
         .collect();
-    w.write_table(&policies);
     let admin: Vec<AdminRow> = truth
         .admin_renumbering
         .iter()
         .map(|&(asn, time)| AdminRow { asn, time })
         .collect();
-    w.write_table(&admin);
-    w.finish()
+    let write = || {
+        let mut w = StreamWriter::new(Vec::new())?;
+        w.write_table(&truth.changes)?;
+        w.write_table(&truth.outages)?;
+        w.write_table(&reboots)?;
+        w.write_table(&dates)?;
+        w.write_table(&policies)?;
+        w.write_table(&admin)?;
+        w.finish()
+    };
+    write().expect("a write into memory cannot fail")
 }
 
 /// Decodes a ground-truth store file.

@@ -186,21 +186,22 @@ mod tests {
     use crate::logs::PeerAddr;
     use crate::world::paper_world;
     use crate::{simulate, SimOptions};
-    use dynaddr_store::FileWriter;
+    use dynaddr_store::StreamWriter;
     use dynaddr_types::{Country, ProbeId, ProbeVersion, SimTime};
 
     /// Writes `ds` as a store file with a given segment row cap, so tests
     /// can force one probe's rows across a segment boundary.
     fn write_store(ds: &AtlasDataset, segment_rows: usize, name: &str) -> std::path::PathBuf {
-        let mut w = FileWriter::with_segment_rows(segment_rows);
-        w.write_table(&ds.meta);
-        w.write_table(&ds.connections);
-        w.write_table(&ds.kroot);
-        w.write_table(&ds.uptime);
         let dir = std::env::temp_dir().join("dynaddr-stream-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("{name}-{}.store", std::process::id()));
-        std::fs::write(&path, w.finish()).unwrap();
+        let file = std::fs::File::create(&path).unwrap();
+        let mut w = StreamWriter::with_segment_rows(file, segment_rows).unwrap();
+        w.write_table(&ds.meta).unwrap();
+        w.write_table(&ds.connections).unwrap();
+        w.write_table(&ds.kroot).unwrap();
+        w.write_table(&ds.uptime).unwrap();
+        w.finish().unwrap();
         path
     }
 

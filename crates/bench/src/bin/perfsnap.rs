@@ -44,7 +44,8 @@ const OVERHEAD_PAIRS: usize = 15;
 struct TierResult {
     tier: String,
     scale: f64,
-    /// Worker threads the tier child ran with (its ambient parallelism).
+    /// Worker threads the tier child's executor ran with
+    /// (`DYNADDR_THREADS`, else the host's parallelism).
     threads: usize,
     /// Probes the tier's world produced.
     probes: u64,
@@ -100,7 +101,7 @@ fn run_tier_child(name: &str, seed: u64) -> ! {
     let result = TierResult {
         tier: name.to_string(),
         scale,
-        threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        threads: dynaddr_exec::current_threads(),
         probes,
         simulate_s,
         analyze_s,

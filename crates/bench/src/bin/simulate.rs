@@ -14,9 +14,11 @@
 //! pipeline runs from the files alone, as it would on real scraped logs.
 //!
 //! `--tier NAME` is sugar for the named scale (s005, s02, paper, 10x,
-//! 100x). `--streamed` encodes each simulator shard's output into
-//! `dataset.store` as it completes instead of materializing the dataset —
-//! required above `paper` scale, byte-identical below it (CI diffs it).
+//! 100x). Each simulator shard's rows are encoded into `dataset.store` as
+//! the shard completes (`simulate_to_store`), so the dataset never sits in
+//! memory whole; the file is byte-identical to the in-memory simulation's
+//! (`tests/determinism.rs` pins it). `--streamed` is still accepted and
+//! changes nothing.
 //!
 //! `--trace FILE` writes a JSONL observability sidecar (spans, metrics,
 //! heartbeats, executor stats); the dataset bytes are identical with and
@@ -25,7 +27,7 @@
 //! line.
 
 use dynaddr_atlas::world::{paper_route_tables, paper_world};
-use dynaddr_atlas::{simulate, simulate_to_store, SimOptions};
+use dynaddr_atlas::{simulate_to_store, SimOptions};
 use dynaddr_bench::{flag_value, tier_scale};
 use dynaddr_obs::{error, info};
 use dynaddr_store::{ColumnarRecord, SegmentFileReader};
@@ -39,7 +41,6 @@ fn main() {
     let mut scale = 0.1f64;
     let mut seed = 2015u64;
     let mut out: Option<PathBuf> = None;
-    let mut streamed = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -54,7 +55,8 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--streamed" => streamed = true,
+            // Every run streams; the flag stays for the scripts that pass it.
+            "--streamed" => {}
             "--seed" => seed = flag_value(&mut args, "--seed", USAGE),
             "--out" => out = Some(flag_value(&mut args, "--out", USAGE)),
             "--trace" => {
@@ -82,36 +84,22 @@ fn main() {
     let world = paper_world(scale, seed);
     let snaps = paper_route_tables(&world);
 
-    // counts: probes, connection entries, kroot records, uptime records.
-    let (truth, counts) = if streamed {
-        std::fs::create_dir_all(&out_dir).expect("create out dir");
-        let store_path = out_dir.join("dataset.store");
-        let (truth, _stats) = simulate_to_store(&world, &SimOptions::default(), &store_path)
-            .unwrap_or_else(|e| {
-                error!("streamed simulate failed: {e}");
-                std::process::exit(1);
-            });
-        // Row counts come from the footer index — the dataset itself is
-        // never in memory on this path.
-        let reader = SegmentFileReader::open(&store_path).expect("reopen dataset.store");
-        let counts = [
-            reader.table_rows(dynaddr_atlas::ProbeMeta::TABLE_ID),
-            reader.table_rows(dynaddr_atlas::ConnectionLogEntry::TABLE_ID),
-            reader.table_rows(dynaddr_atlas::KrootPingRecord::TABLE_ID),
-            reader.table_rows(dynaddr_atlas::SosUptimeRecord::TABLE_ID),
-        ];
-        (truth, counts)
-    } else {
-        let output = simulate(&world);
-        output.dataset.save_dir(&out_dir).expect("write dataset");
-        let counts = [
-            output.dataset.meta.len() as u64,
-            output.dataset.connections.len() as u64,
-            output.dataset.kroot.len() as u64,
-            output.dataset.uptime.len() as u64,
-        ];
-        (output.truth, counts)
-    };
+    std::fs::create_dir_all(&out_dir).expect("create out dir");
+    let store_path = out_dir.join("dataset.store");
+    let (truth, _stats) = simulate_to_store(&world, &SimOptions::default(), &store_path)
+        .unwrap_or_else(|e| {
+            error!("simulate failed: {e}");
+            std::process::exit(1);
+        });
+    // Row counts come from the footer index: the dataset is never in
+    // memory whole.
+    let reader = SegmentFileReader::open(&store_path).expect("reopen dataset.store");
+    let counts = [
+        reader.table_rows(dynaddr_atlas::ProbeMeta::TABLE_ID),
+        reader.table_rows(dynaddr_atlas::ConnectionLogEntry::TABLE_ID),
+        reader.table_rows(dynaddr_atlas::KrootPingRecord::TABLE_ID),
+        reader.table_rows(dynaddr_atlas::SosUptimeRecord::TABLE_ID),
+    ];
 
     snaps.save_dir(&out_dir.join("ip2as")).expect("write snapshots");
     std::fs::write(out_dir.join("truth.store"), truth.to_store_bytes()).expect("write truth");

@@ -1,138 +1,4 @@
-//! Small statistics toolkit: weighted CDFs, percentiles, medians.
-
-/// A weighted empirical distribution over `f64` values.
-///
-/// Used for the cumulative total-time-fraction curves of Figs. 1–3 (values
-/// are address durations in hours, weights are the durations themselves) and
-/// for the per-probe probability CDFs of Figs. 7–8 (unit weights).
-#[derive(Debug, Clone, Default)]
-pub struct WeightedCdf {
-    /// `(value, weight)` pairs, sorted by value after `finalize`.
-    points: Vec<(f64, f64)>,
-    total_weight: f64,
-    sorted: bool,
-}
-
-impl WeightedCdf {
-    /// Creates an empty distribution.
-    pub fn new() -> WeightedCdf {
-        WeightedCdf::default()
-    }
-
-    /// Adds a value with a weight.
-    pub fn push(&mut self, value: f64, weight: f64) {
-        assert!(weight >= 0.0, "negative weight");
-        self.points.push((value, weight));
-        self.total_weight += weight;
-        self.sorted = false;
-    }
-
-    /// Adds a value with unit weight.
-    pub fn push_unit(&mut self, value: f64) {
-        self.push(value, 1.0);
-    }
-
-    /// Appends all of `other`'s points after this distribution's own.
-    ///
-    /// Built for `par_fold` merges, which must be byte-deterministic: the
-    /// points concatenate in chunk order (so a later stable sort sees the
-    /// same tie order as a sequential build), and the total weight is
-    /// **recomputed** as one left-to-right sum over the concatenation —
-    /// float addition is not associative, so summing partial chunk totals
-    /// would drift from what sequential `push` accumulation produces.
-    pub fn merge(&mut self, mut other: WeightedCdf) {
-        self.points.append(&mut other.points);
-        // `+ 0.0` normalizes the `-0.0` an empty f64 sum produces.
-        self.total_weight = self.points.iter().map(|(_, w)| w).sum::<f64>() + 0.0;
-        self.sorted = false;
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.points
-                .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN values"));
-            self.sorted = true;
-        }
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the distribution is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Total weight.
-    pub fn total_weight(&self) -> f64 {
-        self.total_weight
-    }
-
-    /// Cumulative fraction of weight at values `<= x`.
-    pub fn fraction_le(&mut self, x: f64) -> f64 {
-        if self.total_weight == 0.0 {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let idx = self.points.partition_point(|(v, _)| *v <= x);
-        // `+ 0.0` normalizes the `-0.0` an empty f64 sum produces.
-        let sum: f64 = self.points[..idx].iter().map(|(_, w)| w).sum::<f64>() + 0.0;
-        sum / self.total_weight
-    }
-
-    /// Fraction of weight within `[x(1-tol), x(1+tol)]` — the "mode mass"
-    /// readout used to quantify periodic spikes.
-    pub fn fraction_near(&mut self, x: f64, tol: f64) -> f64 {
-        if self.total_weight == 0.0 {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let lo = x * (1.0 - tol);
-        let hi = x * (1.0 + tol);
-        let a = self.points.partition_point(|(v, _)| *v < lo);
-        let b = self.points.partition_point(|(v, _)| *v <= hi);
-        let sum: f64 = self.points[a..b].iter().map(|(_, w)| w).sum::<f64>() + 0.0;
-        sum / self.total_weight
-    }
-
-    /// The full CDF as `(value, cumulative fraction)` steps.
-    pub fn curve(&mut self) -> Vec<(f64, f64)> {
-        self.ensure_sorted();
-        let mut out = Vec::with_capacity(self.points.len());
-        let mut acc = 0.0;
-        for (v, w) in &self.points {
-            acc += w;
-            out.push((*v, acc / self.total_weight.max(f64::MIN_POSITIVE)));
-        }
-        out
-    }
-
-    /// Consumes the distribution, returning its points sorted by value plus
-    /// the total weight — the raw material of a finalized curve.
-    pub fn into_sorted_points(mut self) -> (Vec<(f64, f64)>, f64) {
-        self.ensure_sorted();
-        (self.points, self.total_weight)
-    }
-
-    /// The value at a cumulative fraction `q` in `[0, 1]`.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        if self.points.is_empty() {
-            return None;
-        }
-        self.ensure_sorted();
-        let target = q.clamp(0.0, 1.0) * self.total_weight;
-        let mut acc = 0.0;
-        for (v, w) in &self.points {
-            acc += w;
-            if acc >= target {
-                return Some(*v);
-            }
-        }
-        self.points.last().map(|(v, _)| *v)
-    }
-}
+//! Small statistics toolkit: medians.
 
 /// Median of a slice (not necessarily sorted). `None` when empty.
 pub fn median(values: &[f64]) -> Option<f64> {
@@ -158,71 +24,6 @@ pub fn median_usize(values: &[usize]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_cdf() {
-        let mut c = WeightedCdf::new();
-        assert!(c.is_empty());
-        assert_eq!(c.fraction_le(10.0), 0.0);
-        assert_eq!(c.quantile(0.5), None);
-    }
-
-    #[test]
-    fn unit_weights_behave_like_ecdf() {
-        let mut c = WeightedCdf::new();
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            c.push_unit(v);
-        }
-        assert_eq!(c.fraction_le(2.0), 0.5);
-        assert_eq!(c.fraction_le(0.5), 0.0);
-        assert_eq!(c.fraction_le(4.0), 1.0);
-        assert_eq!(c.quantile(0.5), Some(2.0));
-    }
-
-    #[test]
-    fn weights_shift_mass() {
-        let mut c = WeightedCdf::new();
-        c.push(1.0, 1.0);
-        c.push(24.0, 9.0);
-        assert!((c.fraction_le(1.0) - 0.1).abs() < 1e-12);
-        assert_eq!(c.quantile(0.5), Some(24.0));
-    }
-
-    #[test]
-    fn fraction_near_captures_mode() {
-        let mut c = WeightedCdf::new();
-        // A 24-hour mode with slight spread, plus background.
-        for v in [23.6, 23.7, 23.8, 24.0] {
-            c.push(v, v);
-        }
-        c.push(5.0, 5.0);
-        c.push(100.0, 100.0);
-        let near = c.fraction_near(24.0, 0.05);
-        let expected = (23.6 + 23.7 + 23.8 + 24.0) / (23.6 + 23.7 + 23.8 + 24.0 + 5.0 + 100.0);
-        assert!((near - expected).abs() < 1e-12);
-        assert_eq!(c.fraction_near(24.0, 0.001), 24.0 / c.total_weight());
-    }
-
-    #[test]
-    fn curve_is_monotone_and_ends_at_one() {
-        let mut c = WeightedCdf::new();
-        for v in [3.0, 1.0, 2.0, 2.0] {
-            c.push(v, v);
-        }
-        let curve = c.curve();
-        assert!(curve.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1));
-        assert!((curve.last().unwrap().1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_sums_do_not_produce_negative_zero() {
-        let mut c = WeightedCdf::new();
-        c.push(7_000.0, 1.0);
-        let f = c.fraction_le(10.0);
-        assert_eq!(format!("{f:.2}"), "0.00", "no -0.00 rendering");
-        let m = c.fraction_near(24.0, 0.05);
-        assert_eq!(format!("{m:.2}"), "0.00");
-    }
 
     #[test]
     fn median_odd_even() {

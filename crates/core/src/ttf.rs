@@ -14,7 +14,6 @@
 //! cluster's time-weighted mean, rounded to whole hours, is the reported
 //! period `d`.
 
-use crate::stats::WeightedCdf;
 use dynaddr_types::SimDuration;
 
 /// Default relative tolerance for duration clustering (±5%, matching the
@@ -115,7 +114,11 @@ pub fn dominant_cluster(durations: &[SimDuration], tol: f64) -> Option<DurationC
 /// [`finalize`]: TtfDistribution::finalize
 #[derive(Debug, Clone, Default)]
 pub struct TtfDistribution {
-    cdf: WeightedCdf,
+    /// `(hours, weight)` per duration, in push order; the weight is the
+    /// duration in seconds.
+    points: Vec<(f64, f64)>,
+    /// The weights' sum, accumulated left to right.
+    total_weight: f64,
     total_secs: i64,
 }
 
@@ -128,7 +131,9 @@ impl TtfDistribution {
     /// Adds one address duration.
     pub fn push(&mut self, d: SimDuration) {
         if d.secs() > 0 {
-            self.cdf.push(d.as_hours(), d.secs() as f64);
+            let weight = d.secs() as f64;
+            self.points.push((d.as_hours(), weight));
+            self.total_weight += weight;
             self.total_secs += d.secs();
         }
     }
@@ -141,18 +146,25 @@ impl TtfDistribution {
     }
 
     /// Absorbs another distribution built from a later chunk of the same
-    /// probe sequence. Deterministic under `par_fold`: points concatenate
-    /// in chunk order and the float total is recomputed left to right (see
-    /// [`WeightedCdf::merge`]), so the result is byte-identical to a
-    /// sequential build at any worker count.
-    pub fn merge(&mut self, other: TtfDistribution) {
-        self.cdf.merge(other.cdf);
+    /// probe sequence. Deterministic under `par_fold`: the points
+    /// concatenate in chunk order, so [`finalize`]'s stable sort sees the
+    /// tie order of a sequential build, and the float total is recomputed
+    /// as one left-to-right sum over the concatenation. Float addition is
+    /// not associative, so summing the chunks' totals would drift from
+    /// what sequential `push`es accumulate. The result is byte-identical
+    /// to a sequential build at any worker count.
+    ///
+    /// [`finalize`]: TtfDistribution::finalize
+    pub fn merge(&mut self, mut other: TtfDistribution) {
+        self.points.append(&mut other.points);
+        // `+ 0.0` normalizes the `-0.0` an empty f64 sum produces.
+        self.total_weight = self.points.iter().map(|(_, w)| w).sum::<f64>() + 0.0;
         self.total_secs += other.total_secs;
     }
 
     /// Number of durations.
     pub fn count(&self) -> usize {
-        self.cdf.len()
+        self.points.len()
     }
 
     /// Total address time in years (the legend numbers of Figs. 1–3).
@@ -162,15 +174,15 @@ impl TtfDistribution {
 
     /// Sorts the accumulated durations once and freezes them into an
     /// immutable, query-ready [`TtfCurve`].
-    pub fn finalize(self) -> TtfCurve {
-        let (points, total_weight) = self.cdf.into_sorted_points();
-        let mut steps = Vec::with_capacity(points.len());
+    pub fn finalize(mut self) -> TtfCurve {
+        self.points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN values"));
+        let mut steps = Vec::with_capacity(self.points.len());
         let mut acc = 0.0;
-        for (hours, weight) in points {
+        for (hours, weight) in self.points {
             acc += weight;
             steps.push((hours, acc));
         }
-        TtfCurve { steps, total_weight, total_secs: self.total_secs }
+        TtfCurve { steps, total_weight: self.total_weight, total_secs: self.total_secs }
     }
 }
 

@@ -3,7 +3,7 @@
 //! Everything merges with commutative, associative u64 operations
 //! (addition for counters/histograms, max for gauges), so a metric folded
 //! across N workers is bit-identical for any N — the same discipline as
-//! `WeightedCdf::merge` in the analysis crate. The global registry is
+//! `TtfDistribution::merge` in the analysis crate. The global registry is
 //! keyed by `&'static str` in a `BTreeMap`, so snapshots iterate in a
 //! stable sorted order.
 

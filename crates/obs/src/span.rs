@@ -27,8 +27,6 @@ pub struct SpanEvent {
     pub start_us: u64,
     /// Duration in microseconds.
     pub dur_us: u64,
-    /// True if this span (or an ancestor) was marked as warm-up work.
-    pub warmup: bool,
     /// Arbitrary thread tag (stable within a thread, not across runs).
     pub thread: u64,
     /// Global creation sequence number; tie-breaker for sorting.
@@ -52,7 +50,6 @@ const BUFFER_CAP: usize = 1 << 16;
 struct ThreadBuf {
     id: u64,
     stack: Vec<&'static str>,
-    warmup_depth: usize,
     buf: Vec<SpanEvent>,
 }
 
@@ -61,7 +58,6 @@ impl ThreadBuf {
         ThreadBuf {
             id: THREAD_IDS.fetch_add(1, Ordering::Relaxed),
             stack: Vec::new(),
-            warmup_depth: 0,
             buf: Vec::new(),
         }
     }
@@ -96,10 +92,6 @@ pub struct Span {
     path: String,
     start: Instant,
     start_us: u64,
-    warmup: bool,
-    /// True only for the span whose `.warmup()` call bumped the
-    /// thread-local warm-up depth (children inherit `warmup` but not this).
-    owns_warmup: bool,
     seq: u64,
     done: bool,
 }
@@ -110,7 +102,7 @@ pub fn span(name: &'static str) -> Span {
     let start = Instant::now();
     let start_us = start.duration_since(epoch()).as_micros() as u64;
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    let (path, warmup) = TLS.with(|tls| {
+    let path = TLS.with(|tls| {
         let mut t = tls.borrow_mut();
         let path = if t.stack.is_empty() {
             name.to_string()
@@ -121,22 +113,12 @@ pub fn span(name: &'static str) -> Span {
             p
         };
         t.stack.push(name);
-        (path, t.warmup_depth > 0)
+        path
     });
-    Span { name, path, start, start_us, warmup, owns_warmup: false, seq, done: false }
+    Span { name, path, start, start_us, seq, done: false }
 }
 
 impl Span {
-    /// Mark this span (and every span opened inside it) as warm-up work.
-    pub fn warmup(mut self) -> Self {
-        if !self.warmup {
-            TLS.with(|tls| tls.borrow_mut().warmup_depth += 1);
-            self.owns_warmup = true;
-            self.warmup = true;
-        }
-        self
-    }
-
     /// Close the span now and return elapsed seconds.
     pub fn finish_secs(mut self) -> f64 {
         let secs = self.start.elapsed().as_secs_f64();
@@ -157,15 +139,11 @@ impl Span {
             if let Some(pos) = t.stack.iter().rposition(|&n| n == self.name) {
                 t.stack.truncate(pos);
             }
-            if self.owns_warmup {
-                t.warmup_depth = t.warmup_depth.saturating_sub(1);
-            }
             let ev = SpanEvent {
                 name: self.name,
                 path: std::mem::take(&mut self.path),
                 start_us: self.start_us,
                 dur_us,
-                warmup: self.warmup,
                 thread: t.id,
                 seq: self.seq,
             };
@@ -226,25 +204,6 @@ mod tests {
         assert!(paths.contains(&"outer/sibling"));
         // Sorted by (start_us, seq): outer opened first.
         assert_eq!(events[0].path, "outer");
-        assert!(events.iter().all(|e| !e.warmup));
-    }
-
-    #[test]
-    fn warmup_marks_children() {
-        let _g = LOCK.lock().unwrap();
-        let _ = take_spans();
-        {
-            let _w = span("warmup").warmup();
-            let _child = span("work");
-        }
-        {
-            let _after = span("after");
-        }
-        let (events, _) = take_spans();
-        let find = |p: &str| events.iter().find(|e| e.path == p).unwrap();
-        assert!(find("warmup").warmup);
-        assert!(find("warmup/work").warmup);
-        assert!(!find("after").warmup);
     }
 
     #[test]

@@ -178,7 +178,6 @@ pub fn flush_trace() {
                 ("path", Value::Str(&s.path)),
                 ("start_us", Value::U64(s.start_us)),
                 ("dur_us", Value::U64(s.dur_us)),
-                ("warmup", Value::Bool(s.warmup)),
                 ("thread", Value::U64(s.thread)),
             ],
         );

@@ -18,7 +18,7 @@ use dynaddr_query::{
 use dynaddr_query::engine::EngineError;
 use dynaddr_store::crc32::crc32;
 use dynaddr_store::{
-    varint, FileReader, FileWriter, SegmentInfo, StoreError, DEFAULT_SEGMENT_ROWS,
+    varint, FileReader, SegmentInfo, StoreError, StreamWriter, DEFAULT_SEGMENT_ROWS,
 };
 use dynaddr_types::{
     Asn, Country, Prefix, ProbeId, ProbeTag, ProbeVersion, SimDuration, SimTime,
@@ -114,12 +114,12 @@ fn truth() -> GroundTruth {
 /// make every table span many — the geometry that exercises the segment
 /// cache, the footer binary search, and probes straddling boundaries.
 fn store_bytes(ds: &AtlasDataset, segment_rows: usize) -> Vec<u8> {
-    let mut w = FileWriter::with_segment_rows(segment_rows);
-    w.write_table(&ds.meta);
-    w.write_table(&ds.connections);
-    w.write_table(&ds.kroot);
-    w.write_table(&ds.uptime);
-    w.finish()
+    let mut w = StreamWriter::with_segment_rows(Vec::new(), segment_rows).unwrap();
+    w.write_table(&ds.meta).unwrap();
+    w.write_table(&ds.connections).unwrap();
+    w.write_table(&ds.kroot).unwrap();
+    w.write_table(&ds.uptime).unwrap();
+    w.finish().unwrap()
 }
 
 /// Re-encodes the footer of a store file after `edit`, with a valid
@@ -256,6 +256,49 @@ fn engine_rejects_footer_spans_out_of_order() {
             }
             other => panic!("{what}: expected an out-of-order {table} error, got {other:?}"),
         }
+    }
+}
+
+#[test]
+fn footer_span_narrower_than_its_rows_fails_every_reader() {
+    // The engine finds a probe's segments by their footer spans, the
+    // loaders keep every row: a span that hides some of its segment's
+    // rows would let them disagree, so every reader must reject it.
+    let mut probe = 0;
+    let bytes = with_footer(&store_bytes(&dataset(), 16), |e| {
+        let s = e.iter_mut().find(|s| s.table == 3 && s.key_lo < s.key_hi).expect("span");
+        s.key_hi -= 1;
+        probe = s.key_lo;
+    });
+    let corrupt_kroot = |what: &str, err: &StoreError| {
+        assert!(
+            matches!(err, StoreError::SegmentCorrupt { table, .. } if table == "kroot"),
+            "{what}: expected a corrupt kroot segment, got {err}"
+        );
+    };
+    let dir = std::env::temp_dir().join(format!("dynaddr-narrow-span-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("dataset.store"), &bytes).unwrap();
+
+    match AtlasDataset::load_dir(&dir) {
+        Err(dynaddr_atlas::LoadError::Store { source, .. }) => corrupt_kroot("load_dir", &source),
+        other => panic!("load_dir: expected a store error, got {:?}", other.map(|_| ())),
+    }
+    let mut stream = dynaddr_atlas::DatasetStream::open(&dir.join("dataset.store")).unwrap();
+    let err = loop {
+        match stream.next_batch() {
+            Ok(Some(_)) => continue,
+            Ok(None) => panic!("DatasetStream read the whole file"),
+            Err(e) => break e,
+        }
+    };
+    corrupt_kroot("DatasetStream", &err);
+    std::fs::remove_dir_all(&dir).ok();
+
+    let engine = QueryEngine::from_parts(bytes, &snaps(), None, &EngineOptions::default()).unwrap();
+    match engine.query(&Request::ProbeRecords(ProbeId(probe))) {
+        Response::Error(msg) => assert!(msg.contains("kroot"), "{msg}"),
+        other => panic!("probe {probe}: expected an error, got {other:?}"),
     }
 }
 

@@ -54,77 +54,8 @@ pub struct SegmentInfo {
     pub len: u64,
 }
 
-/// Writes tables into an in-memory store file.
-///
-/// Tables are written whole, one after another; each is split into
-/// segments of at most `segment_rows` rows, encoded in parallel on the
-/// `dynaddr-exec` executor. The resulting bytes are identical at any
-/// worker count.
-pub struct FileWriter {
-    buf: Vec<u8>,
-    entries: Vec<SegmentInfo>,
-    segment_rows: usize,
-}
-
-impl Default for FileWriter {
-    fn default() -> FileWriter {
-        FileWriter::new()
-    }
-}
-
-impl FileWriter {
-    /// A writer with the default segment size.
-    pub fn new() -> FileWriter {
-        FileWriter::with_segment_rows(DEFAULT_SEGMENT_ROWS)
-    }
-
-    /// A writer splitting tables into segments of at most `segment_rows`
-    /// rows (test knob; clamped to at least 1).
-    pub fn with_segment_rows(segment_rows: usize) -> FileWriter {
-        FileWriter {
-            buf: MAGIC.to_vec(),
-            entries: Vec::new(),
-            segment_rows: segment_rows.max(1),
-        }
-    }
-
-    /// Appends one table. Rows should be sorted by key (see
-    /// [`ColumnarRecord`]); an empty table writes no segments and decodes
-    /// back as empty.
-    pub fn write_table<R: ColumnarRecord>(&mut self, rows: &[R]) {
-        let chunks: Vec<&[R]> = rows.chunks(self.segment_rows).collect();
-        let encoded = dynaddr_exec::par_map(&chunks, |chunk| {
-            let (frame, key_lo, key_hi) = encode_segment(chunk);
-            (frame, key_lo, key_hi, chunk.len() as u64)
-        });
-        for (frame, key_lo, key_hi, rows) in encoded {
-            self.entries.push(SegmentInfo {
-                table: R::TABLE_ID,
-                key_lo,
-                key_hi,
-                rows,
-                offset: self.buf.len() as u64,
-                // Frame = 4-byte length prefix + body + 4-byte CRC.
-                len: (frame.len() - 8) as u64,
-            });
-            dynaddr_obs::counter_add("store.segments_written", 1);
-            dynaddr_obs::counter_add("store.bytes_written", frame.len() as u64);
-            dynaddr_obs::hist_record("store.segment_bytes", frame.len() as u64);
-            self.buf.extend_from_slice(&frame);
-        }
-    }
-
-    /// Appends the footer and trailer and returns the finished file bytes.
-    pub fn finish(mut self) -> Vec<u8> {
-        let footer_offset = self.buf.len() as u64;
-        self.buf.extend_from_slice(&footer_and_trailer(&self.entries, footer_offset));
-        self.buf
-    }
-}
-
 /// Encodes the footer (entry index + CRC) and the fixed trailer for a file
-/// whose segments end at `footer_offset`. Shared by [`FileWriter`] and
-/// [`StreamWriter`] so both paths produce bit-identical file tails.
+/// whose segments end at `footer_offset`.
 fn footer_and_trailer(entries: &[SegmentInfo], footer_offset: u64) -> Vec<u8> {
     let mut footer = Vec::new();
     varint::write_u64(&mut footer, entries.len() as u64);
@@ -143,17 +74,17 @@ fn footer_and_trailer(entries: &[SegmentInfo], footer_offset: u64) -> Vec<u8> {
     footer
 }
 
-/// Writes a store file incrementally to any [`Write`] sink.
+/// Writes a store file to any [`Write`] sink: a `Vec<u8>` for bytes in
+/// memory, a file on disk, or a [`crate::SegmentSink`]'s spill.
 ///
-/// Where [`FileWriter`] buffers the whole file in memory, `StreamWriter`
-/// emits each segment as it is handed over and keeps only the footer index
-/// in memory — peak memory is one segment, not one dataset. The caller
-/// drives the chunk discipline: within a table, every segment except the
-/// last must hold exactly `segment_rows` rows and rows must arrive in
-/// ascending key order, which is precisely what [`FileWriter::write_table`]
-/// does — so a `StreamWriter` fed the same rows produces byte-identical
-/// files ([`write_table_iter`](StreamWriter::write_table_iter) enforces the
-/// discipline for you).
+/// Segments go out as they are encoded and only the footer index stays in
+/// memory. Within a table every segment but the last holds exactly
+/// `segment_rows` rows, counted from the table's first row, and rows
+/// arrive in ascending key order (see [`ColumnarRecord`]): so the same
+/// rows give the same bytes whichever method wrote them.
+/// [`write_table`](StreamWriter::write_table) chunks a whole table itself;
+/// [`write_segment`](StreamWriter::write_segment) takes one chunk at a
+/// time from a caller that produces rows in order (the spill merge).
 pub struct StreamWriter<W: Write> {
     out: W,
     offset: u64,
@@ -162,14 +93,14 @@ pub struct StreamWriter<W: Write> {
 }
 
 impl<W: Write> StreamWriter<W> {
-    /// A streamed writer with the default segment size. Writes the leading
-    /// magic immediately.
+    /// A writer with the default segment size. Writes the leading magic
+    /// immediately.
     pub fn new(out: W) -> Result<StreamWriter<W>, StoreError> {
         StreamWriter::with_segment_rows(out, DEFAULT_SEGMENT_ROWS)
     }
 
-    /// A streamed writer splitting tables into segments of at most
-    /// `segment_rows` rows (clamped to at least 1).
+    /// A writer splitting tables into segments of at most `segment_rows`
+    /// rows (clamped to at least 1).
     pub fn with_segment_rows(mut out: W, segment_rows: usize) -> Result<StreamWriter<W>, StoreError> {
         out.write_all(&MAGIC).map_err(|e| StoreError::io("write magic", e))?;
         Ok(StreamWriter {
@@ -185,17 +116,44 @@ impl<W: Write> StreamWriter<W> {
         self.segment_rows
     }
 
+    /// Every segment written so far, in file order.
+    pub fn segments(&self) -> &[SegmentInfo] {
+        &self.entries
+    }
+
+    /// Appends one whole table of key-sorted rows. Its segments encode in
+    /// parallel on the `dynaddr-exec` executor and are written in order,
+    /// so the bytes are identical at any worker count. An empty table
+    /// writes no segments and decodes back as empty.
+    pub fn write_table<R: ColumnarRecord>(&mut self, rows: &[R]) -> Result<(), StoreError> {
+        let chunks: Vec<&[R]> = rows.chunks(self.segment_rows).collect();
+        let frames = dynaddr_exec::par_map(&chunks, |chunk| encode_segment(chunk));
+        for (chunk, frame) in chunks.iter().zip(frames) {
+            self.put_frame::<R>(frame, chunk.len())?;
+        }
+        Ok(())
+    }
+
     /// Encodes and writes one segment of `rows` (non-empty, at most
     /// `segment_rows` — the caller owns the chunk discipline).
     pub fn write_segment<R: ColumnarRecord>(&mut self, rows: &[R]) -> Result<(), StoreError> {
         debug_assert!(!rows.is_empty() && rows.len() <= self.segment_rows);
-        let (frame, key_lo, key_hi) = encode_segment(rows);
+        self.put_frame::<R>(encode_segment(rows), rows.len())
+    }
+
+    /// Writes one encoded frame of `rows` rows and indexes it.
+    fn put_frame<R: ColumnarRecord>(
+        &mut self,
+        (frame, key_lo, key_hi): (Vec<u8>, u32, u32),
+        rows: usize,
+    ) -> Result<(), StoreError> {
         self.entries.push(SegmentInfo {
             table: R::TABLE_ID,
             key_lo,
             key_hi,
-            rows: rows.len() as u64,
+            rows: rows as u64,
             offset: self.offset,
+            // Frame = 4-byte length prefix + body + 4-byte CRC.
             len: (frame.len() - 8) as u64,
         });
         self.out
@@ -208,35 +166,13 @@ impl<W: Write> StreamWriter<W> {
         Ok(())
     }
 
-    /// Appends one whole table from an iterator of key-sorted rows,
-    /// applying the same chunking as [`FileWriter::write_table`] (segments
-    /// restart at row 0 for each table).
-    pub fn write_table_iter<R: ColumnarRecord>(
-        &mut self,
-        rows: impl IntoIterator<Item = R>,
-    ) -> Result<(), StoreError> {
-        let mut buf: Vec<R> = Vec::with_capacity(self.segment_rows);
-        for row in rows {
-            buf.push(row);
-            if buf.len() == self.segment_rows {
-                self.write_segment(&buf)?;
-                buf.clear();
-            }
-        }
-        if !buf.is_empty() {
-            self.write_segment(&buf)?;
-        }
-        Ok(())
-    }
-
-    /// Writes the footer and trailer, flushes, and returns the index of
-    /// everything written.
-    pub fn finish(mut self) -> Result<Vec<SegmentInfo>, StoreError> {
+    /// Writes the footer and trailer, flushes, and returns the sink.
+    pub fn finish(mut self) -> Result<W, StoreError> {
         self.out
             .write_all(&footer_and_trailer(&self.entries, self.offset))
             .map_err(|e| StoreError::io("write footer", e))?;
         self.out.flush().map_err(|e| StoreError::io("flush", e))?;
-        Ok(self.entries)
+        Ok(self.out)
     }
 }
 
@@ -337,13 +273,36 @@ impl<'a> FileReader<'a> {
 }
 
 /// Verifies and decodes one indexed segment out of store-file bytes: the
-/// inline length prefix, the CRC, and the decoded row count must all agree
-/// with the footer entry, and any failure is a [`StoreError::SegmentCorrupt`]
-/// naming the segment. This is the building block callers with their own
-/// parsed footer (e.g. a segment cache that decodes on miss) use to read
-/// segments without re-opening a [`FileReader`].
+/// inline length prefix, the CRC, the decoded row count and the rows' key
+/// span must all agree with the footer entry, and any failure is a
+/// [`StoreError::SegmentCorrupt`] naming the segment. This is the building
+/// block callers with their own parsed footer (e.g. a segment cache that
+/// decodes on miss) use to read segments without re-opening a
+/// [`FileReader`].
 pub fn decode_segment_at<R: ColumnarRecord>(
     bytes: &[u8],
+    index: usize,
+    info: SegmentInfo,
+) -> Result<Vec<R>, StoreError> {
+    let start = info.offset as usize;
+    let frame = (info.len as usize)
+        .checked_add(8)
+        .and_then(|n| bytes.get(start..start.checked_add(n)?));
+    decode_frame(frame, index, info)
+}
+
+/// The one check of a segment frame (`len | body | crc`) against its
+/// footer entry, shared by every reader. `frame` is the entry's
+/// `len + 8` bytes at its offset, or `None` when the file ends first. The
+/// length prefix must equal the entry's length, the body must match its
+/// CRC and decode as table `R`, and the rows must number the entry's
+/// count and span exactly its `key_lo..=key_hi`: readers that find or
+/// skip segments by span (`DatasetStream`, the query engine) and readers
+/// that keep every row (`load_dir`) must see the same file. Rows in order
+/// settle the span from their ends; rows out of order pay for a scan and,
+/// if their span holds, reach the callers' probe-order checks.
+fn decode_frame<R: ColumnarRecord>(
+    frame: Option<&[u8]>,
     index: usize,
     info: SegmentInfo,
 ) -> Result<Vec<R>, StoreError> {
@@ -353,23 +312,19 @@ pub fn decode_segment_at<R: ColumnarRecord>(
         offset: info.offset,
         reason,
     };
-    let start = info.offset as usize;
-    let body_start = start + 4;
-    let body_end = body_start + info.len as usize;
-    if body_end + 4 > bytes.len() {
+    let Some(frame) = frame else {
         return Err(corrupt("segment extends past end of file".to_string()));
-    }
-    let inline_len = u32::from_le_bytes(bytes[start..body_start].try_into().expect("4 bytes"));
+    };
+    let (prefix, rest) = frame.split_at(4);
+    let (body, crc) = rest.split_at(rest.len() - 4);
+    let inline_len = u32::from_le_bytes(prefix.try_into().expect("4 bytes"));
     if u64::from(inline_len) != info.len {
         return Err(corrupt(format!(
             "length prefix {inline_len} disagrees with index length {}",
             info.len
         )));
     }
-    let body = &bytes[body_start..body_end];
-    let stored_crc =
-        u32::from_le_bytes(bytes[body_end..body_end + 4].try_into().expect("4 bytes"));
-    if crc32(body) != stored_crc {
+    if crc32(body) != u32::from_le_bytes(crc.try_into().expect("4 bytes")) {
         return Err(corrupt("checksum mismatch".to_string()));
     }
     let rows = decode_segment::<R>(body).map_err(|e: DecodeError| corrupt(e.reason))?;
@@ -380,6 +335,19 @@ pub fn decode_segment_at<R: ColumnarRecord>(
             info.rows
         )));
     }
+    let span = (info.key_lo, info.key_hi);
+    if let (Some(first), Some(last)) = (rows.first(), rows.last()) {
+        if (first.key(), last.key()) != span {
+            let (lo, hi) =
+                rows.iter().map(R::key).fold((u32::MAX, 0), |(lo, hi), k| (lo.min(k), hi.max(k)));
+            if (lo, hi) != span {
+                return Err(corrupt(format!(
+                    "rows span keys {lo}..={hi} where the index records {}..={}",
+                    info.key_lo, info.key_hi
+                )));
+            }
+        }
+    }
     Ok(rows)
 }
 
@@ -387,8 +355,8 @@ pub fn decode_segment_at<R: ColumnarRecord>(
 ///
 /// Where [`FileReader`] needs the whole file in memory, this reader holds
 /// only the footer index and seeks to each segment on demand — the
-/// out-of-core side of [`StreamWriter`]. Every per-segment integrity check
-/// of [`FileReader`] (inline length, CRC, row count) applies unchanged.
+/// out-of-core side of [`StreamWriter`]. Every segment passes the same
+/// frame check as [`FileReader`]'s.
 pub struct SegmentFileReader {
     file: std::fs::File,
     entries: Vec<SegmentInfo>,
@@ -434,49 +402,23 @@ impl SegmentFileReader {
     }
 
     /// Reads and decodes one segment (identified by its index entry and
-    /// its ordinal within table `R`, for error naming), verifying the
-    /// inline length, checksum, and row count exactly like
-    /// [`FileReader::decode_table`].
+    /// its ordinal within table `R`, for error naming), with the same
+    /// checks as [`decode_segment_at`].
     pub fn read_segment<R: ColumnarRecord>(
         &mut self,
         index: usize,
         info: SegmentInfo,
     ) -> Result<Vec<R>, StoreError> {
-        let corrupt = |reason: String| StoreError::SegmentCorrupt {
-            table: R::TABLE_NAME.to_string(),
-            index,
-            offset: info.offset,
-            reason,
-        };
         let mut frame = vec![0u8; info.len as usize + 8];
-        self.file
+        let read = self
+            .file
             .seek(SeekFrom::Start(info.offset))
-            .and_then(|_| self.file.read_exact(&mut frame))
-            .map_err(|_| corrupt("segment extends past end of file".to_string()))?;
-        dynaddr_obs::counter_add("store.segments_read", 1);
-        dynaddr_obs::counter_add("store.bytes_read", frame.len() as u64);
-        let inline_len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes"));
-        if u64::from(inline_len) != info.len {
-            return Err(corrupt(format!(
-                "length prefix {inline_len} disagrees with index length {}",
-                info.len
-            )));
+            .and_then(|_| self.file.read_exact(&mut frame));
+        if read.is_ok() {
+            dynaddr_obs::counter_add("store.segments_read", 1);
+            dynaddr_obs::counter_add("store.bytes_read", frame.len() as u64);
         }
-        let body = &frame[4..frame.len() - 4];
-        let stored_crc =
-            u32::from_le_bytes(frame[frame.len() - 4..].try_into().expect("4 bytes"));
-        if crc32(body) != stored_crc {
-            return Err(corrupt("checksum mismatch".to_string()));
-        }
-        let rows = decode_segment::<R>(body).map_err(|e: DecodeError| corrupt(e.reason))?;
-        if rows.len() as u64 != info.rows {
-            return Err(corrupt(format!(
-                "decoded {} rows where the index records {}",
-                rows.len(),
-                info.rows
-            )));
-        }
-        Ok(rows)
+        decode_frame(read.ok().map(|()| &frame[..]), index, info)
     }
 }
 
@@ -685,9 +627,9 @@ mod tests {
     }
 
     fn sample_file(n: usize, segment_rows: usize) -> Vec<u8> {
-        let mut w = FileWriter::with_segment_rows(segment_rows);
-        w.write_table(&sample_rows(n));
-        w.finish()
+        let mut w = StreamWriter::with_segment_rows(Vec::new(), segment_rows).unwrap();
+        w.write_table(&sample_rows(n)).unwrap();
+        w.finish().unwrap()
     }
 
     #[test]

@@ -17,15 +17,24 @@
 //!
 //! * any flipped bit surfaces as a typed [`StoreError`] naming the segment
 //!   it hit — never a panic, never silently wrong data;
+//! * a segment whose rows do not span exactly the key range its footer
+//!   entry records is corrupt too, so readers that find segments by span
+//!   and readers that keep every row see the same file;
 //! * [`ReadMode::Recover`] skips corrupt segments (and rebuilds the index by
 //!   scanning when the footer itself is damaged), reporting exactly what was
 //!   dropped via [`DroppedSegment`]s and recovery notes.
 //!
 //! The crate is generic over row types: anything implementing
 //! [`ColumnarRecord`] (see `dynaddr-atlas` for the Atlas log and
-//! ground-truth tables) can be written with [`FileWriter`] and read back
-//! with [`FileReader`]. Encode and decode are deterministic: the bytes and
-//! the decoded rows are identical at any worker count.
+//! ground-truth tables). One writer, [`StreamWriter`], writes every file
+//! into any `Write` sink: bytes in memory, a file on disk, or the spill of
+//! a [`SegmentSink`]. Its [`StreamWriter::write_table`] encodes a table's
+//! segments in parallel. [`FileReader`] reads a file from memory and
+//! [`SegmentFileReader`] one segment at a time from disk; both, and the
+//! spill merge, check every segment frame in one place: length prefix,
+//! CRC, row count and key span against the footer entry. Encode and
+//! decode are deterministic: the bytes and the decoded rows are identical
+//! at any worker count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +49,7 @@ pub mod varint;
 
 pub use column::{ColumnBuilder, ColumnKind, ColumnReader, DecodeError};
 pub use file::{
-    decode_segment_at, FileReader, FileWriter, SegmentFileReader, SegmentInfo, StreamWriter,
+    decode_segment_at, FileReader, SegmentFileReader, SegmentInfo, StreamWriter,
     DEFAULT_SEGMENT_ROWS, MAGIC,
 };
 pub use record::ColumnarRecord;

@@ -5,12 +5,14 @@
 //! table order, rows in global key order, chunk boundaries restarting at
 //! row 0 for each table. [`SegmentSink`] reconciles the two. Producers
 //! append *runs* — independent, key-sorted row sequences (one per shard) —
-//! as they complete; the sink encodes each batch into segments immediately
-//! and spills the frames to a scratch file, so a finished shard's rows
-//! never sit in memory. [`SegmentSink::finish`] hands the spill to a
-//! [`RunMerger`], which streams a k-way merge of the runs into a
-//! [`StreamWriter`], producing bytes identical to a [`crate::FileWriter`] fed the
-//! globally sorted rows.
+//! as they complete; the sink writes each batch through a [`StreamWriter`]
+//! into a spill, an ordinary store file, so a finished shard's rows never
+//! sit in memory. [`SegmentSink::finish`] reopens the spill as a
+//! [`SegmentFileReader`] inside a [`RunMerger`], which streams a k-way
+//! merge of the runs into the output [`StreamWriter`], producing bytes
+//! identical to writing the globally sorted rows with
+//! [`StreamWriter::write_table`]. Spilled segments pass the same frame
+//! check as every other segment read.
 //!
 //! Memory during the merge is bounded by one decoded segment per run, and
 //! during appends by one batch — the full table never materializes.
@@ -20,36 +22,27 @@
 //! in run-id order (with key-disjoint runs, as shard splitting guarantees,
 //! the tie-break never fires).
 
-use crate::crc32::crc32;
+use crate::file::{SegmentFileReader, SegmentInfo, StreamWriter};
 use crate::record::ColumnarRecord;
-use crate::segment::{decode_segment, encode_segment};
-use crate::{StoreError, StreamWriter, DEFAULT_SEGMENT_ROWS};
+use crate::{StoreError, DEFAULT_SEGMENT_ROWS};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-/// One encoded segment parked in the spill file.
-#[derive(Debug, Clone, Copy)]
-struct PendingSegment {
-    /// Smallest key in the segment (exact: rows are sorted).
-    key_lo: u32,
-    /// Byte offset of the frame (length prefix included) in the spill.
-    offset: u64,
-    /// Whole frame length: 4-byte prefix + body + 4-byte CRC.
-    frame_len: u64,
-}
+/// The spilled segments of each `(table, run)`, in append order (= key
+/// order), each with its ordinal among the spill's segments of that table.
+type Runs = BTreeMap<(u8, u64), Vec<(usize, SegmentInfo)>>;
 
-/// Collects key-sorted runs of rows from concurrent producers, encoding
-/// them into spilled segments as they arrive. See the module docs for the
-/// ordering contract.
+/// Collects key-sorted runs of rows from concurrent producers, writing
+/// them into a spilled store file as they arrive. See the module docs for
+/// the ordering contract.
 pub struct SegmentSink {
-    spill: BufWriter<std::fs::File>,
+    spill: StreamWriter<BufWriter<std::fs::File>>,
     path: PathBuf,
-    offset: u64,
-    /// Segments of each `(table, run)`, in append order (= key order).
-    runs: BTreeMap<(u8, u64), Vec<PendingSegment>>,
-    segment_rows: usize,
+    runs: Runs,
+    /// Segments written so far per table, for each segment's ordinal.
+    table_segments: BTreeMap<u8, usize>,
 }
 
 impl SegmentSink {
@@ -65,11 +58,10 @@ impl SegmentSink {
         let file = std::fs::File::create(path)
             .map_err(|e| StoreError::io(format!("create spill {}", path.display()), e))?;
         Ok(SegmentSink {
-            spill: BufWriter::new(file),
+            spill: StreamWriter::with_segment_rows(BufWriter::new(file), segment_rows)?,
             path: path.to_path_buf(),
-            offset: 0,
             runs: BTreeMap::new(),
-            segment_rows: segment_rows.max(1),
+            table_segments: BTreeMap::new(),
         })
     }
 
@@ -86,50 +78,37 @@ impl SegmentSink {
             return Ok(());
         }
         debug_assert!(rows.windows(2).all(|w| w[0].key() <= w[1].key()), "batch not key-sorted");
+        let before = self.spill.segments().len();
+        self.spill.write_table(rows)?;
+        let ordinal = self.table_segments.entry(R::TABLE_ID).or_default();
         let segs = self.runs.entry((R::TABLE_ID, run)).or_default();
-        for chunk in rows.chunks(self.segment_rows) {
-            let (frame, key_lo, _key_hi) = encode_segment(chunk);
-            segs.push(PendingSegment {
-                key_lo,
-                offset: self.offset,
-                frame_len: frame.len() as u64,
-            });
-            self.spill
-                .write_all(&frame)
-                .map_err(|e| StoreError::io(format!("spill {} segment", R::TABLE_NAME), e))?;
-            self.offset += frame.len() as u64;
-            dynaddr_obs::counter_add("sink.spill_segments", 1);
-            dynaddr_obs::counter_add("sink.spill_bytes", frame.len() as u64);
+        for &info in &self.spill.segments()[before..] {
+            segs.push((*ordinal, info));
+            *ordinal += 1;
         }
         Ok(())
     }
 
-    /// Flushes the spill and reopens it for merging.
+    /// Finishes the spill file and reopens it for merging.
     pub fn finish(self) -> Result<RunMerger, StoreError> {
-        let file = self
-            .spill
-            .into_inner()
-            .map_err(|e| StoreError::io("flush spill", e.into_error()))?;
-        file.sync_data().ok();
-        drop(file);
-        let file = std::fs::File::open(&self.path)
-            .map_err(|e| StoreError::io(format!("reopen spill {}", self.path.display()), e))?;
-        Ok(RunMerger { file, runs: self.runs, path: self.path })
+        self.spill.finish()?;
+        let spill = SegmentFileReader::open(&self.path)?;
+        Ok(RunMerger { spill, runs: self.runs, path: self.path })
     }
 }
 
 /// Streams the k-way merge of a finished [`SegmentSink`]'s runs into a
 /// [`StreamWriter`], one table per call, in ascending key order.
 pub struct RunMerger {
-    file: std::fs::File,
-    runs: BTreeMap<(u8, u64), Vec<PendingSegment>>,
+    spill: SegmentFileReader,
+    runs: Runs,
     path: PathBuf,
 }
 
 /// Merge-side cursor over one spilled run: the next undecoded segment plus
 /// the decoded head segment's remaining rows.
 struct RunCursor<R> {
-    segs: Vec<PendingSegment>,
+    segs: Vec<(usize, SegmentInfo)>,
     next_seg: usize,
     buf: Vec<R>,
     pos: usize,
@@ -142,7 +121,7 @@ impl<R: ColumnarRecord> RunCursor<R> {
         if self.pos < self.buf.len() {
             return Some(self.buf[self.pos].key());
         }
-        self.segs.get(self.next_seg).map(|s| s.key_lo)
+        self.segs.get(self.next_seg).map(|(_, s)| s.key_lo)
     }
 }
 
@@ -154,7 +133,7 @@ impl RunMerger {
 
     /// Merges every run of table `R` into `w` in global key order (ties
     /// across runs resolved by run id), chunked exactly like
-    /// [`crate::FileWriter::write_table`]. Call once per table, in the file's
+    /// [`StreamWriter::write_table`]. Call once per table, in the file's
     /// table order.
     pub fn merge_table<R: ColumnarRecord + Clone, W: Write>(
         &mut self,
@@ -181,11 +160,11 @@ impl RunMerger {
             loop {
                 let cur = &mut cursors[ri];
                 if cur.pos == cur.buf.len() {
-                    let Some(&seg) = cur.segs.get(cur.next_seg) else { break };
+                    let Some(&(ordinal, seg)) = cur.segs.get(cur.next_seg) else { break };
                     if !below_limit(seg.key_lo, ri, limit) {
                         break;
                     }
-                    cur.buf = self.read_spilled::<R>(seg)?;
+                    cur.buf = self.spill.read_segment::<R>(ordinal, seg)?;
                     cur.pos = 0;
                     cur.next_seg += 1;
                 }
@@ -215,32 +194,6 @@ impl RunMerger {
         self.runs.retain(|(table, _), _| *table != R::TABLE_ID);
         Ok(())
     }
-
-    /// Reads one spilled frame back, re-verifying its CRC (the spill is
-    /// scratch, but a flipped bit must still surface typed, not silent).
-    fn read_spilled<R: ColumnarRecord>(&mut self, seg: PendingSegment) -> Result<Vec<R>, StoreError> {
-        let corrupt = |reason: String| StoreError::SegmentCorrupt {
-            table: R::TABLE_NAME.to_string(),
-            index: 0,
-            offset: seg.offset,
-            reason,
-        };
-        let mut frame = vec![0u8; seg.frame_len as usize];
-        self.file
-            .seek(SeekFrom::Start(seg.offset))
-            .and_then(|_| self.file.read_exact(&mut frame))
-            .map_err(|e| StoreError::io("read spill segment", e))?;
-        let inline_len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes"));
-        if u64::from(inline_len) != seg.frame_len - 8 {
-            return Err(corrupt(format!("spill length prefix {inline_len} disagrees")));
-        }
-        let body = &frame[4..frame.len() - 4];
-        let stored_crc = u32::from_le_bytes(frame[frame.len() - 4..].try_into().expect("4 bytes"));
-        if crc32(body) != stored_crc {
-            return Err(corrupt("spill checksum mismatch".to_string()));
-        }
-        decode_segment::<R>(body).map_err(|e| corrupt(e.reason))
-    }
 }
 
 /// Whether a row with `key` in run `ri` still sorts before the best other
@@ -257,7 +210,7 @@ fn below_limit(key: u32, ri: usize, limit: Option<(u32, usize)>) -> bool {
 mod tests {
     use super::*;
     use crate::column::{ColumnBuilder, ColumnKind, ColumnReader, DecodeError};
-    use crate::{FileReader, FileWriter, ReadMode};
+    use crate::{FileReader, ReadMode};
 
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct Row {
@@ -302,7 +255,7 @@ mod tests {
     }
 
     /// Probes striped across three runs, appended out of order and in two
-    /// batches per run, must merge to the same bytes as a FileWriter fed
+    /// batches per run, must merge to the same bytes as `write_table` fed
     /// the globally sorted rows.
     #[test]
     fn interleaved_runs_merge_to_canonical_bytes() {
@@ -327,9 +280,9 @@ mod tests {
 
         let mut sorted = rows.clone();
         sorted.sort_by_key(|r| r.key);
-        let mut fw = FileWriter::with_segment_rows(7);
-        fw.write_table(&sorted);
-        assert_eq!(bytes, fw.finish(), "merged bytes differ from canonical FileWriter bytes");
+        let mut canonical = StreamWriter::with_segment_rows(Vec::new(), 7).unwrap();
+        canonical.write_table(&sorted).unwrap();
+        assert_eq!(bytes, canonical.finish().unwrap(), "merged bytes differ from write_table's");
 
         let reader = FileReader::open(&bytes).unwrap();
         let (decoded, dropped) = reader.decode_table::<Row>(ReadMode::Strict).unwrap();

@@ -6,7 +6,8 @@
 # ceilings (streamed analyze, dynaddrd and queryd), and the quickstart.
 #
 # The perfsnap step fails if tracing costs more than 2% (and 10 ms) of an
-# untraced analyze, and proves the s005 ladder rung writes valid JSON. Its
+# untraced analyze, and proves the s005 ladder rung writes valid JSON with
+# the executor's thread count. Its
 # ladder numbers are not a benchmark: refresh BENCH_pipeline.json with a
 # default perfsnap run, and measure speed with perfbench/run.py.
 set -eu
@@ -34,13 +35,19 @@ echo "==> perfsnap (trace-overhead gate, tier ladder s005 only)"
 SNAP="$(mktemp /tmp/perfsnap-smoke.XXXXXX.json)"
 SMOKE="$(mktemp -d /tmp/dynaddr-smoke.XXXXXX)"
 trap 'rm -rf "$SNAP" "$SMOKE"' EXIT
-cargo run --release -q -p dynaddr-bench --bin perfsnap -- --tiers s005 --out "$SNAP"
+# One executor thread: the tier child must record the count it ran with,
+# not the host's. The trace gate runs on one thread either way.
+DYNADDR_THREADS=1 cargo run --release -q -p dynaddr-bench --bin perfsnap -- \
+    --tiers s005 --out "$SNAP"
 
 python3 -m json.tool "$SNAP" > /dev/null
 grep -q '"tiers"' "$SNAP"
 grep -q '"probes_per_sec"' "$SNAP"
 grep -q '"peak_rss_bytes"' "$SNAP"
 grep -q '"trace_overhead_pct"' "$SNAP"
+python3 -c 'import json, sys
+tiers = json.load(open(sys.argv[1]))["tiers"]
+assert [t["threads"] for t in tiers if t["tier"] == "s005"] == [1], tiers' "$SNAP"
 
 echo "==> CLI usage errors (exit 2, not a panic)"
 exits_2() { CODE=0; "$@" > /dev/null 2>&1 || CODE=$?; test "$CODE" -eq 2; }
@@ -53,6 +60,8 @@ exits_2 ./target/release/repro --seed abc
 exits_2 ./target/release/repro fgi1
 
 echo "==> store smoke (scale 0.01): the reference report the smokes below diff"
+# simulate always writes through the shard spill and its k-way merge;
+# tests/determinism.rs pins that file to the in-memory simulation's bytes.
 cargo run --release -q -p dynaddr-bench --bin simulate -- \
     --out "$SMOKE/store" --scale 0.01 --seed 5
 test -f "$SMOKE/store/dataset.store"
@@ -123,8 +132,10 @@ for THREADS in 1 2 ambient; do
 done
 
 echo "==> streamed pipeline smoke (scale 0.01, streamed vs batch)"
-# Shard-streamed store writing must produce the byte-identical file, and
-# the out-of-core analyzer the byte-identical report.
+# --streamed runs the same write path as the store smoke, so the cmp is a
+# run-to-run check; tests/determinism.rs pins the merged store to the
+# in-memory simulation's bytes. The out-of-core analyzer must give the
+# byte-identical report.
 cargo run --release -q -p dynaddr-bench --bin simulate -- \
     --out "$SMOKE/streamed" --scale 0.01 --seed 5 --streamed
 cmp "$SMOKE/store/dataset.store" "$SMOKE/streamed/dataset.store"

@@ -25,7 +25,7 @@ use dynaddr::atlas::{
 };
 use dynaddr::ip2as::{MonthlySnapshots, RouteTable};
 use dynaddr::ispnet::{AccessConfig, AllocationPolicy, DhcpConfig, PppConfig};
-use dynaddr::store::{FileReader, FileWriter, DEFAULT_SEGMENT_ROWS};
+use dynaddr::store::{FileReader, StreamWriter, DEFAULT_SEGMENT_ROWS};
 use dynaddr::types::dist::DurationDist;
 use dynaddr::types::time::DAY;
 use dynaddr::types::{Asn, Country, ProbeId, ProbeVersion, SimDuration, SimTime};
@@ -46,17 +46,18 @@ static THREADS: Mutex<()> = Mutex::new(());
 /// Writes `ds` as a store file with `segment_rows` rows per segment.
 fn write_store(ds: &AtlasDataset, segment_rows: usize) -> PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let mut w = FileWriter::with_segment_rows(segment_rows);
-    w.write_table(&ds.meta);
-    w.write_table(&ds.connections);
-    w.write_table(&ds.kroot);
-    w.write_table(&ds.uptime);
     let path = std::env::temp_dir().join(format!(
         "dynaddr-differential-{}-{}.store",
         std::process::id(),
         NEXT.fetch_add(1, Ordering::Relaxed)
     ));
-    std::fs::write(&path, w.finish()).expect("write store file");
+    let file = std::fs::File::create(&path).expect("create store file");
+    let mut w = StreamWriter::with_segment_rows(file, segment_rows).expect("write magic");
+    w.write_table(&ds.meta).expect("write meta");
+    w.write_table(&ds.connections).expect("write connections");
+    w.write_table(&ds.kroot).expect("write kroot");
+    w.write_table(&ds.uptime).expect("write uptime");
+    w.finish().expect("write footer");
     path
 }
 
