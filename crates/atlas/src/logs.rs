@@ -49,6 +49,16 @@ impl PeerAddr {
     pub fn is_v4(self) -> bool {
         matches!(self, PeerAddr::V4(_))
     }
+
+    /// The peer whose address octets are `octets`, the form the store and
+    /// the query wire carry it in: 4 bytes for IPv4, 16 for IPv6. Any
+    /// other length is `None`.
+    pub fn from_octets(octets: &[u8]) -> Option<PeerAddr> {
+        match *octets {
+            [a, b, c, d] => Some(PeerAddr::V4(Ipv4Addr::new(a, b, c, d))),
+            _ => Some(PeerAddr::V6(<[u8; 16]>::try_from(octets).ok()?.into())),
+        }
+    }
 }
 
 impl fmt::Display for PeerAddr {

@@ -3,11 +3,13 @@
 //! Maps every dataset and ground-truth table onto the segmented columnar
 //! format: integers (probe ids, timestamps, counters, enum codes) become
 //! delta + zigzag + varint columns, addresses and strings become
-//! length-prefixed byte columns. Enum codes are fixed here, independent of
-//! declaration order, so files stay readable across refactors; addresses
-//! carry their family in the payload length (4 bytes = IPv4, 16 = IPv6)
-//! and floats travel as exact IEEE-754 bit patterns — a decode reproduces
-//! the in-memory value byte for byte.
+//! length-prefixed byte columns. Enum codes are the types' own `code()`s
+//! ([`ProbeVersion::code`], [`ProbeTag::code`], [`ChangeCause::code`],
+//! [`TruthOutageKind::code`]), written out per variant and shared with the
+//! query wire, so files stay readable across refactors; addresses carry
+//! their family in the payload length (4 bytes = IPv4, 16 = IPv6, checked
+//! once by [`PeerAddr::from_octets`]) and floats travel as exact IEEE-754
+//! bit patterns — a decode reproduces the in-memory value byte for byte.
 //!
 //! Datasets are written as one multi-table file (`dataset.store`), ground
 //! truth as another (`truth.store`); see [`crate::logs::AtlasDataset::save_dir`]
@@ -26,7 +28,7 @@ use dynaddr_store::{
 };
 use dynaddr_types::{Asn, Country, ProbeId, ProbeTag, ProbeVersion, SimDuration, SimTime};
 use std::collections::BTreeMap;
-use std::net::{Ipv4Addr, Ipv6Addr};
+use std::net::Ipv4Addr;
 
 // ---------------------------------------------------------------------------
 // Shared column helpers
@@ -60,17 +62,9 @@ fn push_peer(col: &mut ColumnBuilder, peer: PeerAddr) {
 }
 
 fn peer_from(bytes: &[u8]) -> Result<PeerAddr, DecodeError> {
-    match bytes.len() {
-        4 => {
-            let o: [u8; 4] = bytes.try_into().expect("4 bytes");
-            Ok(PeerAddr::V4(Ipv4Addr::from(o)))
-        }
-        16 => {
-            let o: [u8; 16] = bytes.try_into().expect("16 bytes");
-            Ok(PeerAddr::V6(Ipv6Addr::from(o)))
-        }
-        n => Err(DecodeError::new(format!("address of {n} bytes (want 4 or 16)"))),
-    }
+    PeerAddr::from_octets(bytes).ok_or_else(|| {
+        DecodeError::new(format!("address of {} bytes (want 4 or 16)", bytes.len()))
+    })
 }
 
 fn v4_from(bytes: &[u8], what: &str) -> Result<Ipv4Addr, DecodeError> {
@@ -80,92 +74,12 @@ fn v4_from(bytes: &[u8], what: &str) -> Result<Ipv4Addr, DecodeError> {
     Ok(Ipv4Addr::from(o))
 }
 
-fn version_code(v: ProbeVersion) -> i64 {
-    match v {
-        ProbeVersion::V1 => 1,
-        ProbeVersion::V2 => 2,
-        ProbeVersion::V3 => 3,
-    }
-}
-
-fn version_from(code: i64) -> Result<ProbeVersion, DecodeError> {
-    match code {
-        1 => Ok(ProbeVersion::V1),
-        2 => Ok(ProbeVersion::V2),
-        3 => Ok(ProbeVersion::V3),
-        other => Err(DecodeError::new(format!("unknown probe version code {other}"))),
-    }
-}
-
-fn tag_code(t: ProbeTag) -> u8 {
-    match t {
-        ProbeTag::Multihomed => 0,
-        ProbeTag::Datacentre => 1,
-        ProbeTag::Core => 2,
-        ProbeTag::Dsl => 3,
-        ProbeTag::Cable => 4,
-        ProbeTag::Fibre => 5,
-        ProbeTag::Nat => 6,
-        ProbeTag::Home => 7,
-    }
-}
-
-fn tag_from(code: u8) -> Result<ProbeTag, DecodeError> {
-    Ok(match code {
-        0 => ProbeTag::Multihomed,
-        1 => ProbeTag::Datacentre,
-        2 => ProbeTag::Core,
-        3 => ProbeTag::Dsl,
-        4 => ProbeTag::Cable,
-        5 => ProbeTag::Fibre,
-        6 => ProbeTag::Nat,
-        7 => ProbeTag::Home,
-        other => return Err(DecodeError::new(format!("unknown probe tag code {other}"))),
-    })
-}
-
-fn cause_code(c: ChangeCause) -> i64 {
-    match c {
-        ChangeCause::PeriodicCap => 0,
-        ChangeCause::PoolRotation => 1,
-        ChangeCause::ScheduledReconnect => 2,
-        ChangeCause::NetworkOutage => 3,
-        ChangeCause::PowerOutage => 4,
-        ChangeCause::AdminRenumber => 5,
-        ChangeCause::Moved => 6,
-    }
-}
-
-fn cause_from(code: i64) -> Result<ChangeCause, DecodeError> {
-    Ok(match code {
-        0 => ChangeCause::PeriodicCap,
-        1 => ChangeCause::PoolRotation,
-        2 => ChangeCause::ScheduledReconnect,
-        3 => ChangeCause::NetworkOutage,
-        4 => ChangeCause::PowerOutage,
-        5 => ChangeCause::AdminRenumber,
-        6 => ChangeCause::Moved,
-        other => return Err(DecodeError::new(format!("unknown change cause code {other}"))),
-    })
-}
-
-fn outage_kind_code(k: TruthOutageKind) -> i64 {
-    match k {
-        TruthOutageKind::Network => 0,
-        TruthOutageKind::Power => 1,
-        TruthOutageKind::CpeOnlyPower => 2,
-        TruthOutageKind::ProbeOnlyReboot => 3,
-    }
-}
-
-fn outage_kind_from(code: i64) -> Result<TruthOutageKind, DecodeError> {
-    Ok(match code {
-        0 => TruthOutageKind::Network,
-        1 => TruthOutageKind::Power,
-        2 => TruthOutageKind::CpeOnlyPower,
-        3 => TruthOutageKind::ProbeOnlyReboot,
-        other => return Err(DecodeError::new(format!("unknown outage kind code {other}"))),
-    })
+/// Decodes an enum code column value through the type's `from_code`.
+fn code_col<T>(v: i64, from_code: fn(u8) -> Option<T>, what: &str) -> Result<T, DecodeError> {
+    u8::try_from(v)
+        .ok()
+        .and_then(from_code)
+        .ok_or_else(|| DecodeError::new(format!("unknown {what} code {v}")))
 }
 
 // ---------------------------------------------------------------------------
@@ -185,9 +99,9 @@ impl ColumnarRecord for ProbeMeta {
     fn encode(rows: &[Self], cols: &mut [ColumnBuilder]) {
         for r in rows {
             cols[0].push_i64(i64::from(r.probe.0));
-            cols[1].push_i64(version_code(r.version));
+            cols[1].push_i64(i64::from(r.version.code()));
             cols[2].push_bytes(r.country.to_string().as_bytes());
-            let tags: Vec<u8> = r.tags.iter().map(|&t| tag_code(t)).collect();
+            let tags: Vec<u8> = r.tags.iter().map(|t| t.code()).collect();
             cols[3].push_bytes(&tags);
         }
     }
@@ -196,7 +110,7 @@ impl ColumnarRecord for ProbeMeta {
         let mut out = Vec::with_capacity(rows);
         for _ in 0..rows {
             let probe = ProbeId(u32_col(cols[0].next_i64()?, "probe id")?);
-            let version = version_from(cols[1].next_i64()?)?;
+            let version = code_col(cols[1].next_i64()?, ProbeVersion::from_code, "probe version")?;
             let code = cols[2].next_bytes()?;
             let code = std::str::from_utf8(code)
                 .map_err(|_| DecodeError::new("country code is not UTF-8"))?;
@@ -205,7 +119,7 @@ impl ColumnarRecord for ProbeMeta {
             let tags = cols[3]
                 .next_bytes()?
                 .iter()
-                .map(|&c| tag_from(c))
+                .map(|&c| code_col(i64::from(c), ProbeTag::from_code, "probe tag"))
                 .collect::<Result<Vec<ProbeTag>, DecodeError>>()?;
             out.push(ProbeMeta { probe, version, country, tags });
         }
@@ -346,7 +260,7 @@ impl ColumnarRecord for TruthChange {
                 None => cols[2].push_bytes(&[]),
             }
             cols[3].push_bytes(&r.to.octets());
-            cols[4].push_i64(cause_code(r.cause));
+            cols[4].push_i64(i64::from(r.cause.code()));
         }
     }
 
@@ -362,7 +276,7 @@ impl ColumnarRecord for TruthChange {
                 Some(v4_from(from_bytes, "from address")?)
             };
             let to = v4_from(cols[3].next_bytes()?, "to address")?;
-            let cause = cause_from(cols[4].next_i64()?)?;
+            let cause = code_col(cols[4].next_i64()?, ChangeCause::from_code, "change cause")?;
             out.push(TruthChange { probe, time, from, to, cause });
         }
         Ok(out)
@@ -387,7 +301,7 @@ impl ColumnarRecord for TruthOutage {
     fn encode(rows: &[Self], cols: &mut [ColumnBuilder]) {
         for r in rows {
             cols[0].push_i64(i64::from(r.probe.0));
-            cols[1].push_i64(outage_kind_code(r.kind));
+            cols[1].push_i64(i64::from(r.kind.code()));
             cols[2].push_i64(r.start.0);
             cols[3].push_i64(r.duration.0);
             cols[4].push_i64(i64::from(r.address_changed));
@@ -399,7 +313,7 @@ impl ColumnarRecord for TruthOutage {
         for _ in 0..rows {
             out.push(TruthOutage {
                 probe: ProbeId(u32_col(cols[0].next_i64()?, "probe id")?),
-                kind: outage_kind_from(cols[1].next_i64()?)?,
+                kind: code_col(cols[1].next_i64()?, TruthOutageKind::from_code, "outage kind")?,
                 start: SimTime(cols[2].next_i64()?),
                 duration: SimDuration(cols[3].next_i64()?),
                 address_changed: bool_col(cols[4].next_i64()?, "address_changed")?,

@@ -30,6 +30,38 @@ pub enum ChangeCause {
     Moved,
 }
 
+impl ChangeCause {
+    /// The cause's fixed code in `truth.store` and on the query wire. Each
+    /// code is written out here, so reordering the variants changes no
+    /// stored or sent byte.
+    pub fn code(self) -> u8 {
+        match self {
+            ChangeCause::PeriodicCap => 0,
+            ChangeCause::PoolRotation => 1,
+            ChangeCause::ScheduledReconnect => 2,
+            ChangeCause::NetworkOutage => 3,
+            ChangeCause::PowerOutage => 4,
+            ChangeCause::AdminRenumber => 5,
+            ChangeCause::Moved => 6,
+        }
+    }
+
+    /// The cause whose [`code`](Self::code) is `code`, if any.
+    pub fn from_code(code: u8) -> Option<ChangeCause> {
+        [
+            ChangeCause::PeriodicCap,
+            ChangeCause::PoolRotation,
+            ChangeCause::ScheduledReconnect,
+            ChangeCause::NetworkOutage,
+            ChangeCause::PowerOutage,
+            ChangeCause::AdminRenumber,
+            ChangeCause::Moved,
+        ]
+        .into_iter()
+        .find(|c| c.code() == code)
+    }
+}
+
 /// One address change with its true cause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TruthChange {
@@ -58,6 +90,32 @@ pub enum TruthOutageKind {
     /// Probe-only reboot (firmware update or v1/v2 fragility); the CPE and
     /// its address are unaffected.
     ProbeOnlyReboot,
+}
+
+impl TruthOutageKind {
+    /// The kind's fixed code in `truth.store` and on the query wire. Each
+    /// code is written out here, so reordering the variants changes no
+    /// stored or sent byte.
+    pub fn code(self) -> u8 {
+        match self {
+            TruthOutageKind::Network => 0,
+            TruthOutageKind::Power => 1,
+            TruthOutageKind::CpeOnlyPower => 2,
+            TruthOutageKind::ProbeOnlyReboot => 3,
+        }
+    }
+
+    /// The kind whose [`code`](Self::code) is `code`, if any.
+    pub fn from_code(code: u8) -> Option<TruthOutageKind> {
+        [
+            TruthOutageKind::Network,
+            TruthOutageKind::Power,
+            TruthOutageKind::CpeOnlyPower,
+            TruthOutageKind::ProbeOnlyReboot,
+        ]
+        .into_iter()
+        .find(|k| k.code() == code)
+    }
 }
 
 /// One true outage event.
@@ -184,6 +242,18 @@ mod tests {
             to: Ipv4Addr::new(10, 0, 0, 1),
             cause,
         }
+    }
+
+    #[test]
+    fn codes_decode_back_and_stay_fixed() {
+        for c in 0..=u8::MAX {
+            let cause = ChangeCause::from_code(c).map(ChangeCause::code);
+            assert_eq!(cause, (c < 7).then_some(c));
+            let kind = TruthOutageKind::from_code(c).map(TruthOutageKind::code);
+            assert_eq!(kind, (c < 4).then_some(c));
+        }
+        assert_eq!(ChangeCause::Moved.code(), 6);
+        assert_eq!(TruthOutageKind::ProbeOnlyReboot.code(), 3);
     }
 
     #[test]

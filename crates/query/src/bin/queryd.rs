@@ -1,7 +1,7 @@
 //! `queryd` — serve typed queries over a dataset store on a Unix socket.
 //!
 //! ```text
-//! queryd --data DIR --socket PATH [--cache-mb N] [--shards N] [--trace FILE]
+//! queryd --data DIR --socket PATH [--cache-mb N] [--trace FILE]
 //! ```
 //!
 //! Opens `DIR/dataset.store` (plus `truth.store` and `ip2as/` when
@@ -46,16 +46,9 @@ fn run() -> Result<(), String> {
                     .map_err(|e| format!("--cache-mb: {e}"))?
                     .saturating_mul(1 << 20)
             }
-            "--shards" => {
-                cache.shards =
-                    value("--shards")?.parse().map_err(|e| format!("--shards: {e}"))?
-            }
             "--trace" => trace = Some(PathBuf::from(value("--trace")?)),
             "--help" | "-h" => {
-                println!(
-                    "usage: queryd --data DIR --socket PATH \
-                     [--cache-mb N] [--shards N] [--trace FILE]"
-                );
+                println!("usage: queryd --data DIR --socket PATH [--cache-mb N] [--trace FILE]");
                 return Ok(());
             }
             other => return Err(format!("unknown argument {other}")),

@@ -27,30 +27,25 @@
 //! which is the whole determinism argument: cold, warm, and thrashing
 //! caches produce byte-identical responses, pinned by the crate tests.
 //!
-//! The reply builders ([`records_reply`], [`series_reply`],
-//! [`truth_reply`]) are free functions shared with
-//! [`crate::local::LocalAnswerer`], so the engine and the batch-loaded
-//! oracle cannot drift apart structurally — any divergence is a real
-//! indexing or caching bug, exactly what the diff tests are for.
+//! The reply builders ([`records_reply`], [`series_reply`]) are free
+//! functions shared with [`crate::local::LocalAnswerer`], so the engine
+//! and the batch-loaded oracle cannot drift apart structurally — any
+//! divergence is a real indexing or caching bug, exactly what the diff
+//! tests are for.
 
 use crate::cache::{CacheConfig, CacheStats, ShardedLru};
 use crate::index::{StatsBuilder, StatsIndex};
-use crate::proto::{
-    ChangeReply, ConnReply, GapReply, KrootReply, MetaReply, OutageReply, ProbeRecordsReply,
-    ProbeSeriesReply, ProbeTruthReply, RebootReply, Request, Response, SpanReply,
-    TruthChangeReply, TruthOutageReply, UptimeReply,
-};
-use dynaddr_atlas::truth::{ChangeCause, TruthChange, TruthOutage};
+use crate::proto::{ProbeRecordsReply, ProbeSeriesReply, ProbeTruthReply, Request, Response};
 use dynaddr_atlas::store::{self as atlas_store, check_probe_order};
 use dynaddr_atlas::{
-    logs::{ConnectionLogEntry, KrootPingRecord, PeerAddr, ProbeMeta, SosUptimeRecord},
-    GroundTruth, TruthOutageKind,
+    logs::{ConnectionLogEntry, KrootPingRecord, ProbeMeta, SosUptimeRecord},
+    GroundTruth,
 };
 use dynaddr_core::changes::{extract_events, strip_testing_entries};
 use dynaddr_core::outages::{detect_network_outages, detect_reboots};
 use dynaddr_ip2as::MonthlySnapshots;
 use dynaddr_store::{decode_segment_at, ColumnarRecord, FileReader, ReadMode, SegmentInfo, StoreError};
-use dynaddr_types::{Asn, ProbeId, ProbeTag, ProbeVersion};
+use dynaddr_types::{Asn, ProbeId};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
@@ -202,12 +197,12 @@ impl TruthIndex {
         for c in &truth.changes {
             let e = by_probe.entry(c.probe.0).or_default();
             e.probe = c.probe.0;
-            e.changes.push(truth_change_reply(c));
+            e.changes.push(*c);
         }
         for o in &truth.outages {
             let e = by_probe.entry(o.probe.0).or_default();
             e.probe = o.probe.0;
-            e.outages.push(truth_outage_reply(o));
+            e.outages.push(*o);
         }
         TruthIndex { by_probe }
     }
@@ -460,86 +455,7 @@ impl QueryEngine {
 // Shared reply builders (engine and LocalAnswerer)
 // ---------------------------------------------------------------------------
 
-// The wire enum codes are the store format's fixed numbering
-// (crates/atlas/src/store.rs); restated here because the store keeps its
-// maps private and the wire must stay stable independently.
-
-fn version_code(v: ProbeVersion) -> u8 {
-    match v {
-        ProbeVersion::V1 => 1,
-        ProbeVersion::V2 => 2,
-        ProbeVersion::V3 => 3,
-    }
-}
-
-fn tag_code(t: ProbeTag) -> u8 {
-    match t {
-        ProbeTag::Multihomed => 0,
-        ProbeTag::Datacentre => 1,
-        ProbeTag::Core => 2,
-        ProbeTag::Dsl => 3,
-        ProbeTag::Cable => 4,
-        ProbeTag::Fibre => 5,
-        ProbeTag::Nat => 6,
-        ProbeTag::Home => 7,
-    }
-}
-
-fn cause_code(c: ChangeCause) -> u8 {
-    match c {
-        ChangeCause::PeriodicCap => 0,
-        ChangeCause::PoolRotation => 1,
-        ChangeCause::ScheduledReconnect => 2,
-        ChangeCause::NetworkOutage => 3,
-        ChangeCause::PowerOutage => 4,
-        ChangeCause::AdminRenumber => 5,
-        ChangeCause::Moved => 6,
-    }
-}
-
-fn outage_kind_code(k: TruthOutageKind) -> u8 {
-    match k {
-        TruthOutageKind::Network => 0,
-        TruthOutageKind::Power => 1,
-        TruthOutageKind::CpeOnlyPower => 2,
-        TruthOutageKind::ProbeOnlyReboot => 3,
-    }
-}
-
-fn meta_reply(m: &ProbeMeta) -> MetaReply {
-    MetaReply {
-        version: version_code(m.version),
-        country: m.country.to_string(),
-        tags: m.tags.iter().map(|&t| tag_code(t)).collect(),
-    }
-}
-
-fn peer_bytes(p: PeerAddr) -> Vec<u8> {
-    match p {
-        PeerAddr::V4(a) => a.octets().to_vec(),
-        PeerAddr::V6(a) => a.octets().to_vec(),
-    }
-}
-
-fn truth_change_reply(c: &TruthChange) -> TruthChangeReply {
-    TruthChangeReply {
-        time: c.time.0,
-        from: c.from.map(|a| a.octets()),
-        to: c.to.octets(),
-        cause: cause_code(c.cause),
-    }
-}
-
-fn truth_outage_reply(o: &TruthOutage) -> TruthOutageReply {
-    TruthOutageReply {
-        kind: outage_kind_code(o.kind),
-        start: o.start.0,
-        duration: o.duration.0,
-        address_changed: o.address_changed,
-    }
-}
-
-/// Builds a [`Request::ProbeRecords`] payload from raw rows.
+/// Builds a [`Request::ProbeRecords`] payload: a copy of the probe's rows.
 pub fn records_reply(
     probe: u32,
     meta: Option<&ProbeMeta>,
@@ -549,24 +465,10 @@ pub fn records_reply(
 ) -> ProbeRecordsReply {
     ProbeRecordsReply {
         probe,
-        meta: meta.map(meta_reply),
-        connections: connections
-            .iter()
-            .map(|c| ConnReply { start: c.start.0, end: c.end.0, peer: peer_bytes(c.peer) })
-            .collect(),
-        kroot: kroot
-            .iter()
-            .map(|k| KrootReply {
-                timestamp: k.timestamp.0,
-                sent: k.sent,
-                success: k.success,
-                lts_secs: k.lts_secs,
-            })
-            .collect(),
-        uptime: uptime
-            .iter()
-            .map(|u| UptimeReply { timestamp: u.timestamp.0, uptime_secs: u.uptime_secs })
-            .collect(),
+        meta: meta.cloned(),
+        connections: connections.to_vec(),
+        kroot: kroot.to_vec(),
+        uptime: uptime.to_vec(),
     }
 }
 
@@ -587,56 +489,14 @@ pub fn series_reply(
     let events = extract_events(&v4);
     ProbeSeriesReply {
         probe,
-        meta: meta.map(meta_reply),
-        changes: events
-            .changes
-            .iter()
-            .map(|c| ChangeReply {
-                gap_start: c.gap_start.0,
-                gap_end: c.gap_end.0,
-                from: c.from.octets(),
-                to: c.to.octets(),
-            })
-            .collect(),
-        spans: events
-            .spans
-            .iter()
-            .map(|s| SpanReply {
-                addr: s.addr.octets(),
-                start: s.start.0,
-                end: s.end.0,
-                complete: s.complete,
-            })
-            .collect(),
-        gaps: events
-            .gaps
-            .iter()
-            .map(|g| GapReply { start: g.start.0, end: g.end.0, address_changed: g.address_changed })
-            .collect(),
-        outages: detect_network_outages(kroot)
-            .iter()
-            .map(|o| OutageReply { start: o.start.0, end: o.end.0 })
-            .collect(),
-        reboots: detect_reboots(uptime)
-            .iter()
-            .map(|r| RebootReply { boot_time: r.boot_time.0, report_time: r.report_time.0 })
-            .collect(),
+        meta: meta.cloned(),
+        changes: events.changes,
+        spans: events.spans,
+        gaps: events.gaps,
+        outages: detect_network_outages(kroot),
+        reboots: detect_reboots(uptime),
         had_testing_entry,
         v6_entries,
-    }
-}
-
-/// Builds a [`Request::ProbeTruth`] payload from raw truth rows (assumed
-/// already filtered to the probe, in time order).
-pub fn truth_reply(
-    probe: u32,
-    changes: &[TruthChange],
-    outages: &[TruthOutage],
-) -> ProbeTruthReply {
-    ProbeTruthReply {
-        probe,
-        changes: changes.iter().map(truth_change_reply).collect(),
-        outages: outages.iter().map(truth_outage_reply).collect(),
     }
 }
 

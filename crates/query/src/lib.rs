@@ -44,7 +44,7 @@ pub mod server;
 pub mod workload;
 
 pub use cache::{CacheConfig, CacheStats, ShardedLru};
-pub use engine::{records_reply, series_reply, truth_reply, EngineOptions, QueryEngine, TruthIndex};
+pub use engine::{records_reply, series_reply, EngineOptions, QueryEngine, TruthIndex};
 pub use index::StatsIndex;
 pub use local::LocalAnswerer;
 pub use proto::{Request, Response};

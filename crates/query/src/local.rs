@@ -4,8 +4,9 @@
 //! same [`Request`]s the engine does — through the dataset's own per-probe
 //! slices, never the store reader, the segment cache, or the footer index.
 //! The only shared code is the reply builders in [`crate::engine`], which
-//! turn rows into wire structs; everything upstream of them (decode path,
-//! row lookup, aggregation source) is disjoint. That makes
+//! copy a probe's rows into a reply or derive its events from them;
+//! everything upstream of them (decode path, row lookup, aggregation
+//! source) is disjoint. That makes
 //! `engine bytes == local bytes` a meaningful end-to-end check, and it is
 //! exactly the diff the CI query smoke and the crate tests run.
 

@@ -20,15 +20,37 @@
 //! which is what lets the determinism tests compare responses byte for
 //! byte across thread counts and cache states.
 //!
+//! The per-probe replies carry the dataset's own types: the log rows
+//! ([`ProbeMeta`], [`ConnectionLogEntry`], [`KrootPingRecord`],
+//! [`SosUptimeRecord`]), the events detected from them ([`AddressChange`],
+//! [`AddressSpan`], [`Gap`], [`NetworkOutage`], [`Reboot`]) and the ground
+//! truth ([`TruthChange`], [`TruthOutage`]). One row codec writes each
+//! row without its probe id, which the reply header carries once, and
+//! hands the id back to every row it decodes. Enum codes are the types'
+//! own `code()`s, the numbering the store's columns use too.
+//!
+//! Decoding is total and canonical: malformed bytes are a [`WireError`],
+//! never a panic, and every body that decodes re-encodes to exactly
+//! itself. So varints must be minimal (no zero padding byte), enum codes
+//! known, countries two uppercase letters and peer addresses 4 or 16
+//! bytes.
+//!
 //! Frames are capped at [`MAX_FRAME`] on read, and a frame's buffer grows
 //! only as its body arrives (from at most 64 KiB up front), so a corrupt
 //! or hostile length prefix cannot make the reader allocate more than the
 //! sender actually sends.
 
+use dynaddr_atlas::logs::{
+    ConnectionLogEntry, KrootPingRecord, PeerAddr, ProbeMeta, SosUptimeRecord,
+};
+use dynaddr_atlas::truth::{ChangeCause, TruthChange, TruthOutage, TruthOutageKind};
+use dynaddr_core::changes::{AddressChange, AddressSpan, Gap};
+use dynaddr_core::outages::{NetworkOutage, Reboot};
 use dynaddr_store::varint;
-use dynaddr_types::{Asn, ProbeId};
+use dynaddr_types::{Asn, Country, ProbeId, ProbeTag, ProbeVersion, SimDuration, SimTime};
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::net::Ipv4Addr;
 
 /// Upper bound on a frame body accepted from the wire (64 MiB).
 pub const MAX_FRAME: usize = 64 << 20;
@@ -68,6 +90,26 @@ pub enum Request {
     IngestStats,
 }
 
+impl Request {
+    /// The byte that selects this variant on the wire, 0 through 10. The
+    /// server counts requests by it.
+    pub fn tag(&self) -> u8 {
+        match self {
+            Request::Ping => 0,
+            Request::ProbeRecords(_) => 1,
+            Request::ProbeSeries(_) => 2,
+            Request::AsSummary(_) => 3,
+            Request::CountrySummary(_) => 4,
+            Request::TopMovers(_) => 5,
+            Request::ProbeTruth(_) => 6,
+            Request::ServerStats => 7,
+            Request::DaemonSnapshot => 8,
+            Request::DaemonProbe(_) => 9,
+            Request::IngestStats => 10,
+        }
+    }
+}
+
 /// The answer to a [`Request`], variant for variant.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -97,118 +139,19 @@ pub enum Response {
     IngestStats(IngestStatsReply),
 }
 
-/// Probe metadata on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetaReply {
-    /// Hardware generation code (1, 2, 3).
-    pub version: u8,
-    /// ISO alpha-2 country code.
-    pub country: String,
-    /// Tag codes (the store's fixed numbering).
-    pub tags: Vec<u8>,
-}
-
-/// One connection-log row on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConnReply {
-    /// Connection establishment time (seconds).
-    pub start: i64,
-    /// Last data receipt time (seconds).
-    pub end: i64,
-    /// Peer address octets: 4 bytes for IPv4, 16 for IPv6.
-    pub peer: Vec<u8>,
-}
-
-/// One k-root ping row on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KrootReply {
-    /// Measurement time.
-    pub timestamp: i64,
-    /// Pings sent.
-    pub sent: u8,
-    /// Pings answered.
-    pub success: u8,
-    /// Seconds since last clock sync.
-    pub lts_secs: i64,
-}
-
-/// One SOS-uptime row on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UptimeReply {
-    /// Report time.
-    pub timestamp: i64,
-    /// Seconds since boot.
-    pub uptime_secs: u64,
-}
-
 /// Answer payload for [`Request::ProbeRecords`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProbeRecordsReply {
     /// The probe asked about.
     pub probe: u32,
     /// Metadata row, if present.
-    pub meta: Option<MetaReply>,
+    pub meta: Option<ProbeMeta>,
     /// Connection-log rows, in store order.
-    pub connections: Vec<ConnReply>,
+    pub connections: Vec<ConnectionLogEntry>,
     /// K-root ping rows, in store order.
-    pub kroot: Vec<KrootReply>,
+    pub kroot: Vec<KrootPingRecord>,
     /// SOS-uptime rows, in store order.
-    pub uptime: Vec<UptimeReply>,
-}
-
-/// One observed address change.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChangeReply {
-    /// End of the last connection on the old address.
-    pub gap_start: i64,
-    /// Start of the first connection on the new address.
-    pub gap_end: i64,
-    /// Old IPv4 address octets.
-    pub from: [u8; 4],
-    /// New IPv4 address octets.
-    pub to: [u8; 4],
-}
-
-/// One address span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanReply {
-    /// The address held.
-    pub addr: [u8; 4],
-    /// First connection start with this address.
-    pub start: i64,
-    /// Last connection end with this address.
-    pub end: i64,
-    /// Whether both ends are bounded by observed changes.
-    pub complete: bool,
-}
-
-/// One inter-connection gap.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GapReply {
-    /// End of the earlier connection.
-    pub start: i64,
-    /// Start of the later connection.
-    pub end: i64,
-    /// Whether the address differed across the gap.
-    pub address_changed: bool,
-}
-
-/// One detected network outage (k-root silence).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OutageReply {
-    /// First all-lost measurement.
-    pub start: i64,
-    /// Last all-lost measurement.
-    pub end: i64,
-}
-
-/// One detected reboot (uptime counter reset).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RebootReply {
-    /// Boot instant implied by the counter.
-    pub boot_time: i64,
-    /// When the post-reboot record was reported.
-    pub report_time: i64,
+    pub uptime: Vec<SosUptimeRecord>,
 }
 
 /// Answer payload for [`Request::ProbeSeries`].
@@ -217,17 +160,17 @@ pub struct ProbeSeriesReply {
     /// The probe asked about.
     pub probe: u32,
     /// Metadata row, if present.
-    pub meta: Option<MetaReply>,
+    pub meta: Option<ProbeMeta>,
     /// Observed address changes, in time order.
-    pub changes: Vec<ChangeReply>,
+    pub changes: Vec<AddressChange>,
     /// Address spans, in time order.
-    pub spans: Vec<SpanReply>,
+    pub spans: Vec<AddressSpan>,
     /// Inter-connection gaps, in time order.
-    pub gaps: Vec<GapReply>,
+    pub gaps: Vec<Gap>,
     /// Detected network outages, in time order.
-    pub outages: Vec<OutageReply>,
+    pub outages: Vec<NetworkOutage>,
     /// Detected reboots, in time order.
-    pub reboots: Vec<RebootReply>,
+    pub reboots: Vec<Reboot>,
     /// Whether a leading RIPE-testing-address entry was stripped.
     pub had_testing_entry: bool,
     /// IPv6 connection entries excluded from event extraction.
@@ -289,41 +232,15 @@ pub struct CountrySummaryReply {
     pub top_movers: Vec<MoverReply>,
 }
 
-/// One ground-truth change on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TruthChangeReply {
-    /// When the new address took effect.
-    pub time: i64,
-    /// Address before the change (absent at first assignment).
-    pub from: Option<[u8; 4]>,
-    /// Address after the change.
-    pub to: [u8; 4],
-    /// Cause code (the store's fixed `ChangeCause` numbering).
-    pub cause: u8,
-}
-
-/// One ground-truth outage on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TruthOutageReply {
-    /// Kind code (the store's fixed `TruthOutageKind` numbering).
-    pub kind: u8,
-    /// When connectivity/power was lost.
-    pub start: i64,
-    /// Duration, seconds.
-    pub duration: i64,
-    /// Whether recovery came with a new address.
-    pub address_changed: bool,
-}
-
 /// Answer payload for [`Request::ProbeTruth`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProbeTruthReply {
     /// The probe asked about.
     pub probe: u32,
     /// Its ground-truth changes, in time order.
-    pub changes: Vec<TruthChangeReply>,
+    pub changes: Vec<TruthChange>,
     /// Its ground-truth outages, in time order.
-    pub outages: Vec<TruthOutageReply>,
+    pub outages: Vec<TruthOutage>,
 }
 
 /// Answer payload for [`Request::ServerStats`]: the serving process's own
@@ -468,12 +385,20 @@ impl<'a> WireReader<'a> {
         WireReader { buf, pos: 0 }
     }
 
+    /// A minimal varint. The encoder never ends one on a zero byte after
+    /// a continuation byte, so such padding would give a value a second
+    /// encoding, and is rejected.
     fn u64(&mut self) -> Result<u64, WireError> {
-        varint::read_u64(self.buf, &mut self.pos).map_err(|e| WireError(e.reason))
+        let start = self.pos;
+        let v = varint::read_u64(self.buf, &mut self.pos).map_err(|e| WireError(e.reason))?;
+        if self.pos - start > 1 && self.buf[self.pos - 1] == 0 {
+            return Err(WireError("overlong varint".into()));
+        }
+        Ok(v)
     }
 
     fn i64(&mut self) -> Result<i64, WireError> {
-        varint::read_i64(self.buf, &mut self.pos).map_err(|e| WireError(e.reason))
+        self.u64().map(varint::unzigzag)
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
@@ -504,17 +429,14 @@ impl<'a> WireReader<'a> {
         Ok(out)
     }
 
-    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
+    fn bytes(&mut self) -> Result<&'a [u8], WireError> {
         let n = self.u64()? as usize;
-        Ok(self.raw(n)?.to_vec())
+        self.raw(n)
     }
 
     fn string(&mut self) -> Result<String, WireError> {
-        String::from_utf8(self.bytes()?).map_err(|_| WireError("string is not UTF-8".into()))
-    }
-
-    fn octets4(&mut self) -> Result<[u8; 4], WireError> {
-        Ok(self.raw(4)?.try_into().expect("4 bytes"))
+        let s = std::str::from_utf8(self.bytes()?);
+        s.map(str::to_owned).map_err(|_| WireError("string is not UTF-8".into()))
     }
 
     fn finish(self) -> Result<(), WireError> {
@@ -575,50 +497,160 @@ impl Wire for String {
     }
 }
 
-impl Wire for [u8; 4] {
+impl Wire for u8 {
     fn put(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self);
+        out.push(*self);
     }
-    fn take(r: &mut WireReader<'_>) -> Result<[u8; 4], WireError> {
-        r.octets4()
+    fn take(r: &mut WireReader<'_>) -> Result<u8, WireError> {
+        r.u8()
     }
+}
+
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn take(r: &mut WireReader<'_>) -> Result<bool, WireError> {
+        r.bool()
+    }
+}
+
+impl Wire for SimTime {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+    }
+    fn take(r: &mut WireReader<'_>) -> Result<SimTime, WireError> {
+        r.i64().map(SimTime)
+    }
+}
+
+impl Wire for SimDuration {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+    }
+    fn take(r: &mut WireReader<'_>) -> Result<SimDuration, WireError> {
+        r.i64().map(SimDuration)
+    }
+}
+
+impl Wire for Ipv4Addr {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.octets());
+    }
+    fn take(r: &mut WireReader<'_>) -> Result<Ipv4Addr, WireError> {
+        let o: [u8; 4] = r.raw(4)?.try_into().expect("4 bytes");
+        Ok(Ipv4Addr::from(o))
+    }
+}
+
+/// Length-prefixed octets: 4 for IPv4, 16 for IPv6.
+impl Wire for PeerAddr {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            PeerAddr::V4(a) => put_bytes(out, &a.octets()),
+            PeerAddr::V6(a) => put_bytes(out, &a.octets()),
+        }
+    }
+    fn take(r: &mut WireReader<'_>) -> Result<PeerAddr, WireError> {
+        let octets = r.bytes()?;
+        PeerAddr::from_octets(octets).ok_or_else(|| {
+            WireError(format!("peer address of {} bytes (want 4 or 16)", octets.len()))
+        })
+    }
+}
+
+/// The two-letter code as a string. Only uppercase decodes: `Country`
+/// uppercases what it parses, so "de" would re-encode as "DE".
+impl Wire for Country {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_string().put(out);
+    }
+    fn take(r: &mut WireReader<'_>) -> Result<Country, WireError> {
+        let code = r.string()?;
+        if code.len() != 2 || !code.bytes().all(|b| b.is_ascii_uppercase()) {
+            return Err(WireError(format!("country {code:?} is not two uppercase letters")));
+        }
+        Country::new(&code).map_err(|e| WireError(e.to_string()))
+    }
+}
+
+/// Enums travel as one byte, their type's own `code()`: the numbering the
+/// store's columns use.
+macro_rules! wire_code {
+    ($($ty:ident),+) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.push(self.code());
+            }
+            fn take(r: &mut WireReader<'_>) -> Result<$ty, WireError> {
+                let code = r.u8()?;
+                $ty::from_code(code).ok_or_else(|| {
+                    WireError(format!("unknown {} code {code}", stringify!($ty)))
+                })
+            }
+        }
+    )+};
+}
+
+wire_code!(ProbeVersion, ProbeTag, ChangeCause, TruthOutageKind);
+
+fn put_option<T>(out: &mut Vec<u8>, v: Option<&T>, put: impl Fn(&T, &mut Vec<u8>)) {
+    match v {
+        None => out.push(0),
+        Some(v) => {
+            out.push(1);
+            put(v, out);
+        }
+    }
+}
+
+fn take_option<T>(
+    r: &mut WireReader<'_>,
+    take: impl FnOnce(&mut WireReader<'_>) -> Result<T, WireError>,
+) -> Result<Option<T>, WireError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(take(r)?)),
+        n => Err(WireError(format!("option byte {n}"))),
+    }
+}
+
+fn put_seq<T>(out: &mut Vec<u8>, items: &[T], put: impl Fn(&T, &mut Vec<u8>)) {
+    varint::write_u64(out, items.len() as u64);
+    for v in items {
+        put(v, out);
+    }
+}
+
+fn take_seq<T>(
+    r: &mut WireReader<'_>,
+    mut take: impl FnMut(&mut WireReader<'_>) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let n = r.u64()? as usize;
+    // Guard against a hostile count: cap the pre-allocation, let the
+    // truncation check catch the lie.
+    let mut out = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        out.push(take(r)?);
+    }
+    Ok(out)
 }
 
 impl<T: Wire> Wire for Option<T> {
     fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            None => out.push(0),
-            Some(v) => {
-                out.push(1);
-                v.put(out);
-            }
-        }
+        put_option(out, self.as_ref(), T::put);
     }
     fn take(r: &mut WireReader<'_>) -> Result<Option<T>, WireError> {
-        match r.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::take(r)?)),
-            n => Err(WireError(format!("option byte {n}"))),
-        }
+        take_option(r, T::take)
     }
 }
 
 impl<T: Wire> Wire for Vec<T> {
     fn put(&self, out: &mut Vec<u8>) {
-        varint::write_u64(out, self.len() as u64);
-        for v in self {
-            v.put(out);
-        }
+        put_seq(out, self, T::put);
     }
     fn take(r: &mut WireReader<'_>) -> Result<Vec<T>, WireError> {
-        let n = r.u64()? as usize;
-        // Guard against a hostile count: cap the pre-allocation, let the
-        // truncation check catch the lie.
-        let mut out = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            out.push(T::take(r)?);
-        }
-        Ok(out)
+        take_seq(r, T::take)
     }
 }
 
@@ -632,158 +664,112 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     }
 }
 
-impl Wire for MetaReply {
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(self.version);
-        self.country.put(out);
-        put_bytes(out, &self.tags);
-    }
-    fn take(r: &mut WireReader<'_>) -> Result<MetaReply, WireError> {
-        Ok(MetaReply { version: r.u8()?, country: r.string()?, tags: r.bytes()? })
-    }
+/// A dataset row or detected event inside a per-probe reply: every field
+/// but its probe id, which the reply header carries once.
+trait Row: Sized {
+    fn put_row(&self, out: &mut Vec<u8>);
+    /// Decodes one row of `probe`, the id its reply header carries.
+    fn take_row(r: &mut WireReader<'_>, probe: ProbeId) -> Result<Self, WireError>;
 }
 
-impl Wire for ConnReply {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.start.put(out);
-        self.end.put(out);
-        put_bytes(out, &self.peer);
-    }
-    fn take(r: &mut WireReader<'_>) -> Result<ConnReply, WireError> {
-        Ok(ConnReply { start: r.i64()?, end: r.i64()?, peer: r.bytes()? })
-    }
+/// Implements [`Row`] from a type's fields other than `probe`, in wire
+/// order. The decode builds the struct from exactly these fields, so a
+/// field added to the type and not listed here fails to compile.
+macro_rules! row {
+    ($($ty:ident { $($field:ident),+ })+) => {$(
+        impl Row for $ty {
+            fn put_row(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)+
+            }
+            fn take_row(r: &mut WireReader<'_>, probe: ProbeId) -> Result<$ty, WireError> {
+                Ok($ty { probe, $($field: Wire::take(r)?),+ })
+            }
+        }
+    )+};
 }
 
-impl Wire for KrootReply {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.timestamp.put(out);
-        out.push(self.sent);
-        out.push(self.success);
-        self.lts_secs.put(out);
-    }
-    fn take(r: &mut WireReader<'_>) -> Result<KrootReply, WireError> {
-        Ok(KrootReply {
-            timestamp: r.i64()?,
-            sent: r.u8()?,
-            success: r.u8()?,
-            lts_secs: r.i64()?,
-        })
-    }
+row! {
+    ProbeMeta { version, country, tags }
+    ConnectionLogEntry { start, end, peer }
+    KrootPingRecord { timestamp, sent, success, lts_secs }
+    SosUptimeRecord { timestamp, uptime_secs }
+    AddressChange { gap_start, gap_end, from, to }
+    AddressSpan { addr, start, end, complete }
+    Gap { start, end, address_changed }
+    NetworkOutage { start, end }
+    Reboot { boot_time, report_time }
+    TruthChange { time, from, to, cause }
+    TruthOutage { kind, start, duration, address_changed }
 }
 
-impl Wire for UptimeReply {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.timestamp.put(out);
-        self.uptime_secs.put(out);
-    }
-    fn take(r: &mut WireReader<'_>) -> Result<UptimeReply, WireError> {
-        Ok(UptimeReply { timestamp: r.i64()?, uptime_secs: r.u64()? })
-    }
+fn put_rows<R: Row>(out: &mut Vec<u8>, rows: &[R]) {
+    put_seq(out, rows, R::put_row);
+}
+
+fn take_rows<R: Row>(r: &mut WireReader<'_>, probe: ProbeId) -> Result<Vec<R>, WireError> {
+    take_seq(r, |r| R::take_row(r, probe))
 }
 
 impl Wire for ProbeRecordsReply {
     fn put(&self, out: &mut Vec<u8>) {
         self.probe.put(out);
-        self.meta.put(out);
-        self.connections.put(out);
-        self.kroot.put(out);
-        self.uptime.put(out);
+        put_option(out, self.meta.as_ref(), Row::put_row);
+        put_rows(out, &self.connections);
+        put_rows(out, &self.kroot);
+        put_rows(out, &self.uptime);
     }
     fn take(r: &mut WireReader<'_>) -> Result<ProbeRecordsReply, WireError> {
+        let probe = r.u32()?;
+        let id = ProbeId(probe);
         Ok(ProbeRecordsReply {
-            probe: r.u32()?,
-            meta: <Option<_> as Wire>::take(r)?,
-            connections: <Vec<_> as Wire>::take(r)?,
-            kroot: <Vec<_> as Wire>::take(r)?,
-            uptime: <Vec<_> as Wire>::take(r)?,
+            probe,
+            meta: take_option(r, |r| Row::take_row(r, id))?,
+            connections: take_rows(r, id)?,
+            kroot: take_rows(r, id)?,
+            uptime: take_rows(r, id)?,
         })
-    }
-}
-
-impl Wire for ChangeReply {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.gap_start.put(out);
-        self.gap_end.put(out);
-        self.from.put(out);
-        self.to.put(out);
-    }
-    fn take(r: &mut WireReader<'_>) -> Result<ChangeReply, WireError> {
-        Ok(ChangeReply {
-            gap_start: r.i64()?,
-            gap_end: r.i64()?,
-            from: r.octets4()?,
-            to: r.octets4()?,
-        })
-    }
-}
-
-impl Wire for SpanReply {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.addr.put(out);
-        self.start.put(out);
-        self.end.put(out);
-        out.push(u8::from(self.complete));
-    }
-    fn take(r: &mut WireReader<'_>) -> Result<SpanReply, WireError> {
-        Ok(SpanReply { addr: r.octets4()?, start: r.i64()?, end: r.i64()?, complete: r.bool()? })
-    }
-}
-
-impl Wire for GapReply {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.start.put(out);
-        self.end.put(out);
-        out.push(u8::from(self.address_changed));
-    }
-    fn take(r: &mut WireReader<'_>) -> Result<GapReply, WireError> {
-        Ok(GapReply { start: r.i64()?, end: r.i64()?, address_changed: r.bool()? })
-    }
-}
-
-impl Wire for OutageReply {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.start.put(out);
-        self.end.put(out);
-    }
-    fn take(r: &mut WireReader<'_>) -> Result<OutageReply, WireError> {
-        Ok(OutageReply { start: r.i64()?, end: r.i64()? })
-    }
-}
-
-impl Wire for RebootReply {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.boot_time.put(out);
-        self.report_time.put(out);
-    }
-    fn take(r: &mut WireReader<'_>) -> Result<RebootReply, WireError> {
-        Ok(RebootReply { boot_time: r.i64()?, report_time: r.i64()? })
     }
 }
 
 impl Wire for ProbeSeriesReply {
     fn put(&self, out: &mut Vec<u8>) {
         self.probe.put(out);
-        self.meta.put(out);
-        self.changes.put(out);
-        self.spans.put(out);
-        self.gaps.put(out);
-        self.outages.put(out);
-        self.reboots.put(out);
-        out.push(u8::from(self.had_testing_entry));
+        put_option(out, self.meta.as_ref(), Row::put_row);
+        put_rows(out, &self.changes);
+        put_rows(out, &self.spans);
+        put_rows(out, &self.gaps);
+        put_rows(out, &self.outages);
+        put_rows(out, &self.reboots);
+        self.had_testing_entry.put(out);
         self.v6_entries.put(out);
     }
     fn take(r: &mut WireReader<'_>) -> Result<ProbeSeriesReply, WireError> {
+        let probe = r.u32()?;
+        let id = ProbeId(probe);
         Ok(ProbeSeriesReply {
-            probe: r.u32()?,
-            meta: <Option<_> as Wire>::take(r)?,
-            changes: <Vec<_> as Wire>::take(r)?,
-            spans: <Vec<_> as Wire>::take(r)?,
-            gaps: <Vec<_> as Wire>::take(r)?,
-            outages: <Vec<_> as Wire>::take(r)?,
-            reboots: <Vec<_> as Wire>::take(r)?,
+            probe,
+            meta: take_option(r, |r| Row::take_row(r, id))?,
+            changes: take_rows(r, id)?,
+            spans: take_rows(r, id)?,
+            gaps: take_rows(r, id)?,
+            outages: take_rows(r, id)?,
+            reboots: take_rows(r, id)?,
             had_testing_entry: r.bool()?,
             v6_entries: r.u64()?,
         })
+    }
+}
+
+impl Wire for ProbeTruthReply {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.probe.put(out);
+        put_rows(out, &self.changes);
+        put_rows(out, &self.outages);
+    }
+    fn take(r: &mut WireReader<'_>) -> Result<ProbeTruthReply, WireError> {
+        let probe = r.u32()?;
+        let id = ProbeId(probe);
+        Ok(ProbeTruthReply { probe, changes: take_rows(r, id)?, outages: take_rows(r, id)? })
     }
 }
 
@@ -854,51 +840,6 @@ impl Wire for CountrySummaryReply {
     }
 }
 
-impl Wire for TruthChangeReply {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.time.put(out);
-        self.from.put(out);
-        self.to.put(out);
-        out.push(self.cause);
-    }
-    fn take(r: &mut WireReader<'_>) -> Result<TruthChangeReply, WireError> {
-        Ok(TruthChangeReply {
-            time: r.i64()?,
-            from: <Option<_> as Wire>::take(r)?,
-            to: r.octets4()?,
-            cause: r.u8()?,
-        })
-    }
-}
-
-impl Wire for TruthOutageReply {
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(self.kind);
-        self.start.put(out);
-        self.duration.put(out);
-        out.push(u8::from(self.address_changed));
-    }
-    fn take(r: &mut WireReader<'_>) -> Result<TruthOutageReply, WireError> {
-        Ok(TruthOutageReply {
-            kind: r.u8()?,
-            start: r.i64()?,
-            duration: r.i64()?,
-            address_changed: r.bool()?,
-        })
-    }
-}
-
-impl Wire for ProbeTruthReply {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.probe.put(out);
-        self.changes.put(out);
-        self.outages.put(out);
-    }
-    fn take(r: &mut WireReader<'_>) -> Result<ProbeTruthReply, WireError> {
-        Ok(ProbeTruthReply { probe: r.u32()?, changes: <Vec<_> as Wire>::take(r)?, outages: <Vec<_> as Wire>::take(r)? })
-    }
-}
-
 impl Wire for ServerStatsReply {
     fn put(&self, out: &mut Vec<u8>) {
         self.uptime_secs.put(out);
@@ -940,7 +881,7 @@ impl Wire for DaemonSnapshotReply {
         self.reboots.put(out);
         self.frontier_secs.put(out);
         self.probes_tracked.put(out);
-        out.push(u8::from(self.sealed));
+        self.sealed.put(out);
     }
     fn take(r: &mut WireReader<'_>) -> Result<DaemonSnapshotReply, WireError> {
         Ok(DaemonSnapshotReply {
@@ -968,14 +909,14 @@ impl Wire for DaemonSnapshotReply {
 impl Wire for DaemonProbeReply {
     fn put(&self, out: &mut Vec<u8>) {
         self.probe.put(out);
-        out.push(self.class);
-        out.push(u8::from(self.multi_as));
+        self.class.put(out);
+        self.multi_as.put(out);
         self.entries.put(out);
         self.changes.put(out);
         self.gaps.put(out);
         self.network_outages.put(out);
         self.reboots.put(out);
-        out.push(u8::from(self.had_testing));
+        self.had_testing.put(out);
     }
     fn take(r: &mut WireReader<'_>) -> Result<DaemonProbeReply, WireError> {
         Ok(DaemonProbeReply {
@@ -1003,7 +944,7 @@ impl Wire for IngestStatsReply {
         self.rows_ingested.put(out);
         self.rows_planned.put(out);
         self.elapsed_ms.put(out);
-        out.push(u8::from(self.sealed));
+        self.sealed.put(out);
     }
     fn take(r: &mut WireReader<'_>) -> Result<IngestStatsReply, WireError> {
         Ok(IngestStatsReply {
@@ -1023,39 +964,16 @@ impl Wire for IngestStatsReply {
 
 impl Wire for Request {
     fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.tag());
         match self {
-            Request::Ping => out.push(0),
-            Request::ProbeRecords(p) => {
-                out.push(1);
-                p.0.put(out);
-            }
-            Request::ProbeSeries(p) => {
-                out.push(2);
-                p.0.put(out);
-            }
-            Request::AsSummary(a) => {
-                out.push(3);
-                a.0.put(out);
-            }
-            Request::CountrySummary(cc) => {
-                out.push(4);
-                cc.put(out);
-            }
-            Request::TopMovers(n) => {
-                out.push(5);
-                n.put(out);
-            }
-            Request::ProbeTruth(p) => {
-                out.push(6);
-                p.0.put(out);
-            }
-            Request::ServerStats => out.push(7),
-            Request::DaemonSnapshot => out.push(8),
-            Request::DaemonProbe(p) => {
-                out.push(9);
-                p.0.put(out);
-            }
-            Request::IngestStats => out.push(10),
+            Request::ProbeRecords(p)
+            | Request::ProbeSeries(p)
+            | Request::ProbeTruth(p)
+            | Request::DaemonProbe(p) => p.0.put(out),
+            Request::AsSummary(a) => a.0.put(out),
+            Request::CountrySummary(cc) => cc.put(out),
+            Request::TopMovers(n) => n.put(out),
+            Request::Ping | Request::ServerStats | Request::DaemonSnapshot | Request::IngestStats => {}
         }
     }
     fn take(r: &mut WireReader<'_>) -> Result<Request, WireError> {
@@ -1078,52 +996,23 @@ impl Wire for Request {
 
 impl Wire for Response {
     fn put(&self, out: &mut Vec<u8>) {
+        fn tagged(out: &mut Vec<u8>, tag: u8, body: &impl Wire) {
+            out.push(tag);
+            body.put(out);
+        }
         match self {
             Response::Pong => out.push(0),
-            Response::ProbeRecords(v) => {
-                out.push(1);
-                v.put(out);
-            }
-            Response::ProbeSeries(v) => {
-                out.push(2);
-                v.put(out);
-            }
-            Response::AsSummary(v) => {
-                out.push(3);
-                v.put(out);
-            }
-            Response::CountrySummary(v) => {
-                out.push(4);
-                v.put(out);
-            }
-            Response::TopMovers(v) => {
-                out.push(5);
-                v.put(out);
-            }
-            Response::ProbeTruth(v) => {
-                out.push(6);
-                v.put(out);
-            }
-            Response::Error(msg) => {
-                out.push(7);
-                msg.put(out);
-            }
-            Response::ServerStats(v) => {
-                out.push(8);
-                v.put(out);
-            }
-            Response::DaemonSnapshot(v) => {
-                out.push(9);
-                v.put(out);
-            }
-            Response::DaemonProbe(v) => {
-                out.push(10);
-                v.put(out);
-            }
-            Response::IngestStats(v) => {
-                out.push(11);
-                v.put(out);
-            }
+            Response::ProbeRecords(v) => tagged(out, 1, v),
+            Response::ProbeSeries(v) => tagged(out, 2, v),
+            Response::AsSummary(v) => tagged(out, 3, v),
+            Response::CountrySummary(v) => tagged(out, 4, v),
+            Response::TopMovers(v) => tagged(out, 5, v),
+            Response::ProbeTruth(v) => tagged(out, 6, v),
+            Response::Error(msg) => tagged(out, 7, msg),
+            Response::ServerStats(v) => tagged(out, 8, v),
+            Response::DaemonSnapshot(v) => tagged(out, 9, v),
+            Response::DaemonProbe(v) => tagged(out, 10, v),
+            Response::IngestStats(v) => tagged(out, 11, v),
         }
     }
     fn take(r: &mut WireReader<'_>) -> Result<Response, WireError> {
@@ -1205,6 +1094,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::Ipv6Addr;
 
     fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
         let bytes = to_bytes(v);
@@ -1291,32 +1181,34 @@ mod tests {
 
     #[test]
     fn responses_roundtrip() {
+        let (probe, t) = (ProbeId(9), SimTime);
+        let (a, b) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
         roundtrip(&Response::Pong);
         roundtrip(&Response::Error("segment 3 corrupt".into()));
         roundtrip(&Response::AsSummary(None));
         roundtrip(&Response::ProbeRecords(ProbeRecordsReply {
             probe: 9,
-            meta: Some(MetaReply { version: 3, country: "JP".into(), tags: vec![3, 7] }),
+            meta: Some(ProbeMeta {
+                probe,
+                version: ProbeVersion::V3,
+                country: Country::new("JP").unwrap(),
+                tags: vec![ProbeTag::Dsl, ProbeTag::Home],
+            }),
             connections: vec![
-                ConnReply { start: -5, end: 100, peer: vec![10, 0, 0, 1] },
-                ConnReply { start: 50, end: 60, peer: vec![0; 16] },
+                ConnectionLogEntry { probe, start: t(-5), end: t(100), peer: a.into() },
+                ConnectionLogEntry { probe, start: t(50), end: t(60), peer: Ipv6Addr::LOCALHOST.into() },
             ],
-            kroot: vec![KrootReply { timestamp: 1, sent: 3, success: 0, lts_secs: 900 }],
-            uptime: vec![UptimeReply { timestamp: 2, uptime_secs: 3600 }],
+            kroot: vec![KrootPingRecord { probe, timestamp: t(1), sent: 3, success: 0, lts_secs: 900 }],
+            uptime: vec![SosUptimeRecord { probe, timestamp: t(2), uptime_secs: 3600 }],
         }));
         roundtrip(&Response::ProbeSeries(ProbeSeriesReply {
-            probe: 4,
+            probe: 9,
             meta: None,
-            changes: vec![ChangeReply {
-                gap_start: 10,
-                gap_end: 20,
-                from: [10, 0, 0, 1],
-                to: [10, 0, 0, 2],
-            }],
-            spans: vec![SpanReply { addr: [10, 0, 0, 1], start: 0, end: 10, complete: false }],
-            gaps: vec![GapReply { start: 10, end: 20, address_changed: true }],
-            outages: vec![OutageReply { start: 5, end: 6 }],
-            reboots: vec![RebootReply { boot_time: 1, report_time: 2 }],
+            changes: vec![AddressChange { probe, gap_start: t(10), gap_end: t(20), from: a, to: b }],
+            spans: vec![AddressSpan { probe, addr: a, start: t(0), end: t(10), complete: false }],
+            gaps: vec![Gap { probe, start: t(10), end: t(20), address_changed: true }],
+            outages: vec![NetworkOutage { probe, start: t(5), end: t(6) }],
+            reboots: vec![Reboot { probe, boot_time: t(1), report_time: t(2) }],
             had_testing_entry: true,
             v6_entries: 3,
         }));
@@ -1327,20 +1219,46 @@ mod tests {
             country: "BR".into(),
         }]));
         roundtrip(&Response::ProbeTruth(Some(ProbeTruthReply {
-            probe: 2,
-            changes: vec![TruthChangeReply {
-                time: 77,
+            probe: 9,
+            changes: vec![TruthChange {
+                probe,
+                time: t(77),
                 from: None,
-                to: [192, 0, 2, 1],
-                cause: 5,
+                to: Ipv4Addr::new(192, 0, 2, 1),
+                cause: ChangeCause::AdminRenumber,
             }],
-            outages: vec![TruthOutageReply {
-                kind: 1,
-                start: 9,
-                duration: 1200,
+            outages: vec![TruthOutage {
+                probe,
+                kind: TruthOutageKind::Power,
+                start: t(9),
+                duration: SimDuration(1200),
                 address_changed: false,
             }],
         })));
+    }
+
+    #[test]
+    fn domain_values_outside_the_encoder_range_are_rejected() {
+        let meta = |country: &str, version: u8, tag: u8| {
+            let mut b = vec![1, 9, 1, version];
+            country.to_string().put(&mut b);
+            b.extend_from_slice(&[1, tag, 0, 0, 0]);
+            b
+        };
+        assert!(from_bytes::<Response>(&meta("JP", 3, 7)).is_ok());
+        // Countries that are not two uppercase letters, unknown enum codes.
+        let bad = [("jp", 3, 7), ("J1", 3, 7), ("JPN", 3, 7), ("JP", 4, 7), ("JP", 3, 8)];
+        for (country, version, tag) in bad {
+            let bytes = meta(country, version, tag);
+            assert!(from_bytes::<Response>(&bytes).is_err(), "{bytes:?} decoded");
+        }
+        // A connection row's peer is 4 or 16 octets.
+        for (len, ok) in [(4, true), (16, true), (0, false), (5, false), (15, false)] {
+            let mut b = vec![1, 9, 0, 1, 0, 0, len];
+            b.resize(b.len() + usize::from(len), 7);
+            b.extend_from_slice(&[0, 0]);
+            assert_eq!(from_bytes::<Response>(&b).is_ok(), ok, "{len}-byte peer");
+        }
     }
 
     #[test]
@@ -1348,6 +1266,20 @@ mod tests {
         let mut bytes = to_bytes(&Request::Ping);
         bytes.push(0);
         assert!(from_bytes::<Request>(&bytes).is_err());
+    }
+
+    #[test]
+    fn overlong_varints_are_rejected() {
+        // `[1, 0]` is `ProbeRecords(ProbeId(0))`; the same id padded with
+        // a zero continuation byte would re-encode shorter.
+        assert_eq!(from_bytes::<Request>(&[1, 0]), Ok(Request::ProbeRecords(ProbeId(0))));
+        assert!(from_bytes::<Request>(&[1, 0x80, 0x00]).is_err());
+        // A signed field: `DaemonSnapshot`'s `frontier_secs` follows the
+        // tag and fourteen one-byte counters.
+        let mut snapshot = to_bytes(&Response::DaemonSnapshot(DaemonSnapshotReply::default()));
+        assert_eq!(snapshot[15], 0);
+        snapshot.splice(15..16, [0x80, 0x00]);
+        assert!(from_bytes::<Response>(&snapshot).is_err());
     }
 
     #[test]

@@ -66,24 +66,9 @@ impl Answerer for QueryEngine {
     }
 }
 
-/// Wire tags a request can carry, for the per-tag counters.
+/// Wire tags a request can carry ([`Request::tag`]), for the per-tag
+/// counters.
 const REQUEST_TAGS: usize = 11;
-
-fn request_tag(req: &Request) -> usize {
-    match req {
-        Request::Ping => 0,
-        Request::ProbeRecords(_) => 1,
-        Request::ProbeSeries(_) => 2,
-        Request::AsSummary(_) => 3,
-        Request::CountrySummary(_) => 4,
-        Request::TopMovers(_) => 5,
-        Request::ProbeTruth(_) => 6,
-        Request::ServerStats => 7,
-        Request::DaemonSnapshot => 8,
-        Request::DaemonProbe(_) => 9,
-        Request::IngestStats => 10,
-    }
-}
 
 /// The server front-end's own counters, shared across connection threads.
 struct FrontStats {
@@ -218,7 +203,7 @@ fn handle_connection<A: Answerer>(
         let started = Instant::now();
         let response = match proto::from_bytes::<Request>(&body) {
             Ok(req) => {
-                stats.by_tag[request_tag(&req)].fetch_add(1, Ordering::Relaxed);
+                stats.by_tag[usize::from(req.tag())].fetch_add(1, Ordering::Relaxed);
                 match req {
                     Request::ServerStats => {
                         Response::ServerStats(stats.snapshot(answerer.cache_stats()))

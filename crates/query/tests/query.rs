@@ -23,6 +23,7 @@ use dynaddr_store::{
 use dynaddr_types::{
     Asn, Country, Prefix, ProbeId, ProbeTag, ProbeVersion, SimDuration, SimTime,
 };
+use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -442,4 +443,100 @@ fn socket_serving_matches_in_process_answers() {
     handle.stop();
     server_thread.join().expect("server thread").expect("server run");
     assert!(!path.exists(), "socket file should be removed on shutdown");
+}
+
+/// The encoded `ProbeRecords`, `ProbeSeries` and `ProbeTruth` replies for
+/// probe ids 0 through `PROBES + 1`, so ids with no rows are included.
+fn probe_replies(local: &LocalAnswerer) -> Vec<Vec<u8>> {
+    let mut replies = Vec::new();
+    for p in (0..=PROBES + 1).map(ProbeId) {
+        for req in [Request::ProbeRecords(p), Request::ProbeSeries(p), Request::ProbeTruth(p)] {
+            replies.push(proto::to_bytes(&local.answer(&req)));
+        }
+    }
+    replies
+}
+
+#[test]
+fn reply_bytes_are_pinned() {
+    // The roundtrip tests only check that decoding undoes encoding; this
+    // pins the layout itself, so a codec change that moves a byte fails.
+    let local = LocalAnswerer::from_parts(dataset(), &snaps(), Some(&truth()));
+    let replies = probe_replies(&local);
+    let all = replies.concat();
+    assert_eq!(replies.len(), 126);
+    assert_eq!(all.len(), 13_873);
+    assert_eq!(crc32(&all), 0x1c5f_eae5);
+}
+
+#[test]
+fn truncated_and_bit_flipped_replies_decode_canonically_or_not_at_all() {
+    // Every prefix and every single-bit flip of real replies: decoding
+    // never panics, and whatever decodes re-encodes to exactly its input,
+    // so no two byte strings decode to the same reply.
+    let local = LocalAnswerer::from_parts(dataset(), &snaps(), Some(&truth()));
+    let mut replies = probe_replies(&local);
+    let asn = local.stats().asns()[0];
+    let country = local.stats().countries()[0].clone();
+    for req in [Request::TopMovers(5), Request::AsSummary(Asn(asn)), Request::CountrySummary(country)] {
+        replies.push(proto::to_bytes(&local.answer(&req)));
+    }
+    let (mut mutations, mut decoded, mut drifted) = (0, 0, Vec::new());
+    let mut check = |bytes: &[u8]| {
+        mutations += 1;
+        if let Ok(resp) = proto::from_bytes::<Response>(bytes) {
+            decoded += 1;
+            if proto::to_bytes(&resp) != bytes {
+                drifted.push(bytes.to_vec());
+            }
+        }
+    };
+    for reply in &replies {
+        for len in 0..reply.len() {
+            check(&reply[..len]);
+        }
+        for bit in 0..reply.len() * 8 {
+            let mut flipped = reply.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            check(&flipped);
+        }
+    }
+    assert!(decoded > 0, "no mutation decoded: the sweep checks nothing");
+    assert!(
+        drifted.is_empty(),
+        "{} of {mutations} mutations decode to a reply that re-encodes differently, first {:02x?}",
+        drifted.len(),
+        drifted[0]
+    );
+}
+
+proptest! {
+    #[test]
+    fn arbitrary_bytes_decode_canonically_or_not_at_all(
+        tag in 0u8..13,
+        body in proptest::collection::vec(
+            (0u8..8, any::<u8>()).prop_map(|(k, b)| match k {
+                0..=3 => k,
+                4 => 0x80,
+                5 => 0xff,
+                _ => b,
+            }),
+            0..64,
+        ),
+    ) {
+        // Every prefix of a valid tag byte and a body biased to the bytes
+        // the decoders branch on: small counts and flags, and varint
+        // continuation bytes. Decoding never panics, and what decodes
+        // re-encodes to exactly its input.
+        let mut bytes = vec![tag];
+        bytes.extend_from_slice(&body);
+        for input in (0..=bytes.len()).map(|len| &bytes[..len]) {
+            if let Ok(req) = proto::from_bytes::<Request>(input) {
+                prop_assert_eq!(proto::to_bytes(&req), input);
+            }
+            if let Ok(resp) = proto::from_bytes::<Response>(input) {
+                prop_assert_eq!(proto::to_bytes(&resp), input);
+            }
+        }
+    }
 }

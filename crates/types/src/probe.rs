@@ -41,6 +41,24 @@ impl ProbeVersion {
     pub fn reliable_uptime(self) -> bool {
         matches!(self, ProbeVersion::V3)
     }
+
+    /// The version's fixed code in the store's meta table and on the query
+    /// wire. Each code is written out here, so reordering the variants
+    /// changes no stored or sent byte.
+    pub fn code(self) -> u8 {
+        match self {
+            ProbeVersion::V1 => 1,
+            ProbeVersion::V2 => 2,
+            ProbeVersion::V3 => 3,
+        }
+    }
+
+    /// The version whose [`code`](Self::code) is `code`, if any.
+    pub fn from_code(code: u8) -> Option<ProbeVersion> {
+        [ProbeVersion::V1, ProbeVersion::V2, ProbeVersion::V3]
+            .into_iter()
+            .find(|v| v.code() == code)
+    }
 }
 
 impl fmt::Display for ProbeVersion {
@@ -81,6 +99,38 @@ impl ProbeTag {
     pub fn disqualifies(self) -> bool {
         matches!(self, ProbeTag::Multihomed | ProbeTag::Datacentre | ProbeTag::Core)
     }
+
+    /// The tag's fixed code in the store's meta table and on the query
+    /// wire. Each code is written out here, so reordering the variants
+    /// changes no stored or sent byte.
+    pub fn code(self) -> u8 {
+        match self {
+            ProbeTag::Multihomed => 0,
+            ProbeTag::Datacentre => 1,
+            ProbeTag::Core => 2,
+            ProbeTag::Dsl => 3,
+            ProbeTag::Cable => 4,
+            ProbeTag::Fibre => 5,
+            ProbeTag::Nat => 6,
+            ProbeTag::Home => 7,
+        }
+    }
+
+    /// The tag whose [`code`](Self::code) is `code`, if any.
+    pub fn from_code(code: u8) -> Option<ProbeTag> {
+        [
+            ProbeTag::Multihomed,
+            ProbeTag::Datacentre,
+            ProbeTag::Core,
+            ProbeTag::Dsl,
+            ProbeTag::Cable,
+            ProbeTag::Fibre,
+            ProbeTag::Nat,
+            ProbeTag::Home,
+        ]
+        .into_iter()
+        .find(|t| t.code() == code)
+    }
 }
 
 impl fmt::Display for ProbeTag {
@@ -117,6 +167,16 @@ mod tests {
         assert!(ProbeTag::Core.disqualifies());
         assert!(!ProbeTag::Dsl.disqualifies());
         assert!(!ProbeTag::Home.disqualifies());
+    }
+
+    #[test]
+    fn codes_decode_back_and_stay_fixed() {
+        for c in 0..=u8::MAX {
+            let version = ProbeVersion::from_code(c).map(ProbeVersion::code);
+            assert_eq!(version, (1..=3).contains(&c).then_some(c));
+            assert_eq!(ProbeTag::from_code(c).map(ProbeTag::code), (c < 8).then_some(c));
+        }
+        assert_eq!((ProbeVersion::V3.code(), ProbeTag::Home.code()), (3, 7));
     }
 
     #[test]

@@ -130,6 +130,13 @@ for THREADS in 1 2 ambient; do
     kill "$DPID"
     wait "$DPID" 2>/dev/null || true
 done
+# A paced replay (--rate N) loads the whole store and replays it in
+# arrival order, a path the max-rate runs above never take. At a huge
+# multiplier it runs unthrottled and must seal the same report.
+./target/release/dynaddrd --replay "$SMOKE/replay/renamed.store" \
+    --socket "$SMOKE/dynaddrd-paced.sock" --rate 1e9 --exit-after-replay \
+    --report "$SMOKE/dynaddrd-paced.txt" 2> "$SMOKE/dynaddrd-paced.err"
+diff "$SMOKE/store.txt" "$SMOKE/dynaddrd-paced.txt"
 
 echo "==> streamed pipeline smoke (scale 0.01, streamed vs batch)"
 # --streamed runs the same write path as the store smoke, so the cmp is a
