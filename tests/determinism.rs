@@ -9,7 +9,18 @@
 use dynaddr::analysis::pipeline::{analyze, AnalysisConfig, AnalysisReport};
 use dynaddr::atlas::engine::set_bucket_width;
 use dynaddr::atlas::world::{paper_route_tables, paper_world};
-use dynaddr::atlas::{simulate, simulate_with_options, SimOptions};
+use dynaddr::atlas::logs::{
+    ConnectionLogEntry, KrootPingRecord, PeerAddr, ProbeMeta, SosUptimeRecord,
+};
+use dynaddr::atlas::truth::{
+    ChangeCause, IspPolicyTruth, TruthChange, TruthOutage, TruthOutageKind,
+};
+use dynaddr::atlas::{simulate, simulate_with_options, AtlasDataset, GroundTruth, SimOptions};
+use dynaddr::store::crc32::crc32;
+use dynaddr::types::{
+    Asn, Country, ProbeId, ProbeTag, ProbeVersion, SimDuration, SimTime,
+};
+use std::net::{Ipv4Addr, Ipv6Addr};
 
 fn report_at(threads: Option<usize>) -> AnalysisReport {
     dynaddr_exec::set_threads(threads);
@@ -273,6 +284,127 @@ fn daemon_replay_seal_is_byte_identical_across_thread_counts() {
             "daemon replay+seal differs from batch analyze at threads={threads:?}"
         );
     }
+}
+
+/// A hand-built dataset and ground truth that reach every table and every
+/// value shape the store codecs write: all enum codes, v4 and v6 peers, a
+/// first assignment and a renumbering, exact float weights, hour lists and
+/// an admin renumbering. Built by hand, not simulated, so no simulator
+/// change can move the bytes [`store_bytes_are_pinned`] pins.
+fn pinned_store_inputs() -> (AtlasDataset, GroundTruth) {
+    let versions = [ProbeVersion::V1, ProbeVersion::V2, ProbeVersion::V3];
+    let tags = [
+        ProbeTag::Multihomed,
+        ProbeTag::Datacentre,
+        ProbeTag::Core,
+        ProbeTag::Dsl,
+        ProbeTag::Cable,
+        ProbeTag::Fibre,
+        ProbeTag::Nat,
+        ProbeTag::Home,
+    ];
+    let causes = [
+        ChangeCause::PeriodicCap,
+        ChangeCause::PoolRotation,
+        ChangeCause::ScheduledReconnect,
+        ChangeCause::NetworkOutage,
+        ChangeCause::PowerOutage,
+        ChangeCause::AdminRenumber,
+        ChangeCause::Moved,
+    ];
+    let kinds = [
+        TruthOutageKind::Network,
+        TruthOutageKind::Power,
+        TruthOutageKind::CpeOnlyPower,
+        TruthOutageKind::ProbeOnlyReboot,
+    ];
+    let mut ds = AtlasDataset::default();
+    let mut truth = GroundTruth::default();
+    for p in 0..9u32 {
+        let (probe, i, base) = (ProbeId(p * 3 + 1), p as usize, i64::from(p) * 1_000 - 2_000);
+        ds.meta.push(ProbeMeta {
+            probe,
+            version: versions[i % 3],
+            country: Country::new(["DE", "US", "JP", "BR", "ZA"][i % 5]).unwrap(),
+            tags: tags.iter().copied().skip(i).take(i % 3 + 1).collect(),
+        });
+        for k in 0..4i64 {
+            ds.connections.push(ConnectionLogEntry {
+                probe,
+                start: SimTime(base + k * 86_400),
+                end: SimTime(base + k * 86_400 + 40_000 + k),
+                peer: if (i + k as usize) % 4 == 3 {
+                    PeerAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, p as u16, 0, 0, 0, 0, k as u16 + 1))
+                } else {
+                    PeerAddr::V4(Ipv4Addr::new(10 + p as u8, 200, k as u8, 255 - p as u8))
+                },
+            });
+        }
+        for k in 0..5i64 {
+            ds.kroot.push(KrootPingRecord {
+                probe,
+                timestamp: SimTime(base + k * 240),
+                sent: 3,
+                success: ((k + i64::from(p)) % 4) as u8,
+                lts_secs: 60 + k * i64::from(p),
+            });
+        }
+        ds.uptime.push(SosUptimeRecord {
+            probe,
+            timestamp: SimTime(base + 7),
+            uptime_secs: u64::from(p) * 1_000_003 + 5,
+        });
+        truth.changes.push(TruthChange {
+            probe,
+            time: SimTime(base + 500),
+            from: (p % 2 == 1).then(|| Ipv4Addr::new(10, p as u8, 0, 1)),
+            to: Ipv4Addr::new(10, p as u8, 1, 2),
+            cause: causes[i % causes.len()],
+        });
+        truth.outages.push(TruthOutage {
+            probe,
+            kind: kinds[i % kinds.len()],
+            start: SimTime(base + 900),
+            duration: SimDuration(i64::from(p) * 61 + 30),
+            address_changed: p % 3 == 0,
+        });
+        if p % 4 == 0 {
+            truth.firmware_reboots.push((probe, SimTime(base + 1_234)));
+        }
+    }
+    truth.firmware_dates =
+        vec![SimTime::from_date(3, 2, 4, 0, 0), SimTime::from_date(8, 30, 22, 15, 0)];
+    for (asn, name, hours, weight) in [
+        (3320u32, "Deutsche Telekom", vec![24], 0.97),
+        (3215, "Orange", vec![168, 24, -1], 2.0 / 3.0),
+        (7922, "Comcast", vec![], f64::MIN_POSITIVE),
+    ] {
+        truth.isp_policies.insert(
+            asn,
+            IspPolicyTruth {
+                name: name.to_string(),
+                country: "DE".to_string(),
+                periodic_hours: hours,
+                renumbers_on_reconnect: asn % 2 == 0,
+                periodic_weight: weight,
+                probes: asn as usize / 10,
+            },
+        );
+    }
+    truth.admin_renumbering = Some((Asn(6830), SimTime::from_date(9, 1, 2, 0, 0)));
+    ds.normalize();
+    truth.normalize();
+    (ds, truth)
+}
+
+#[test]
+fn store_bytes_are_pinned() {
+    // The other store tests compare a writer with itself or roundtrip it;
+    // this pins the layout, so a codec change that moves a byte fails.
+    let (ds, truth) = pinned_store_inputs();
+    let (data, truth) = (ds.to_store_bytes(), truth.to_store_bytes());
+    assert_eq!((data.len(), crc32(&data)), (1_047, 0x4376_f301), "dataset.store");
+    assert_eq!((truth.len(), crc32(&truth)), (453, 0xa859_994a), "truth.store");
 }
 
 #[test]
