@@ -325,19 +325,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if self.run_pos < self.run.len() {
-            return Some(self.key(self.run[self.run_pos]).0);
-        }
-        for b in self.cur..self.buckets.len() {
-            if let Some(t) = self.buckets[b].iter().map(|&i| self.key(i)).min() {
-                return Some(t.0);
-            }
-        }
-        self.overflow.iter().map(|&i| self.key(i)).min().map(|k| k.0)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -456,15 +443,6 @@ mod tests {
         assert!(!q.push(SimTime(100), "at"));
         assert!(!q.push(SimTime(500), "past"));
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let mut q = EventQueue::new();
-        q.push(SimTime(7), "x");
-        assert_eq!(q.peek_time(), Some(SimTime(7)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 
     #[test]

@@ -219,11 +219,6 @@ impl AtlasDataset {
         index.uptime = range_index(uptime, |u| u.probe);
     }
 
-    /// Number of distinct probes with metadata.
-    pub fn probe_count(&self) -> usize {
-        self.meta.len()
-    }
-
     /// All connection-log entries of one probe (requires normalized data).
     pub fn connections_of(&self, probe: ProbeId) -> &[ConnectionLogEntry] {
         indexed_slice(&self.connections, &self.index.connections, |c| c.probe, probe)

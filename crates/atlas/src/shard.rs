@@ -51,13 +51,13 @@ impl UnionFind {
         let mut id_of_root = vec![usize::MAX; n];
         let mut comp_of = vec![0usize; n];
         let mut count = 0usize;
-        for x in 0..n {
+        for (x, comp) in comp_of.iter_mut().enumerate() {
             let r = self.find(x);
             if id_of_root[r] == usize::MAX {
                 id_of_root[r] = count;
                 count += 1;
             }
-            comp_of[x] = id_of_root[r];
+            *comp = id_of_root[r];
         }
         (comp_of, count)
     }

@@ -1,15 +1,22 @@
 //! Columnar store codecs for the Atlas tables (`dynaddr-store` backend).
 //!
-//! Maps every dataset and ground-truth table onto the segmented columnar
-//! format: integers (probe ids, timestamps, counters, enum codes) become
-//! delta + zigzag + varint columns, addresses and strings become
-//! length-prefixed byte columns. Enum codes are the types' own `code()`s
-//! ([`ProbeVersion::code`], [`ProbeTag::code`], [`ChangeCause::code`],
-//! [`TruthOutageKind::code`]), written out per variant and shared with the
-//! query wire, so files stay readable across refactors; addresses carry
-//! their family in the payload length (4 bytes = IPv4, 16 = IPv6, checked
-//! once by [`PeerAddr::from_octets`]) and floats travel as exact IEEE-754
-//! bit patterns — a decode reproduces the in-memory value byte for byte.
+//! Every dataset and ground-truth table is one [`ColumnarRecord`] whose
+//! codec is generated from a single column list: the table's id, name and
+//! key, then `field: Type` in column order. `COLUMNS`, `encode` and
+//! `decode` all come from that list, so a field added to a table is one
+//! line here, and a field left out fails to compile.
+//!
+//! Each field type converts to its column once, in a crate-private
+//! `Column` impl. Integers (probe ids, timestamps, counters, flags, enum
+//! codes) become delta + zigzag + varint columns; addresses and strings
+//! become length-prefixed byte columns. Enum codes are the types' own
+//! `code()`s ([`ProbeVersion::code`], [`ProbeTag::code`],
+//! [`ChangeCause::code`], [`TruthOutageKind::code`]), written out per
+//! variant and shared with the query wire, so files stay readable across
+//! refactors; addresses carry their family in the payload length (4 bytes
+//! = IPv4, 16 = IPv6, checked once by [`PeerAddr::from_octets`]) and
+//! floats travel as exact IEEE-754 bit patterns — a decode reproduces the
+//! in-memory value byte for byte.
 //!
 //! Datasets are written as one multi-table file (`dataset.store`), ground
 //! truth as another (`truth.store`); see [`crate::logs::AtlasDataset::save_dir`]
@@ -23,486 +30,285 @@ use crate::truth::{
     ChangeCause, GroundTruth, IspPolicyTruth, TruthChange, TruthOutage, TruthOutageKind,
 };
 use dynaddr_store::{
-    ColumnBuilder, ColumnKind, ColumnReader, ColumnarRecord, DecodeError, FileReader, ReadMode,
-    RecoveryReport, StoreError, StreamWriter,
+    varint, ColumnBuilder, ColumnKind, ColumnReader, ColumnarRecord, DecodeError, FileReader,
+    ReadMode, RecoveryReport, StoreError, StreamWriter,
 };
 use dynaddr_types::{Asn, Country, ProbeId, ProbeTag, ProbeVersion, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 // ---------------------------------------------------------------------------
-// Shared column helpers
+// Column conversions
 // ---------------------------------------------------------------------------
 
-fn u32_col(v: i64, what: &str) -> Result<u32, DecodeError> {
-    u32::try_from(v).map_err(|_| DecodeError::new(format!("{what} {v} out of range")))
+/// How one field type is stored: its column's kind, and the conversion
+/// each way. `take` must reject, never panic on, any value `put` could
+/// not have written.
+trait Column: Sized {
+    const KIND: ColumnKind;
+    fn put(&self, col: &mut ColumnBuilder);
+    fn take(col: &mut ColumnReader<'_>) -> Result<Self, DecodeError>;
 }
 
-fn u8_col(v: i64, what: &str) -> Result<u8, DecodeError> {
-    u8::try_from(v).map_err(|_| DecodeError::new(format!("{what} {v} out of range")))
-}
-
-fn u64_col(v: i64, what: &str) -> Result<u64, DecodeError> {
-    u64::try_from(v).map_err(|_| DecodeError::new(format!("{what} {v} out of range")))
-}
-
-fn bool_col(v: i64, what: &str) -> Result<bool, DecodeError> {
-    match v {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(DecodeError::new(format!("{what} {other} is not a boolean"))),
-    }
-}
-
-fn push_peer(col: &mut ColumnBuilder, peer: PeerAddr) {
-    match peer {
-        PeerAddr::V4(a) => col.push_bytes(&a.octets()),
-        PeerAddr::V6(a) => col.push_bytes(&a.octets()),
-    }
-}
-
-fn peer_from(bytes: &[u8]) -> Result<PeerAddr, DecodeError> {
-    PeerAddr::from_octets(bytes).ok_or_else(|| {
-        DecodeError::new(format!("address of {} bytes (want 4 or 16)", bytes.len()))
+/// An integer column value that must fit the field's type.
+fn in_range<T: TryFrom<i64>>(v: i64) -> Result<T, DecodeError> {
+    T::try_from(v).map_err(|_| {
+        DecodeError::new(format!("{v} out of range for {}", std::any::type_name::<T>()))
     })
 }
 
-fn v4_from(bytes: &[u8], what: &str) -> Result<Ipv4Addr, DecodeError> {
+/// An enum code column value, decoded through the type's `from_code`.
+fn known_code<T>(v: i64, from_code: fn(u8) -> Option<T>) -> Result<T, DecodeError> {
+    u8::try_from(v).ok().and_then(from_code).ok_or_else(|| {
+        DecodeError::new(format!("unknown {} code {v}", std::any::type_name::<T>()))
+    })
+}
+
+/// Implements [`Column`] for integer columns: `|v| to` gives the stored
+/// `i64` of a field value `v`, `|v| from` the field value of a stored `v`
+/// or a [`DecodeError`].
+macro_rules! int_column {
+    ($($ty:ty: |$v:ident| $to:expr, |$w:ident| $from:expr;)+) => {$(
+        impl Column for $ty {
+            const KIND: ColumnKind = ColumnKind::I64;
+            fn put(&self, col: &mut ColumnBuilder) {
+                let $v = *self;
+                col.push_i64($to);
+            }
+            fn take(col: &mut ColumnReader<'_>) -> Result<$ty, DecodeError> {
+                let $w = col.next_i64()?;
+                $from
+            }
+        }
+    )+};
+}
+
+int_column! {
+    i64: |v| v, |v| Ok(v);
+    u8: |v| i64::from(v), |v| in_range(v);
+    u32: |v| i64::from(v), |v| in_range(v);
+    u64: |v| v as i64, |v| in_range(v);
+    usize: |v| v as i64, |v| in_range(v);
+    bool: |v| i64::from(v), |v| match v {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(DecodeError::new(format!("{v} is not a boolean"))),
+    };
+    f64: |v| v.to_bits() as i64, |v| Ok(f64::from_bits(v as u64));
+    ProbeId: |v| i64::from(v.0), |v| in_range(v).map(ProbeId);
+    Asn: |v| i64::from(v.0), |v| in_range(v).map(Asn);
+    SimTime: |v| v.0, |v| Ok(SimTime(v));
+    SimDuration: |v| v.0, |v| Ok(SimDuration(v));
+    ProbeVersion: |v| i64::from(v.code()), |v| known_code(v, ProbeVersion::from_code);
+    ChangeCause: |v| i64::from(v.code()), |v| known_code(v, ChangeCause::from_code);
+    TruthOutageKind: |v| i64::from(v.code()), |v| known_code(v, TruthOutageKind::from_code);
+}
+
+/// Implements [`Column`] for byte columns: `|v, col| put` pushes a field
+/// value `v` into `col`, `|b| from` gives the field value of stored bytes
+/// `b` or a [`DecodeError`].
+macro_rules! bytes_column {
+    ($($ty:ty: |$v:ident, $col:ident| $put:expr, |$b:ident| $from:expr;)+) => {$(
+        impl Column for $ty {
+            const KIND: ColumnKind = ColumnKind::Bytes;
+            fn put(&self, $col: &mut ColumnBuilder) {
+                let $v = self;
+                $put
+            }
+            fn take(col: &mut ColumnReader<'_>) -> Result<$ty, DecodeError> {
+                let $b = col.next_bytes()?;
+                $from
+            }
+        }
+    )+};
+}
+
+/// A 4-byte IPv4 address.
+fn v4(bytes: &[u8]) -> Result<Ipv4Addr, DecodeError> {
     let o: [u8; 4] = bytes
         .try_into()
-        .map_err(|_| DecodeError::new(format!("{what}: {} bytes (want 4)", bytes.len())))?;
+        .map_err(|_| DecodeError::new(format!("{} address bytes (want 4)", bytes.len())))?;
     Ok(Ipv4Addr::from(o))
 }
 
-/// Decodes an enum code column value through the type's `from_code`.
-fn code_col<T>(v: i64, from_code: fn(u8) -> Option<T>, what: &str) -> Result<T, DecodeError> {
-    u8::try_from(v)
-        .ok()
-        .and_then(from_code)
-        .ok_or_else(|| DecodeError::new(format!("unknown {what} code {v}")))
+fn utf8(bytes: &[u8]) -> Result<&str, DecodeError> {
+    std::str::from_utf8(bytes).map_err(|_| DecodeError::new("not UTF-8"))
+}
+
+bytes_column! {
+    PeerAddr: |v, col| match v {
+        PeerAddr::V4(a) => col.push_bytes(&a.octets()),
+        PeerAddr::V6(a) => col.push_bytes(&a.octets()),
+    }, |b| PeerAddr::from_octets(b).ok_or_else(|| {
+        DecodeError::new(format!("address of {} bytes (want 4 or 16)", b.len()))
+    });
+    Ipv4Addr: |v, col| col.push_bytes(&v.octets()), |b| v4(b);
+    // Zero bytes: no address (a first assignment).
+    Option<Ipv4Addr>: |v, col| match v {
+        Some(a) => col.push_bytes(&a.octets()),
+        None => col.push_bytes(&[]),
+    }, |b| if b.is_empty() { Ok(None) } else { v4(b).map(Some) };
+    Country: |v, col| col.push_bytes(v.to_string().as_bytes()),
+        |b| Country::new(utf8(b)?).map_err(|e| DecodeError::new(e.to_string()));
+    // One code byte per tag.
+    Vec<ProbeTag>: |v, col| col.push_bytes(&v.iter().map(|t| t.code()).collect::<Vec<u8>>()),
+        |b| b.iter().map(|&c| known_code(i64::from(c), ProbeTag::from_code)).collect();
+    String: |v, col| col.push_bytes(v.as_bytes()), |b| utf8(b).map(str::to_owned);
+    // A varint count, then each hour as a zigzag varint.
+    Vec<i64>: |v, col| {
+        let mut hours = Vec::new();
+        varint::write_u64(&mut hours, v.len() as u64);
+        for &h in v {
+            varint::write_i64(&mut hours, h);
+        }
+        col.push_bytes(&hours);
+    }, |b| {
+        let mut pos = 0usize;
+        let count = varint::read_u64(b, &mut pos)?;
+        if count > b.len() as u64 {
+            return Err(DecodeError::new(format!("implausible hour count {count}")));
+        }
+        let hours = (0..count).map(|_| varint::read_i64(b, &mut pos)).collect::<Result<_, _>>()?;
+        if pos != b.len() {
+            return Err(DecodeError::new("trailing bytes in hour list"));
+        }
+        Ok(hours)
+    };
 }
 
 // ---------------------------------------------------------------------------
-// Dataset tables
+// Tables
 // ---------------------------------------------------------------------------
 
-impl ColumnarRecord for ProbeMeta {
-    const TABLE_ID: u8 = 1;
-    const TABLE_NAME: &'static str = "meta";
-    const COLUMNS: &'static [ColumnKind] =
-        &[ColumnKind::I64, ColumnKind::I64, ColumnKind::Bytes, ColumnKind::Bytes];
-
-    fn key(&self) -> u32 {
-        self.probe.0
-    }
-
-    fn encode(rows: &[Self], cols: &mut [ColumnBuilder]) {
-        for r in rows {
-            cols[0].push_i64(i64::from(r.probe.0));
-            cols[1].push_i64(i64::from(r.version.code()));
-            cols[2].push_bytes(r.country.to_string().as_bytes());
-            let tags: Vec<u8> = r.tags.iter().map(|t| t.code()).collect();
-            cols[3].push_bytes(&tags);
+/// Implements [`ColumnarRecord`] for a row type from its column list:
+/// `Type = id "name", key |row| key;` then `field: ColumnType` in column
+/// order. The decode builds the row from exactly these fields, so a field
+/// added to the type and not listed here fails to compile. With a leading
+/// `struct`, the list also declares the row type (the ground truth's
+/// private row forms).
+macro_rules! table {
+    ($(#[$doc:meta])* struct $ty:ident = $id:literal $name:literal, key $key:expr;
+        $($field:ident: $col:ty),+ $(,)?) => {
+        $(#[$doc])*
+        struct $ty {
+            $($field: $col),+
         }
-    }
+        table! { $ty = $id $name, key $key; $($field: $col),+ }
+    };
+    ($ty:ident = $id:literal $name:literal, key $key:expr; $($field:ident: $col:ty),+ $(,)?) => {
+        impl ColumnarRecord for $ty {
+            const TABLE_ID: u8 = $id;
+            const TABLE_NAME: &'static str = $name;
+            const COLUMNS: &'static [ColumnKind] = &[$(<$col as Column>::KIND),+];
 
-    fn decode(cols: &mut [ColumnReader<'_>], rows: usize) -> Result<Vec<Self>, DecodeError> {
-        let mut out = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            let probe = ProbeId(u32_col(cols[0].next_i64()?, "probe id")?);
-            let version = code_col(cols[1].next_i64()?, ProbeVersion::from_code, "probe version")?;
-            let code = cols[2].next_bytes()?;
-            let code = std::str::from_utf8(code)
-                .map_err(|_| DecodeError::new("country code is not UTF-8"))?;
-            let country = Country::new(code)
-                .map_err(|e| DecodeError::new(format!("bad country code: {e}")))?;
-            let tags = cols[3]
-                .next_bytes()?
-                .iter()
-                .map(|&c| code_col(i64::from(c), ProbeTag::from_code, "probe tag"))
-                .collect::<Result<Vec<ProbeTag>, DecodeError>>()?;
-            out.push(ProbeMeta { probe, version, country, tags });
-        }
-        Ok(out)
-    }
-}
-
-impl ColumnarRecord for ConnectionLogEntry {
-    const TABLE_ID: u8 = 2;
-    const TABLE_NAME: &'static str = "connections";
-    const COLUMNS: &'static [ColumnKind] =
-        &[ColumnKind::I64, ColumnKind::I64, ColumnKind::I64, ColumnKind::Bytes];
-
-    fn key(&self) -> u32 {
-        self.probe.0
-    }
-
-    fn encode(rows: &[Self], cols: &mut [ColumnBuilder]) {
-        for r in rows {
-            cols[0].push_i64(i64::from(r.probe.0));
-            cols[1].push_i64(r.start.0);
-            cols[2].push_i64(r.end.0);
-            push_peer(&mut cols[3], r.peer);
-        }
-    }
-
-    fn decode(cols: &mut [ColumnReader<'_>], rows: usize) -> Result<Vec<Self>, DecodeError> {
-        let mut out = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            out.push(ConnectionLogEntry {
-                probe: ProbeId(u32_col(cols[0].next_i64()?, "probe id")?),
-                start: SimTime(cols[1].next_i64()?),
-                end: SimTime(cols[2].next_i64()?),
-                peer: peer_from(cols[3].next_bytes()?)?,
-            });
-        }
-        Ok(out)
-    }
-}
-
-impl ColumnarRecord for KrootPingRecord {
-    const TABLE_ID: u8 = 3;
-    const TABLE_NAME: &'static str = "kroot";
-    const COLUMNS: &'static [ColumnKind] = &[
-        ColumnKind::I64,
-        ColumnKind::I64,
-        ColumnKind::I64,
-        ColumnKind::I64,
-        ColumnKind::I64,
-    ];
-
-    fn key(&self) -> u32 {
-        self.probe.0
-    }
-
-    fn encode(rows: &[Self], cols: &mut [ColumnBuilder]) {
-        for r in rows {
-            cols[0].push_i64(i64::from(r.probe.0));
-            cols[1].push_i64(r.timestamp.0);
-            cols[2].push_i64(i64::from(r.sent));
-            cols[3].push_i64(i64::from(r.success));
-            cols[4].push_i64(r.lts_secs);
-        }
-    }
-
-    fn decode(cols: &mut [ColumnReader<'_>], rows: usize) -> Result<Vec<Self>, DecodeError> {
-        let mut out = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            out.push(KrootPingRecord {
-                probe: ProbeId(u32_col(cols[0].next_i64()?, "probe id")?),
-                timestamp: SimTime(cols[1].next_i64()?),
-                sent: u8_col(cols[2].next_i64()?, "sent count")?,
-                success: u8_col(cols[3].next_i64()?, "success count")?,
-                lts_secs: cols[4].next_i64()?,
-            });
-        }
-        Ok(out)
-    }
-}
-
-impl ColumnarRecord for SosUptimeRecord {
-    const TABLE_ID: u8 = 4;
-    const TABLE_NAME: &'static str = "uptime";
-    const COLUMNS: &'static [ColumnKind] =
-        &[ColumnKind::I64, ColumnKind::I64, ColumnKind::I64];
-
-    fn key(&self) -> u32 {
-        self.probe.0
-    }
-
-    fn encode(rows: &[Self], cols: &mut [ColumnBuilder]) {
-        for r in rows {
-            cols[0].push_i64(i64::from(r.probe.0));
-            cols[1].push_i64(r.timestamp.0);
-            cols[2].push_i64(r.uptime_secs as i64);
-        }
-    }
-
-    fn decode(cols: &mut [ColumnReader<'_>], rows: usize) -> Result<Vec<Self>, DecodeError> {
-        let mut out = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            out.push(SosUptimeRecord {
-                probe: ProbeId(u32_col(cols[0].next_i64()?, "probe id")?),
-                timestamp: SimTime(cols[1].next_i64()?),
-                uptime_secs: u64_col(cols[2].next_i64()?, "uptime")?,
-            });
-        }
-        Ok(out)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Ground-truth tables
-// ---------------------------------------------------------------------------
-
-impl ColumnarRecord for TruthChange {
-    const TABLE_ID: u8 = 16;
-    const TABLE_NAME: &'static str = "truth_changes";
-    const COLUMNS: &'static [ColumnKind] = &[
-        ColumnKind::I64,
-        ColumnKind::I64,
-        ColumnKind::Bytes,
-        ColumnKind::Bytes,
-        ColumnKind::I64,
-    ];
-
-    fn key(&self) -> u32 {
-        self.probe.0
-    }
-
-    fn encode(rows: &[Self], cols: &mut [ColumnBuilder]) {
-        for r in rows {
-            cols[0].push_i64(i64::from(r.probe.0));
-            cols[1].push_i64(r.time.0);
-            // `from` is optional: zero bytes = first assignment.
-            match r.from {
-                Some(a) => cols[2].push_bytes(&a.octets()),
-                None => cols[2].push_bytes(&[]),
+            fn key(&self) -> u32 {
+                let key: fn(&$ty) -> u32 = $key;
+                key(self)
             }
-            cols[3].push_bytes(&r.to.octets());
-            cols[4].push_i64(i64::from(r.cause.code()));
-        }
-    }
 
-    fn decode(cols: &mut [ColumnReader<'_>], rows: usize) -> Result<Vec<Self>, DecodeError> {
-        let mut out = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            let probe = ProbeId(u32_col(cols[0].next_i64()?, "probe id")?);
-            let time = SimTime(cols[1].next_i64()?);
-            let from_bytes = cols[2].next_bytes()?;
-            let from = if from_bytes.is_empty() {
-                None
-            } else {
-                Some(v4_from(from_bytes, "from address")?)
-            };
-            let to = v4_from(cols[3].next_bytes()?, "to address")?;
-            let cause = code_col(cols[4].next_i64()?, ChangeCause::from_code, "change cause")?;
-            out.push(TruthChange { probe, time, from, to, cause });
+            fn encode(rows: &[Self], cols: &mut [ColumnBuilder]) {
+                let [$($field),+] = cols else {
+                    panic!("{} takes {} column builders", $name, Self::COLUMNS.len());
+                };
+                for row in rows {
+                    $(<$col as Column>::put(&row.$field, $field);)+
+                }
+            }
+
+            fn decode(
+                cols: &mut [ColumnReader<'_>],
+                rows: usize,
+            ) -> Result<Vec<Self>, DecodeError> {
+                let [$($field),+] = cols else {
+                    let want = Self::COLUMNS.len();
+                    return Err(DecodeError::new(format!("{} columns, want {want}", cols.len())));
+                };
+                let mut out = Vec::with_capacity(rows);
+                for _ in 0..rows {
+                    out.push($ty { $($field: <$col as Column>::take($field)?),+ });
+                }
+                Ok(out)
+            }
         }
-        Ok(out)
-    }
+    };
 }
 
-impl ColumnarRecord for TruthOutage {
-    const TABLE_ID: u8 = 17;
-    const TABLE_NAME: &'static str = "truth_outages";
-    const COLUMNS: &'static [ColumnKind] = &[
-        ColumnKind::I64,
-        ColumnKind::I64,
-        ColumnKind::I64,
-        ColumnKind::I64,
-        ColumnKind::I64,
-    ];
-
-    fn key(&self) -> u32 {
-        self.probe.0
-    }
-
-    fn encode(rows: &[Self], cols: &mut [ColumnBuilder]) {
-        for r in rows {
-            cols[0].push_i64(i64::from(r.probe.0));
-            cols[1].push_i64(i64::from(r.kind.code()));
-            cols[2].push_i64(r.start.0);
-            cols[3].push_i64(r.duration.0);
-            cols[4].push_i64(i64::from(r.address_changed));
-        }
-    }
-
-    fn decode(cols: &mut [ColumnReader<'_>], rows: usize) -> Result<Vec<Self>, DecodeError> {
-        let mut out = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            out.push(TruthOutage {
-                probe: ProbeId(u32_col(cols[0].next_i64()?, "probe id")?),
-                kind: code_col(cols[1].next_i64()?, TruthOutageKind::from_code, "outage kind")?,
-                start: SimTime(cols[2].next_i64()?),
-                duration: SimDuration(cols[3].next_i64()?),
-                address_changed: bool_col(cols[4].next_i64()?, "address_changed")?,
-            });
-        }
-        Ok(out)
-    }
+table! { ProbeMeta = 1 "meta", key |r| r.probe.0;
+    probe: ProbeId,
+    version: ProbeVersion,
+    country: Country,
+    tags: Vec<ProbeTag>,
 }
 
-/// Row form of `GroundTruth::firmware_reboots` entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct FirmwareReboot {
+table! { ConnectionLogEntry = 2 "connections", key |r| r.probe.0;
+    probe: ProbeId,
+    start: SimTime,
+    end: SimTime,
+    peer: PeerAddr,
+}
+
+table! { KrootPingRecord = 3 "kroot", key |r| r.probe.0;
+    probe: ProbeId,
+    timestamp: SimTime,
+    sent: u8,
+    success: u8,
+    lts_secs: i64,
+}
+
+table! { SosUptimeRecord = 4 "uptime", key |r| r.probe.0;
+    probe: ProbeId,
+    timestamp: SimTime,
+    uptime_secs: u64,
+}
+
+table! { TruthChange = 16 "truth_changes", key |r| r.probe.0;
+    probe: ProbeId,
+    time: SimTime,
+    from: Option<Ipv4Addr>,
+    to: Ipv4Addr,
+    cause: ChangeCause,
+}
+
+table! { TruthOutage = 17 "truth_outages", key |r| r.probe.0;
+    probe: ProbeId,
+    kind: TruthOutageKind,
+    start: SimTime,
+    duration: SimDuration,
+    address_changed: bool,
+}
+
+table! {
+    /// Row form of `GroundTruth::firmware_reboots` entries.
+    struct FirmwareReboot = 18 "truth_firmware_reboots", key |r| r.probe.0;
     probe: ProbeId,
     time: SimTime,
 }
 
-impl ColumnarRecord for FirmwareReboot {
-    const TABLE_ID: u8 = 18;
-    const TABLE_NAME: &'static str = "truth_firmware_reboots";
-    const COLUMNS: &'static [ColumnKind] = &[ColumnKind::I64, ColumnKind::I64];
-
-    fn key(&self) -> u32 {
-        self.probe.0
-    }
-
-    fn encode(rows: &[Self], cols: &mut [ColumnBuilder]) {
-        for r in rows {
-            cols[0].push_i64(i64::from(r.probe.0));
-            cols[1].push_i64(r.time.0);
-        }
-    }
-
-    fn decode(cols: &mut [ColumnReader<'_>], rows: usize) -> Result<Vec<Self>, DecodeError> {
-        let mut out = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            out.push(FirmwareReboot {
-                probe: ProbeId(u32_col(cols[0].next_i64()?, "probe id")?),
-                time: SimTime(cols[1].next_i64()?),
-            });
-        }
-        Ok(out)
-    }
-}
-
-/// Row form of `GroundTruth::firmware_dates` entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct FirmwareDate(SimTime);
-
-impl ColumnarRecord for FirmwareDate {
-    const TABLE_ID: u8 = 19;
-    const TABLE_NAME: &'static str = "truth_firmware_dates";
-    const COLUMNS: &'static [ColumnKind] = &[ColumnKind::I64];
-
-    fn key(&self) -> u32 {
-        0
-    }
-
-    fn encode(rows: &[Self], cols: &mut [ColumnBuilder]) {
-        for r in rows {
-            cols[0].push_i64(r.0 .0);
-        }
-    }
-
-    fn decode(cols: &mut [ColumnReader<'_>], rows: usize) -> Result<Vec<Self>, DecodeError> {
-        let mut out = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            out.push(FirmwareDate(SimTime(cols[0].next_i64()?)));
-        }
-        Ok(out)
-    }
-}
-
-/// Row form of one `GroundTruth::isp_policies` entry. The float weight
-/// travels as its exact IEEE-754 bit pattern, the hour list as a nested
-/// varint list inside a bytes column.
-#[derive(Debug, Clone, PartialEq)]
-struct PolicyRow {
-    asn: u32,
-    policy: IspPolicyTruth,
-}
-
-impl ColumnarRecord for PolicyRow {
-    const TABLE_ID: u8 = 20;
-    const TABLE_NAME: &'static str = "truth_isp_policies";
-    const COLUMNS: &'static [ColumnKind] = &[
-        ColumnKind::I64,
-        ColumnKind::Bytes,
-        ColumnKind::Bytes,
-        ColumnKind::Bytes,
-        ColumnKind::I64,
-        ColumnKind::I64,
-        ColumnKind::I64,
-    ];
-
-    fn key(&self) -> u32 {
-        self.asn
-    }
-
-    fn encode(rows: &[Self], cols: &mut [ColumnBuilder]) {
-        for r in rows {
-            cols[0].push_i64(i64::from(r.asn));
-            cols[1].push_bytes(r.policy.name.as_bytes());
-            cols[2].push_bytes(r.policy.country.as_bytes());
-            let mut hours = Vec::new();
-            dynaddr_store::varint::write_u64(&mut hours, r.policy.periodic_hours.len() as u64);
-            for &h in &r.policy.periodic_hours {
-                dynaddr_store::varint::write_i64(&mut hours, h);
-            }
-            cols[3].push_bytes(&hours);
-            cols[4].push_i64(i64::from(r.policy.renumbers_on_reconnect));
-            cols[5].push_i64(r.policy.periodic_weight.to_bits() as i64);
-            cols[6].push_i64(r.policy.probes as i64);
-        }
-    }
-
-    fn decode(cols: &mut [ColumnReader<'_>], rows: usize) -> Result<Vec<Self>, DecodeError> {
-        let mut out = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            let asn = u32_col(cols[0].next_i64()?, "asn")?;
-            let name = String::from_utf8(cols[1].next_bytes()?.to_vec())
-                .map_err(|_| DecodeError::new("ISP name is not UTF-8"))?;
-            let country = String::from_utf8(cols[2].next_bytes()?.to_vec())
-                .map_err(|_| DecodeError::new("ISP country is not UTF-8"))?;
-            let hours_bytes = cols[3].next_bytes()?;
-            let mut pos = 0usize;
-            let count = dynaddr_store::varint::read_u64(hours_bytes, &mut pos)?;
-            if count > hours_bytes.len() as u64 {
-                return Err(DecodeError::new(format!("implausible hour count {count}")));
-            }
-            let mut periodic_hours = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                periodic_hours.push(dynaddr_store::varint::read_i64(hours_bytes, &mut pos)?);
-            }
-            if pos != hours_bytes.len() {
-                return Err(DecodeError::new("trailing bytes in periodic hour list"));
-            }
-            let renumbers_on_reconnect = bool_col(cols[4].next_i64()?, "renumber flag")?;
-            let periodic_weight = f64::from_bits(cols[5].next_i64()? as u64);
-            let probes = u64_col(cols[6].next_i64()?, "probe count")? as usize;
-            out.push(PolicyRow {
-                asn,
-                policy: IspPolicyTruth {
-                    name,
-                    country,
-                    periodic_hours,
-                    renumbers_on_reconnect,
-                    periodic_weight,
-                    probes,
-                },
-            });
-        }
-        Ok(out)
-    }
-}
-
-/// Row form of the optional `GroundTruth::admin_renumbering` event
-/// (zero or one rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct AdminRow {
-    asn: Asn,
+table! {
+    /// Row form of `GroundTruth::firmware_dates` entries; every row keys 0.
+    struct FirmwareDate = 19 "truth_firmware_dates", key |_| 0;
     time: SimTime,
 }
 
-impl ColumnarRecord for AdminRow {
-    const TABLE_ID: u8 = 21;
-    const TABLE_NAME: &'static str = "truth_admin_renumbering";
-    const COLUMNS: &'static [ColumnKind] = &[ColumnKind::I64, ColumnKind::I64];
+table! {
+    /// Row form of one `GroundTruth::isp_policies` entry: its AS, then the
+    /// [`IspPolicyTruth`] fields.
+    struct PolicyRow = 20 "truth_isp_policies", key |r| r.asn;
+    asn: u32,
+    name: String,
+    country: String,
+    periodic_hours: Vec<i64>,
+    renumbers_on_reconnect: bool,
+    periodic_weight: f64,
+    probes: usize,
+}
 
-    fn key(&self) -> u32 {
-        self.asn.0
-    }
-
-    fn encode(rows: &[Self], cols: &mut [ColumnBuilder]) {
-        for r in rows {
-            cols[0].push_i64(i64::from(r.asn.0));
-            cols[1].push_i64(r.time.0);
-        }
-    }
-
-    fn decode(cols: &mut [ColumnReader<'_>], rows: usize) -> Result<Vec<Self>, DecodeError> {
-        let mut out = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            out.push(AdminRow {
-                asn: Asn(u32_col(cols[0].next_i64()?, "asn")?),
-                time: SimTime(cols[1].next_i64()?),
-            });
-        }
-        Ok(out)
-    }
+table! {
+    /// Row form of the optional `GroundTruth::admin_renumbering` event
+    /// (zero or one rows).
+    struct AdminRow = 21 "truth_admin_renumbering", key |r| r.asn.0;
+    asn: Asn,
+    time: SimTime,
 }
 
 // ---------------------------------------------------------------------------
@@ -585,11 +391,19 @@ pub fn truth_to_bytes(truth: &GroundTruth) -> Vec<u8> {
         .map(|&(probe, time)| FirmwareReboot { probe, time })
         .collect();
     let dates: Vec<FirmwareDate> =
-        truth.firmware_dates.iter().map(|&t| FirmwareDate(t)).collect();
+        truth.firmware_dates.iter().map(|&time| FirmwareDate { time }).collect();
     let policies: Vec<PolicyRow> = truth
         .isp_policies
         .iter()
-        .map(|(&asn, policy)| PolicyRow { asn, policy: policy.clone() })
+        .map(|(&asn, p)| PolicyRow {
+            asn,
+            name: p.name.clone(),
+            country: p.country.clone(),
+            periodic_hours: p.periodic_hours.clone(),
+            renumbers_on_reconnect: p.renumbers_on_reconnect,
+            periodic_weight: p.periodic_weight,
+            probes: p.probes,
+        })
         .collect();
     let admin: Vec<AdminRow> = truth
         .admin_renumbering
@@ -634,9 +448,19 @@ pub fn truth_from_bytes(
         firmware_reboots: reboots.into_iter().map(|r| (r.probe, r.time)).collect(),
         isp_policies: policies
             .into_iter()
-            .map(|r| (r.asn, r.policy))
+            .map(|r| {
+                let policy = IspPolicyTruth {
+                    name: r.name,
+                    country: r.country,
+                    periodic_hours: r.periodic_hours,
+                    renumbers_on_reconnect: r.renumbers_on_reconnect,
+                    periodic_weight: r.periodic_weight,
+                    probes: r.probes,
+                };
+                (r.asn, policy)
+            })
             .collect::<BTreeMap<u32, IspPolicyTruth>>(),
-        firmware_dates: dates.into_iter().map(|d| d.0).collect(),
+        firmware_dates: dates.into_iter().map(|d| d.time).collect(),
         admin_renumbering: admin.first().map(|a| (a.asn, a.time)),
     };
     Ok((truth, report))

@@ -201,14 +201,6 @@ impl GroundTruth {
         crate::store::truth_from_bytes(bytes, dynaddr_store::ReadMode::Recover)
     }
 
-    /// Changes recorded for one probe, in time order.
-    pub fn changes_of(&self, probe: ProbeId) -> Vec<&TruthChange> {
-        let mut v: Vec<&TruthChange> =
-            self.changes.iter().filter(|c| c.probe == probe).collect();
-        v.sort_by_key(|c| c.time);
-        v
-    }
-
     /// Counts changes by cause across all probes.
     pub fn cause_histogram(&self) -> BTreeMap<String, usize> {
         let mut h = BTreeMap::new();
@@ -254,17 +246,6 @@ mod tests {
         }
         assert_eq!(ChangeCause::Moved.code(), 6);
         assert_eq!(TruthOutageKind::ProbeOnlyReboot.code(), 3);
-    }
-
-    #[test]
-    fn changes_of_sorts_by_time() {
-        let mut gt = GroundTruth::default();
-        gt.changes.push(change(1, 500, ChangeCause::PeriodicCap));
-        gt.changes.push(change(1, 100, ChangeCause::NetworkOutage));
-        gt.changes.push(change(2, 50, ChangeCause::Moved));
-        let of_one = gt.changes_of(ProbeId(1));
-        assert_eq!(of_one.len(), 2);
-        assert!(of_one[0].time < of_one[1].time);
     }
 
     #[test]

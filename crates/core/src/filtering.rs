@@ -59,6 +59,38 @@ pub enum ProbeClass {
     Analyzable,
 }
 
+impl ProbeClass {
+    /// The class's fixed code on the query wire (a daemon's probe view).
+    /// Each code is written out here, so reordering the variants changes
+    /// no sent byte.
+    pub fn code(self) -> u8 {
+        match self {
+            ProbeClass::Ipv6Only => 0,
+            ProbeClass::DualStack => 1,
+            ProbeClass::Tagged => 2,
+            ProbeClass::Multihomed => 3,
+            ProbeClass::TestingOnly => 4,
+            ProbeClass::NeverChanged => 5,
+            ProbeClass::Analyzable => 6,
+        }
+    }
+
+    /// The class whose [`code`](Self::code) is `code`, if any.
+    pub fn from_code(code: u8) -> Option<ProbeClass> {
+        [
+            ProbeClass::Ipv6Only,
+            ProbeClass::DualStack,
+            ProbeClass::Tagged,
+            ProbeClass::Multihomed,
+            ProbeClass::TestingOnly,
+            ProbeClass::NeverChanged,
+            ProbeClass::Analyzable,
+        ]
+        .into_iter()
+        .find(|c| c.code() == code)
+    }
+}
+
 /// One analyzable probe's cleaned data.
 #[derive(Debug, Clone)]
 pub struct AnalyzableProbe {
@@ -323,7 +355,7 @@ impl ProbeMachine {
         }
         let asn = snapshots.asn_at(e.start, addr);
         *h.time_by_asn.entry(asn.0).or_insert(0) += (e.end - e.start).secs();
-        h.entries.push(e.clone());
+        h.entries.push(*e);
     }
 
     /// The funnel verdict over the entries seen so far, in O(1). The final
@@ -496,6 +528,15 @@ mod tests {
     use dynaddr_types::{Country, ProbeTag, ProbeVersion, SimTime};
 
     const H: i64 = 3_600;
+
+    #[test]
+    fn class_codes_decode_back_and_stay_fixed() {
+        for c in 0..=u8::MAX {
+            let class = ProbeClass::from_code(c).map(ProbeClass::code);
+            assert_eq!(class, (c < 7).then_some(c));
+        }
+        assert_eq!(ProbeClass::Analyzable.code(), 6);
+    }
 
     fn snaps() -> MonthlySnapshots {
         let mut t = RouteTable::new();

@@ -67,7 +67,8 @@ pub struct Table7 {
 /// shared counters sequentially in probe order.
 pub fn prefix_changes(probes: &[AnalyzableProbe], snapshots: &MonthlySnapshots) -> Table7 {
     // (diff_bgp, diff_16, diff_8) per within-AS change of one probe.
-    let per_probe: Vec<(u32, Vec<(bool, bool, bool)>)> =
+    type Verdicts = Vec<(bool, bool, bool)>;
+    let per_probe: Vec<(u32, Verdicts)> =
         dynaddr_exec::par_map(probes, |p| {
             let mut verdicts = Vec::new();
             if !p.multi_as {

@@ -16,10 +16,6 @@
 
 use dynaddr_types::SimDuration;
 
-/// Default relative tolerance for duration clustering (±5%, matching the
-/// paper's `d + 5%` slack in the MAX ≤ d column).
-pub const DEFAULT_TOLERANCE: f64 = 0.05;
-
 /// A cluster of near-equal durations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DurationCluster {

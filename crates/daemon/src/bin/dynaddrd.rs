@@ -272,23 +272,24 @@ fn run_query(args: Vec<String>) -> Result<(), String> {
 
     match client.request(&what).map_err(|e| e.to_string())? {
         Response::DaemonSnapshot(s) => {
+            let c = &s.counts;
             println!(
                 "snapshot: {} probes ({} tracked), frontier {}s, sealed {}",
-                s.total, s.probes_tracked, s.frontier_secs, s.sealed
+                c.total, s.probes_tracked, s.frontier_secs, s.sealed
             );
             println!(
                 "  funnel: ipv6_only {}, dual_stack {}, tagged {}, multihomed {}, \
                  testing_only {}, never_changed {}, analyzable_geo {}, multi_as {}, \
                  analyzable_as {}",
-                s.ipv6_only,
-                s.dual_stack,
-                s.tagged,
-                s.multihomed,
-                s.testing_only,
-                s.never_changed,
-                s.analyzable_geo,
-                s.multi_as,
-                s.analyzable_as
+                c.ipv6_only,
+                c.dual_stack,
+                c.tagged,
+                c.multihomed,
+                c.testing_only,
+                c.never_changed,
+                c.analyzable_geo,
+                c.multi_as,
+                c.analyzable_as
             );
             println!(
                 "  events: {} changes, {} gaps, {} network outages, {} reboots",
@@ -307,11 +308,12 @@ fn run_query(args: Vec<String>) -> Result<(), String> {
             );
         }
         Response::DaemonProbe(Some(p)) => {
+            let v = &p.view;
             println!(
                 "probe {}: class {}, multi_as {}, {} entries, {} changes, {} gaps, \
                  {} network outages, {} reboots, had_testing {}",
-                p.probe, p.class, p.multi_as, p.entries, p.changes, p.gaps,
-                p.network_outages, p.reboots, p.had_testing
+                p.probe, v.class.code(), v.multi_as, v.entries, v.changes, v.gaps,
+                v.network_outages, v.reboots, v.had_testing
             );
         }
         Response::DaemonProbe(None) => println!("probe: not tracked"),

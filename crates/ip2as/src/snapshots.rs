@@ -33,12 +33,6 @@ impl MonthlySnapshots {
         MonthlySnapshots { months: std::array::from_fn(|_| iter.next().expect("12 tables")) }
     }
 
-    /// Replaces the snapshot for one month (1-based).
-    pub fn set_month(&mut self, month: u32, table: RouteTable) {
-        assert!((1..=12).contains(&month), "month out of range: {month}");
-        self.months[month as usize - 1] = Arc::new(table);
-    }
-
     /// Replaces snapshots from `month` (1-based) through December — the
     /// shape of an administrative renumbering that persists.
     pub fn set_from_month(&mut self, month: u32, table: RouteTable) {
@@ -104,19 +98,6 @@ impl MonthlySnapshots {
         Ok(MonthlySnapshots::from_months(
             months.try_into().expect("exactly 12 months"),
         ))
-    }
-
-    /// Prefixes that differ between two months: `(added, removed)` relative
-    /// to the earlier month. Supports churn studies across snapshot
-    /// boundaries.
-    pub fn month_diff(&self, earlier: u32, later: u32) -> (Vec<Prefix>, Vec<Prefix>) {
-        let a: std::collections::BTreeSet<Prefix> =
-            self.month(earlier).iter().map(|(p, _)| p).collect();
-        let b: std::collections::BTreeSet<Prefix> =
-            self.month(later).iter().map(|(p, _)| p).collect();
-        let added = b.difference(&a).copied().collect();
-        let removed = a.difference(&b).copied().collect();
-        (added, removed)
     }
 }
 
@@ -207,21 +188,6 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn month_diff_reports_migration() {
-        let mut before = RouteTable::new();
-        before.announce(p("10.0.0.0/16"), Asn(64500));
-        let mut after = RouteTable::new();
-        after.announce(p("172.16.0.0/16"), Asn(64500));
-        let mut snaps = MonthlySnapshots::uniform(before);
-        snaps.set_from_month(9, after);
-        let (added, removed) = snaps.month_diff(8, 9);
-        assert_eq!(added, vec![p("172.16.0.0/16")]);
-        assert_eq!(removed, vec![p("10.0.0.0/16")]);
-        let (added, removed) = snaps.month_diff(1, 2);
-        assert!(added.is_empty() && removed.is_empty());
     }
 
     #[test]

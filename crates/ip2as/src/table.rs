@@ -81,11 +81,6 @@ impl RouteTable {
         self.trie.insert(prefix, asn)
     }
 
-    /// Withdraws a prefix.
-    pub fn withdraw(&mut self, prefix: Prefix) -> Option<Asn> {
-        self.trie.remove(prefix)
-    }
-
     /// Number of announced prefixes.
     pub fn len(&self) -> usize {
         self.trie.len()
@@ -205,16 +200,6 @@ mod tests {
         assert_eq!(o.prefix, p("91.55.128.0/17"));
         assert_eq!(o.asn, Asn(3320));
         assert_eq!(t.asn_of(a("8.8.8.8")), Asn::UNKNOWN);
-    }
-
-    #[test]
-    fn withdraw_falls_back_to_covering_prefix() {
-        let mut t = RouteTable::new();
-        t.announce(p("10.0.0.0/8"), Asn(1));
-        t.announce(p("10.1.0.0/16"), Asn(2));
-        assert_eq!(t.asn_of(a("10.1.2.3")), Asn(2));
-        t.withdraw(p("10.1.0.0/16"));
-        assert_eq!(t.asn_of(a("10.1.2.3")), Asn(1));
     }
 
     #[test]

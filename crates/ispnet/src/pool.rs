@@ -859,7 +859,7 @@ mod proptests {
             for (op, client) in ops {
                 let client = ClientId(client);
                 match op {
-                    0 if !lazy.address_of(client).is_some() => {
+                    0 if lazy.address_of(client).is_none() => {
                         let prev = last.get(&client).copied();
                         let a = lazy.allocate(&mut lazy_rng, client, prev);
                         let b = eager.allocate(&mut eager_rng, client, prev);

@@ -36,13 +36,6 @@ pub use trace::{
     disable_trace, emit_event, flush_trace, init_trace, trace_enabled, Value,
 };
 
-/// Serializes tests that touch crate-global state (span buffer, metrics
-/// registry, trace sink) across test modules.
-#[cfg(test)]
-pub(crate) mod testlock {
-    pub static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-}
-
 /// Log at `error` level (always printed unless logging is disabled).
 #[macro_export]
 macro_rules! error {
@@ -65,4 +58,11 @@ macro_rules! info {
 #[macro_export]
 macro_rules! debug {
     ($($arg:tt)*) => { $crate::log_at($crate::Level::Debug, format_args!($($arg)*)) };
+}
+
+/// Serializes tests that touch crate-global state (span buffer, metrics
+/// registry, trace sink) across test modules.
+#[cfg(test)]
+pub(crate) mod testlock {
+    pub static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 }

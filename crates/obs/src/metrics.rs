@@ -73,11 +73,6 @@ impl Histogram {
         self.sum = self.sum.wrapping_add(v);
     }
 
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        self.counts[Self::bucket(v)] += n;
-        self.sum = self.sum.wrapping_add(v.wrapping_mul(n));
-    }
-
     /// Elementwise addition — associative and commutative, so the result
     /// is independent of merge order and worker count.
     pub fn merge(&mut self, other: &Histogram) {

@@ -324,7 +324,7 @@ impl QueryEngine {
         Ok(QueryEngine {
             bytes,
             tables,
-            cache: ShardedLru::new(opts.cache.clone()),
+            cache: ShardedLru::new(opts.cache),
             stats: builder.finish(),
             truth: truth.map(TruthIndex::new),
         })
@@ -499,6 +499,3 @@ pub fn series_reply(
         v6_entries,
     }
 }
-
-/// Shared handle alias used by the server layer.
-pub type SharedEngine = Arc<QueryEngine>;

@@ -26,8 +26,11 @@
 //! [`AddressSpan`], [`Gap`], [`NetworkOutage`], [`Reboot`]) and the ground
 //! truth ([`TruthChange`], [`TruthOutage`]). One row codec writes each
 //! row without its probe id, which the reply header carries once, and
-//! hands the id back to every row it decodes. Enum codes are the types'
-//! own `code()`s, the numbering the store's columns use too.
+//! hands the id back to every row it decodes. The daemon's replies carry
+//! the analyzer's own [`FilterCounts`] and [`ProbeView`]. Every row and
+//! plain message is encoded from one field list in wire order (`row!`,
+//! `message!`), each field in its own type's encoding. Enum codes are the
+//! types' own `code()`s, the numbering the store's columns use too.
 //!
 //! Decoding is total and canonical: malformed bytes are a [`WireError`],
 //! never a panic, and every body that decodes re-encodes to exactly
@@ -46,6 +49,7 @@ use dynaddr_atlas::logs::{
 use dynaddr_atlas::truth::{ChangeCause, TruthChange, TruthOutage, TruthOutageKind};
 use dynaddr_core::changes::{AddressChange, AddressSpan, Gap};
 use dynaddr_core::outages::{NetworkOutage, Reboot};
+use dynaddr_core::{FilterCounts, ProbeClass, ProbeView};
 use dynaddr_store::varint;
 use dynaddr_types::{Asn, Country, ProbeId, ProbeTag, ProbeVersion, SimDuration, SimTime};
 use std::fmt;
@@ -269,26 +273,8 @@ pub struct ServerStatsReply {
 /// classes can still migrate until the stream is sealed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DaemonSnapshotReply {
-    /// Probes with metadata pushed so far.
-    pub total: u64,
-    /// Currently classed IPv6-only.
-    pub ipv6_only: u64,
-    /// Currently classed dual-stack.
-    pub dual_stack: u64,
-    /// Disqualified by tags.
-    pub tagged: u64,
-    /// Behaviourally multihomed.
-    pub multihomed: u64,
-    /// Only testing-address entries so far.
-    pub testing_only: u64,
-    /// Connected but never changed address.
-    pub never_changed: u64,
-    /// Analyzable for geographic analyses.
-    pub analyzable_geo: u64,
-    /// Analyzable probes that crossed AS boundaries.
-    pub multi_as: u64,
-    /// Analyzable for AS-level analyses (`analyzable_geo - multi_as`).
-    pub analyzable_as: u64,
+    /// The funnel counts over the probes with metadata pushed so far.
+    pub counts: FilterCounts,
     /// Address changes observed so far.
     pub changes: u64,
     /// Connection gaps observed so far.
@@ -307,28 +293,12 @@ pub struct DaemonSnapshotReply {
 }
 
 /// Answer payload for [`Request::DaemonProbe`]: one probe's rolling state.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DaemonProbeReply {
     /// The probe asked about.
     pub probe: u32,
-    /// Provisional funnel class, in `dynaddr_core::ProbeClass` declaration
-    /// order: 0 Ipv6Only, 1 DualStack, 2 Tagged, 3 Multihomed,
-    /// 4 TestingOnly, 5 NeverChanged, 6 Analyzable.
-    pub class: u8,
-    /// Whether its changes crossed AS boundaries.
-    pub multi_as: bool,
-    /// IPv4 connection entries retained.
-    pub entries: u64,
-    /// Address changes so far.
-    pub changes: u64,
-    /// Connection gaps so far.
-    pub gaps: u64,
-    /// Network outages so far.
-    pub network_outages: u64,
-    /// Reboots so far.
-    pub reboots: u64,
-    /// Whether a testing-address entry was ever seen.
-    pub had_testing: bool,
+    /// Its rolling state.
+    pub view: ProbeView,
 }
 
 /// Answer payload for [`Request::IngestStats`]: raw ingest counters and
@@ -479,6 +449,15 @@ impl Wire for u32 {
     }
 }
 
+impl Wire for usize {
+    fn put(&self, out: &mut Vec<u8>) {
+        varint::write_u64(out, *self as u64);
+    }
+    fn take(r: &mut WireReader<'_>) -> Result<usize, WireError> {
+        usize::try_from(r.u64()?).map_err(|_| WireError("usize out of range".into()))
+    }
+}
+
 impl Wire for i64 {
     fn put(&self, out: &mut Vec<u8>) {
         varint::write_i64(out, *self);
@@ -592,7 +571,7 @@ macro_rules! wire_code {
     )+};
 }
 
-wire_code!(ProbeVersion, ProbeTag, ChangeCause, TruthOutageKind);
+wire_code!(ProbeVersion, ProbeTag, ChangeCause, TruthOutageKind, ProbeClass);
 
 fn put_option<T>(out: &mut Vec<u8>, v: Option<&T>, put: impl Fn(&T, &mut Vec<u8>)) {
     match v {
@@ -773,192 +752,47 @@ impl Wire for ProbeTruthReply {
     }
 }
 
-impl Wire for MoverReply {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.probe.put(out);
-        self.changes.put(out);
-        self.asn.put(out);
-        self.country.put(out);
-    }
-    fn take(r: &mut WireReader<'_>) -> Result<MoverReply, WireError> {
-        Ok(MoverReply {
-            probe: r.u32()?,
-            changes: r.u64()?,
-            asn: r.u32()?,
-            country: r.string()?,
-        })
-    }
+/// Implements [`Wire`] for a message from its fields in wire order, each
+/// in its own encoding, one after another. The decode builds the struct
+/// from exactly these fields, so a field added to the type and not listed
+/// here fails to compile.
+macro_rules! message {
+    ($($ty:ident { $($field:ident),+ })+) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)+
+            }
+            fn take(r: &mut WireReader<'_>) -> Result<$ty, WireError> {
+                Ok($ty { $($field: Wire::take(r)?),+ })
+            }
+        }
+    )+};
 }
 
-impl Wire for AsSummaryReply {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.asn.put(out);
-        self.probes.put(out);
-        self.connections.put(out);
-        self.v6_connections.put(out);
-        self.changes.put(out);
-        self.online_secs.put(out);
-        self.countries.put(out);
-        self.top_movers.put(out);
+message! {
+    MoverReply { probe, changes, asn, country }
+    AsSummaryReply {
+        asn, probes, connections, v6_connections, changes, online_secs, countries, top_movers
     }
-    fn take(r: &mut WireReader<'_>) -> Result<AsSummaryReply, WireError> {
-        Ok(AsSummaryReply {
-            asn: r.u32()?,
-            probes: r.u64()?,
-            connections: r.u64()?,
-            v6_connections: r.u64()?,
-            changes: r.u64()?,
-            online_secs: r.u64()?,
-            countries: <Vec<_> as Wire>::take(r)?,
-            top_movers: <Vec<_> as Wire>::take(r)?,
-        })
+    CountrySummaryReply {
+        country, probes, connections, v6_connections, changes, online_secs, asns, top_movers
     }
-}
-
-impl Wire for CountrySummaryReply {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.country.put(out);
-        self.probes.put(out);
-        self.connections.put(out);
-        self.v6_connections.put(out);
-        self.changes.put(out);
-        self.online_secs.put(out);
-        self.asns.put(out);
-        self.top_movers.put(out);
+    ServerStatsReply {
+        uptime_secs, connections_total, requests_total, requests_by_tag, cache_hits,
+        cache_misses, cache_evictions
     }
-    fn take(r: &mut WireReader<'_>) -> Result<CountrySummaryReply, WireError> {
-        Ok(CountrySummaryReply {
-            country: r.string()?,
-            probes: r.u64()?,
-            connections: r.u64()?,
-            v6_connections: r.u64()?,
-            changes: r.u64()?,
-            online_secs: r.u64()?,
-            asns: <Vec<_> as Wire>::take(r)?,
-            top_movers: <Vec<_> as Wire>::take(r)?,
-        })
+    FilterCounts {
+        total, ipv6_only, dual_stack, tagged, multihomed, testing_only, never_changed,
+        analyzable_geo, multi_as, analyzable_as
     }
-}
-
-impl Wire for ServerStatsReply {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.uptime_secs.put(out);
-        self.connections_total.put(out);
-        self.requests_total.put(out);
-        self.requests_by_tag.put(out);
-        self.cache_hits.put(out);
-        self.cache_misses.put(out);
-        self.cache_evictions.put(out);
+    DaemonSnapshotReply {
+        counts, changes, gaps, network_outages, reboots, frontier_secs, probes_tracked, sealed
     }
-    fn take(r: &mut WireReader<'_>) -> Result<ServerStatsReply, WireError> {
-        Ok(ServerStatsReply {
-            uptime_secs: r.u64()?,
-            connections_total: r.u64()?,
-            requests_total: r.u64()?,
-            requests_by_tag: <Vec<_> as Wire>::take(r)?,
-            cache_hits: r.u64()?,
-            cache_misses: r.u64()?,
-            cache_evictions: r.u64()?,
-        })
-    }
-}
-
-impl Wire for DaemonSnapshotReply {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.total.put(out);
-        self.ipv6_only.put(out);
-        self.dual_stack.put(out);
-        self.tagged.put(out);
-        self.multihomed.put(out);
-        self.testing_only.put(out);
-        self.never_changed.put(out);
-        self.analyzable_geo.put(out);
-        self.multi_as.put(out);
-        self.analyzable_as.put(out);
-        self.changes.put(out);
-        self.gaps.put(out);
-        self.network_outages.put(out);
-        self.reboots.put(out);
-        self.frontier_secs.put(out);
-        self.probes_tracked.put(out);
-        self.sealed.put(out);
-    }
-    fn take(r: &mut WireReader<'_>) -> Result<DaemonSnapshotReply, WireError> {
-        Ok(DaemonSnapshotReply {
-            total: r.u64()?,
-            ipv6_only: r.u64()?,
-            dual_stack: r.u64()?,
-            tagged: r.u64()?,
-            multihomed: r.u64()?,
-            testing_only: r.u64()?,
-            never_changed: r.u64()?,
-            analyzable_geo: r.u64()?,
-            multi_as: r.u64()?,
-            analyzable_as: r.u64()?,
-            changes: r.u64()?,
-            gaps: r.u64()?,
-            network_outages: r.u64()?,
-            reboots: r.u64()?,
-            frontier_secs: r.i64()?,
-            probes_tracked: r.u64()?,
-            sealed: r.bool()?,
-        })
-    }
-}
-
-impl Wire for DaemonProbeReply {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.probe.put(out);
-        self.class.put(out);
-        self.multi_as.put(out);
-        self.entries.put(out);
-        self.changes.put(out);
-        self.gaps.put(out);
-        self.network_outages.put(out);
-        self.reboots.put(out);
-        self.had_testing.put(out);
-    }
-    fn take(r: &mut WireReader<'_>) -> Result<DaemonProbeReply, WireError> {
-        Ok(DaemonProbeReply {
-            probe: r.u32()?,
-            class: r.u8()?,
-            multi_as: r.bool()?,
-            entries: r.u64()?,
-            changes: r.u64()?,
-            gaps: r.u64()?,
-            network_outages: r.u64()?,
-            reboots: r.u64()?,
-            had_testing: r.bool()?,
-        })
-    }
-}
-
-impl Wire for IngestStatsReply {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.meta_rows.put(out);
-        self.connection_rows.put(out);
-        self.kroot_rows.put(out);
-        self.uptime_rows.put(out);
-        self.unknown_probe_rows.put(out);
-        self.frontier_secs.put(out);
-        self.rows_ingested.put(out);
-        self.rows_planned.put(out);
-        self.elapsed_ms.put(out);
-        self.sealed.put(out);
-    }
-    fn take(r: &mut WireReader<'_>) -> Result<IngestStatsReply, WireError> {
-        Ok(IngestStatsReply {
-            meta_rows: r.u64()?,
-            connection_rows: r.u64()?,
-            kroot_rows: r.u64()?,
-            uptime_rows: r.u64()?,
-            unknown_probe_rows: r.u64()?,
-            frontier_secs: r.i64()?,
-            rows_ingested: r.u64()?,
-            rows_planned: r.u64()?,
-            elapsed_ms: r.u64()?,
-            sealed: r.bool()?,
-        })
+    ProbeView { class, multi_as, entries, changes, gaps, network_outages, reboots, had_testing }
+    DaemonProbeReply { probe, view }
+    IngestStatsReply {
+        meta_rows, connection_rows, kroot_rows, uptime_rows, unknown_probe_rows, frontier_secs,
+        rows_ingested, rows_planned, elapsed_ms, sealed
     }
 }
 
@@ -1135,16 +969,18 @@ mod tests {
             cache_evictions: 17,
         }));
         roundtrip(&Response::DaemonSnapshot(DaemonSnapshotReply {
-            total: 100,
-            ipv6_only: 3,
-            dual_stack: 5,
-            tagged: 2,
-            multihomed: 1,
-            testing_only: 4,
-            never_changed: 40,
-            analyzable_geo: 45,
-            multi_as: 5,
-            analyzable_as: 40,
+            counts: FilterCounts {
+                total: 100,
+                ipv6_only: 3,
+                dual_stack: 5,
+                tagged: 2,
+                multihomed: 1,
+                testing_only: 4,
+                never_changed: 40,
+                analyzable_geo: 45,
+                multi_as: 5,
+                analyzable_as: 40,
+            },
             changes: 1234,
             gaps: 2345,
             network_outages: 17,
@@ -1156,14 +992,16 @@ mod tests {
         roundtrip(&Response::DaemonProbe(None));
         roundtrip(&Response::DaemonProbe(Some(DaemonProbeReply {
             probe: 31,
-            class: 6,
-            multi_as: true,
-            entries: 50,
-            changes: 7,
-            gaps: 8,
-            network_outages: 2,
-            reboots: 1,
-            had_testing: false,
+            view: ProbeView {
+                class: ProbeClass::Analyzable,
+                multi_as: true,
+                entries: 50,
+                changes: 7,
+                gaps: 8,
+                network_outages: 2,
+                reboots: 1,
+                had_testing: false,
+            },
         })));
         roundtrip(&Response::IngestStats(IngestStatsReply {
             meta_rows: 100,
@@ -1252,6 +1090,10 @@ mod tests {
             let bytes = meta(country, version, tag);
             assert!(from_bytes::<Response>(&bytes).is_err(), "{bytes:?} decoded");
         }
+        // A daemon probe view's class is one of the seven funnel codes.
+        let view = |class: u8| [10, 1, 31, class, 0, 0, 0, 0, 0, 0, 0];
+        assert!(from_bytes::<Response>(&view(6)).is_ok());
+        assert!(from_bytes::<Response>(&view(7)).is_err());
         // A connection row's peer is 4 or 16 octets.
         for (len, ok) in [(4, true), (16, true), (0, false), (5, false), (15, false)] {
             let mut b = vec![1, 9, 0, 1, 0, 0, len];

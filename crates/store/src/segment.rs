@@ -69,7 +69,7 @@ pub(crate) fn encode_segment<R: ColumnarRecord>(rows: &[R]) -> (Vec<u8>, u32, u3
 /// a footer entry without decoding the columns.
 pub(crate) fn parse_header(body: &[u8]) -> Result<SegmentHeader, DecodeError> {
     let mut pos = 0usize;
-    let table = *body.get(0).ok_or_else(|| DecodeError::new("empty segment body"))?;
+    let table = *body.first().ok_or_else(|| DecodeError::new("empty segment body"))?;
     pos += 1;
     let key_lo = read_u32(body, &mut pos, "key_lo")?;
     let key_hi = read_u32(body, &mut pos, "key_hi")?;

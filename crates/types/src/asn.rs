@@ -13,11 +13,6 @@ pub struct Asn(pub u32);
 impl Asn {
     /// The reserved AS0, used here as "unknown / unmapped address space".
     pub const UNKNOWN: Asn = Asn(0);
-
-    /// Whether this ASN maps to real, announced address space.
-    pub fn is_known(self) -> bool {
-        self != Asn::UNKNOWN
-    }
 }
 
 impl fmt::Display for Asn {
@@ -37,10 +32,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_and_known() {
+    fn display_form() {
         assert_eq!(Asn(3320).to_string(), "AS3320");
-        assert!(Asn(3320).is_known());
-        assert!(!Asn::UNKNOWN.is_known());
     }
 
     #[test]

@@ -30,12 +30,6 @@ pub fn slash16(addr: Ipv4Addr) -> Prefix {
     Prefix::new(addr, 16).expect("/16 is always valid")
 }
 
-/// The enclosing /24 of an address (the "nearby reassignment" intuition the
-/// paper tests and rejects in §6).
-pub fn slash24(addr: Ipv4Addr) -> Prefix {
-    Prefix::new(addr, 24).expect("/24 is always valid")
-}
-
 /// An IPv4 CIDR prefix: a base address and a mask length in `0..=32`.
 ///
 /// The base address is always stored in canonical (masked) form, so two
@@ -96,11 +90,6 @@ impl Prefix {
         self.len
     }
 
-    /// Whether this is the zero-length default route.
-    pub fn is_default(self) -> bool {
-        self.len == 0
-    }
-
     /// Number of addresses covered by the prefix.
     pub fn size(self) -> u64 {
         1u64 << (32 - u32::from(self.len))
@@ -125,19 +114,6 @@ impl Prefix {
     /// The offset of `addr` within the prefix, if it is contained.
     pub fn index_of(self, addr: Ipv4Addr) -> Option<u64> {
         self.contains(addr).then(|| u64::from(ipv4_to_u32(addr) - self.base))
-    }
-
-    /// Iterates the immediate children when splitting into `sub_len`-sized
-    /// sub-prefixes (e.g. a /20 into 16 /24s). Used by pool construction.
-    pub fn subdivide(self, sub_len: u8) -> impl Iterator<Item = Prefix> {
-        assert!(sub_len >= self.len && sub_len <= 32, "bad subdivision length");
-        let count = 1u64 << (sub_len - self.len);
-        let step = 1u64 << (32 - u32::from(sub_len));
-        let base = self.base;
-        (0..count).map(move |i| Prefix {
-            base: base + (i * step) as u32,
-            len: sub_len,
-        })
     }
 }
 
@@ -232,25 +208,11 @@ mod tests {
         let a = Ipv4Addr::new(91, 55, 174, 103);
         assert_eq!(slash8(a), p("91.0.0.0/8"));
         assert_eq!(slash16(a), p("91.55.0.0/16"));
-        assert_eq!(slash24(a), p("91.55.174.0/24"));
-    }
-
-    #[test]
-    fn subdivide_covers_whole_range() {
-        let net = p("10.0.0.0/22");
-        let subs: Vec<Prefix> = net.subdivide(24).collect();
-        assert_eq!(subs.len(), 4);
-        assert_eq!(subs[0], p("10.0.0.0/24"));
-        assert_eq!(subs[3], p("10.0.3.0/24"));
-        assert!(subs.iter().all(|s| net.covers(*s)));
-        let total: u64 = subs.iter().map(|s| s.size()).sum();
-        assert_eq!(total, net.size());
     }
 
     #[test]
     fn default_route() {
         let d = p("0.0.0.0/0");
-        assert!(d.is_default());
         assert!(d.contains(Ipv4Addr::new(255, 255, 255, 255)));
         assert_eq!(d.size(), 1 << 32);
     }

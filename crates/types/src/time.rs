@@ -16,8 +16,6 @@ pub const MINUTE: i64 = 60;
 pub const HOUR: i64 = 3_600;
 /// Seconds in one day.
 pub const DAY: i64 = 86_400;
-/// Seconds in one week.
-pub const WEEK: i64 = 7 * DAY;
 /// Number of days in 2015 (not a leap year).
 pub const DAYS_IN_2015: i64 = 365;
 
@@ -152,11 +150,6 @@ impl SimDuration {
     /// Duration as fractional days.
     pub fn as_days(self) -> f64 {
         self.0 as f64 / DAY as f64
-    }
-
-    /// Duration as fractional years (the legend unit of Figs. 1–3).
-    pub fn as_years(self) -> f64 {
-        self.0 as f64 / (DAYS_IN_2015 * DAY) as f64
     }
 
     /// True for durations strictly longer than zero.
@@ -307,7 +300,6 @@ mod tests {
     fn duration_units() {
         assert_eq!(SimDuration::from_hours(24), SimDuration::from_days(1));
         assert!((SimDuration::from_hours(36).as_days() - 1.5).abs() < 1e-12);
-        assert!((SimDuration::from_days(365).as_years() - 1.0).abs() < 1e-12);
         assert_eq!(SimDuration::from_hours_f64(23.6).secs(), (23.6 * 3600.0) as i64);
     }
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # CI gate: release build, workspace and benchmark-harness tests, the docs
-# with warnings denied, perfsnap's trace-overhead gate and a one-rung
-# ladder, CLI usage errors, store, query-serving (queryd/queryc), dynaddrd
-# replay, streamed and traced pipeline smokes, the paper-tier memory
-# ceilings (streamed analyze, dynaddrd and queryd), and the quickstart.
+# and clippy with warnings denied, perfsnap's trace-overhead gate and a
+# one-rung ladder, CLI usage errors, store, query-serving (queryd/queryc),
+# dynaddrd replay, streamed and traced pipeline smokes, the paper-tier
+# memory ceilings (streamed analyze, dynaddrd and queryd), and the
+# quickstart.
 #
 # The perfsnap step fails if tracing costs more than 2% (and 10 ms) of an
 # untraced analyze, and proves the s005 ladder rung writes valid JSON with
@@ -26,6 +27,9 @@ echo "==> cargo doc --workspace --no-deps (warnings denied)"
 # A doc link to a deleted, renamed or private item fails here instead of
 # dangling in the rendered docs.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+echo "==> cargo clippy --workspace --all-targets (warnings denied)"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> benchmark harness tests (against the workspace crates)"
 cargo test --release --offline --manifest-path perfbench/harness/Cargo.toml \
