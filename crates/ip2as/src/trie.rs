@@ -105,25 +105,6 @@ impl<T> PrefixTrie<T> {
         self.nodes[node].value.as_ref()
     }
 
-    /// Removes a prefix, returning its value. Nodes are not compacted; this
-    /// structure is built once per snapshot and queried many times.
-    pub fn remove(&mut self, prefix: Prefix) -> Option<T> {
-        let base = ipv4_to_u32(prefix.base());
-        let mut node = 0usize;
-        for depth in 0..prefix.len() {
-            let child = self.nodes[node].children[Self::bit(base, depth)];
-            if child == NO_NODE {
-                return None;
-            }
-            node = child as usize;
-        }
-        let old = self.nodes[node].value.take();
-        if old.is_some() {
-            self.len -= 1;
-        }
-        old
-    }
-
     /// Longest-prefix match: the most specific stored prefix containing
     /// `addr`, along with its value.
     pub fn lookup(&self, addr: Ipv4Addr) -> Option<(Prefix, &T)> {
@@ -188,16 +169,13 @@ mod tests {
     }
 
     #[test]
-    fn insert_get_remove() {
+    fn insert_and_get() {
         let mut t = PrefixTrie::new();
         assert_eq!(t.insert(p("10.0.0.0/8"), 1), None);
         assert_eq!(t.insert(p("10.0.0.0/8"), 2), Some(1));
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(p("10.0.0.0/8")), Some(&2));
         assert_eq!(t.get(p("10.0.0.0/9")), None);
-        assert_eq!(t.remove(p("10.0.0.0/8")), Some(2));
-        assert_eq!(t.remove(p("10.0.0.0/8")), None);
-        assert!(t.is_empty());
     }
 
     #[test]
