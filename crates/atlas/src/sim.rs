@@ -900,8 +900,11 @@ impl Sim {
     ///
     /// `probe_alive` — during network outages the probe keeps measuring
     /// (loss records with growing LTS); during power outages it is silent
-    /// and only the bracketing all-OK records are emitted.
+    /// and only the bracketing all-OK records are emitted. No record lies
+    /// a day or more past the measurement year: an outage that outlasts
+    /// the year ends its loss run there, with no recovery record.
     fn emit_outage_kroot(&mut self, p: usize, t0: SimTime, t1: SimTime, probe_alive: bool) {
+        let horizon = SimTime::YEAR_END + SimDuration::from_days(1);
         let id = self.probes[p].id;
         let pre = self.grid_at_or_before(p, t0);
         let base_lts = self.probes[p].rng.gen_range(20..220);
@@ -919,7 +922,7 @@ impl Sim {
             let mut g = pre + SimDuration::from_secs(KROOT_GRID);
             let mut last_emitted: Option<SimTime> = None;
             let mut last_loss: Option<SimTime> = None;
-            while g < t1 {
+            while g < t1.min(horizon) {
                 let in_first_hour = (g - t0).secs() <= 3_600;
                 let on_thin_grid = (g.0 - pre.0) % LOSS_THIN_SECS < KROOT_GRID;
                 if in_first_hour || on_thin_grid {
@@ -952,7 +955,7 @@ impl Sim {
         if post < t1 {
             post += SimDuration::from_secs(KROOT_GRID);
         }
-        if post < SimTime::YEAR_END + SimDuration::from_days(1) {
+        if post < horizon {
             let lts = self.probes[p].rng.gen_range(20..220);
             self.dataset.kroot.push(KrootPingRecord {
                 probe: id,
@@ -1696,6 +1699,29 @@ mod tests {
             prev = Some(k);
         }
         assert!(grew > 10);
+    }
+
+    #[test]
+    fn kroot_rows_stop_a_day_past_the_year() {
+        // Every network outage outlasts the rest of the year, so its loss
+        // run reaches the horizon; no row, loss or recovery, lies past it.
+        let mut w = tiny_world();
+        let year = 365.0 * 86_400.0;
+        for isp in &mut w.isps {
+            isp.outages.network_per_year = 50.0;
+            isp.outages.network_duration = DurationDist::Uniform { lo: 2.0 * year, hi: 3.0 * year };
+        }
+        let out = simulate(&w);
+        let horizon = SimTime::YEAR_END + SimDuration::from_days(1);
+        let open = out.truth.outages.iter().filter(|o| {
+            o.kind == TruthOutageKind::Network && o.start + o.duration > horizon
+        });
+        assert!(open.count() > 0, "no outage outlasts the year");
+        assert!(out.dataset.kroot.iter().any(|k| k.all_lost() && k.timestamp.0 > 180 * DAY));
+        let late: Vec<&KrootPingRecord> =
+            out.dataset.kroot.iter().filter(|k| k.timestamp >= horizon).collect();
+        let first = late.first();
+        assert!(late.is_empty(), "{} k-root rows past the horizon, first {first:?}", late.len());
     }
 
     #[test]
