@@ -200,41 +200,11 @@ impl GroundTruth {
     ) -> Result<(GroundTruth, dynaddr_store::RecoveryReport), dynaddr_store::StoreError> {
         crate::store::truth_from_bytes(bytes, dynaddr_store::ReadMode::Recover)
     }
-
-    /// Counts changes by cause across all probes.
-    pub fn cause_histogram(&self) -> BTreeMap<String, usize> {
-        let mut h = BTreeMap::new();
-        for c in &self.changes {
-            *h.entry(format!("{:?}", c.cause)).or_insert(0) += 1;
-        }
-        h
-    }
-
-    /// Fraction of outages of a kind that changed the address.
-    pub fn outage_change_rate(&self, kind: TruthOutageKind) -> Option<f64> {
-        let of_kind: Vec<&TruthOutage> =
-            self.outages.iter().filter(|o| o.kind == kind).collect();
-        if of_kind.is_empty() {
-            return None;
-        }
-        let changed = of_kind.iter().filter(|o| o.address_changed).count();
-        Some(changed as f64 / of_kind.len() as f64)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn change(probe: u32, time: i64, cause: ChangeCause) -> TruthChange {
-        TruthChange {
-            probe: ProbeId(probe),
-            time: SimTime(time),
-            from: None,
-            to: Ipv4Addr::new(10, 0, 0, 1),
-            cause,
-        }
-    }
 
     #[test]
     fn codes_decode_back_and_stay_fixed() {
@@ -246,32 +216,5 @@ mod tests {
         }
         assert_eq!(ChangeCause::Moved.code(), 6);
         assert_eq!(TruthOutageKind::ProbeOnlyReboot.code(), 3);
-    }
-
-    #[test]
-    fn cause_histogram_counts() {
-        let mut gt = GroundTruth::default();
-        gt.changes.push(change(1, 0, ChangeCause::PeriodicCap));
-        gt.changes.push(change(1, 1, ChangeCause::PeriodicCap));
-        gt.changes.push(change(2, 2, ChangeCause::PowerOutage));
-        let h = gt.cause_histogram();
-        assert_eq!(h.get("PeriodicCap"), Some(&2));
-        assert_eq!(h.get("PowerOutage"), Some(&1));
-    }
-
-    #[test]
-    fn outage_change_rate() {
-        let mut gt = GroundTruth::default();
-        for (i, changed) in [(0, true), (1, true), (2, false), (3, false)] {
-            gt.outages.push(TruthOutage {
-                probe: ProbeId(i),
-                kind: TruthOutageKind::Network,
-                start: SimTime(0),
-                duration: SimDuration::from_mins(5),
-                address_changed: changed,
-            });
-        }
-        assert_eq!(gt.outage_change_rate(TruthOutageKind::Network), Some(0.5));
-        assert_eq!(gt.outage_change_rate(TruthOutageKind::Power), None);
     }
 }

@@ -1,19 +1,18 @@
-//! Sharded LRU cache of decoded segments.
+//! Sharded LRU cache of decoded rows.
 //!
-//! Keys are footer positions (segment ordinals), values are `Arc`s of
-//! whatever the caller decodes — the engine stores its decoded
-//! row vectors. The key space is spread over a power-of-two number of
-//! shards by a splitmix hash, each shard behind its own mutex, so readers
-//! on different segments never contend. Each shard holds its slice of the
-//! byte budget and evicts least-recently-used entries when an insert
-//! pushes it over — except the entry just inserted, which always survives
-//! long enough to be returned (a segment larger than a whole shard budget
-//! is still served, it just won't keep neighbours).
+//! Keys are probe ids, values are `Arc`s of whatever the caller decodes —
+//! the engine stores each probe's log rows. The key space is spread over a
+//! power-of-two number of shards by a splitmix hash, each shard behind its
+//! own mutex, so readers of different probes rarely contend. Each shard
+//! holds its slice of the byte budget and evicts least-recently-used
+//! entries when an insert pushes it over — except the entry just inserted,
+//! which always survives long enough to be returned (a probe larger than a
+//! whole shard budget is still served, it just won't keep neighbours).
 //!
-//! The cache only ever affects *when* a segment is decoded, never *what*
-//! the decode produces: a fill is a pure function of the file bytes, and a
-//! racing fill on two threads yields the same rows, so query responses are
-//! byte-identical at any cache state.
+//! The cache only ever affects *when* a probe's rows are decoded, never
+//! *what* the decode produces: a fill is a pure function of the file
+//! bytes, and a racing fill on two threads yields the same rows, so query
+//! responses are byte-identical at any cache state.
 //!
 //! Hit/miss/eviction counts accumulate in local atomics on the hot path
 //! (one shared-registry lock per lookup would serialize exactly the
@@ -42,7 +41,9 @@ impl Default for CacheConfig {
     }
 }
 
-/// A point-in-time view of the cache counters.
+/// A point-in-time view of the cache counters. In the query engine one
+/// lookup is one probe's: a `ProbeRecords` or `ProbeSeries` request whose
+/// probe a log segment's span holds, and one entry is that probe's rows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from a resident entry.
@@ -134,8 +135,8 @@ impl<V> ShardedLru<V> {
     }
 
     fn shard_of(&self, key: usize) -> &Mutex<Shard<V>> {
-        // Sequential segment ordinals must spread over shards, not stripe
-        // into one; splitmix is the same mixer the workload generator uses.
+        // Sequential probe ids must spread over shards, not stripe into
+        // one; splitmix is the same mixer the workload generator uses.
         &self.shards[(crate::workload::splitmix64(key as u64) as usize) & self.mask]
     }
 

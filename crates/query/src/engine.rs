@@ -2,25 +2,32 @@
 //!
 //! [`QueryEngine::open_dir`] does all per-file work up front — reads
 //! `dataset.store` into memory, parses the footer into per-table segment
-//! maps, streams the connection table once through [`StatsBuilder`] to
-//! build the probe→AS/country indexes, and loads `truth.store` plus the
-//! `ip2as/` snapshots when present. After that every query runs through
-//! `&self`: segment decodes go through the sharded LRU
-//! ([`crate::cache::ShardedLru`]) keyed by the segment's footer position,
-//! so a hot segment is decoded once and shared as an `Arc` by every
-//! thread that touches it.
+//! lists, decodes the meta table (whose rows stay resident) and streams
+//! the connection table once through [`StatsBuilder`] to build the
+//! probe→AS/country indexes, and loads `truth.store` plus the `ip2as/`
+//! snapshots when present. After that every query runs through `&self`.
 //!
-//! A probe lookup is two binary searches per table: `partition_point`
-//! over the footer's key spans finds the segments that can hold the
-//! probe, then `partition_point` inside each cached segment finds its
-//! rows. The reply builders read those rows straight out of the cached
-//! segment; only a probe whose rows straddle a segment boundary has its
-//! parts copied into one vector. Both searches need rows in probe order,
-//! so the engine enforces it with the same [`check_probe_order`] every
-//! other reader uses: at open over the footer's key spans and the meta
-//! and connection rows it decodes for the indexes, and on every segment
-//! the cache decodes later. A file out of order fails to open, or
-//! answers [`Response::Error`] for the probes of the offending segment.
+//! A probe's log rows go through the sharded LRU
+//! ([`crate::cache::ShardedLru`]) keyed by probe id: one entry holds the
+//! probe's connection, k-root and uptime rows, shared as an `Arc` by every
+//! thread that asks for them. On a miss, `partition_point` over each log
+//! table's footer spans finds the segments that can hold the probe, and
+//! each segment's [`KeyDirectory`] decodes the probe's own run of rows
+//! and nothing else. A segment's directory is built the first time a
+//! request needs it, by [`index_segment_at`], and kept for the life of
+//! the engine; the meta row comes from the resident rows by binary
+//! search. A probe that no log segment's span holds makes no cache entry.
+//!
+//! Both searches need rows in probe order, so the engine enforces it
+//! with the same [`check_probe_order`] every other reader uses: at open
+//! over the footer's key spans and the meta and connection rows it
+//! decodes, and on each log segment's rows before the segment keeps its
+//! directory. A file out of order fails to open, or answers
+//! [`Response::Error`] for the probes of the offending segment, every
+//! time they are asked for. Every row served comes from a segment that
+//! passed the full frame check and the probe-order check in this
+//! process; a directory skips the CRC on later decodes because the
+//! engine's bytes never change after open.
 //!
 //! Responses are pure functions of the file contents. Nothing in the
 //! answer path reads the cache state, the thread count, or any clock —
@@ -44,18 +51,21 @@ use dynaddr_atlas::{
 use dynaddr_core::changes::{extract_events, strip_testing_entries};
 use dynaddr_core::outages::{detect_network_outages, detect_reboots};
 use dynaddr_ip2as::MonthlySnapshots;
-use dynaddr_store::{decode_segment_at, ColumnarRecord, FileReader, ReadMode, SegmentInfo, StoreError};
+use dynaddr_store::{
+    decode_segment_at, index_segment_at, ColumnarRecord, FileReader, KeyDirectory, ReadMode,
+    SegmentInfo, StoreError,
+};
 use dynaddr_types::{Asn, ProbeId};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Range;
+use std::mem::size_of_val;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 /// Tuning knobs for [`QueryEngine`] construction.
 #[derive(Debug, Clone, Default)]
 pub struct EngineOptions {
-    /// Segment-cache geometry (shards, byte budget).
+    /// Probe-cache geometry (shards, byte budget).
     pub cache: CacheConfig,
 }
 
@@ -85,104 +95,40 @@ impl From<StoreError> for EngineError {
     }
 }
 
-/// One decoded segment, the cache value type. The variant always matches
-/// the segment's table; a mismatch would mean a cache-key collision and
-/// panics in tests via [`CachedTable::rows`].
-pub(crate) enum Decoded {
-    /// Meta-table rows.
-    Meta(Vec<ProbeMeta>),
-    /// Connection-table rows.
-    Connections(Vec<ConnectionLogEntry>),
-    /// K-root-table rows.
-    Kroot(Vec<KrootPingRecord>),
-    /// Uptime-table rows.
-    Uptime(Vec<SosUptimeRecord>),
+/// One probe's rows of the three log tables, the cache value. Each
+/// `Vec` holds exactly the probe's rows, sized from the key directories.
+struct ProbeLogs {
+    connections: Vec<ConnectionLogEntry>,
+    kroot: Vec<KrootPingRecord>,
+    uptime: Vec<SosUptimeRecord>,
 }
 
-impl Decoded {
+impl ProbeLogs {
     /// Approximate resident bytes, the cache accounting unit.
     fn cost(&self) -> usize {
         const BASE: usize = 64;
-        match self {
-            Decoded::Meta(v) => {
-                BASE + v.iter()
-                    .map(|m| std::mem::size_of::<ProbeMeta>() + m.tags.len())
-                    .sum::<usize>()
-            }
-            Decoded::Connections(v) => {
-                BASE + v.len() * std::mem::size_of::<ConnectionLogEntry>()
-            }
-            Decoded::Kroot(v) => BASE + v.len() * std::mem::size_of::<KrootPingRecord>(),
-            Decoded::Uptime(v) => BASE + v.len() * std::mem::size_of::<SosUptimeRecord>(),
-        }
+        BASE + size_of_val(&self.connections[..])
+            + size_of_val(&self.kroot[..])
+            + size_of_val(&self.uptime[..])
     }
 }
 
-/// Glue between a row type and the type-erased cache value.
-trait CachedTable: ColumnarRecord + Clone {
-    fn wrap(rows: Vec<Self>) -> Decoded;
-    fn rows(d: &Decoded) -> &[Self];
+/// One log-table footer entry: its ordinal within the table, its info,
+/// and its key directory, set the first time the segment passes
+/// [`index_segment_at`] and [`check_probe_order`]. A segment that fails
+/// either sets nothing, so every request for its probes fails again.
+struct Segment {
+    ordinal: usize,
+    info: SegmentInfo,
+    dir: OnceLock<KeyDirectory>,
 }
 
-macro_rules! cached_table {
-    ($ty:ty, $variant:ident) => {
-        impl CachedTable for $ty {
-            fn wrap(rows: Vec<Self>) -> Decoded {
-                Decoded::$variant(rows)
-            }
-            fn rows(d: &Decoded) -> &[Self] {
-                match d {
-                    Decoded::$variant(v) => v,
-                    _ => unreachable!("cache key collision across tables"),
-                }
-            }
-        }
-    };
-}
-
-cached_table!(ProbeMeta, Meta);
-cached_table!(ConnectionLogEntry, Connections);
-cached_table!(KrootPingRecord, Kroot);
-cached_table!(SosUptimeRecord, Uptime);
-
-/// One probe's rows of one table, as [`QueryEngine::rows_for`] found
-/// them.
-enum ProbeRows<R> {
-    /// A row range of one cached segment, borrowed. The segment stays
-    /// alive until the reply is built, even if the cache evicts it.
-    Borrowed(Arc<Decoded>, Range<usize>),
-    /// The parts of rows that straddle segment boundaries, concatenated;
-    /// also the empty start of a lookup.
-    Owned(Vec<R>),
-}
-
-impl<R: CachedTable> ProbeRows<R> {
-    /// Appends the rows `range` of the cached segment `seg`.
-    fn push(self, seg: Arc<Decoded>, range: Range<usize>) -> ProbeRows<R> {
-        let mut rows = match self {
-            ProbeRows::Owned(rows) if rows.is_empty() => return ProbeRows::Borrowed(seg, range),
-            ProbeRows::Owned(rows) => rows,
-            ProbeRows::Borrowed(prev, prev_range) => R::rows(&prev)[prev_range].to_vec(),
-        };
-        rows.extend_from_slice(&R::rows(&seg)[range]);
-        ProbeRows::Owned(rows)
-    }
-
-    fn as_slice(&self) -> &[R] {
-        match self {
-            ProbeRows::Borrowed(seg, range) => &R::rows(seg)[range.clone()],
-            ProbeRows::Owned(rows) => rows,
-        }
-    }
-}
-
-/// One dataset table's footer slice: `(cache key = footer position,
-/// per-table ordinal, segment info)` in file order. The key spans ascend
-/// ([`QueryEngine::from_parts`] rejects a file where they do not), so
-/// the segments that can hold a probe are found by `partition_point` on
-/// `key_hi`.
-struct TableMap {
-    segs: Vec<(usize, usize, SegmentInfo)>,
+/// The segments of `segs` (one table, key spans ascending — see
+/// [`QueryEngine::from_parts`]) whose span holds `key`.
+fn holding(segs: &[Segment], key: u32) -> &[Segment] {
+    let first = segs.partition_point(|s| s.info.key_hi < key);
+    let end = first + segs[first..].partition_point(|s| s.info.key_lo <= key);
+    &segs[first..end]
 }
 
 /// Ground truth regrouped per probe for O(log n) serving.
@@ -218,8 +164,12 @@ impl TruthIndex {
 /// to call from any number of threads.
 pub struct QueryEngine {
     bytes: Vec<u8>,
-    tables: [TableMap; 4],
-    cache: ShardedLru<Decoded>,
+    /// Every meta row, ascending by probe, decoded and checked at open.
+    meta: Vec<ProbeMeta>,
+    connections: Vec<Segment>,
+    kroot: Vec<Segment>,
+    uptime: Vec<Segment>,
+    cache: ShardedLru<ProbeLogs>,
     stats: StatsIndex,
     truth: Option<TruthIndex>,
 }
@@ -266,64 +216,70 @@ impl QueryEngine {
             KrootPingRecord::TABLE_NAME,
             SosUptimeRecord::TABLE_NAME,
         ];
-        let mut tables: [TableMap; 4] = std::array::from_fn(|_| TableMap { segs: Vec::new() });
-        {
-            let reader = FileReader::open(&bytes)?;
-            for (pos, info) in reader.segments().iter().enumerate() {
-                let Some(slot) =
-                    (1..=4).contains(&info.table).then(|| (info.table - 1) as usize)
-                else {
-                    continue;
-                };
-                let t = &mut tables[slot];
-                // The key spans ascend in file order. A probe's log rows
-                // may straddle a segment boundary; its one meta row cannot.
-                let one_per_probe = info.table == ProbeMeta::TABLE_ID;
-                let violation = match t.segs.last() {
-                    Some(&(_, _, prev))
-                        if info.key_lo < prev.key_hi
-                            || (one_per_probe && info.key_lo == prev.key_hi) =>
-                    {
-                        Some((info.key_lo, prev.key_hi))
-                    }
-                    _ if info.key_hi < info.key_lo => Some((info.key_hi, info.key_lo)),
-                    _ => None,
-                };
-                if let Some((key, prev)) = violation {
-                    let table = NAMES[slot].to_string();
-                    return Err(StoreError::OutOfOrder { table, key, prev }.into());
+        // Per table, `(ordinal, info)` of each segment in file order.
+        let mut tables: [Vec<(usize, SegmentInfo)>; 4] = Default::default();
+        for info in FileReader::open(&bytes)?.segments() {
+            let Some(slot) = (1..=4).contains(&info.table).then(|| (info.table - 1) as usize)
+            else {
+                continue;
+            };
+            let segs = &mut tables[slot];
+            // The key spans ascend in file order. A probe's log rows
+            // may straddle a segment boundary; its one meta row cannot.
+            let one_per_probe = info.table == ProbeMeta::TABLE_ID;
+            let violation = match segs.last() {
+                Some(&(_, prev))
+                    if info.key_lo < prev.key_hi
+                        || (one_per_probe && info.key_lo == prev.key_hi) =>
+                {
+                    Some((info.key_lo, prev.key_hi))
                 }
-                let ordinal = t.segs.len();
-                t.segs.push((pos, ordinal, *info));
+                _ if info.key_hi < info.key_lo => Some((info.key_hi, info.key_lo)),
+                _ => None,
+            };
+            if let Some((key, prev)) = violation {
+                let table = NAMES[slot].to_string();
+                return Err(StoreError::OutOfOrder { table, key, prev }.into());
             }
+            segs.push((segs.len(), *info));
         }
         // One streaming pass for the secondary indexes: decode the meta
         // and connection tables segment by segment (parallel decode,
         // sequential fold — the fold order is file order regardless of
         // worker count, so the index is thread-count invariant). The fold
-        // also checks the rows' probe order across the whole table.
+        // also checks the rows' probe order across the whole table, and
+        // keeps the meta rows.
         let mut builder = StatsBuilder::new(snaps);
-        let meta_slot = (ProbeMeta::TABLE_ID - 1) as usize;
-        let conn_slot = (ConnectionLogEntry::TABLE_ID - 1) as usize;
+        let [meta_segs, conn_segs, kroot_segs, uptime_segs] = tables;
+        let mut meta = Vec::new();
         let mut last = None;
-        for batch in dynaddr_exec::par_map(&tables[meta_slot].segs, |&(_, ordinal, info)| {
+        for batch in dynaddr_exec::par_map(&meta_segs, |&(ordinal, info)| {
             decode_segment_at::<ProbeMeta>(&bytes, ordinal, info)
         }) {
-            let batch = batch?;
+            let mut batch = batch?;
             last = check_probe_order(&batch, last)?;
             builder.add_meta(&batch);
+            meta.append(&mut batch);
         }
         let mut last = None;
-        for batch in dynaddr_exec::par_map(&tables[conn_slot].segs, |&(_, ordinal, info)| {
+        for batch in dynaddr_exec::par_map(&conn_segs, |&(ordinal, info)| {
             decode_segment_at::<ConnectionLogEntry>(&bytes, ordinal, info)
         }) {
             let batch = batch?;
             last = check_probe_order(&batch, last)?;
             builder.add_connections(&batch);
         }
+        let segments = |segs: Vec<(usize, SegmentInfo)>| -> Vec<Segment> {
+            segs.into_iter()
+                .map(|(ordinal, info)| Segment { ordinal, info, dir: OnceLock::new() })
+                .collect()
+        };
         Ok(QueryEngine {
             bytes,
-            tables,
+            meta,
+            connections: segments(conn_segs),
+            kroot: segments(kroot_segs),
+            uptime: segments(uptime_segs),
             cache: ShardedLru::new(opts.cache),
             stats: builder.finish(),
             truth: truth.map(TruthIndex::new),
@@ -357,32 +313,45 @@ impl QueryEngine {
         self.cache.clear();
     }
 
-    /// One table's rows for one key, through the cache: one cache lookup
-    /// per segment whose key span holds `key`, and a binary search inside
-    /// each. A segment the cache decodes is checked for probe order before
-    /// it is cached.
-    fn rows_for<R: CachedTable>(&self, key: u32) -> Result<ProbeRows<R>, StoreError> {
-        let segs = &self.tables[(R::TABLE_ID - 1) as usize].segs;
-        let first = segs.partition_point(|&(_, _, info)| info.key_hi < key);
-        let candidates = segs[first..].iter().take_while(|&&(_, _, info)| info.key_lo <= key);
-        let mut rows = ProbeRows::Owned(Vec::new());
-        for &(pos, ordinal, info) in candidates {
-            let seg = self.cache.get_or_try_insert(pos, || {
-                let batch = decode_segment_at::<R>(&self.bytes, ordinal, info)?;
-                check_probe_order(&batch, None)?;
-                let wrapped = R::wrap(batch);
-                let cost = wrapped.cost();
-                Ok::<_, StoreError>((wrapped, cost))
-            })?;
-            let all = R::rows(&seg);
-            let lo = all.partition_point(|r| r.key() < key);
-            let hi = all.partition_point(|r| r.key() <= key);
-            rows = rows.push(seg, lo..hi);
+    /// `seg`'s key directory, built the first time it is asked for. A
+    /// segment is indexed only after its rows pass the full frame check
+    /// and [`check_probe_order`]; on failure nothing is kept.
+    fn directory<'a, R: ColumnarRecord>(
+        &self,
+        seg: &'a Segment,
+    ) -> Result<&'a KeyDirectory, StoreError> {
+        if let Some(dir) = seg.dir.get() {
+            return Ok(dir);
+        }
+        let (rows, dir) = index_segment_at::<R>(&self.bytes, seg.ordinal, seg.info)?;
+        check_probe_order(&rows, None)?;
+        // Two threads indexing at once build the same directory; the
+        // first one set is kept.
+        Ok(seg.dir.get_or_init(|| dir))
+    }
+
+    /// One probe's rows of one log table: its run in each segment whose
+    /// span holds it, decoded through the directories into one `Vec` of
+    /// exactly their length.
+    fn rows_of<R: ColumnarRecord>(&self, segs: &[Segment], key: u32) -> Result<Vec<R>, StoreError> {
+        let segs = holding(segs, key);
+        if let [seg] = segs {
+            return self.directory::<R>(seg)?.decode_key(&self.bytes, key);
+        }
+        let mut count = 0;
+        for seg in segs {
+            count += self.directory::<R>(seg)?.rows(key).len();
+        }
+        let mut rows = Vec::with_capacity(count);
+        for seg in segs {
+            rows.append(&mut self.directory::<R>(seg)?.decode_key(&self.bytes, key)?);
         }
         Ok(rows)
     }
 
-    /// Hands one probe's rows of all four tables to a reply builder.
+    /// Hands one probe's meta row and log rows to a reply builder. The log
+    /// rows come through the per-probe cache; a probe that no log
+    /// segment's span holds has none and makes no cache entry.
     fn reply<T>(
         &self,
         probe: ProbeId,
@@ -394,17 +363,22 @@ impl QueryEngine {
             &[SosUptimeRecord],
         ) -> T,
     ) -> Result<T, StoreError> {
-        let meta = self.rows_for::<ProbeMeta>(probe.0)?;
-        let connections = self.rows_for::<ConnectionLogEntry>(probe.0)?;
-        let kroot = self.rows_for::<KrootPingRecord>(probe.0)?;
-        let uptime = self.rows_for::<SosUptimeRecord>(probe.0)?;
-        Ok(build(
-            probe.0,
-            meta.as_slice().first(),
-            connections.as_slice(),
-            kroot.as_slice(),
-            uptime.as_slice(),
-        ))
+        let key = probe.0;
+        let meta = self.meta.binary_search_by_key(&key, |m| m.probe.0).ok().map(|i| &self.meta[i]);
+        let tables = [&self.connections, &self.kroot, &self.uptime];
+        if tables.iter().all(|segs| holding(segs, key).is_empty()) {
+            return Ok(build(key, meta, &[], &[], &[]));
+        }
+        let logs = self.cache.get_or_try_insert(key as usize, || {
+            let logs = ProbeLogs {
+                connections: self.rows_of(&self.connections, key)?,
+                kroot: self.rows_of(&self.kroot, key)?,
+                uptime: self.rows_of(&self.uptime, key)?,
+            };
+            let cost = logs.cost();
+            Ok::<_, StoreError>((logs, cost))
+        })?;
+        Ok(build(key, meta, &logs.connections, &logs.kroot, &logs.uptime))
     }
 
     /// Raw rows for one probe (the [`Request::ProbeRecords`] payload).

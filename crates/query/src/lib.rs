@@ -5,13 +5,15 @@
 //! `dynaddrd` daemon.
 //!
 //! A [`QueryEngine`] opens a store file **once**: the footer index is
-//! parsed into per-table segment maps, secondary indexes (probe → AS,
-//! probe → country, per-probe activity stats) are built in one streaming
-//! pass over the connection table, and an optional `truth.store` is loaded
-//! beside it. After open, every query is answered without re-reading the
-//! footer; row access goes through a sharded LRU cache of *decoded
-//! segments* ([`cache::ShardedLru`]), so hot segments decode once and stay
-//! resident under a configurable byte budget.
+//! parsed into per-table segment lists, the meta rows are kept,
+//! secondary indexes (probe → AS, probe → country, per-probe activity
+//! stats) are built in one streaming pass over the connection table, and
+//! an optional `truth.store` is loaded beside it. After open, every query
+//! is answered without re-reading the footer. A probe's log rows go
+//! through a sharded LRU cache of *per-probe rows*
+//! ([`cache::ShardedLru`]) under a configurable byte budget; a miss
+//! decodes only that probe's rows out of each segment, through the
+//! segment's in-memory key directory ([`dynaddr_store::KeyDirectory`]).
 //!
 //! Queries are typed ([`Request`]/[`Response`]) and answered from any
 //! number of threads concurrently through `&self`. Every query is a pure

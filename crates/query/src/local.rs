@@ -2,7 +2,7 @@
 //!
 //! [`LocalAnswerer`] holds a fully-decoded [`AtlasDataset`] and answers the
 //! same [`Request`]s the engine does — through the dataset's own per-probe
-//! slices, never the store reader, the segment cache, or the footer index.
+//! slices, never the store reader, the probe cache, or the footer index.
 //! The only shared code is the reply builders in [`crate::engine`], which
 //! copy a probe's rows into a reply or derive its events from them;
 //! everything upstream of them (decode path, row lookup, aggregation

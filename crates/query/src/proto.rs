@@ -260,11 +260,15 @@ pub struct ServerStatsReply {
     /// Per-request-kind counts as `(wire tag, count)` pairs, ascending by
     /// tag; tags with a zero count are omitted.
     pub requests_by_tag: Vec<(u32, u64)>,
-    /// Result-cache hits, when the backend has a cache (zeros otherwise).
+    /// Cache hits, when the backend has a cache (zeros otherwise). For
+    /// `queryd`, probe lookups served from the probe cache: one lookup
+    /// per `ProbeRecords` or `ProbeSeries` request whose probe a log
+    /// segment's span holds.
     pub cache_hits: u64,
-    /// Result-cache misses.
+    /// Cache misses: for `queryd`, probe lookups that decoded the probe's
+    /// rows.
     pub cache_misses: u64,
-    /// Result-cache evictions.
+    /// Cache evictions: for `queryd`, probes dropped to make room.
     pub cache_evictions: u64,
 }
 

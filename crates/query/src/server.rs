@@ -17,6 +17,10 @@
 //! serving metrics without any per-request registry locking beyond the
 //! one histogram record.
 //!
+//! A failed `accept`, such as EMFILE when the process is out of file
+//! descriptors, is logged, counted (`query.accept_errors`) and retried
+//! after a short pause; it never ends the server.
+//!
 //! Shutdown is cooperative: [`ServerHandle::stop`] sets a flag and pokes
 //! the listener with a dummy connect so `accept` wakes up; the accept
 //! loop then joins its connection threads. The CI smoke instead just
@@ -109,6 +113,9 @@ impl FrontStats {
     }
 }
 
+/// How long the accept loop pauses after a failed `accept`.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
 /// A bound, not-yet-running server. Call [`Server::run`] to serve.
 pub struct Server<A: Answerer> {
     listener: UnixListener,
@@ -162,6 +169,8 @@ impl<A: Answerer> Server<A> {
     }
 
     /// Runs the accept loop until [`ServerHandle::stop`] is called.
+    /// A failed `accept` ends nothing: it is logged, counted in
+    /// `query.accept_errors`, and retried after a 10 ms pause.
     /// Connection threads are joined before returning; the socket file is
     /// removed on exit.
     pub fn run(self) -> io::Result<()> {
@@ -170,7 +179,18 @@ impl<A: Answerer> Server<A> {
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
-            let stream = stream?;
+            let stream = match stream {
+                Ok(stream) => stream,
+                Err(e) => {
+                    // Such as EMFILE with the descriptor table full: the
+                    // pending connection stays queued until a descriptor
+                    // frees, and the pause keeps the loop from spinning.
+                    dynaddr_obs::warn!("accept failed: {e}");
+                    dynaddr_obs::counter_add("query.accept_errors", 1);
+                    thread::sleep(ACCEPT_BACKOFF);
+                    continue;
+                }
+            };
             self.stats.connections.fetch_add(1, Ordering::Relaxed);
             let answerer = Arc::clone(&self.answerer);
             let stats = Arc::clone(&self.stats);

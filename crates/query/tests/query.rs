@@ -18,7 +18,8 @@ use dynaddr_query::{
 use dynaddr_query::engine::EngineError;
 use dynaddr_store::crc32::crc32;
 use dynaddr_store::{
-    varint, FileReader, SegmentInfo, StoreError, StreamWriter, DEFAULT_SEGMENT_ROWS,
+    varint, ColumnarRecord, FileReader, SegmentInfo, StoreError, StreamWriter,
+    DEFAULT_SEGMENT_ROWS,
 };
 use dynaddr_types::{
     Asn, Country, Prefix, ProbeId, ProbeTag, ProbeVersion, SimDuration, SimTime,
@@ -350,9 +351,11 @@ fn responses_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn cold_engine_warms_to_an_80_percent_hit_rate() {
-    // A simulated world, stored with the default segment size, so the
-    // hit rate reflects how the real store's segments are shared.
+fn cold_engine_misses_once_per_distinct_probe_and_hits_after() {
+    // A simulated world, stored with the default segment size. The cache
+    // holds one entry per probe, and the default budget holds every probe
+    // these requests name: so each probe's first ProbeRecords or
+    // ProbeSeries misses, every later one hits, and nothing is evicted.
     let world = paper_world(0.01, 11);
     let out = simulate(&world);
     let engine = QueryEngine::from_parts(
@@ -363,18 +366,66 @@ fn cold_engine_warms_to_an_80_percent_hit_rate() {
     )
     .expect("engine opens");
     let w = workload_for(&engine);
+    let (mut lookups, mut distinct) = (0u64, std::collections::HashSet::new());
     for i in 0..1_000 {
-        engine.query(&w.request(i));
+        let req = w.request(i);
+        if let Request::ProbeRecords(p) | Request::ProbeSeries(p) = req {
+            lookups += 1;
+            distinct.insert(p);
+        }
+        engine.query(&req);
     }
     let stats = engine.cache_stats();
-    assert!(stats.misses > 0, "a fresh engine starts with a cold cache");
-    assert!(
-        stats.hit_rate() >= 0.80,
-        "hit rate {:.3} ({} hits, {} misses) is below 0.80",
-        stats.hit_rate(),
-        stats.hits,
-        stats.misses
+    let distinct = distinct.len() as u64;
+    assert!(distinct > 0 && lookups > distinct, "{lookups} lookups of {distinct} probes");
+    assert_eq!(
+        (stats.misses, stats.hits, stats.evictions),
+        (distinct, lookups - distinct, 0),
+        "(misses, hits, evictions) over {lookups} probe lookups of {distinct} probes"
     );
+}
+
+#[test]
+fn every_bit_flip_in_a_kroot_segment_fails_only_its_probes() {
+    let ds = dataset();
+    let snaps = snaps();
+    let local = LocalAnswerer::from_parts(ds.clone(), &snaps, None);
+    let clean = store_bytes(&ds, 16);
+    let seg = *FileReader::open(&clean)
+        .expect("opens")
+        .segments()
+        .iter()
+        .find(|s| s.table == KrootPingRecord::TABLE_ID)
+        .expect("a k-root segment");
+    let span = seg.key_lo..=seg.key_hi;
+    let mut requests = Vec::new();
+    for p in 0..PROBES {
+        for req in [Request::ProbeRecords(ProbeId(p)), Request::ProbeSeries(ProbeId(p))] {
+            let expect = proto::to_bytes(&local.answer(&req));
+            requests.push((p, req, expect));
+        }
+    }
+    let frame = seg.offset as usize..(seg.offset + seg.len + 8) as usize;
+    for bit in frame.start * 8..frame.end * 8 {
+        let mut bytes = clean.clone();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        // The engine decodes no k-root segment at open.
+        let engine = QueryEngine::from_parts(bytes, &snaps, None, &EngineOptions::default())
+            .expect("engine opens");
+        for (probe, req, expect) in &requests {
+            if span.contains(probe) {
+                // Twice: a failed segment keeps no directory to serve from.
+                for attempt in 0..2 {
+                    match engine.query(req) {
+                        Response::Error(msg) => assert!(msg.contains("kroot"), "bit {bit}: {msg}"),
+                        other => panic!("bit {bit}, {req:?} attempt {attempt}: got {other:?}"),
+                    }
+                }
+            } else {
+                assert_eq!(&proto::to_bytes(&engine.query(req)), expect, "bit {bit}, {req:?}");
+            }
+        }
+    }
 }
 
 #[test]

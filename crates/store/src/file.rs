@@ -276,9 +276,9 @@ impl<'a> FileReader<'a> {
 /// inline length prefix, the CRC, the decoded row count and the rows' key
 /// span must all agree with the footer entry, and any failure is a
 /// [`StoreError::SegmentCorrupt`] naming the segment. This is the building
-/// block callers with their own parsed footer (e.g. a segment cache that
-/// decodes on miss) use to read segments without re-opening a
-/// [`FileReader`].
+/// block callers with their own parsed footer use to read segments
+/// without re-opening a [`FileReader`]; [`crate::index_segment_at`]
+/// builds on it.
 pub fn decode_segment_at<R: ColumnarRecord>(
     bytes: &[u8],
     index: usize,

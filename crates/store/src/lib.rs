@@ -32,7 +32,9 @@
 //! segments in parallel. [`FileReader`] reads a file from memory and
 //! [`SegmentFileReader`] one segment at a time from disk; both, and the
 //! spill merge, check every segment frame in one place: length prefix,
-//! CRC, row count and key span against the footer entry. Encode and
+//! CRC, row count and key span against the footer entry.
+//! [`index_segment_at`] also builds a segment's [`KeyDirectory`], so a
+//! reader can then decode one key's rows without the rest. Encode and
 //! decode are deterministic: the bytes and the decoded rows are identical
 //! at any worker count.
 
@@ -41,6 +43,7 @@
 
 pub mod column;
 pub mod crc32;
+pub mod directory;
 pub mod file;
 pub mod record;
 mod segment;
@@ -48,6 +51,7 @@ pub mod sink;
 pub mod varint;
 
 pub use column::{ColumnBuilder, ColumnKind, ColumnReader, DecodeError};
+pub use directory::{index_segment_at, KeyDirectory};
 pub use file::{
     decode_segment_at, FileReader, SegmentFileReader, SegmentInfo, StreamWriter,
     DEFAULT_SEGMENT_ROWS, MAGIC,

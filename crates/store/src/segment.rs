@@ -19,6 +19,7 @@ use crate::column::{ColumnBuilder, ColumnReader, DecodeError};
 use crate::crc32::crc32;
 use crate::record::ColumnarRecord;
 use crate::varint;
+use std::ops::Range;
 
 /// Parsed segment body header (everything before the column payloads).
 pub(crate) struct SegmentHeader {
@@ -89,9 +90,12 @@ fn read_u32(body: &[u8], pos: &mut usize, what: &str) -> Result<u32, DecodeError
     u32::try_from(v).map_err(|_| DecodeError::new(format!("{what} {v} exceeds u32")))
 }
 
-/// Decodes a segment body (CRC already verified by the caller) into typed
-/// rows, checking the table id and column schema against `R`.
-pub(crate) fn decode_segment<R: ColumnarRecord>(body: &[u8]) -> Result<Vec<R>, DecodeError> {
+/// Checks a segment body's header against `R`'s table id and column
+/// schema and locates its column payloads. Returns the header's row count
+/// and each column's byte range within `body`, in schema order.
+pub(crate) fn column_spans<R: ColumnarRecord>(
+    body: &[u8],
+) -> Result<(u64, Vec<Range<usize>>), DecodeError> {
     let header = parse_header(body)?;
     if header.table != R::TABLE_ID {
         return Err(DecodeError::new(format!(
@@ -110,14 +114,14 @@ pub(crate) fn decode_segment<R: ColumnarRecord>(body: &[u8]) -> Result<Vec<R>, D
         )));
     }
     let mut pos = header.payload_at;
-    let mut readers = Vec::with_capacity(R::COLUMNS.len());
-    for &kind in R::COLUMNS {
+    let mut spans = Vec::with_capacity(R::COLUMNS.len());
+    for _ in R::COLUMNS {
         let len = varint::read_u64(body, &mut pos)? as usize;
         let end = pos
             .checked_add(len)
             .filter(|&e| e <= body.len())
             .ok_or_else(|| DecodeError::new("column payload runs past segment end"))?;
-        readers.push(ColumnReader::new(kind, &body[pos..end]));
+        spans.push(pos..end);
         pos = end;
     }
     if pos != body.len() {
@@ -126,7 +130,19 @@ pub(crate) fn decode_segment<R: ColumnarRecord>(body: &[u8]) -> Result<Vec<R>, D
             body.len() - pos
         )));
     }
-    let rows = R::decode(&mut readers, header.rows as usize)?;
+    Ok((header.rows, spans))
+}
+
+/// Decodes a segment body (CRC already verified by the caller) into typed
+/// rows, checking the table id and column schema against `R`.
+pub(crate) fn decode_segment<R: ColumnarRecord>(body: &[u8]) -> Result<Vec<R>, DecodeError> {
+    let (rows, spans) = column_spans::<R>(body)?;
+    let mut readers: Vec<ColumnReader<'_>> = R::COLUMNS
+        .iter()
+        .zip(spans)
+        .map(|(&kind, span)| ColumnReader::new(kind, &body[span]))
+        .collect();
+    let rows = R::decode(&mut readers, rows as usize)?;
     for r in &readers {
         r.finish()?;
     }

@@ -91,6 +91,17 @@ diff "$SMOKE/q-remote-cold.txt" "$SMOKE/q-local.txt"
 diff "$SMOKE/q-remote-cold.txt" "$SMOKE/q-remote-warm.txt"
 kill "$QPID"
 wait "$QPID" 2>/dev/null || true
+# A 1 MiB cache holds a few dozen probes, so the same batch runs the
+# evicting per-probe path and each segment's first-touch indexing.
+QSOCK="$SMOKE/queryd-1mb.sock"
+./target/release/queryd --data "$SMOKE/store" --socket "$QSOCK" --cache-mb 1 \
+    2> "$SMOKE/queryd-1mb.err" &
+QPID=$!
+./target/release/queryc --data "$SMOKE/store" --socket "$QSOCK" \
+    --count 400 --seed 99 --out "$SMOKE/q-remote-1mb.txt"
+diff "$SMOKE/q-remote-1mb.txt" "$SMOKE/q-local.txt"
+kill "$QPID"
+wait "$QPID" 2>/dev/null || true
 
 echo "==> dynaddrd replay smoke (scale 0.01 store, daemon vs batch report)"
 # Replaying the full stream through the live per-probe state machines and
@@ -218,11 +229,11 @@ kill "$DPID"
 wait "$DPID" 2>/dev/null || true
 
 echo "==> paper-tier queryd smoke (memory ceiling, remote vs local)"
-# queryd on the paper-tier store with a fixed 64 MiB segment cache must
+# queryd on the paper-tier store with a fixed 64 MiB probe cache must
 # answer a seeded batch byte-identically to the batch-loaded oracle and
-# peak under 140 MiB RSS (about 119 MiB on a 2-vCPU Xeon VM). With the
-# 256 MiB default the peak tracks how much of the store the requests
-# touch.
+# peak under 110 MiB RSS (about 84 MiB on a 2-vCPU Xeon VM). The cache
+# holds only the probes asked for, so with the 256 MiB default the peak
+# tracks how many probes the requests name.
 QSOCK="$SMOKE/queryd-paper.sock"
 ./target/release/queryd --data "$SMOKE/paper" --socket "$QSOCK" --cache-mb 64 \
     2> "$SMOKE/queryd-paper.err" &
@@ -236,7 +247,7 @@ diff "$SMOKE/qp-remote.txt" "$SMOKE/qp-local.txt"
 HWM="$(sed -n 's/^VmHWM:[[:space:]]*\([0-9]*\) kB$/\1/p' "/proc/$QPID/status")"
 echo "    paper-tier queryd peak RSS: $HWM kB"
 test -n "$HWM"
-test "$HWM" -lt 143360
+test "$HWM" -lt 112640
 kill "$QPID"
 wait "$QPID" 2>/dev/null || true
 

@@ -5,8 +5,66 @@ mod common;
 
 use common::{harness, SCALE, SEED};
 use dynaddr::analysis::outages::{detect_network_outages, detect_power_outages, detect_reboots};
+use dynaddr::atlas::truth::TruthChange;
 use dynaddr::atlas::world::{paper_route_tables, paper_world};
-use dynaddr::atlas::{simulate, ChangeCause};
+use dynaddr::atlas::{simulate, ChangeCause, GroundTruth, TruthOutage, TruthOutageKind};
+use dynaddr::types::{ProbeId, SimDuration, SimTime};
+use std::collections::BTreeMap;
+use std::net::Ipv4Addr;
+
+/// Counts the truth's address changes by cause.
+fn cause_histogram(truth: &GroundTruth) -> BTreeMap<String, usize> {
+    let mut h = BTreeMap::new();
+    for c in &truth.changes {
+        *h.entry(format!("{:?}", c.cause)).or_insert(0) += 1;
+    }
+    h
+}
+
+/// The share of the truth's outages of `kind` that changed the address;
+/// `None` when it has none of that kind.
+fn outage_change_rate(truth: &GroundTruth, kind: TruthOutageKind) -> Option<f64> {
+    let of_kind: Vec<&TruthOutage> = truth.outages.iter().filter(|o| o.kind == kind).collect();
+    if of_kind.is_empty() {
+        return None;
+    }
+    let changed = of_kind.iter().filter(|o| o.address_changed).count();
+    Some(changed as f64 / of_kind.len() as f64)
+}
+
+#[test]
+fn cause_histogram_counts() {
+    let change = |probe, time, cause| TruthChange {
+        probe: ProbeId(probe),
+        time: SimTime(time),
+        from: None,
+        to: Ipv4Addr::new(10, 0, 0, 1),
+        cause,
+    };
+    let mut gt = GroundTruth::default();
+    gt.changes.push(change(1, 0, ChangeCause::PeriodicCap));
+    gt.changes.push(change(1, 1, ChangeCause::PeriodicCap));
+    gt.changes.push(change(2, 2, ChangeCause::PowerOutage));
+    let h = cause_histogram(&gt);
+    assert_eq!(h.get("PeriodicCap"), Some(&2));
+    assert_eq!(h.get("PowerOutage"), Some(&1));
+}
+
+#[test]
+fn outage_change_rate_is_the_share_that_changed() {
+    let mut gt = GroundTruth::default();
+    for (i, changed) in [(0, true), (1, true), (2, false), (3, false)] {
+        gt.outages.push(TruthOutage {
+            probe: ProbeId(i),
+            kind: TruthOutageKind::Network,
+            start: SimTime(0),
+            duration: SimDuration::from_mins(5),
+            address_changed: changed,
+        });
+    }
+    assert_eq!(outage_change_rate(&gt, TruthOutageKind::Network), Some(0.5));
+    assert_eq!(outage_change_rate(&gt, TruthOutageKind::Power), None);
+}
 
 #[test]
 fn simulation_and_analysis_are_deterministic() {
@@ -135,10 +193,7 @@ fn detected_outage_change_rates_track_truth() {
     assert!(detected_nw.len() > 500, "network outages detected: {}", detected_nw.len());
     let det_rate = detected_nw.iter().filter(|o| o.address_changed).count() as f64
         / detected_nw.len() as f64;
-    let truth_rate = h
-        .out
-        .truth
-        .outage_change_rate(dynaddr::atlas::TruthOutageKind::Network)
+    let truth_rate = outage_change_rate(&h.out.truth, TruthOutageKind::Network)
         .expect("truth has network outages");
     assert!(
         (det_rate - truth_rate).abs() < 0.15,
@@ -193,7 +248,7 @@ fn admin_renumbering_visible_in_truth_and_data() {
 #[test]
 fn truth_cause_mix_is_plausible() {
     let h = harness();
-    let hist = h.out.truth.cause_histogram();
+    let hist = cause_histogram(&h.out.truth);
     let get = |k: &str| hist.get(k).copied().unwrap_or(0);
     // Periodic mechanisms dominate total changes (they fire daily).
     let periodic = get("PeriodicCap") + get("ScheduledReconnect");

@@ -10,7 +10,10 @@ use dynaddr::atlas::{
     SosUptimeRecord,
 };
 use dynaddr::atlas::truth::IspPolicyTruth;
-use dynaddr::store::{ColumnarRecord, FileReader, ReadMode, SegmentInfo, StoreError, MAGIC};
+use dynaddr::store::{
+    decode_segment_at, index_segment_at, ColumnarRecord, FileReader, ReadMode, SegmentInfo,
+    StoreError, StreamWriter, MAGIC,
+};
 use dynaddr::types::{Country, ProbeId, ProbeTag, ProbeVersion, SimTime};
 use dynaddr_query::engine::EngineError;
 use dynaddr_query::{EngineOptions, QueryEngine, Request, Response};
@@ -75,6 +78,40 @@ fn arb_dataset() -> impl Strategy<Value = AtlasDataset> {
     })
 }
 
+/// The four dataset tables written with `segment_rows`-row segments.
+fn store_bytes(ds: &AtlasDataset, segment_rows: usize) -> Vec<u8> {
+    let mut w = StreamWriter::with_segment_rows(Vec::new(), segment_rows).unwrap();
+    w.write_table(&ds.meta).unwrap();
+    w.write_table(&ds.connections).unwrap();
+    w.write_table(&ds.kroot).unwrap();
+    w.write_table(&ds.uptime).unwrap();
+    w.finish().unwrap()
+}
+
+/// Every segment of table `R` in `bytes` indexes, and its directory
+/// decodes each key of the segment's span to exactly that key's rows of
+/// the full decode (none for a key the segment does not hold).
+fn directories_match_full_decodes<R>(bytes: &[u8]) -> Result<(), TestCaseError>
+where
+    R: ColumnarRecord + PartialEq + std::fmt::Debug,
+{
+    let reader = FileReader::open(bytes).expect("clean bytes open");
+    let segs = reader.segments().iter().filter(|s| s.table == R::TABLE_ID);
+    for (ordinal, &info) in segs.enumerate() {
+        let rows = decode_segment_at::<R>(bytes, ordinal, info).expect("clean segment decodes");
+        let (indexed, dir) =
+            index_segment_at::<R>(bytes, ordinal, info).expect("clean segment indexes");
+        prop_assert_eq!(&indexed, &rows);
+        for key in info.key_lo..=info.key_hi {
+            let want: Vec<&R> = rows.iter().filter(|r| r.key() == key).collect();
+            let got = dir.decode_key::<R>(bytes, key).expect("indexed key decodes");
+            prop_assert_eq!(got.iter().collect::<Vec<_>>(), want, "{} key {}", R::TABLE_NAME, key);
+            prop_assert_eq!(dir.rows(key).len(), got.len());
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     /// Encode→decode is the identity on normalized datasets, and the
     /// encoding has one canonical form (re-encoding the decoded copy
@@ -85,6 +122,20 @@ proptest! {
         let back = AtlasDataset::from_store_bytes(&bytes).expect("clean bytes decode");
         prop_assert_eq!(&ds, &back);
         prop_assert_eq!(bytes, back.to_store_bytes());
+    }
+
+    /// Key directories agree with the full decode at every segment size:
+    /// one-row segments, runs split at varying offsets, runs straddling
+    /// boundaries, and whole tables in one segment.
+    #[test]
+    fn key_directories_decode_every_key_like_the_full_decode(ds in arb_dataset()) {
+        for segment_rows in [1, 2, 3, 16, 4096] {
+            let bytes = store_bytes(&ds, segment_rows);
+            directories_match_full_decodes::<ProbeMeta>(&bytes)?;
+            directories_match_full_decodes::<ConnectionLogEntry>(&bytes)?;
+            directories_match_full_decodes::<KrootPingRecord>(&bytes)?;
+            directories_match_full_decodes::<SosUptimeRecord>(&bytes)?;
+        }
     }
 }
 
@@ -142,6 +193,7 @@ fn bit_flip_in_magic_is_bad_magic() {
 fn bit_flip_in_any_segment_is_segment_corrupt() {
     let bytes = sample_dataset().to_store_bytes();
     let (segments, _, _) = regions(&bytes);
+    let segs = FileReader::open(&bytes).expect("clean file opens").segments().to_vec();
     // Flip one bit in every 13th byte of the segment region (all of them
     // is the store crate's own exhaustive test; this pins the typed error
     // and the segment attribution at the dataset level).
@@ -158,6 +210,26 @@ fn bit_flip_in_any_segment_is_segment_corrupt() {
         }
         let msg = err.to_string();
         assert!(msg.contains("segment"), "error should mention the segment: {msg}");
+
+        // Indexing the segment the flip landed in fails the same way and
+        // yields no directory.
+        let hit = segs
+            .iter()
+            .position(|s| {
+                (s.offset as usize) <= at && at < s.offset as usize + s.len as usize + 8
+            })
+            .expect("flip lands in a segment frame");
+        let info = segs[hit];
+        let ordinal = segs[..hit].iter().filter(|s| s.table == info.table).count();
+        let indexed = match info.table {
+            1 => index_segment_at::<ProbeMeta>(&copy, ordinal, info).map(drop),
+            2 => index_segment_at::<ConnectionLogEntry>(&copy, ordinal, info).map(drop),
+            other => panic!("unexpected table id {other}"),
+        };
+        assert!(
+            matches!(indexed, Err(StoreError::SegmentCorrupt { index, .. }) if index == ordinal),
+            "byte {at}: index_segment_at gave {indexed:?}"
+        );
     }
 }
 
