@@ -59,20 +59,56 @@ impl OutageSpec {
             network_per_year: 22.0,
             network_duration: DurationDist::Mixture(vec![
                 // Short blips and reconnects: a few minutes.
-                (0.55, DurationDist::LogNormal { mu: 5.6, sigma: 0.6 }), // ~4.5 min
+                (
+                    0.55,
+                    DurationDist::LogNormal {
+                        mu: 5.6,
+                        sigma: 0.6,
+                    },
+                ), // ~4.5 min
                 // Medium outages: tens of minutes to hours.
-                (0.33, DurationDist::LogNormal { mu: 8.0, sigma: 1.0 }), // ~50 min
+                (
+                    0.33,
+                    DurationDist::LogNormal {
+                        mu: 8.0,
+                        sigma: 1.0,
+                    },
+                ), // ~50 min
                 // Heavy tail: many hours to days.
-                (0.12, DurationDist::Pareto { xm: 4.0 * 3600.0, alpha: 1.1 }),
+                (
+                    0.12,
+                    DurationDist::Pareto {
+                        xm: 4.0 * 3600.0,
+                        alpha: 1.1,
+                    },
+                ),
             ]),
             power_per_year: 12.0,
             power_duration: DurationDist::Mixture(vec![
                 // CPE reboots: 1.5–4 minutes.
-                (0.62, DurationDist::Uniform { lo: 90.0, hi: 240.0 }),
+                (
+                    0.62,
+                    DurationDist::Uniform {
+                        lo: 90.0,
+                        hi: 240.0,
+                    },
+                ),
                 // Real power cuts: tens of minutes to hours.
-                (0.28, DurationDist::LogNormal { mu: 7.6, sigma: 1.0 }), // ~33 min
+                (
+                    0.28,
+                    DurationDist::LogNormal {
+                        mu: 7.6,
+                        sigma: 1.0,
+                    },
+                ), // ~33 min
                 // Long cuts: heavy tail.
-                (0.10, DurationDist::Pareto { xm: 3.0 * 3600.0, alpha: 1.2 }),
+                (
+                    0.10,
+                    DurationDist::Pareto {
+                        xm: 3.0 * 3600.0,
+                        alpha: 1.2,
+                    },
+                ),
             ]),
         }
     }

@@ -38,8 +38,8 @@ const FILLER_JOB_CHUNK: usize = 64;
 /// Countries filler probes are registered in, with a European bias matching
 /// the real RIPE Atlas deployment.
 const FILLER_COUNTRIES: &[&str] = &[
-    "DE", "DE", "DE", "FR", "FR", "GB", "NL", "NL", "BE", "AT", "CH", "SE", "CZ", "PL", "IT",
-    "ES", "RU", "US", "US", "CA", "JP", "IN", "SG", "ZA", "BR", "AU", "NZ",
+    "DE", "DE", "DE", "FR", "FR", "GB", "NL", "NL", "BE", "AT", "CH", "SE", "CZ", "PL", "IT", "ES",
+    "RU", "US", "US", "CA", "JP", "IN", "SG", "ZA", "BR", "AU", "NZ",
 ];
 
 /// Which filler population a probe belongs to.
@@ -73,13 +73,19 @@ pub(crate) fn generate_filler(
     // One task per probe made executor dispatch the dominant cost at bench
     // scale: small populations generate as one chunk on the calling
     // thread, large ones in chunks of FILLER_JOB_CHUNK probes.
-    let size = if jobs.len() <= FILLER_SERIAL_CUTOFF { jobs.len().max(1) } else { FILLER_JOB_CHUNK };
+    let size = if jobs.len() <= FILLER_SERIAL_CUTOFF {
+        jobs.len().max(1)
+    } else {
+        FILLER_JOB_CHUNK
+    };
     let chunks: Vec<(u64, &[(u32, FillerKind)])> = jobs
         .chunks(size)
         .enumerate()
         .map(|(i, chunk)| (first_run + i as u64, chunk))
         .collect();
-    dynaddr_exec::par_map(&chunks, |&(run, chunk)| emit(run, generate_jobs(&seeds, chunk)));
+    dynaddr_exec::par_map(&chunks, |&(run, chunk)| {
+        emit(run, generate_jobs(&seeds, chunk))
+    });
 }
 
 /// Plans the filler population: one `(id, kind)` job per probe, ids
@@ -98,7 +104,9 @@ fn filler_jobs(config: &WorldConfig, next_id: u32) -> Vec<(u32, FillerKind)> {
     plan(f.dual_stack, &mut |_| FillerKind::DualStack);
     plan(f.ipv6_only, &mut |_| FillerKind::Ipv6Only);
     let tagged_alternating = (f.tagged as f64 * f.tagged_alternating_frac).round() as usize;
-    plan(f.tagged, &mut |i| FillerKind::Tagged { alternating: i < tagged_alternating });
+    plan(f.tagged, &mut |i| FillerKind::Tagged {
+        alternating: i < tagged_alternating,
+    });
     plan(f.alternating, &mut |_| FillerKind::Alternating);
     plan(f.testing_static, &mut |_| FillerKind::TestingStatic);
     jobs
@@ -108,7 +116,10 @@ fn filler_jobs(config: &WorldConfig, next_id: u32) -> Vec<(u32, FillerKind)> {
 fn generate_jobs(seeds: &SeedTree, jobs: &[(u32, FillerKind)]) -> AtlasDataset {
     let mut piece = AtlasDataset::default();
     for &(id, kind) in jobs {
-        let mut gen = FillerGen { rng: seeds.rng_for_id("filler", u64::from(id)), piece };
+        let mut gen = FillerGen {
+            rng: seeds.rng_for_id("filler", u64::from(id)),
+            piece,
+        };
         gen.generate(ProbeId(id), kind);
         piece = gen.piece;
     }
@@ -133,9 +144,8 @@ impl FillerGen {
     }
 
     fn new_probe(&mut self, id: ProbeId, tags: Vec<ProbeTag>) -> SimTime {
-        let country =
-            Country::new(FILLER_COUNTRIES[self.rng.gen_range(0..FILLER_COUNTRIES.len())])
-                .expect("static codes are valid");
+        let country = Country::new(FILLER_COUNTRIES[self.rng.gen_range(0..FILLER_COUNTRIES.len())])
+            .expect("static codes are valid");
         let version = if self.rng.gen::<f64>() < 0.8 {
             ProbeVersion::V3
         } else if self.rng.gen::<f64>() < 0.5 {
@@ -143,7 +153,12 @@ impl FillerGen {
         } else {
             ProbeVersion::V1
         };
-        self.piece.meta.push(ProbeMeta { probe: id, version, country, tags });
+        self.piece.meta.push(ProbeMeta {
+            probe: id,
+            version,
+            country,
+            tags,
+        });
         SimTime(-self.rng.gen_range(1..(60 * DAY)))
     }
 
@@ -396,8 +411,7 @@ mod tests {
         for m in out.meta.iter().skip(33).take(3) {
             let conns = out.connections_of(m.probe);
             assert_eq!(conns[0].peer, PeerAddr::V4(testing_address()));
-            let rest: std::collections::HashSet<_> =
-                conns.iter().skip(1).map(|c| c.peer).collect();
+            let rest: std::collections::HashSet<_> = conns.iter().skip(1).map(|c| c.peer).collect();
             assert_eq!(rest.len(), 1, "only one address after the handover");
         }
     }

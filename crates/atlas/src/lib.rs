@@ -39,6 +39,8 @@ pub mod truth;
 pub mod world;
 
 pub use config::{FillerSpec, IspSpec, OutageSpec, WorldConfig};
+/// The store's error type, which every dataset reader returns.
+pub use dynaddr_store::StoreError;
 pub use logs::{
     AtlasDataset, ConnectionLogEntry, KrootPingRecord, LoadError, PeerAddr, ProbeMeta,
     SosUptimeRecord,
@@ -48,7 +50,5 @@ pub use sim::{
     SimStats,
 };
 pub use stream::DatasetStream;
-/// The store's error type, which every dataset reader returns.
-pub use dynaddr_store::StoreError;
 pub use truth::{ChangeCause, GroundTruth, TruthOutage, TruthOutageKind};
 pub use world::{paper_route_tables, paper_world};

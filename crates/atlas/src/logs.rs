@@ -206,7 +206,13 @@ impl AtlasDataset {
     /// and rebuilds the per-probe range index. The four sorts touch disjoint
     /// vectors, so each gets its own scoped thread when the executor allows.
     pub fn normalize(&mut self) {
-        let AtlasDataset { meta, connections, kroot, uptime, index } = self;
+        let AtlasDataset {
+            meta,
+            connections,
+            kroot,
+            uptime,
+            index,
+        } = self;
         let sorts: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
             Box::new(|| meta.sort_by_key(|m| m.probe)),
             Box::new(|| connections.sort_by_key(|c| (c.probe, c.start, c.end))),
@@ -221,7 +227,12 @@ impl AtlasDataset {
 
     /// All connection-log entries of one probe (requires normalized data).
     pub fn connections_of(&self, probe: ProbeId) -> &[ConnectionLogEntry] {
-        indexed_slice(&self.connections, &self.index.connections, |c| c.probe, probe)
+        indexed_slice(
+            &self.connections,
+            &self.index.connections,
+            |c| c.probe,
+            probe,
+        )
     }
 
     /// All k-root records of one probe (requires normalized data).
@@ -255,8 +266,7 @@ impl AtlasDataset {
                 problems.push(format!("{}: duplicate metadata rows", pair[0].probe));
             }
         }
-        let known: std::collections::HashSet<u32> =
-            self.meta.iter().map(|m| m.probe.0).collect();
+        let known: std::collections::HashSet<u32> = self.meta.iter().map(|m| m.probe.0).collect();
         for c in &self.connections {
             if c.end < c.start {
                 problems.push(format!(
@@ -331,8 +341,10 @@ impl AtlasDataset {
     /// Loads a dataset from one store file under any name.
     pub fn load_file(path: &Path) -> Result<AtlasDataset, LoadError> {
         let bytes = read_file(path)?;
-        AtlasDataset::from_store_bytes(&bytes)
-            .map_err(|source| LoadError::Store { path: path.to_path_buf(), source })
+        AtlasDataset::from_store_bytes(&bytes).map_err(|source| LoadError::Store {
+            path: path.to_path_buf(),
+            source,
+        })
     }
 
     /// Like [`AtlasDataset::load_dir`], but a corrupt store segment is
@@ -396,7 +408,10 @@ impl From<LoadError> for std::io::Error {
 }
 
 fn read_file(path: &Path) -> Result<Vec<u8>, LoadError> {
-    std::fs::read(path).map_err(|source| LoadError::Io { path: path.to_path_buf(), source })
+    std::fs::read(path).map_err(|source| LoadError::Io {
+        path: path.to_path_buf(),
+        source,
+    })
 }
 
 /// Contiguous slice of a (probe, …)-sorted log belonging to one probe.
@@ -477,7 +492,11 @@ mod tests {
         assert!(!ok.all_lost());
         let lost = KrootPingRecord { success: 0, ..ok };
         assert!(lost.all_lost());
-        let empty = KrootPingRecord { sent: 0, success: 0, ..ok };
+        let empty = KrootPingRecord {
+            sent: 0,
+            success: 0,
+            ..ok
+        };
         assert!(!empty.all_lost(), "no pings attempted is not loss");
     }
 
@@ -498,8 +517,14 @@ mod tests {
         ds.connections.push(entry(2, 100, 200, "10.0.0.2"));
         ds.connections.push(entry(1, 300, 400, "10.0.0.1"));
         ds.connections.push(entry(1, 0, 90, "10.0.0.1"));
-        ds.meta.push(ProbeMeta { probe: ProbeId(2), ..ProbeMeta::default() });
-        ds.meta.push(ProbeMeta { probe: ProbeId(1), ..ProbeMeta::default() });
+        ds.meta.push(ProbeMeta {
+            probe: ProbeId(2),
+            ..ProbeMeta::default()
+        });
+        ds.meta.push(ProbeMeta {
+            probe: ProbeId(1),
+            ..ProbeMeta::default()
+        });
         ds.normalize();
         let one = ds.connections_of(ProbeId(1));
         assert_eq!(one.len(), 2);
@@ -569,7 +594,10 @@ mod tests {
         // A probe introduced twice.
         ds.meta.push(ProbeMeta::default());
         ds.normalize();
-        assert!(ds.validate().iter().any(|p| p.contains("duplicate metadata")));
+        assert!(ds
+            .validate()
+            .iter()
+            .any(|p| p.contains("duplicate metadata")));
     }
 
     #[test]

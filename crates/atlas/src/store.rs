@@ -53,15 +53,19 @@ trait Column: Sized {
 /// An integer column value that must fit the field's type.
 fn in_range<T: TryFrom<i64>>(v: i64) -> Result<T, DecodeError> {
     T::try_from(v).map_err(|_| {
-        DecodeError::new(format!("{v} out of range for {}", std::any::type_name::<T>()))
+        DecodeError::new(format!(
+            "{v} out of range for {}",
+            std::any::type_name::<T>()
+        ))
     })
 }
 
 /// An enum code column value, decoded through the type's `from_code`.
 fn known_code<T>(v: i64, from_code: fn(u8) -> Option<T>) -> Result<T, DecodeError> {
-    u8::try_from(v).ok().and_then(from_code).ok_or_else(|| {
-        DecodeError::new(format!("unknown {} code {v}", std::any::type_name::<T>()))
-    })
+    u8::try_from(v)
+        .ok()
+        .and_then(from_code)
+        .ok_or_else(|| DecodeError::new(format!("unknown {} code {v}", std::any::type_name::<T>())))
 }
 
 /// Implements [`Column`] for integer columns: `|v| to` gives the stored
@@ -338,13 +342,21 @@ pub fn dataset_from_bytes(
     mode: ReadMode,
 ) -> Result<(AtlasDataset, RecoveryReport), StoreError> {
     let (reader, notes) = open(bytes, mode)?;
-    let mut report = RecoveryReport { notes, dropped: Vec::new() };
+    let mut report = RecoveryReport {
+        notes,
+        dropped: Vec::new(),
+    };
     let meta = decode_ordered::<ProbeMeta>(&reader, mode, &mut report)?;
     let connections = decode_ordered::<ConnectionLogEntry>(&reader, mode, &mut report)?;
     let kroot = decode_ordered::<KrootPingRecord>(&reader, mode, &mut report)?;
     let uptime = decode_ordered::<SosUptimeRecord>(&reader, mode, &mut report)?;
-    let mut ds =
-        AtlasDataset { meta, connections, kroot, uptime, index: ProbeIndex::default() };
+    let mut ds = AtlasDataset {
+        meta,
+        connections,
+        kroot,
+        uptime,
+        index: ProbeIndex::default(),
+    };
     ds.normalize();
     Ok((ds, report))
 }
@@ -376,7 +388,11 @@ pub fn check_probe_order<R: ColumnarRecord>(
     for row in rows {
         let key = row.key();
         if let Some(prev) = prev.filter(|&p| key < p || (one_per_probe && key == p)) {
-            return Err(StoreError::OutOfOrder { table: R::TABLE_NAME.to_string(), key, prev });
+            return Err(StoreError::OutOfOrder {
+                table: R::TABLE_NAME.to_string(),
+                key,
+                prev,
+            });
         }
         prev = Some(key);
     }
@@ -390,8 +406,11 @@ pub fn truth_to_bytes(truth: &GroundTruth) -> Vec<u8> {
         .iter()
         .map(|&(probe, time)| FirmwareReboot { probe, time })
         .collect();
-    let dates: Vec<FirmwareDate> =
-        truth.firmware_dates.iter().map(|&time| FirmwareDate { time }).collect();
+    let dates: Vec<FirmwareDate> = truth
+        .firmware_dates
+        .iter()
+        .map(|&time| FirmwareDate { time })
+        .collect();
     let policies: Vec<PolicyRow> = truth
         .isp_policies
         .iter()
@@ -429,7 +448,10 @@ pub fn truth_from_bytes(
     mode: ReadMode,
 ) -> Result<(GroundTruth, RecoveryReport), StoreError> {
     let (reader, notes) = open(bytes, mode)?;
-    let mut report = RecoveryReport { notes, dropped: Vec::new() };
+    let mut report = RecoveryReport {
+        notes,
+        dropped: Vec::new(),
+    };
     let (changes, d) = reader.decode_table::<TruthChange>(mode)?;
     report.dropped.extend(d);
     let (outages, d) = reader.decode_table::<TruthOutage>(mode)?;
@@ -597,8 +619,7 @@ mod tests {
     #[test]
     fn empty_objects_roundtrip() {
         let ds = AtlasDataset::default();
-        let (back, _) =
-            dataset_from_bytes(&dataset_to_bytes(&ds), ReadMode::Strict).unwrap();
+        let (back, _) = dataset_from_bytes(&dataset_to_bytes(&ds), ReadMode::Strict).unwrap();
         assert_eq!(ds, back);
         let truth = GroundTruth::default();
         let (back, _) = truth_from_bytes(&truth_to_bytes(&truth), ReadMode::Strict).unwrap();
@@ -609,7 +630,10 @@ mod tests {
     #[test]
     fn float_weights_roundtrip_bit_exactly() {
         let mut truth = GroundTruth::default();
-        for (i, w) in [0.1f64, 2.0 / 3.0, f64::MIN_POSITIVE, 1e300].into_iter().enumerate() {
+        for (i, w) in [0.1f64, 2.0 / 3.0, f64::MIN_POSITIVE, 1e300]
+            .into_iter()
+            .enumerate()
+        {
             truth.isp_policies.insert(
                 i as u32,
                 IspPolicyTruth {

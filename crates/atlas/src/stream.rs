@@ -14,9 +14,7 @@
 //! batch is born normalized (the constructor's `normalize()` call only
 //! rebuilds the per-probe range index).
 
-use crate::logs::{
-    AtlasDataset, ConnectionLogEntry, KrootPingRecord, ProbeMeta, SosUptimeRecord,
-};
+use crate::logs::{AtlasDataset, ConnectionLogEntry, KrootPingRecord, ProbeMeta, SosUptimeRecord};
 use crate::store::check_probe_order;
 use dynaddr_store::{ColumnarRecord, SegmentFileReader, SegmentInfo, StoreError};
 use std::path::Path;
@@ -48,7 +46,12 @@ impl<R: ColumnarRecord> TableCursor<R> {
             .copied()
             .enumerate()
             .collect();
-        TableCursor { segs, next: 0, buf: Vec::new(), last: None }
+        TableCursor {
+            segs,
+            next: 0,
+            buf: Vec::new(),
+            last: None,
+        }
     }
 
     fn exhausted(&self) -> bool {
@@ -64,7 +67,9 @@ impl<R: ColumnarRecord> TableCursor<R> {
         let mut out = Vec::new();
         while out.len() < n {
             if self.buf.is_empty() {
-                let Some(&(idx, info)) = self.segs.get(self.next) else { break };
+                let Some(&(idx, info)) = self.segs.get(self.next) else {
+                    break;
+                };
                 self.buf = reader.read_segment::<R>(idx, info)?;
                 self.next += 1;
             }
@@ -86,7 +91,9 @@ impl<R: ColumnarRecord> TableCursor<R> {
         let mut out = Vec::new();
         loop {
             if self.buf.is_empty() {
-                let Some(&(idx, info)) = self.segs.get(self.next) else { break };
+                let Some(&(idx, info)) = self.segs.get(self.next) else {
+                    break;
+                };
                 if info.key_lo > hi {
                     break;
                 }
@@ -123,7 +130,10 @@ impl DatasetStream {
 
     /// [`DatasetStream::open`] with an explicit batch size (clamped to at
     /// least 1 probe).
-    pub fn with_batch_probes(path: &Path, batch_probes: usize) -> Result<DatasetStream, StoreError> {
+    pub fn with_batch_probes(
+        path: &Path,
+        batch_probes: usize,
+    ) -> Result<DatasetStream, StoreError> {
         let reader = SegmentFileReader::open(path)?;
         Ok(DatasetStream {
             meta: TableCursor::new(&reader),
@@ -144,10 +154,14 @@ impl DatasetStream {
     /// Rows of the three log tables the file's index records, available
     /// before any batch is decoded.
     pub fn total_log_rows(&self) -> u64 {
-        [ConnectionLogEntry::TABLE_ID, KrootPingRecord::TABLE_ID, SosUptimeRecord::TABLE_ID]
-            .into_iter()
-            .map(|table| self.reader.table_rows(table))
-            .sum()
+        [
+            ConnectionLogEntry::TABLE_ID,
+            KrootPingRecord::TABLE_ID,
+            SosUptimeRecord::TABLE_ID,
+        ]
+        .into_iter()
+        .map(|table| self.reader.table_rows(table))
+        .sum()
     }
 
     /// Decodes and returns the next batch of whole probes, `None` once
@@ -165,7 +179,10 @@ impl DatasetStream {
         let hi = if self.meta.exhausted() {
             u32::MAX
         } else {
-            meta.last().expect("cursor not exhausted, batch_probes >= 1").probe.0
+            meta.last()
+                .expect("cursor not exhausted, batch_probes >= 1")
+                .probe
+                .0
         };
         let connections = self.connections.take_through(&mut self.reader, hi)?;
         let kroot = self.kroot.take_through(&mut self.reader, hi)?;
@@ -173,8 +190,13 @@ impl DatasetStream {
         if meta.is_empty() && connections.is_empty() && kroot.is_empty() && uptime.is_empty() {
             return Ok(None);
         }
-        let mut batch =
-            AtlasDataset { meta, connections, kroot, uptime, ..AtlasDataset::default() };
+        let mut batch = AtlasDataset {
+            meta,
+            connections,
+            kroot,
+            uptime,
+            ..AtlasDataset::default()
+        };
         batch.normalize();
         Ok(Some(batch))
     }
@@ -301,7 +323,11 @@ mod tests {
         let second = stream.next_batch().unwrap().expect("probe 2");
         assert_eq!(second.meta.len(), 1);
         assert_eq!(second.meta[0].probe, ProbeId(2));
-        assert_eq!(second.connections.len(), 6, "rows split across segments reassemble");
+        assert_eq!(
+            second.connections.len(),
+            6,
+            "rows split across segments reassemble"
+        );
         assert!(second.connections.iter().all(|e| e.probe == ProbeId(2)));
 
         assert!(stream.next_batch().unwrap().is_none());
@@ -333,7 +359,9 @@ mod tests {
                 }
                 last_hi = Some(batch.meta.last().unwrap().probe.0);
                 rebuilt.meta.extend(batch.meta.iter().cloned());
-                rebuilt.connections.extend(batch.connections.iter().cloned());
+                rebuilt
+                    .connections
+                    .extend(batch.connections.iter().cloned());
                 rebuilt.kroot.extend(batch.kroot.iter().cloned());
                 rebuilt.uptime.extend(batch.uptime.iter().cloned());
             }

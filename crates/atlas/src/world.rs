@@ -70,7 +70,11 @@ fn dhcp_rotating(lease_hours: i64, churn_per_hour: f64, rotation_days: i64) -> A
 }
 
 fn share(weight: f64, access: AccessConfig) -> AccessShare {
-    AccessShare { weight, access, schedule: None }
+    AccessShare {
+        weight,
+        access,
+        schedule: None,
+    }
 }
 
 fn share_scheduled(weight: f64, window: (u32, u32), skip: f64) -> AccessShare {
@@ -262,7 +266,10 @@ pub fn paper_world(scale: f64, seed: u64) -> WorldConfig {
     let mut hrvatski = IspSpec::new("Hrvatski", 5391, "HR", scaled(7, s, 5));
     hrvatski.prefixes = alloc.carve(&[(0, 0, 16), (1, 0, 16)]);
     hrvatski.allocation = AllocationPolicy::SamePrefixBias(0.15);
-    hrvatski.shares = vec![share(0.55, ppp_cap(24, 0.0)), share(0.45, ppp_cap(24, 0.008))];
+    hrvatski.shares = vec![
+        share(0.55, ppp_cap(24, 0.0)),
+        share(0.45, ppp_cap(24, 0.008)),
+    ];
     isps.push(hrvatski);
 
     let mut iskon = IspSpec::new("ISKON", 13046, "HR", scaled(6, s, 5));
@@ -345,19 +352,13 @@ pub fn paper_world(scale: f64, seed: u64) -> WorldConfig {
     let mut sonatel = IspSpec::new("SONATEL-AS", 8346, "SN", scaled(7, s, 5));
     sonatel.prefixes = alloc.carve(&[(0, 0, 16), (1, 0, 16)]);
     sonatel.allocation = AllocationPolicy::RandomAny;
-    sonatel.shares = vec![
-        share(0.40, ppp_cap(24, 0.012)),
-        share(0.60, ppp_uncapped()),
-    ];
+    sonatel.shares = vec![share(0.40, ppp_cap(24, 0.012)), share(0.60, ppp_uncapped())];
     isps.push(sonatel);
 
     let mut nbn = IspSpec::new("Net by Net", 12714, "RU", scaled(7, s, 5));
     nbn.prefixes = alloc.carve(&[(0, 0, 16), (1, 0, 16)]);
     nbn.allocation = AllocationPolicy::RandomAny;
-    nbn.shares = vec![
-        share(0.45, ppp_cap(47, 0.01)),
-        share(0.55, dhcp(8, 0.02)),
-    ];
+    nbn.shares = vec![share(0.45, ppp_cap(47, 0.01)), share(0.55, dhcp(8, 0.02))];
     isps.push(nbn);
 
     // --- Non-periodic ISPs (Tables 6 & 7, Figs. 2/7/8/9) -------------------
@@ -389,8 +390,14 @@ pub fn paper_world(scale: f64, seed: u64) -> WorldConfig {
     // high cross-prefix rates (Table 7: 85% / 88% / 47%).
     let mut ti = IspSpec::new("Telecom Italia", 3269, "IT", scaled(30, s, 8));
     ti.prefixes = alloc.carve(&[
-        (0, 0, 15), (0, 64, 15), (0, 128, 15), (0, 192, 15),
-        (1, 0, 15), (1, 64, 15), (1, 128, 15), (1, 192, 15),
+        (0, 0, 15),
+        (0, 64, 15),
+        (0, 128, 15),
+        (0, 192, 15),
+        (1, 0, 15),
+        (1, 64, 15),
+        (1, 128, 15),
+        (1, 192, 15),
     ]);
     ti.allocation = AllocationPolicy::RandomAny;
     ti.shares = vec![share(1.0, ppp_uncapped())];
@@ -406,7 +413,10 @@ pub fn paper_world(scale: f64, seed: u64) -> WorldConfig {
     let mut sfr = IspSpec::new("SFR", 15557, "FR", scaled(16, s, 6));
     sfr.prefixes = alloc.carve(&[(0, 0, 16), (0, 128, 16)]);
     sfr.allocation = AllocationPolicy::SamePrefixBias(0.4);
-    sfr.shares = vec![share(0.40, ppp_uncapped()), share(0.60, dhcp_rotating(6, 0.01, 60))];
+    sfr.shares = vec![
+        share(0.40, ppp_uncapped()),
+        share(0.60, dhcp_rotating(6, 0.01, 60)),
+    ];
     isps.push(sfr);
 
     let mut ziggo = IspSpec::new("Ziggo", 9143, "NL", scaled(12, s, 5));
@@ -419,7 +429,12 @@ pub fn paper_world(scale: f64, seed: u64) -> WorldConfig {
     // (Table 7: 84% / 89% / 71%).
     let mut virgin = IspSpec::new("Virgin Media", 5089, "GB", scaled(10, s, 5));
     virgin.prefixes = alloc.carve(&[
-        (0, 0, 15), (1, 0, 15), (2, 0, 15), (3, 0, 15), (0, 128, 15), (1, 128, 15),
+        (0, 0, 15),
+        (1, 0, 15),
+        (2, 0, 15),
+        (3, 0, 15),
+        (0, 128, 15),
+        (1, 128, 15),
     ]);
     virgin.allocation = AllocationPolicy::RandomAny;
     virgin.shares = vec![share(1.0, dhcp_rotating(6, 0.05, 75))];
@@ -468,11 +483,22 @@ pub fn paper_world(scale: f64, seed: u64) -> WorldConfig {
         share(0.30, ppp_uncapped()),
         share(0.50, dhcp_rotating(8, 0.025, 60)),
     ];
-    for (i, cc) in ["DE", "FR", "GB", "NL", "SE", "CZ", "PL", "IT", "ES", "CH", "RO", "FI"]
-        .iter()
-        .enumerate()
+    for (i, cc) in [
+        "DE", "FR", "GB", "NL", "SE", "CZ", "PL", "IT", "ES", "CH", "RO", "FI",
+    ]
+    .iter()
+    .enumerate()
     {
-        background(&mut alloc, &mut isps, &mut bg_asn, 42, cc, &format!("bg-eu-{i}"), eu_mix.clone(), s);
+        background(
+            &mut alloc,
+            &mut isps,
+            &mut bg_asn,
+            42,
+            cc,
+            &format!("bg-eu-{i}"),
+            eu_mix.clone(),
+            s,
+        );
     }
 
     // North America: stable DHCP, quiet networks.
@@ -494,8 +520,20 @@ pub fn paper_world(scale: f64, seed: u64) -> WorldConfig {
         share(0.34, ppp_uncapped()),
         share(0.57, dhcp_rotating(8, 0.022, 55)),
     ];
-    for (i, cc) in ["JP", "IN", "SG", "KR", "TR", "ID", "TH", "HK"].iter().enumerate() {
-        background(&mut alloc, &mut isps, &mut bg_asn, 28, cc, &format!("bg-as-{i}"), as_mix.clone(), s);
+    for (i, cc) in ["JP", "IN", "SG", "KR", "TR", "ID", "TH", "HK"]
+        .iter()
+        .enumerate()
+    {
+        background(
+            &mut alloc,
+            &mut isps,
+            &mut bg_asn,
+            28,
+            cc,
+            &format!("bg-as-{i}"),
+            as_mix.clone(),
+            s,
+        );
     }
 
     // Africa: a pronounced 24-hour mode (total time fraction ≈ 0.16).
@@ -506,20 +544,80 @@ pub fn paper_world(scale: f64, seed: u64) -> WorldConfig {
         share(0.48, dhcp_rotating(8, 0.025, 50)),
     ];
     for (i, cc) in ["ZA", "EG", "KE", "NG", "MA"].iter().enumerate() {
-        background(&mut alloc, &mut isps, &mut bg_asn, 20, cc, &format!("bg-af-{i}"), af_mix.clone(), s);
+        background(
+            &mut alloc,
+            &mut isps,
+            &mut bg_asn,
+            20,
+            cc,
+            &format!("bg-af-{i}"),
+            af_mix.clone(),
+            s,
+        );
     }
 
     // South America: the multi-mode continent — 12 h, 28 h, 48 h, 192 h.
     let sa_mixes: Vec<(&str, Vec<AccessShare>)> = vec![
-        ("UY", vec![share(0.22, ppp_cap(12, 0.0)), share(0.10, ppp_cap(12, 0.008)), share(0.68, dhcp_rotating(8, 0.025, 50))]),
-        ("AR", vec![share(0.16, ppp_cap(28, 0.0)), share(0.10, ppp_cap(28, 0.009)), share(0.74, ppp_uncapped())]),
-        ("BR", vec![share(0.22, ppp_cap(48, 0.0)), share(0.10, ppp_cap(48, 0.009)), share(0.68, dhcp_rotating(8, 0.025, 50))]),
-        ("CL", vec![share(0.18, ppp_cap(192, 0.0)), share(0.06, ppp_cap(192, 0.007)), share(0.76, dhcp_rotating(8, 0.025, 50))]),
-        ("CO", vec![share(0.14, ppp_cap(12, 0.0)), share(0.08, ppp_cap(12, 0.009)), share(0.78, ppp_uncapped())]),
-        ("BR", vec![share(0.16, ppp_cap(48, 0.0)), share(0.10, ppp_cap(48, 0.01)), share(0.74, ppp_uncapped())]),
+        (
+            "UY",
+            vec![
+                share(0.22, ppp_cap(12, 0.0)),
+                share(0.10, ppp_cap(12, 0.008)),
+                share(0.68, dhcp_rotating(8, 0.025, 50)),
+            ],
+        ),
+        (
+            "AR",
+            vec![
+                share(0.16, ppp_cap(28, 0.0)),
+                share(0.10, ppp_cap(28, 0.009)),
+                share(0.74, ppp_uncapped()),
+            ],
+        ),
+        (
+            "BR",
+            vec![
+                share(0.22, ppp_cap(48, 0.0)),
+                share(0.10, ppp_cap(48, 0.009)),
+                share(0.68, dhcp_rotating(8, 0.025, 50)),
+            ],
+        ),
+        (
+            "CL",
+            vec![
+                share(0.18, ppp_cap(192, 0.0)),
+                share(0.06, ppp_cap(192, 0.007)),
+                share(0.76, dhcp_rotating(8, 0.025, 50)),
+            ],
+        ),
+        (
+            "CO",
+            vec![
+                share(0.14, ppp_cap(12, 0.0)),
+                share(0.08, ppp_cap(12, 0.009)),
+                share(0.78, ppp_uncapped()),
+            ],
+        ),
+        (
+            "BR",
+            vec![
+                share(0.16, ppp_cap(48, 0.0)),
+                share(0.10, ppp_cap(48, 0.01)),
+                share(0.74, ppp_uncapped()),
+            ],
+        ),
     ];
     for (i, (cc, mix)) in sa_mixes.into_iter().enumerate() {
-        background(&mut alloc, &mut isps, &mut bg_asn, 24, cc, &format!("bg-sa-{i}"), mix, s);
+        background(
+            &mut alloc,
+            &mut isps,
+            &mut bg_asn,
+            24,
+            cc,
+            &format!("bg-sa-{i}"),
+            mix,
+            s,
+        );
     }
 
     // Oceania: stable, no modes.
@@ -552,7 +650,11 @@ pub fn paper_world(scale: f64, seed: u64) -> WorldConfig {
     // ("we found only one instance", §8).
     let admin_asn = Asn(64_600);
     let admin_prefixes = alloc.carve(&[(0, 0, 16), (0, 128, 16)]);
-    w.admin_renumber = Some((admin_asn, SimTime::from_date(9, 15, 2, 0, 0), admin_prefixes));
+    w.admin_renumber = Some((
+        admin_asn,
+        SimTime::from_date(9, 15, 2, 0, 0),
+        admin_prefixes,
+    ));
 
     w
 }
@@ -644,7 +746,11 @@ mod tests {
         let small = paper_world(0.05, 1);
         let large = paper_world(0.5, 1);
         assert!(large.total_probes() > 3 * small.total_probes());
-        assert_eq!(small.isps.len(), large.isps.len(), "ISP roster is scale-free");
+        assert_eq!(
+            small.isps.len(),
+            large.isps.len(),
+            "ISP roster is scale-free"
+        );
     }
 
     #[test]
@@ -660,9 +766,10 @@ mod tests {
     #[test]
     fn table5_asns_present() {
         let w = paper_world(0.1, 1);
-        for asn in [3215u32, 3320, 6805, 13184, 8997, 2856, 5432, 8447, 3209, 5391, 13046,
-            6057, 18881, 23889, 9198, 5617, 31012, 20845, 12322, 8346, 12714]
-        {
+        for asn in [
+            3215u32, 3320, 6805, 13184, 8997, 2856, 5432, 8447, 3209, 5391, 13046, 6057, 18881,
+            23889, 9198, 5617, 31012, 20845, 12322, 8346, 12714,
+        ] {
             assert!(
                 w.isps.iter().any(|i| i.asn == Asn(asn)),
                 "AS{asn} missing from the world"

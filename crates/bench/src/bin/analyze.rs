@@ -81,8 +81,11 @@ fn main() {
         info!("wrote {}", path.display());
     }
     if let Some(path) = json_file {
-        std::fs::write(&path, serde_json::to_string_pretty(&report).expect("serializes"))
-            .expect("write json");
+        std::fs::write(
+            &path,
+            serde_json::to_string_pretty(&report).expect("serializes"),
+        )
+        .expect("write json");
         info!("wrote {}", path.display());
     }
     dynaddr_bench::emit_exec_stats_event();

@@ -73,7 +73,10 @@ struct Snapshot {
 /// fresh process so `peak_rss_bytes` reflects this tier alone.
 fn run_tier_child(name: &str, seed: u64) -> ! {
     let scale = tier_scale(name).unwrap_or_else(|| {
-        error!("unknown tier {name:?} (want one of {})", TIER_NAMES.join(", "));
+        error!(
+            "unknown tier {name:?} (want one of {})",
+            TIER_NAMES.join(", ")
+        );
         std::process::exit(2);
     });
     let world = paper_world(scale, seed);
@@ -105,10 +108,17 @@ fn run_tier_child(name: &str, seed: u64) -> ! {
         probes,
         simulate_s,
         analyze_s,
-        probes_per_sec: if total > 0.0 { probes as f64 / total } else { 0.0 },
+        probes_per_sec: if total > 0.0 {
+            probes as f64 / total
+        } else {
+            0.0
+        },
         peak_rss_bytes: peak_rss_bytes(),
     };
-    println!("{}", serde_json::to_string(&result).expect("tier result serializes"));
+    println!(
+        "{}",
+        serde_json::to_string(&result).expect("tier result serializes")
+    );
     std::process::exit(0);
 }
 
@@ -172,7 +182,10 @@ fn main() {
             .output()
             .expect("spawn tier child");
         if !child.status.success() {
-            error!("tier {name} failed:\n{}", String::from_utf8_lossy(&child.stderr));
+            error!(
+                "tier {name} failed:\n{}",
+                String::from_utf8_lossy(&child.stderr)
+            );
             continue;
         }
         let stdout = String::from_utf8_lossy(&child.stdout);
@@ -187,7 +200,10 @@ fn main() {
         tiers.push(res);
     }
 
-    let snap = Snapshot { trace_overhead_pct: trace_overhead.pct, tiers };
+    let snap = Snapshot {
+        trace_overhead_pct: trace_overhead.pct,
+        tiers,
+    };
     let json = serde_json::to_string_pretty(&snap).expect("snapshot serializes");
     std::fs::write(&out, format!("{json}\n")).expect("write snapshot");
     println!("{json}");
@@ -231,8 +247,10 @@ fn measure_trace_overhead(seed: u64) -> TraceOverhead {
     let sim_out = simulate(&world);
     let snaps = paper_route_tables(&world);
     let cfg = AnalysisConfig::default();
-    let scratch = std::env::temp_dir()
-        .join(format!("dynaddr-perfsnap-overhead-{}.jsonl", std::process::id()));
+    let scratch = std::env::temp_dir().join(format!(
+        "dynaddr-perfsnap-overhead-{}.jsonl",
+        std::process::id()
+    ));
     let timed_analyze = || {
         let t = Instant::now();
         std::hint::black_box(analyze(&sim_out.dataset, &snaps, &cfg));
@@ -254,5 +272,12 @@ fn measure_trace_overhead(seed: u64) -> TraceOverhead {
     let _ = std::fs::remove_file(&scratch);
     let base_ms = median(&untraced).expect("at least one pair");
     let delta_ms = median(&extra).expect("at least one pair");
-    TraceOverhead { pct: if base_ms > 0.0 { delta_ms / base_ms * 100.0 } else { 0.0 }, delta_ms }
+    TraceOverhead {
+        pct: if base_ms > 0.0 {
+            delta_ms / base_ms * 100.0
+        } else {
+            0.0
+        },
+        delta_ms,
+    }
 }

@@ -21,8 +21,25 @@ const USAGE: &str =
 
 /// Every experiment `render` knows, in the order `all` prints them.
 const EXPERIMENTS: [&str; 20] = [
-    "table1", "table2", "fig1", "fig2", "fig3", "table5", "fig4", "fig5", "fig6", "fig7", "fig8",
-    "table6", "fig9", "table7", "admin", "churn", "truth", "ablation-ttf", "ablation-firmware",
+    "table1",
+    "table2",
+    "fig1",
+    "fig2",
+    "fig3",
+    "table5",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "table6",
+    "fig9",
+    "table7",
+    "admin",
+    "churn",
+    "truth",
+    "ablation-ttf",
+    "ablation-firmware",
     "ablation-assoc",
 ];
 
@@ -48,8 +65,14 @@ fn main() {
             other => which.push(other.to_string()),
         }
     }
-    if let Some(bad) = which.iter().find(|w| *w != "all" && !EXPERIMENTS.contains(&w.as_str())) {
-        error!("unknown experiment {bad:?} (want all or one of {})", EXPERIMENTS.join(", "));
+    if let Some(bad) = which
+        .iter()
+        .find(|w| *w != "all" && !EXPERIMENTS.contains(&w.as_str()))
+    {
+        error!(
+            "unknown experiment {bad:?} (want all or one of {})",
+            EXPERIMENTS.join(", ")
+        );
         eprintln!("{USAGE}");
         std::process::exit(2);
     }
@@ -89,17 +112,37 @@ fn render(which: &str, repro: &Repro) -> String {
     match which {
         "table1" => render_table1(repro),
         "table2" => report::render_table2(r),
-        "fig1" => report::render_ttf_panel("Fig 1: total time fraction by continent", &r.fig1_continents),
-        "fig2" => report::render_ttf_panel("Fig 2: top ASes by probes with durations", &r.fig2_top_ases),
+        "fig1" => report::render_ttf_panel(
+            "Fig 1: total time fraction by continent",
+            &r.fig1_continents,
+        ),
+        "fig2" => {
+            report::render_ttf_panel("Fig 2: top ASes by probes with durations", &r.fig2_top_ases)
+        }
         "fig3" => report::render_ttf_panel("Fig 3: German ASes", &r.fig3_country),
         "table5" => report::render_table5(r),
-        "fig4" => r.hourly.first().map(report::render_hourly).unwrap_or_default(),
-        "fig5" => r.hourly.get(1).map(report::render_hourly).unwrap_or_default(),
+        "fig4" => r
+            .hourly
+            .first()
+            .map(report::render_hourly)
+            .unwrap_or_default(),
+        "fig5" => r
+            .hourly
+            .get(1)
+            .map(report::render_hourly)
+            .unwrap_or_default(),
         "fig6" => report::render_firmware(&r.firmware),
         "fig7" => report::render_condprob("Fig 7: P(ac|network outage) per probe", &r.fig7_network),
-        "fig8" => report::render_condprob("Fig 8: P(ac|power outage) per probe (v3)", &r.fig8_power),
+        "fig8" => {
+            report::render_condprob("Fig 8: P(ac|power outage) per probe (v3)", &r.fig8_power)
+        }
         "table6" => report::render_table6(r),
-        "fig9" => r.fig9.iter().map(report::render_fig9).collect::<Vec<_>>().join("\n"),
+        "fig9" => r
+            .fig9
+            .iter()
+            .map(report::render_fig9)
+            .collect::<Vec<_>>()
+            .join("\n"),
         "table7" => report::render_table7(r, names),
         "truth" => render_truth(repro),
         "admin" => render_admin(repro),
@@ -120,7 +163,13 @@ fn render_table1(repro: &Repro) -> String {
         .truth
         .changes
         .iter()
-        .find(|c| matches!(c.cause, dynaddr_atlas::ChangeCause::PeriodicCap | dynaddr_atlas::ChangeCause::ScheduledReconnect))
+        .find(|c| {
+            matches!(
+                c.cause,
+                dynaddr_atlas::ChangeCause::PeriodicCap
+                    | dynaddr_atlas::ChangeCause::ScheduledReconnect
+            )
+        })
         .map(|c| c.probe);
     let Some(probe) = probe else {
         return "Table 1: no periodic probe found".to_string();
@@ -199,7 +248,11 @@ fn render_ablation_ttf(repro: &Repro) -> String {
     let mut rows = Vec::new();
     for asn in [3320u32, 3215, 6830] {
         let mut durations = Vec::new();
-        for p in filtered.probes.iter().filter(|p| !p.multi_as && p.primary_asn.0 == asn) {
+        for p in filtered
+            .probes
+            .iter()
+            .filter(|p| !p.multi_as && p.primary_asn.0 == asn)
+        {
             durations.extend(p.same_as_durations());
         }
         if durations.is_empty() {
@@ -212,10 +265,14 @@ fn render_ablation_ttf(repro: &Repro) -> String {
             .filter(|d| (d.as_hours() - mode).abs() <= 0.05 * mode)
             .collect();
         let raw_frac = near.len() as f64 / durations.len() as f64;
-        let time_frac =
-            near.iter().map(|d| d.secs()).sum::<i64>() as f64 / total_secs as f64;
+        let time_frac = near.iter().map(|d| d.secs()).sum::<i64>() as f64 / total_secs as f64;
         rows.push(vec![
-            repro.cfg.as_names.get(&asn).cloned().unwrap_or_else(|| format!("AS{asn}")),
+            repro
+                .cfg
+                .as_names
+                .get(&asn)
+                .cloned()
+                .unwrap_or_else(|| format!("AS{asn}")),
             format!("{mode:.0}h"),
             durations.len().to_string(),
             format!("{:.2}", raw_frac),
@@ -325,7 +382,13 @@ fn render_ablation_assoc(repro: &Repro) -> String {
          near (but not in) an outage, or when reconnection delays push the\n\
          change outside the window.\n{}",
         dynaddr_core::report::render_table(
-            &["kind", "outages", "gap-based changes", "naive changes", "disagree"],
+            &[
+                "kind",
+                "outages",
+                "gap-based changes",
+                "naive changes",
+                "disagree"
+            ],
             &rows
         )
     )

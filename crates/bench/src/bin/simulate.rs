@@ -101,7 +101,9 @@ fn main() {
         reader.table_rows(dynaddr_atlas::SosUptimeRecord::TABLE_ID),
     ];
 
-    snaps.save_dir(&out_dir.join("ip2as")).expect("write snapshots");
+    snaps
+        .save_dir(&out_dir.join("ip2as"))
+        .expect("write snapshots");
     std::fs::write(out_dir.join("truth.store"), truth.to_store_bytes()).expect("write truth");
     let names: BTreeMap<u32, String> = truth
         .isp_policies

@@ -34,7 +34,12 @@ pub fn run_repro(scale: f64, seed: u64) -> Repro {
     let snaps = paper_route_tables(&world);
     let cfg = analysis_config_for(scale, &out);
     let report = analyze(&out.dataset, &snaps, &cfg);
-    Repro { out, snaps, cfg, report }
+    Repro {
+        out,
+        snaps,
+        cfg,
+        report,
+    }
 }
 
 /// The analysis configuration matched to a world scale: ISP display names
@@ -134,11 +139,20 @@ pub fn emit_exec_stats_event() {
     dynaddr_obs::emit_event(
         "exec_stats",
         &[
-            ("workers", dynaddr_obs::Value::U64(dynaddr_exec::current_threads() as u64)),
+            (
+                "workers",
+                dynaddr_obs::Value::U64(dynaddr_exec::current_threads() as u64),
+            ),
             ("regions", dynaddr_obs::Value::U64(s.regions)),
-            ("sequential_regions", dynaddr_obs::Value::U64(s.sequential_regions)),
+            (
+                "sequential_regions",
+                dynaddr_obs::Value::U64(s.sequential_regions),
+            ),
             ("tasks", dynaddr_obs::Value::U64(s.tasks)),
-            ("tasks_per_worker", dynaddr_obs::Value::U64s(&s.tasks_per_worker)),
+            (
+                "tasks_per_worker",
+                dynaddr_obs::Value::U64s(&s.tasks_per_worker),
+            ),
             ("queue_wait_ms", dynaddr_obs::Value::F64(s.queue_wait_ms())),
             ("utilization", dynaddr_obs::Value::F64(s.utilization())),
         ],

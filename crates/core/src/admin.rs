@@ -21,7 +21,6 @@ use dynaddr_types::{Prefix, ProbeId, SimDuration, SimTime};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
-
 /// Detector parameters.
 #[derive(Debug, Clone)]
 pub struct AdminConfig {
@@ -103,7 +102,9 @@ pub fn detect_admin_renumbering(
     let mut events = Vec::new();
     for (asn, mut obs) in per_as {
         obs.sort_by_key(|(t, p, _)| (*t, *p));
-        let Some(&first_seen) = earliest.get(&asn) else { continue };
+        let Some(&first_seen) = earliest.get(&asn) else {
+            continue;
+        };
         let warmup_end = first_seen + cfg.warmup;
 
         // First pass: when was each prefix first observed for this AS?
@@ -119,7 +120,11 @@ pub fn detect_admin_renumbering(
         for (t, probe, prefix) in obs {
             let born = first_seen[&prefix];
             if born > warmup_end && t - born <= cfg.window {
-                novel.push(NovelChange { probe, time: t, prefix });
+                novel.push(NovelChange {
+                    probe,
+                    time: t,
+                    prefix,
+                });
             }
         }
 
@@ -179,10 +184,7 @@ impl ChurnAttribution {
 }
 
 /// Attributes each change to administrative events or ordinary churn.
-pub fn attribute_churn(
-    probes: &[AnalyzableProbe],
-    events: &[AdminEvent],
-) -> ChurnAttribution {
+pub fn attribute_churn(probes: &[AnalyzableProbe], events: &[AdminEvent]) -> ChurnAttribution {
     let slack = SimDuration::from_hours(1);
     let mut attribution = ChurnAttribution::default();
     for p in probes {
@@ -226,7 +228,10 @@ mod tests {
 
         let mut ds = AtlasDataset::default();
         for id in 1..=n {
-            ds.meta.push(ProbeMeta { probe: ProbeId(id), ..ProbeMeta::default() });
+            ds.meta.push(ProbeMeta {
+                probe: ProbeId(id),
+                ..ProbeMeta::default()
+            });
             for day in 0..330i64 {
                 // Alternate between the two pool prefixes; after day 200,
                 // optionally use the new prefix.
@@ -271,7 +276,10 @@ mod tests {
         // would look like a migration.
         let (ds, snaps) = world(6, false);
         let probes = crate::filtering::filter_probes(&ds, &snaps).probes;
-        let cfg = AdminConfig { warmup: SimDuration::ZERO, ..AdminConfig::default() };
+        let cfg = AdminConfig {
+            warmup: SimDuration::ZERO,
+            ..AdminConfig::default()
+        };
         let events = detect_admin_renumbering(&probes, &snaps, &cfg);
         assert!(
             !events.is_empty(),
@@ -296,10 +304,16 @@ mod tests {
         let (ds, snaps) = world(8, true);
         let probes = crate::filtering::filter_probes(&ds, &snaps).probes;
         // Demand everyone moves: still passes (all 8 moved).
-        let cfg = AdminConfig { min_fraction: 1.0, ..AdminConfig::default() };
+        let cfg = AdminConfig {
+            min_fraction: 1.0,
+            ..AdminConfig::default()
+        };
         assert_eq!(detect_admin_renumbering(&probes, &snaps, &cfg).len(), 1);
         // Demand more probes than exist: gated.
-        let cfg = AdminConfig { min_probes: 20, ..AdminConfig::default() };
+        let cfg = AdminConfig {
+            min_probes: 20,
+            ..AdminConfig::default()
+        };
         assert!(detect_admin_renumbering(&probes, &snaps, &cfg).is_empty());
     }
 }

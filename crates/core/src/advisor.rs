@@ -163,8 +163,8 @@ pub fn advise(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynaddr_atlas::world::{paper_route_tables, paper_world};
     use dynaddr_atlas::simulate;
+    use dynaddr_atlas::world::{paper_route_tables, paper_world};
 
     #[test]
     fn advisories_capture_the_paper_contrast() {
@@ -181,7 +181,11 @@ mod tests {
 
         let orange = advisories.get(&3215).expect("Orange advisory");
         assert_eq!(orange.periodic_cap_hours, Some(168));
-        assert!(orange.bgp_escape > 0.4, "Orange escapes prefixes: {}", orange.bgp_escape);
+        assert!(
+            orange.bgp_escape > 0.4,
+            "Orange escapes prefixes: {}",
+            orange.bgp_escape
+        );
 
         if let Some(lgi) = advisories.get(&6830) {
             assert_eq!(lgi.periodic_cap_hours, None);

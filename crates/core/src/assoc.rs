@@ -42,11 +42,8 @@ pub struct AssociatedOutage {
 /// Matches an interval against a probe's gaps; returns whether any
 /// overlapping gap changed addresses.
 fn interval_changed(gaps: &[Gap], start: SimTime, end: SimTime) -> bool {
-    gaps.iter().any(|g| {
-        g.address_changed
-            && end + MATCH_SLACK >= g.start
-            && start <= g.end + MATCH_SLACK
-    })
+    gaps.iter()
+        .any(|g| g.address_changed && end + MATCH_SLACK >= g.start && start <= g.end + MATCH_SLACK)
 }
 
 /// Associates a probe's network outages with its gaps.
@@ -101,8 +98,10 @@ impl CondProb {
 
 /// Folds associated outages of one probe and kind into a [`CondProb`].
 pub fn cond_prob(probe: ProbeId, outages: &[AssociatedOutage], kind: OutageKind) -> CondProb {
-    let of_kind: Vec<&AssociatedOutage> =
-        outages.iter().filter(|o| o.kind == kind && o.probe == probe).collect();
+    let of_kind: Vec<&AssociatedOutage> = outages
+        .iter()
+        .filter(|o| o.kind == kind && o.probe == probe)
+        .collect();
     CondProb {
         probe,
         outages: of_kind.len(),
@@ -138,7 +137,10 @@ pub struct DurationBuckets {
 impl DurationBuckets {
     /// Buckets a set of associated outages.
     pub fn build(outages: &[AssociatedOutage]) -> DurationBuckets {
-        let mut b = DurationBuckets { total: [0; 12], renumbered: [0; 12] };
+        let mut b = DurationBuckets {
+            total: [0; 12],
+            renumbered: [0; 12],
+        };
         for o in outages {
             let secs = o.duration.secs().max(0);
             let idx = DURATION_BUCKETS
@@ -156,8 +158,7 @@ impl DurationBuckets {
     /// Percentage renumbered per bucket (`None` for empty buckets).
     pub fn percentages(&self) -> [Option<f64>; 12] {
         std::array::from_fn(|i| {
-            (self.total[i] > 0)
-                .then(|| 100.0 * self.renumbered[i] as f64 / self.total[i] as f64)
+            (self.total[i] > 0).then(|| 100.0 * self.renumbered[i] as f64 / self.total[i] as f64)
         })
     }
 }
@@ -176,7 +177,11 @@ mod tests {
     }
 
     fn nw(start: i64, end: i64) -> NetworkOutage {
-        NetworkOutage { probe: ProbeId(1), start: SimTime(start), end: SimTime(end) }
+        NetworkOutage {
+            probe: ProbeId(1),
+            start: SimTime(start),
+            end: SimTime(end),
+        }
     }
 
     #[test]
@@ -254,10 +259,10 @@ mod tests {
             address_changed: changed,
         };
         let outages = vec![
-            mk(60, true),           // <5m
-            mk(400, false),         // 5-10m
-            mk(2 * 3_600, true),    // 1-3h
-            mk(20 * 86_400, true),  // >1w
+            mk(60, true),          // <5m
+            mk(400, false),        // 5-10m
+            mk(2 * 3_600, true),   // 1-3h
+            mk(20 * 86_400, true), // >1w
         ];
         let b = DurationBuckets::build(&outages);
         assert_eq!(b.total.iter().sum::<usize>(), 4);

@@ -301,7 +301,10 @@ mod tests {
         let complete: Vec<_> = ev.spans.iter().filter(|s| s.complete).collect();
         assert_eq!(complete.len(), 1);
         assert_eq!(complete[0].addr, "10.0.0.2".parse::<Ipv4Addr>().unwrap());
-        assert_eq!(complete[0].duration(), SimDuration::from_secs(20 * H - (10 * H + 60)));
+        assert_eq!(
+            complete[0].duration(),
+            SimDuration::from_secs(20 * H - (10 * H + 60))
+        );
     }
 
     #[test]

@@ -76,7 +76,10 @@ pub fn churn_series(probes: &[AnalyzableProbe], asn: Option<u32>) -> ChurnSeries
             }
         })
         .collect();
-    ChurnSeries { daily_active, daily_churn }
+    ChurnSeries {
+        daily_active,
+        daily_churn,
+    }
 }
 
 /// Per-AS mean daily churn, for ASes with at least `min_probes` probes —
@@ -114,7 +117,10 @@ mod tests {
         let snaps = MonthlySnapshots::uniform(table);
         let mut ds = AtlasDataset::default();
         for id in 1..=n_probes {
-            ds.meta.push(ProbeMeta { probe: ProbeId(id), ..ProbeMeta::default() });
+            ds.meta.push(ProbeMeta {
+                probe: ProbeId(id),
+                ..ProbeMeta::default()
+            });
             for day in 0..60i64 {
                 let addr = if daily_change {
                     format!("10.0.{}.{}", id, (day % 200) + 1)

@@ -208,7 +208,8 @@ impl FilterReport {
     /// order, which every driver keeps at meta (ascending id) order.
     pub(crate) fn push(&mut self, id: u32, class: ProbeClass, probe: Option<AnalyzableProbe>) {
         self.counts.total += 1;
-        self.counts.tally(class, probe.as_ref().is_some_and(|p| p.multi_as), true);
+        self.counts
+            .tally(class, probe.as_ref().is_some_and(|p| p.multi_as), true);
         self.classes.insert(id, class);
         self.probes.extend(probe);
     }
@@ -403,12 +404,16 @@ impl ProbeMachine {
 
     /// Address changes emitted so far.
     pub fn changes_len(&self) -> usize {
-        self.heavy.as_deref().map_or(0, |h| h.extractor.changes().len())
+        self.heavy
+            .as_deref()
+            .map_or(0, |h| h.extractor.changes().len())
     }
 
     /// Inter-connection gaps emitted so far.
     pub fn gaps_len(&self) -> usize {
-        self.heavy.as_deref().map_or(0, |h| h.extractor.gaps().len())
+        self.heavy
+            .as_deref()
+            .map_or(0, |h| h.extractor.gaps().len())
     }
 
     /// Whether a leading testing-address entry was stripped.
@@ -436,7 +441,9 @@ impl ProbeMachine {
         if self.multihomed {
             return (ProbeClass::Multihomed, None);
         }
-        let h = *self.heavy.expect("untagged v4-only probe keeps heavy state");
+        let h = *self
+            .heavy
+            .expect("untagged v4-only probe keeps heavy state");
         if h.entries.is_empty() {
             // Only testing-bench connections: nothing analyzable.
             return (ProbeClass::TestingOnly, None);
@@ -573,7 +580,11 @@ mod tests {
     }
 
     fn run(metas: Vec<ProbeMeta>, conns: Vec<ConnectionLogEntry>) -> FilterReport {
-        let mut ds = AtlasDataset { meta: metas, connections: conns, ..AtlasDataset::default() };
+        let mut ds = AtlasDataset {
+            meta: metas,
+            connections: conns,
+            ..AtlasDataset::default()
+        };
         ds.normalize();
         filter_probes(&ds, &snaps())
     }
@@ -604,7 +615,10 @@ mod tests {
     fn tagged_filtered() {
         let mut m = meta(1);
         m.tags = vec![ProbeTag::Datacentre];
-        let r = run(vec![m], vec![v4(1, 0, H, "10.0.0.1"), v4(1, 2 * H, 3 * H, "10.0.0.2")]);
+        let r = run(
+            vec![m],
+            vec![v4(1, 0, H, "10.0.0.1"), v4(1, 2 * H, 3 * H, "10.0.0.2")],
+        );
         assert_eq!(r.counts.tagged, 1);
     }
 
@@ -612,8 +626,7 @@ mod tests {
     fn alternating_detected_as_multihomed() {
         // A,B,A,C,A,D,A — returns to A three times.
         let seq = [
-            "10.0.0.1", "10.0.0.2", "10.0.0.1", "10.0.0.3", "10.0.0.1", "10.0.0.4",
-            "10.0.0.1",
+            "10.0.0.1", "10.0.0.2", "10.0.0.1", "10.0.0.3", "10.0.0.1", "10.0.0.4", "10.0.0.1",
         ];
         let conns: Vec<_> = seq
             .iter()
@@ -629,8 +642,8 @@ mod tests {
         // A year of daily changes may re-draw old addresses a few times —
         // but different ones each time. Not multihoming.
         let seq = [
-            "10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.1", "10.0.0.4", "10.0.0.2",
-            "10.0.0.5", "10.0.0.3", "10.0.0.6",
+            "10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.1", "10.0.0.4", "10.0.0.2", "10.0.0.5",
+            "10.0.0.3", "10.0.0.6",
         ];
         let conns: Vec<_> = seq
             .iter()
@@ -675,7 +688,10 @@ mod tests {
             ],
         );
         assert_eq!(r.counts.testing_only, 1);
-        assert_eq!(r.counts.never_changed, 0, "testing probes are their own bucket");
+        assert_eq!(
+            r.counts.never_changed, 0,
+            "testing probes are their own bucket"
+        );
     }
 
     #[test]
@@ -709,7 +725,11 @@ mod tests {
         assert_eq!(r.counts.analyzable_as, 0);
         let p = &r.probes[0];
         assert!(p.multi_as);
-        assert_eq!(p.same_as_changes(), vec![1], "only the within-AS change survives");
+        assert_eq!(
+            p.same_as_changes(),
+            vec![1],
+            "only the within-AS change survives"
+        );
     }
 
     #[test]
@@ -718,7 +738,7 @@ mod tests {
             vec![meta(1)],
             vec![
                 v4(1, 0, H, "10.0.0.1"),
-                v4(1, 2 * H, 10 * H, "10.0.0.2"),  // span bounded by within-AS + cross-AS
+                v4(1, 2 * H, 10 * H, "10.0.0.2"), // span bounded by within-AS + cross-AS
                 v4(1, 11 * H, 20 * H, "20.0.0.1"), // cross-AS span, bounded cross/within
                 v4(1, 21 * H, 30 * H, "20.0.0.2"),
             ],
@@ -774,7 +794,11 @@ mod tests {
         let seq = shape(&run(metas.clone(), conns.clone()));
         for threads in [2, 3, 64] {
             dynaddr_exec::set_threads(Some(threads));
-            assert_eq!(shape(&run(metas.clone(), conns.clone())), seq, "threads={threads}");
+            assert_eq!(
+                shape(&run(metas.clone(), conns.clone())),
+                seq,
+                "threads={threads}"
+            );
         }
         dynaddr_exec::set_threads(None);
     }
@@ -800,8 +824,13 @@ mod tests {
         let c = &r.counts;
         assert_eq!(c.total, 4);
         assert_eq!(
-            c.never_changed + c.dual_stack + c.ipv6_only + c.tagged + c.multihomed
-                + c.testing_only + c.analyzable_geo,
+            c.never_changed
+                + c.dual_stack
+                + c.ipv6_only
+                + c.tagged
+                + c.multihomed
+                + c.testing_only
+                + c.analyzable_geo,
             c.total
         );
         assert_eq!(c.analyzable_as + c.multi_as, c.analyzable_geo);

@@ -62,7 +62,11 @@ pub fn reboot_series(reboots: &[Reboot]) -> RebootSeries {
             _ => {}
         }
     }
-    RebootSeries { daily_unique_probes, median, update_days }
+    RebootSeries {
+        daily_unique_probes,
+        median,
+        update_days,
+    }
 }
 
 /// Removes, for each probe, its first reboot at or after each update day
@@ -156,10 +160,8 @@ mod tests {
         let spike_after = stripped.iter().filter(|r| r.probe.0 < 40).count();
         assert_eq!(spike_before - spike_after, 40);
         // Background probes outside the window keep everything.
-        let background_before =
-            reboots.iter().filter(|r| r.probe.0 >= 1_000).count();
-        let background_after =
-            stripped.iter().filter(|r| r.probe.0 >= 1_000).count();
+        let background_before = reboots.iter().filter(|r| r.probe.0 >= 1_000).count();
+        let background_after = stripped.iter().filter(|r| r.probe.0 >= 1_000).count();
         // Background probes that happened to reboot on day 100/101 also get
         // one stripped — that is the paper's behaviour too (it cannot tell
         // which reboot was firmware-caused).

@@ -38,7 +38,9 @@ pub fn continent_distributions(probes: &[AnalyzableProbe]) -> Vec<(Continent, Tt
         BTreeMap::new,
         |mut map: BTreeMap<Continent, TtfDistribution>, p: &AnalyzableProbe| {
             if let Some(continent) = p.meta.country.continent() {
-                map.entry(continent).or_default().extend(p.same_as_durations());
+                map.entry(continent)
+                    .or_default()
+                    .extend(p.same_as_durations());
             }
             map
         },
@@ -69,7 +71,9 @@ pub fn country_as_distributions(
         BTreeMap::new,
         |mut map: BTreeMap<u32, TtfDistribution>, p: &AnalyzableProbe| {
             if !p.multi_as && p.meta.country.code() == country_code {
-                map.entry(p.primary_asn.0).or_default().extend(p.same_as_durations());
+                map.entry(p.primary_asn.0)
+                    .or_default()
+                    .extend(p.same_as_durations());
             }
             map
         },
@@ -90,10 +94,7 @@ pub fn country_as_distributions(
 
 /// Total-time-fraction curve for a chosen set of ASes — Fig. 2
 /// (the five ASes hosting the most probes that yielded durations).
-pub fn as_distributions(
-    probes: &[AnalyzableProbe],
-    top_n: usize,
-) -> Vec<(Asn, TtfCurve, usize)> {
+pub fn as_distributions(probes: &[AnalyzableProbe], top_n: usize) -> Vec<(Asn, TtfCurve, usize)> {
     let (mut durations, probe_counts) = dynaddr_exec::par_fold(
         probes.iter().collect(),
         || (BTreeMap::new(), BTreeMap::new()),
@@ -149,10 +150,16 @@ mod tests {
         let snaps = MonthlySnapshots::uniform(table);
 
         let mut ds = AtlasDataset::default();
-        let mut meta_de = ProbeMeta { probe: ProbeId(1), ..ProbeMeta::default() };
+        let mut meta_de = ProbeMeta {
+            probe: ProbeId(1),
+            ..ProbeMeta::default()
+        };
         meta_de.country = Country::new("DE").unwrap();
         ds.meta.push(meta_de);
-        let mut meta_us = ProbeMeta { probe: ProbeId(2), ..ProbeMeta::default() };
+        let mut meta_us = ProbeMeta {
+            probe: ProbeId(2),
+            ..ProbeMeta::default()
+        };
         meta_us.country = Country::new("US").unwrap();
         ds.meta.push(meta_us);
         for k in 0..50i64 {
@@ -184,7 +191,10 @@ mod tests {
         let eu = &by_cont[&Continent::EU];
         assert!(eu.fraction_at_mode(24.0, 0.05) > 0.9, "EU is all 24 h");
         let na = &by_cont[&Continent::NA];
-        assert!(na.fraction_le_hours(24.0 * 40.0) < 0.1, "NA durations are ~49 d");
+        assert!(
+            na.fraction_le_hours(24.0 * 40.0) < 0.1,
+            "NA durations are ~49 d"
+        );
     }
 
     #[test]
@@ -211,7 +221,11 @@ mod tests {
         let top = as_distributions(&probes, 5);
         for threads in [2, 3, 64] {
             dynaddr_exec::set_threads(Some(threads));
-            assert_eq!(continent_distributions(&probes), continents, "threads={threads}");
+            assert_eq!(
+                continent_distributions(&probes),
+                continents,
+                "threads={threads}"
+            );
             assert_eq!(
                 country_as_distributions(&probes, "DE", 0.0),
                 by_country,

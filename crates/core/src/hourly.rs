@@ -65,7 +65,10 @@ mod tests {
         table.announce("10.0.0.0/16".parse().unwrap(), Asn(100));
         let snaps = MonthlySnapshots::uniform(table);
         let mut ds = AtlasDataset::default();
-        ds.meta.push(ProbeMeta { probe: ProbeId(id), ..ProbeMeta::default() });
+        ds.meta.push(ProbeMeta {
+            probe: ProbeId(id),
+            ..ProbeMeta::default()
+        });
         for k in 0..30i64 {
             ds.connections.push(ConnectionLogEntry {
                 probe: ProbeId(id),

@@ -164,7 +164,12 @@ impl ProbeState {
         to.counts.tally(counted.0, counted.1, true);
         to.counts.total += 1;
         to.stats.meta_rows += 1;
-        ProbeState { machine, outages: OutageMachines::default(), reboot_count: 0, counted }
+        ProbeState {
+            machine,
+            outages: OutageMachines::default(),
+            reboot_count: 0,
+            counted,
+        }
     }
 
     /// Feeds one connection-log entry (per-probe start-time order).
@@ -228,7 +233,11 @@ pub struct IncrementalAnalyzer {
 impl IncrementalAnalyzer {
     /// An empty analyzer over the given IP-to-AS snapshots.
     pub fn new(snapshots: MonthlySnapshots) -> IncrementalAnalyzer {
-        IncrementalAnalyzer { snapshots, probes: BTreeMap::new(), rolling: Rolling::default() }
+        IncrementalAnalyzer {
+            snapshots,
+            probes: BTreeMap::new(),
+            rolling: Rolling::default(),
+        }
     }
 
     /// Introduces a probe. Records for probes without a meta row are
@@ -291,7 +300,10 @@ impl IncrementalAnalyzer {
     /// as they are when one store is replayed probe-major into a fresh
     /// analyzer.
     pub fn install(&mut self, batch: ProbeBatch) {
-        debug_assert!(batch.probes.iter().all(|(id, _)| !self.probes.contains_key(id)));
+        debug_assert!(batch
+            .probes
+            .iter()
+            .all(|(id, _)| !self.probes.contains_key(id)));
         self.rolling.add(&batch.delta);
         self.probes.extend(batch.probes);
     }
@@ -339,9 +351,14 @@ impl IncrementalAnalyzer {
         for ((id, _), (class, probe)) in states.iter().zip(verdicts) {
             report.push(**id, class, probe);
         }
-        let outages =
-            par_map(&report.probes, |p| self.probes[&p.probe().0].outages.clone().finish());
-        SealedProbes { report, outages, snapshots: self.snapshots.clone() }
+        let outages = par_map(&report.probes, |p| {
+            self.probes[&p.probe().0].outages.clone().finish()
+        });
+        SealedProbes {
+            report,
+            outages,
+            snapshots: self.snapshots.clone(),
+        }
     }
 
     /// Seals a snapshot of the live state into the full report. The live
@@ -431,8 +448,10 @@ pub fn build_probes(
         );
         fed
     });
-    let mut batch =
-        ProbeBatch { probes: Vec::with_capacity(built.len()), delta: Rolling::default() };
+    let mut batch = ProbeBatch {
+        probes: Vec::with_capacity(built.len()),
+        delta: Rolling::default(),
+    };
     for (meta, (st, delta)) in fresh.iter().zip(built) {
         batch.delta.add(&delta);
         batch.probes.push((meta.probe.0, st));
@@ -470,7 +489,11 @@ fn span_rows<R>(
         None => 0,
         Some(last) => rows.partition_point(|r| probe(r) <= ds.meta[last].probe),
     };
-    let end = if probes.end == ds.meta.len() { rows.len() } else { cut(probes.end) };
+    let end = if probes.end == ds.meta.len() {
+        rows.len()
+    } else {
+        cut(probes.end)
+    };
     (end - cut(probes.start)) as u64
 }
 
@@ -506,16 +529,24 @@ pub struct ReplayStep {
 /// bracketer is tie-insensitive (a k-root round at the exact boot instant
 /// brackets identically whichever side of the reboot it lands).
 pub fn replay_plan(ds: &AtlasDataset) -> Vec<ReplayStep> {
-    let mut plan =
-        Vec::with_capacity(ds.connections.len() + ds.kroot.len() + ds.uptime.len());
+    let mut plan = Vec::with_capacity(ds.connections.len() + ds.kroot.len() + ds.uptime.len());
     for (i, e) in ds.connections.iter().enumerate() {
-        plan.push(ReplayStep { time: e.start, row: ReplayRow::Connection(i) });
+        plan.push(ReplayStep {
+            time: e.start,
+            row: ReplayRow::Connection(i),
+        });
     }
     for (i, r) in ds.kroot.iter().enumerate() {
-        plan.push(ReplayStep { time: r.timestamp, row: ReplayRow::Kroot(i) });
+        plan.push(ReplayStep {
+            time: r.timestamp,
+            row: ReplayRow::Kroot(i),
+        });
     }
     for (i, r) in ds.uptime.iter().enumerate() {
-        plan.push(ReplayStep { time: r.timestamp, row: ReplayRow::Uptime(i) });
+        plan.push(ReplayStep {
+            time: r.timestamp,
+            row: ReplayRow::Uptime(i),
+        });
     }
     plan.sort_by_key(|s| s.time); // stable
     plan
@@ -536,7 +567,10 @@ mod tests {
         let world = paper_world(0.02, 11);
         let out = dynaddr_atlas::simulate(&world);
         let snaps = paper_route_tables(&world);
-        let mut cfg = AnalysisConfig { fig3_min_years: 0.03, ..AnalysisConfig::default() };
+        let mut cfg = AnalysisConfig {
+            fig3_min_years: 0.03,
+            ..AnalysisConfig::default()
+        };
         for (asn, policy) in &out.truth.isp_policies {
             cfg.as_names.insert(*asn, policy.name.clone());
         }
@@ -551,7 +585,11 @@ mod tests {
             render_full(&batch, &cfg.as_names),
             "replayed seal must render byte-identically to batch analyze"
         );
-        assert_eq!(*live.rolling_counts(), batch.filter, "rolling counts converge");
+        assert_eq!(
+            *live.rolling_counts(),
+            batch.filter,
+            "rolling counts converge"
+        );
         let st = live.stats();
         assert_eq!(st.meta_rows as usize, out.dataset.meta.len());
         assert_eq!(st.connection_rows as usize, out.dataset.connections.len());
@@ -567,7 +605,10 @@ mod tests {
         let world = paper_world(0.01, 3);
         let out = dynaddr_atlas::simulate(&world);
         let snaps = paper_route_tables(&world);
-        let cfg = AnalysisConfig { fig3_min_years: 0.01, ..AnalysisConfig::default() };
+        let cfg = AnalysisConfig {
+            fig3_min_years: 0.01,
+            ..AnalysisConfig::default()
+        };
         let batch = analyze(&out.dataset, &snaps, &cfg);
 
         let mut live = IncrementalAnalyzer::new(snaps);
@@ -606,7 +647,10 @@ mod tests {
         let out = dynaddr_atlas::simulate(&world);
         let ds = &out.dataset;
         let snaps = paper_route_tables(&world);
-        let cfg = AnalysisConfig { fig3_min_years: 0.01, ..AnalysisConfig::default() };
+        let cfg = AnalysisConfig {
+            fig3_min_years: 0.01,
+            ..AnalysisConfig::default()
+        };
         let mut record = IncrementalAnalyzer::new(snaps.clone());
         record.replay(ds);
         let want = render_full(&record.seal(&cfg), &cfg.as_names);
@@ -614,11 +658,19 @@ mod tests {
             let mut live = IncrementalAnalyzer::new(snaps.clone());
             install_in_batches(&mut live, ds, per_batch);
             assert_eq!(live.stats(), record.stats(), "per_batch={per_batch}");
-            assert_eq!(live.rolling_counts(), record.rolling_counts(), "per_batch={per_batch}");
+            assert_eq!(
+                live.rolling_counts(),
+                record.rolling_counts(),
+                "per_batch={per_batch}"
+            );
             for m in &ds.meta {
                 assert_eq!(live.probe_view(m.probe.0), record.probe_view(m.probe.0));
             }
-            assert_eq!(render_full(&live.seal(&cfg), &cfg.as_names), want, "per_batch={per_batch}");
+            assert_eq!(
+                render_full(&live.seal(&cfg), &cfg.as_names),
+                want,
+                "per_batch={per_batch}"
+            );
         }
         let rows = ds.connections.len() + ds.kroot.len() + ds.uptime.len();
         assert_eq!(record.stats().log_rows() as usize, rows);
@@ -641,15 +693,20 @@ mod tests {
             timestamp: SimTime(t),
             uptime_secs: t as u64,
         };
-        let meta =
-            |probe: u32| ProbeMeta { probe: dynaddr_types::ProbeId(probe), ..ProbeMeta::default() };
+        let meta = |probe: u32| ProbeMeta {
+            probe: dynaddr_types::ProbeId(probe),
+            ..ProbeMeta::default()
+        };
         let mut ds = AtlasDataset {
             meta: vec![meta(3), meta(5), meta(8)],
             connections: [1, 3, 3, 4, 5, 6, 6, 8, 9, 12]
                 .iter()
                 .map(|&p| conn(p, 100 * p as i64))
                 .collect(),
-            uptime: [2, 5, 7, 8, 20].iter().map(|&p| uptime(p, 10 * p as i64)).collect(),
+            uptime: [2, 5, 7, 8, 20]
+                .iter()
+                .map(|&p| uptime(p, 10 * p as i64))
+                .collect(),
             ..AtlasDataset::default()
         };
         ds.normalize();
@@ -666,7 +723,10 @@ mod tests {
             assert_eq!(live.stats(), record.stats(), "per_batch={per_batch}");
         }
         // No meta rows at all: one empty range still counts every row.
-        let orphans = AtlasDataset { meta: Vec::new(), ..ds.clone() };
+        let orphans = AtlasDataset {
+            meta: Vec::new(),
+            ..ds.clone()
+        };
         let mut live = IncrementalAnalyzer::new(snaps);
         install_in_batches(&mut live, &orphans, 512);
         assert_eq!(live.stats().unknown_probe_rows, 15);

@@ -260,7 +260,11 @@ impl KrootBracketer {
         // This record is the first at/after every pending boot ≤ it: the
         // right bracket. The left bracket is the newest earlier record.
         if !self.pending.is_empty() {
-            let take = self.pending.iter().take_while(|r| r.boot_time <= ts).count();
+            let take = self
+                .pending
+                .iter()
+                .take_while(|r| r.boot_time <= ts)
+                .count();
             for r in self.pending.drain(..take) {
                 let bracket = self.window.back().map(|&before| (before, ts));
                 self.resolved.push((r, bracket));
@@ -284,7 +288,8 @@ impl KrootBracketer {
             // here means there genuinely was none.
             self.resolved.push((r, None));
         } else {
-            self.resolved.push((r, Some((self.window[idx - 1], self.window[idx]))));
+            self.resolved
+                .push((r, Some((self.window[idx - 1], self.window[idx]))));
         }
     }
 
@@ -354,9 +359,15 @@ impl OutageMachines {
     /// [`in_arrival_order`].
     pub(crate) fn run(kroot: &[KrootPingRecord], uptime: &[SosUptimeRecord]) -> ProbeOutages {
         let mut m = OutageMachines::default();
-        in_arrival_order(kroot, uptime, &mut m, |m, r| m.push_kroot(r), |m, u| {
-            m.push_uptime(u);
-        });
+        in_arrival_order(
+            kroot,
+            uptime,
+            &mut m,
+            |m, r| m.push_kroot(r),
+            |m, u| {
+                m.push_uptime(u);
+            },
+        );
         m.finish()
     }
 
@@ -386,7 +397,10 @@ impl OutageMachines {
 
     /// Closes the open loss run and the pending brackets.
     pub(crate) fn finish(self) -> ProbeOutages {
-        ProbeOutages { brackets: self.bracketer.finish(), network: self.netout.finish() }
+        ProbeOutages {
+            brackets: self.bracketer.finish(),
+            network: self.netout.finish(),
+        }
     }
 }
 
@@ -402,8 +416,9 @@ pub fn classify_bracket(
     if (dark_end - dark_start).secs() < 2 * KROOT_GRID_SECS {
         return None; // no missing rounds: not a power outage
     }
-    let overlaps_network =
-        network.iter().any(|n| n.end >= dark_start && n.start <= dark_end);
+    let overlaps_network = network
+        .iter()
+        .any(|n| n.end >= dark_start && n.start <= dark_end);
     if overlaps_network {
         return None;
     }
@@ -463,7 +478,11 @@ mod tests {
     }
 
     fn sos(ts: i64, uptime: u64) -> SosUptimeRecord {
-        SosUptimeRecord { probe: ProbeId(206), timestamp: SimTime(ts), uptime_secs: uptime }
+        SosUptimeRecord {
+            probe: ProbeId(206),
+            timestamp: SimTime(ts),
+            uptime_secs: uptime,
+        }
     }
 
     #[test]
@@ -490,7 +509,12 @@ mod tests {
     fn loss_without_growing_lts_is_not_an_outage() {
         // Lost pings but the probe kept syncing its clock: k-root itself had
         // trouble, not the probe's network.
-        let records = vec![rec(0, 3, 100), rec(240, 0, 90), rec(480, 0, 85), rec(720, 3, 95)];
+        let records = vec![
+            rec(0, 3, 100),
+            rec(240, 0, 90),
+            rec(480, 0, 85),
+            rec(720, 3, 95),
+        ];
         assert!(detect_network_outages(&records).is_empty());
     }
 
@@ -555,8 +579,7 @@ mod tests {
         assert_eq!(power[0].duration(), SimDuration::from_secs(960));
 
         // Same reboot with a complete ping grid: no power outage.
-        let dense: Vec<KrootPingRecord> =
-            (0..8).map(|i| rec(i * 240, 3, 50 + i)).collect();
+        let dense: Vec<KrootPingRecord> = (0..8).map(|i| rec(i * 240, 3, 50 + i)).collect();
         assert!(detect_power_outages(&[reboot], &dense, &[]).is_empty());
     }
 

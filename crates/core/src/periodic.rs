@@ -60,7 +60,10 @@ pub struct ProbePeriodicity {
 impl ProbePeriodicity {
     /// Whether the probe is periodic under the given threshold.
     pub fn is_periodic(&self, threshold: f64) -> bool {
-        self.dominant.as_ref().map(|c| c.fraction > threshold).unwrap_or(false)
+        self.dominant
+            .as_ref()
+            .map(|c| c.fraction > threshold)
+            .unwrap_or(false)
     }
 
     /// The detected period in hours, when periodic.
@@ -184,7 +187,9 @@ pub fn table5(
         }
     }
     let snap_d = |asn: u32, d: i64| -> i64 {
-        let Some(votes) = d_votes.get(&asn) else { return d };
+        let Some(votes) = d_votes.get(&asn) else {
+            return d;
+        };
         let slack = (d / 50).max(1);
         votes
             .range((d - slack)..=(d + slack))
@@ -194,7 +199,9 @@ pub fn table5(
     };
 
     for (asn, verdict, durations) in &verdicts {
-        let Some(d) = verdict.period_hours(cfg.threshold) else { continue };
+        let Some(d) = verdict.period_hours(cfg.threshold) else {
+            continue;
+        };
         if verdict
             .dominant
             .as_ref()
@@ -204,7 +211,11 @@ pub fn table5(
             continue;
         }
         let d = snap_d(asn.0, d);
-        let f = verdict.dominant.as_ref().expect("periodic implies cluster").fraction;
+        let f = verdict
+            .dominant
+            .as_ref()
+            .expect("periodic implies cluster")
+            .fraction;
         for acc in [
             rows_acc.entry((asn.0, d)).or_default(),
             all_acc.entry(d).or_default(),
@@ -258,7 +269,10 @@ pub fn table5(
                 && acc.fp25 >= cfg.min_periodic
         })
         .map(|((asn, d), acc)| Table5Row {
-            name: names.get(&asn).cloned().unwrap_or_else(|| format!("AS{asn}")),
+            name: names
+                .get(&asn)
+                .cloned()
+                .unwrap_or_else(|| format!("AS{asn}")),
             asn,
             country: String::new(),
             d_hours: d,
@@ -287,8 +301,7 @@ mod tests {
 
     #[test]
     fn classify_periodic_probe() {
-        let ds: Vec<SimDuration> =
-            (0..30).map(|_| h(23.7)).chain([h(3.0), h(9.0)]).collect();
+        let ds: Vec<SimDuration> = (0..30).map(|_| h(23.7)).chain([h(3.0), h(9.0)]).collect();
         let v = classify_probe(&ds, 0.05);
         assert!(v.is_periodic(0.25));
         assert_eq!(v.period_hours(0.25), Some(24));
@@ -332,7 +345,10 @@ mod tests {
         let cfg = PeriodicConfig::default();
         let ds = vec![h(700.0), h(710.0), h(100.0)];
         let v = classify_probe(&ds, cfg.tolerance);
-        assert!(v.is_periodic(cfg.threshold), "raw threshold alone is fooled");
+        assert!(
+            v.is_periodic(cfg.threshold),
+            "raw threshold alone is fooled"
+        );
         assert!(
             v.dominant.as_ref().unwrap().count < cfg.min_cluster_count,
             "the cluster-population guard rejects it"
@@ -355,21 +371,25 @@ mod tests {
         let mut ds = dynaddr_atlas::logs::AtlasDataset::default();
         let hsec = 3_600i64;
         for id in 1..=6u32 {
-            ds.meta.push(ProbeMeta { probe: ProbeId(id), ..ProbeMeta::default() });
+            ds.meta.push(ProbeMeta {
+                probe: ProbeId(id),
+                ..ProbeMeta::default()
+            });
             // 40 connections, address changes daily.
             for k in 0..40i64 {
                 ds.connections.push(ConnectionLogEntry {
                     probe: ProbeId(id),
                     start: SimTime(k * 24 * hsec),
                     end: SimTime(k * 24 * hsec + 23 * hsec + 3_540),
-                    peer: PeerAddr::V4(
-                        format!("10.0.{}.{}", id, k + 1).parse().unwrap(),
-                    ),
+                    peer: PeerAddr::V4(format!("10.0.{}.{}", id, k + 1).parse().unwrap()),
                 });
             }
         }
         for id in 11..=15u32 {
-            ds.meta.push(ProbeMeta { probe: ProbeId(id), ..ProbeMeta::default() });
+            ds.meta.push(ProbeMeta {
+                probe: ProbeId(id),
+                ..ProbeMeta::default()
+            });
             // Stable probes: few, irregular, per-probe-distinct durations so
             // no three probes agree on a period.
             for k in 0..4i64 {
@@ -406,7 +426,10 @@ mod tests {
             "StableNet must not appear periodic: {rows:?}"
         );
         // "All" row at 24 h present and counts the same 6 probes.
-        let all24 = rows.iter().find(|r| r.name == "All" && r.d_hours == 24).unwrap();
+        let all24 = rows
+            .iter()
+            .find(|r| r.name == "All" && r.d_hours == 24)
+            .unwrap();
         assert_eq!(all24.fp25, 6);
         assert_eq!(all24.n, verdicts.len());
     }

@@ -25,16 +25,14 @@
 //! outage machines over its analyzable probes only.
 
 use crate::assoc::{
-    associate_network, associate_power, AssociatedOutage, CondProb, DurationBuckets,
-    OutageKind,
+    associate_network, associate_power, AssociatedOutage, CondProb, DurationBuckets, OutageKind,
 };
 use crate::filtering::{filter_probes, AnalyzableProbe, FilterCounts, FilterReport};
 use crate::firmware::{reboot_series, strip_firmware_reboots, RebootSeries};
 use crate::geo::{as_distributions, continent_distributions, country_as_distributions};
 use crate::hourly::{peak_window_fraction, periodic_change_hours};
 use crate::outages::{
-    classify_bracket, DarkBracket, NetworkOutage, OutageMachines, PowerOutage, ProbeOutages,
-    Reboot,
+    classify_bracket, DarkBracket, NetworkOutage, OutageMachines, PowerOutage, ProbeOutages, Reboot,
 };
 use crate::periodic::{table5, PeriodicConfig, Table5Row};
 use crate::prefixes::{prefix_changes, Table7};
@@ -269,10 +267,7 @@ pub struct OutageAnalysis {
 }
 
 /// Runs outage detection + association over the analyzable probes.
-pub fn outage_analysis(
-    dataset: &AtlasDataset,
-    probes: &[AnalyzableProbe],
-) -> OutageAnalysis {
+pub fn outage_analysis(dataset: &AtlasDataset, probes: &[AnalyzableProbe]) -> OutageAnalysis {
     outage_analysis_opts(dataset, probes, true)
 }
 
@@ -289,7 +284,9 @@ pub fn outage_analysis_opts(
 /// The kernel's second fan-out: the outage machines over each analyzable
 /// probe's k-root and uptime rows in `batch`.
 fn probe_outages(batch: &AtlasDataset, probes: &[AnalyzableProbe]) -> Vec<ProbeOutages> {
-    par_map(probes, |p| OutageMachines::run(batch.kroot_of(p.probe()), batch.uptime_of(p.probe())))
+    par_map(probes, |p| {
+        OutageMachines::run(batch.kroot_of(p.probe()), batch.uptime_of(p.probe()))
+    })
 }
 
 /// Runs the complete pipeline.
@@ -365,15 +362,25 @@ pub(crate) fn finish_outages(
     per_probe: Vec<ProbeOutages>,
     filter_firmware: bool,
 ) -> OutageAnalysis {
-    let all_reboots: Vec<Reboot> =
-        per_probe.iter().flat_map(|o| o.brackets.iter().map(|(r, _)| *r)).collect();
-    let RebootSeries { daily_unique_probes, median, update_days } = reboot_series(&all_reboots);
+    let all_reboots: Vec<Reboot> = per_probe
+        .iter()
+        .flat_map(|o| o.brackets.iter().map(|(r, _)| *r))
+        .collect();
+    let RebootSeries {
+        daily_unique_probes,
+        median,
+        update_days,
+    } = reboot_series(&all_reboots);
     let cleaned = if filter_firmware {
         strip_firmware_reboots(&all_reboots, &update_days)
     } else {
         all_reboots
     };
-    let firmware = FirmwarePanel { daily: daily_unique_probes, median, update_days };
+    let firmware = FirmwarePanel {
+        daily: daily_unique_probes,
+        median,
+        update_days,
+    };
 
     let mut by_probe: BTreeMap<u32, Vec<Reboot>> = BTreeMap::new();
     for r in &cleaned {
@@ -384,13 +391,20 @@ pub(crate) fn finish_outages(
         let mut found = associate_network(&p.events.gaps, &o.network);
         // Power analysis only on hardware with reliable uptime counters.
         if p.meta.version.reliable_uptime() {
-            let reboots = by_probe.get(&p.probe().0).map(|v| v.as_slice()).unwrap_or(&[]);
+            let reboots = by_probe
+                .get(&p.probe().0)
+                .map(|v| v.as_slice())
+                .unwrap_or(&[]);
             let power = power_from_brackets(reboots, &o.brackets, &o.network);
             found.extend(associate_power(&p.events.gaps, &power));
         }
         found
     });
-    OutageAnalysis { outages, reboots: cleaned, firmware }
+    OutageAnalysis {
+        outages,
+        reboots: cleaned,
+        firmware,
+    }
 }
 
 /// The power-outage verdicts for a firmware-cleaned reboot subsequence,
@@ -520,8 +534,16 @@ pub(crate) fn finish_analysis(
         probe_cps.push(ProbeCp {
             asn: p.primary_asn.0,
             changed_once: !p.events.changes.is_empty(),
-            nw: CondProb { probe: id, outages: nw.0, changed: nw.1 },
-            pw: CondProb { probe: id, outages: pw.0, changed: pw.1 },
+            nw: CondProb {
+                probe: id,
+                outages: nw.0,
+                changed: nw.1,
+            },
+            pw: CondProb {
+                probe: id,
+                outages: pw.0,
+                changed: pw.1,
+            },
             v3: p.meta.version.reliable_uptime(),
         });
     }
@@ -543,8 +565,7 @@ pub(crate) fn finish_analysis(
                 per_as.entry(cp.asn).or_default().push(p);
             }
         }
-        let mut order: Vec<(u32, usize)> =
-            per_as.iter().map(|(a, v)| (*a, v.len())).collect();
+        let mut order: Vec<(u32, usize)> = per_as.iter().map(|(a, v)| (*a, v.len())).collect();
         order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         order
             .into_iter()
@@ -552,7 +573,11 @@ pub(crate) fn finish_analysis(
             .map(|(asn, n)| {
                 let mut probs = per_as.remove(&asn).expect("present");
                 probs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                CondProbPanel { label: format!("{} ({n})", name_of(asn)), asn, probs }
+                CondProbPanel {
+                    label: format!("{} ({n})", name_of(asn)),
+                    asn,
+                    probs,
+                }
             })
             .collect()
     };
@@ -584,12 +609,18 @@ pub(crate) fn finish_analysis(
             n,
             pct_nw_gt08: pctf(group.iter().filter(|c| c.nw.p() > 0.8).count(), n),
             pct_nw_eq1: pctf(
-                group.iter().filter(|c| c.nw.changed == c.nw.outages).count(),
+                group
+                    .iter()
+                    .filter(|c| c.nw.changed == c.nw.outages)
+                    .count(),
                 n,
             ),
             pct_pw_gt08: pctf(group.iter().filter(|c| c.pw.p() > 0.8).count(), n),
             pct_pw_eq1: pctf(
-                group.iter().filter(|c| c.pw.changed == c.pw.outages).count(),
+                group
+                    .iter()
+                    .filter(|c| c.pw.changed == c.pw.outages)
+                    .count(),
                 n,
             ),
         }
@@ -619,7 +650,11 @@ pub(crate) fn finish_analysis(
                 .filter(|o| asn_of_probe.get(&o.probe.0) == Some(&asn))
                 .copied()
                 .collect();
-            Fig9Panel { label: name_of(asn), asn, buckets: DurationBuckets::build(&of_as) }
+            Fig9Panel {
+                label: name_of(asn),
+                asn,
+                buckets: DurationBuckets::build(&of_as),
+            }
         })
         .collect();
 
@@ -655,7 +690,10 @@ mod tests {
         let world = paper_world(0.03, 7);
         let out = dynaddr_atlas::simulate(&world);
         let snaps = paper_route_tables(&world);
-        let mut cfg = AnalysisConfig { fig3_min_years: 0.05, ..AnalysisConfig::default() };
+        let mut cfg = AnalysisConfig {
+            fig3_min_years: 0.05,
+            ..AnalysisConfig::default()
+        };
         for (asn, policy) in &out.truth.isp_policies {
             cfg.as_names.insert(*asn, policy.name.clone());
         }

@@ -68,23 +68,22 @@ pub struct Table7 {
 pub fn prefix_changes(probes: &[AnalyzableProbe], snapshots: &MonthlySnapshots) -> Table7 {
     // (diff_bgp, diff_16, diff_8) per within-AS change of one probe.
     type Verdicts = Vec<(bool, bool, bool)>;
-    let per_probe: Vec<(u32, Verdicts)> =
-        dynaddr_exec::par_map(probes, |p| {
-            let mut verdicts = Vec::new();
-            if !p.multi_as {
-                for &i in &p.same_as_changes() {
-                    let c = &p.events.changes[i];
-                    let from_bgp = snapshots.prefix_at(c.gap_start, c.from);
-                    let to_bgp = snapshots.prefix_at(c.gap_end, c.to);
-                    verdicts.push((
-                        from_bgp != to_bgp,
-                        slash16(c.from) != slash16(c.to),
-                        slash8(c.from) != slash8(c.to),
-                    ));
-                }
+    let per_probe: Vec<(u32, Verdicts)> = dynaddr_exec::par_map(probes, |p| {
+        let mut verdicts = Vec::new();
+        if !p.multi_as {
+            for &i in &p.same_as_changes() {
+                let c = &p.events.changes[i];
+                let from_bgp = snapshots.prefix_at(c.gap_start, c.from);
+                let to_bgp = snapshots.prefix_at(c.gap_end, c.to);
+                verdicts.push((
+                    from_bgp != to_bgp,
+                    slash16(c.from) != slash16(c.to),
+                    slash8(c.from) != slash8(c.to),
+                ));
             }
-            (p.primary_asn.0, verdicts)
-        });
+        }
+        (p.primary_asn.0, verdicts)
+    });
 
     let mut t = Table7::default();
     for (asn, verdicts) in per_probe {
@@ -124,7 +123,10 @@ mod tests {
         let snaps = dynaddr_ip2as::MonthlySnapshots::uniform(table);
 
         let mut ds = AtlasDataset::default();
-        ds.meta.push(ProbeMeta { probe: ProbeId(1), ..ProbeMeta::default() });
+        ds.meta.push(ProbeMeta {
+            probe: ProbeId(1),
+            ..ProbeMeta::default()
+        });
         for (k, a) in addrs.iter().enumerate() {
             let k = k as i64;
             ds.connections.push(ConnectionLogEntry {

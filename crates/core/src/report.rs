@@ -55,10 +55,22 @@ pub fn render_table2(r: &AnalysisReport) -> String {
         vec!["  Never changed".into(), f.never_changed.to_string()],
         vec!["  Dual Stack".into(), f.dual_stack.to_string()],
         vec!["  IPv6".into(), f.ipv6_only.to_string()],
-        vec!["  Multihomed/Core/Datacenter (tags)".into(), f.tagged.to_string()],
-        vec!["  Multihomed (alternating addresses)".into(), f.multihomed.to_string()],
-        vec!["  Only change from 193.0.0.78".into(), f.testing_only.to_string()],
-        vec!["Analyzable (geography)".into(), f.analyzable_geo.to_string()],
+        vec![
+            "  Multihomed/Core/Datacenter (tags)".into(),
+            f.tagged.to_string(),
+        ],
+        vec![
+            "  Multihomed (alternating addresses)".into(),
+            f.multihomed.to_string(),
+        ],
+        vec![
+            "  Only change from 193.0.0.78".into(),
+            f.testing_only.to_string(),
+        ],
+        vec![
+            "Analyzable (geography)".into(),
+            f.analyzable_geo.to_string(),
+        ],
         vec!["  Multiple ASes".into(), f.multi_as.to_string()],
         vec!["Analyzable (AS-level)".into(), f.analyzable_as.to_string()],
     ];
@@ -110,7 +122,11 @@ pub fn render_table5(r: &AnalysisReport) -> String {
         .map(|row| {
             vec![
                 row.name.clone(),
-                if row.asn == 0 { String::new() } else { row.asn.to_string() },
+                if row.asn == 0 {
+                    String::new()
+                } else {
+                    row.asn.to_string()
+                },
                 row.d_hours.to_string(),
                 row.n.to_string(),
                 row.fp25.to_string(),
@@ -209,7 +225,11 @@ pub fn render_table6(r: &AnalysisReport) -> String {
         .map(|row| {
             vec![
                 row.name.clone(),
-                if row.asn == 0 { String::new() } else { row.asn.to_string() },
+                if row.asn == 0 {
+                    String::new()
+                } else {
+                    row.asn.to_string()
+                },
                 row.n.to_string(),
                 fmt_pct(row.pct_nw_gt08),
                 fmt_pct(row.pct_nw_eq1),
@@ -221,7 +241,15 @@ pub fn render_table6(r: &AnalysisReport) -> String {
     format!(
         "Table 6: probability of address change upon outages\n{}",
         render_table(
-            &["AS", "ASN", "N", "P(ac|nw)>0.8", "P(ac|nw)=1", "P(ac|pw)>0.8", "P(ac|pw)=1"],
+            &[
+                "AS",
+                "ASN",
+                "N",
+                "P(ac|nw)>0.8",
+                "P(ac|nw)=1",
+                "P(ac|pw)>0.8",
+                "P(ac|pw)=1"
+            ],
             &rows,
         )
     )
@@ -236,7 +264,9 @@ pub fn render_fig9(panel: &Fig9Panel) -> String {
             label.to_string(),
             panel.buckets.total[i].to_string(),
             panel.buckets.renumbered[i].to_string(),
-            pcts[i].map(|p| format!("{p:.0}%")).unwrap_or_else(|| "-".to_string()),
+            pcts[i]
+                .map(|p| format!("{p:.0}%"))
+                .unwrap_or_else(|| "-".to_string()),
         ]);
     }
     format!(
@@ -257,12 +287,14 @@ pub fn render_table7(r: &AnalysisReport, names: &BTreeMap<u32, String>) -> Strin
         format!("{} ({:.1}%)", t.overall.diff_16, t.overall.pct_16()),
         format!("{} ({:.1}%)", t.overall.diff_8, t.overall.pct_8()),
     ]];
-    let mut per_as: Vec<(&u32, &crate::prefixes::PrefixChangeCounts)> =
-        t.per_as.iter().collect();
+    let mut per_as: Vec<(&u32, &crate::prefixes::PrefixChangeCounts)> = t.per_as.iter().collect();
     per_as.sort_by_key(|(_, c)| std::cmp::Reverse(c.changes));
     for (asn, c) in per_as.into_iter().take(12) {
         rows.push(vec![
-            names.get(asn).cloned().unwrap_or_else(|| format!("AS{asn}")),
+            names
+                .get(asn)
+                .cloned()
+                .unwrap_or_else(|| format!("AS{asn}")),
             asn.to_string(),
             c.changes.to_string(),
             format!("{} ({:.1}%)", c.diff_bgp, c.pct_bgp()),
@@ -272,7 +304,10 @@ pub fn render_table7(r: &AnalysisReport, names: &BTreeMap<u32, String>) -> Strin
     }
     format!(
         "Table 7: address changes across prefixes\n{}",
-        render_table(&["AS", "ASN", "Changes", "Diff BGP", "Diff /16", "Diff /8"], &rows)
+        render_table(
+            &["AS", "ASN", "Changes", "Diff BGP", "Diff /16", "Diff /8"],
+            &rows
+        )
     )
 }
 
@@ -326,7 +361,10 @@ mod tests {
     fn table_alignment() {
         let t = render_table(
             &["a", "bb"],
-            &[vec!["1".into(), "2".into()], vec!["10".into(), "20000".into()]],
+            &[
+                vec!["1".into(), "2".into()],
+                vec!["10".into(), "20000".into()],
+            ],
         );
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -341,7 +379,10 @@ mod tests {
         let panel = Fig9Panel {
             label: "LGI".to_string(),
             asn: 6830,
-            buckets: crate::assoc::DurationBuckets { total: [0; 12], renumbered: [0; 12] },
+            buckets: crate::assoc::DurationBuckets {
+                total: [0; 12],
+                renumbered: [0; 12],
+            },
         };
         let s = render_fig9(&panel);
         assert!(s.contains('-'));

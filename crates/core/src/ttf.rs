@@ -60,7 +60,11 @@ pub fn duration_clusters(durations: &[SimDuration], tol: f64) -> Vec<DurationClu
     if total <= 0 {
         return Vec::new();
     }
-    let mut sorted: Vec<i64> = durations.iter().map(|d| d.secs()).filter(|&s| s > 0).collect();
+    let mut sorted: Vec<i64> = durations
+        .iter()
+        .map(|d| d.secs())
+        .filter(|&s| s > 0)
+        .collect();
     sorted.sort_unstable();
 
     let mut clusters = Vec::new();
@@ -86,8 +90,11 @@ pub fn duration_clusters(durations: &[SimDuration], tol: f64) -> Vec<DurationClu
 fn make_cluster(members: &[i64], total: i64) -> DurationCluster {
     let cluster_total: i64 = members.iter().sum();
     // Time-weighted mean: Σd² / Σd — long members dominate the centre.
-    let weighted: f64 =
-        members.iter().map(|&d| (d as f64) * (d as f64)).sum::<f64>() / cluster_total as f64;
+    let weighted: f64 = members
+        .iter()
+        .map(|&d| (d as f64) * (d as f64))
+        .sum::<f64>()
+        / cluster_total as f64;
     DurationCluster {
         center_hours: weighted / 3_600.0,
         count: members.len(),
@@ -171,14 +178,19 @@ impl TtfDistribution {
     /// Sorts the accumulated durations once and freezes them into an
     /// immutable, query-ready [`TtfCurve`].
     pub fn finalize(mut self) -> TtfCurve {
-        self.points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN values"));
+        self.points
+            .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN values"));
         let mut steps = Vec::with_capacity(self.points.len());
         let mut acc = 0.0;
         for (hours, weight) in self.points {
             acc += weight;
             steps.push((hours, acc));
         }
-        TtfCurve { steps, total_weight: self.total_weight, total_secs: self.total_secs }
+        TtfCurve {
+            steps,
+            total_weight: self.total_weight,
+            total_secs: self.total_secs,
+        }
     }
 }
 
@@ -244,7 +256,10 @@ impl TtfCurve {
     /// The full cumulative curve `(hours, fraction)`.
     pub fn curve(&self) -> Vec<(f64, f64)> {
         let denom = self.total_weight.max(f64::MIN_POSITIVE);
-        self.steps.iter().map(|&(v, acc)| (v, acc / denom)).collect()
+        self.steps
+            .iter()
+            .map(|&(v, acc)| (v, acc / denom))
+            .collect()
     }
 
     /// Samples the curve at fixed breakpoints (for rendering and testing).

@@ -39,7 +39,9 @@
 use dynaddr_atlas::logs::AtlasDataset;
 use dynaddr_atlas::stream::DEFAULT_BATCH_PROBES;
 use dynaddr_atlas::{DatasetStream, StoreError};
-use dynaddr_core::live::{batch_ranges, build_probes, replay_plan, IncrementalAnalyzer, ProbeBatch};
+use dynaddr_core::live::{
+    batch_ranges, build_probes, replay_plan, IncrementalAnalyzer, ProbeBatch,
+};
 use dynaddr_core::pipeline::AnalysisConfig;
 use dynaddr_core::report::render_full;
 use dynaddr_ip2as::MonthlySnapshots;
@@ -66,7 +68,9 @@ impl Rate {
         }
         match s.parse::<f64>() {
             Ok(m) if m > 0.0 && m.is_finite() => Ok(Rate::Multiplier(m)),
-            _ => Err(format!("--rate wants \"max\" or a positive number, got {s:?}")),
+            _ => Err(format!(
+                "--rate wants \"max\" or a positive number, got {s:?}"
+            )),
         }
     }
 }
@@ -103,7 +107,9 @@ impl Daemon {
     /// The analyzer, locked. A poisoned lock means a thread panicked in
     /// the middle of an update, so the rolling state is no longer whole.
     fn state(&self) -> MutexGuard<'_, IncrementalAnalyzer> {
-        self.live.lock().expect("a thread panicked while holding the daemon state")
+        self.live
+            .lock()
+            .expect("a thread panicked while holding the daemon state")
     }
 
     /// Replays a whole dataset, paced by `rate`, into a daemon that
@@ -171,7 +177,10 @@ impl Daemon {
         self.rows_planned.store(rows, Ordering::Relaxed);
         let progress = dynaddr_obs::Progress::start("daemon.replay", rows);
         while let Some(batch) = stream.next_batch()? {
-            self.install(build_probes(&batch, 0..batch.meta.len(), &self.snapshots), &progress);
+            self.install(
+                build_probes(&batch, 0..batch.meta.len(), &self.snapshots),
+                &progress,
+            );
         }
         progress.finish();
         Ok(())
@@ -256,8 +265,7 @@ impl Daemon {
                 Response::Error("ServerStats is answered by the serving front-end".into())
             }
             _ => Response::Error(
-                "dynaddrd serves daemon requests only; dataset queries belong to queryd"
-                    .into(),
+                "dynaddrd serves daemon requests only; dataset queries belong to queryd".into(),
             ),
         }
     }
@@ -279,7 +287,10 @@ mod tests {
         let world = paper_world(0.01, 3);
         let out = dynaddr_atlas::simulate(&world);
         let snaps = paper_route_tables(&world);
-        let mut cfg = AnalysisConfig { fig3_min_years: 0.01, ..AnalysisConfig::default() };
+        let mut cfg = AnalysisConfig {
+            fig3_min_years: 0.01,
+            ..AnalysisConfig::default()
+        };
         for (asn, policy) in &out.truth.isp_policies {
             cfg.as_names.insert(*asn, policy.name.clone());
         }
@@ -314,14 +325,28 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dynaddrd-stream-{}", std::process::id()));
         ds.save_dir(&dir).unwrap();
         let (streamed, _) = small_daemon();
-        streamed.replay_stream(DatasetStream::open(&dir.join("dataset.store")).unwrap()).unwrap();
+        streamed
+            .replay_stream(DatasetStream::open(&dir.join("dataset.store")).unwrap())
+            .unwrap();
         std::fs::remove_dir_all(&dir).ok();
         let (a, b) = (daemon.ingest_reply(), streamed.ingest_reply());
         assert_eq!(b.rows_planned, a.rows_planned);
         assert_eq!(b.rows_ingested, b.rows_planned);
         assert_eq!(
-            (b.meta_rows, b.connection_rows, b.kroot_rows, b.uptime_rows, b.unknown_probe_rows),
-            (a.meta_rows, a.connection_rows, a.kroot_rows, a.uptime_rows, a.unknown_probe_rows)
+            (
+                b.meta_rows,
+                b.connection_rows,
+                b.kroot_rows,
+                b.uptime_rows,
+                b.unknown_probe_rows
+            ),
+            (
+                a.meta_rows,
+                a.connection_rows,
+                a.kroot_rows,
+                a.uptime_rows,
+                a.unknown_probe_rows
+            )
         );
         assert_eq!(b.frontier_secs, a.frontier_secs);
         assert_eq!(streamed.snapshot_reply(), daemon.snapshot_reply());
@@ -337,7 +362,10 @@ mod tests {
 
         let world = paper_world(0.1, 3);
         let ds = dynaddr_atlas::simulate(&world).dataset;
-        assert!(ds.meta.len() > 2 * DEFAULT_BATCH_PROBES, "three batches or more");
+        assert!(
+            ds.meta.len() > 2 * DEFAULT_BATCH_PROBES,
+            "three batches or more"
+        );
         let rows = (ds.connections.len() + ds.kroot.len() + ds.uptime.len()) as u64;
         let daemon = Daemon::new(paper_route_tables(&world), AnalysisConfig::default());
         let done = AtomicBool::new(false);
@@ -371,7 +399,10 @@ mod tests {
         }
         let ingest = daemon.ingest_reply();
         assert_eq!((ingest.rows_ingested, ingest.rows_planned), (rows, rows));
-        eprintln!("{} probe replies checked, {mid_replay} taken mid-replay", seen.len());
+        eprintln!(
+            "{} probe replies checked, {mid_replay} taken mid-replay",
+            seen.len()
+        );
     }
 
     #[test]
@@ -403,8 +434,14 @@ mod tests {
         use std::net::{Ipv4Addr, Ipv6Addr};
 
         let mut table = RouteTable::new();
-        table.announce(Prefix::new(Ipv4Addr::new(10, 0, 0, 0), 8).unwrap(), Asn(64500));
-        table.announce(Prefix::new(Ipv4Addr::new(172, 16, 0, 0), 12).unwrap(), Asn(64501));
+        table.announce(
+            Prefix::new(Ipv4Addr::new(10, 0, 0, 0), 8).unwrap(),
+            Asn(64500),
+        );
+        table.announce(
+            Prefix::new(Ipv4Addr::new(172, 16, 0, 0), 12).unwrap(),
+            Asn(64501),
+        );
         let v4 = |a: u8, b: u8| PeerAddr::V4(Ipv4Addr::new(10, 7, a, b));
         let v6 = PeerAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 1));
         let other_as = PeerAddr::V4(Ipv4Addr::new(172, 16, 3, 9));
@@ -413,7 +450,15 @@ mod tests {
             vec![v6, v6],
             vec![v4(1, 1), v6, v4(1, 1)],
             vec![v4(2, 1), v4(2, 2), v4(2, 3)],
-            vec![v4(3, 1), v4(3, 2), v4(3, 1), v4(3, 2), v4(3, 1), v4(3, 2), v4(3, 1)],
+            vec![
+                v4(3, 1),
+                v4(3, 2),
+                v4(3, 1),
+                v4(3, 2),
+                v4(3, 1),
+                v4(3, 2),
+                v4(3, 1),
+            ],
             vec![testing, v4(4, 1), v4(4, 1)],
             vec![v4(5, 1), v4(5, 1), v4(5, 1)],
             vec![v4(6, 1), v4(6, 2), v4(6, 3), v4(6, 4)],
@@ -422,30 +467,65 @@ mod tests {
         let mut ds = AtlasDataset::default();
         for (i, peers) in peers.iter().enumerate() {
             let probe = ProbeId(i as u32 * 5 + 2);
-            let tags = if i == 2 { vec![ProbeTag::Core] } else { vec![ProbeTag::Home] };
+            let tags = if i == 2 {
+                vec![ProbeTag::Core]
+            } else {
+                vec![ProbeTag::Home]
+            };
             let country = Country::new(["DE", "US"][i % 2]).unwrap();
-            ds.meta.push(ProbeMeta { probe, version: ProbeVersion::V3, country, tags });
+            ds.meta.push(ProbeMeta {
+                probe,
+                version: ProbeVersion::V3,
+                country,
+                tags,
+            });
             for (k, &peer) in peers.iter().enumerate() {
                 let start = SimTime(k as i64 * 86_400 + i as i64 * 60);
                 let end = SimTime(start.0 + 80_000 - k as i64 * 900);
-                ds.connections.push(ConnectionLogEntry { probe, start, end, peer });
+                ds.connections.push(ConnectionLogEntry {
+                    probe,
+                    start,
+                    end,
+                    peer,
+                });
             }
             for k in 0..40i64 {
                 let lost = (i % 3 == 0 && (10..16).contains(&k)) || (i == 7 && k >= 37);
-                let success = if lost || (i % 3 == 1 && (20..22).contains(&k)) { 0 } else { 3 };
+                let success = if lost || (i % 3 == 1 && (20..22).contains(&k)) {
+                    0
+                } else {
+                    3
+                };
                 let timestamp = SimTime(k * 240 * 9 + i as i64);
                 let lts_secs = if success == 0 { k * 2_160 } else { 30 };
-                ds.kroot.push(KrootPingRecord { probe, timestamp, sent: 3, success, lts_secs });
+                ds.kroot.push(KrootPingRecord {
+                    probe,
+                    timestamp,
+                    sent: 3,
+                    success,
+                    lts_secs,
+                });
             }
             for k in 0..5i64 {
                 let reset = i % 2 == 1 && k == 2;
-                let uptime_secs = if reset { 120 } else { (k * 3_600 + 9_000) as u64 };
+                let uptime_secs = if reset {
+                    120
+                } else {
+                    (k * 3_600 + 9_000) as u64
+                };
                 let timestamp = SimTime(k * 3_600 + i as i64);
-                ds.uptime.push(SosUptimeRecord { probe, timestamp, uptime_secs });
+                ds.uptime.push(SosUptimeRecord {
+                    probe,
+                    timestamp,
+                    uptime_secs,
+                });
             }
         }
         ds.normalize();
-        (Daemon::new(MonthlySnapshots::uniform(table), AnalysisConfig::default()), ds)
+        (
+            Daemon::new(MonthlySnapshots::uniform(table), AnalysisConfig::default()),
+            ds,
+        )
     }
 
     #[test]
@@ -475,7 +555,10 @@ mod tests {
             daemon.answer_request(&Request::TopMovers(5)),
             Response::Error(_)
         ));
-        assert!(matches!(daemon.answer_request(&Request::Ping), Response::Pong));
+        assert!(matches!(
+            daemon.answer_request(&Request::Ping),
+            Response::Pong
+        ));
     }
 
     #[test]
@@ -498,8 +581,7 @@ mod tests {
 
         let (daemon, ds) = small_daemon();
         let daemon = Arc::new(daemon);
-        let sock = std::env::temp_dir()
-            .join(format!("dynaddrd-test-{}.sock", std::process::id()));
+        let sock = std::env::temp_dir().join(format!("dynaddrd-test-{}.sock", std::process::id()));
         let server = serve(Arc::clone(&daemon), &sock).expect("bind");
         let handle = server.handle();
         let srv = std::thread::spawn(move || server.run());
@@ -519,7 +601,10 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        match client.request(&Request::DaemonProbe(ds.meta[0].probe)).unwrap() {
+        match client
+            .request(&Request::DaemonProbe(ds.meta[0].probe))
+            .unwrap()
+        {
             Response::DaemonProbe(Some(p)) => assert_eq!(p.probe, ds.meta[0].probe.0),
             other => panic!("unexpected {other:?}"),
         }

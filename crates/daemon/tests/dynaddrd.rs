@@ -18,8 +18,13 @@ fn dataset_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dynaddrd-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let world = paper_world(0.01, 5);
-    simulate(&world).dataset.save_dir(&dir).expect("write dataset");
-    paper_route_tables(&world).save_dir(&dir.join("ip2as")).expect("write snapshots");
+    simulate(&world)
+        .dataset
+        .save_dir(&dir)
+        .expect("write dataset");
+    paper_route_tables(&world)
+        .save_dir(&dir.join("ip2as"))
+        .expect("write snapshots");
     std::fs::create_dir(dir.join("reports")).expect("reports directory");
     dir
 }
@@ -54,7 +59,10 @@ fn run_daemon(dir: &Path, replay: &Path, report: &Path) -> (Option<i32>, String)
         }
         std::thread::sleep(Duration::from_millis(20));
     };
-    (status.code(), std::fs::read_to_string(&err_path).unwrap_or_default())
+    (
+        status.code(),
+        std::fs::read_to_string(&err_path).unwrap_or_default(),
+    )
 }
 
 #[test]
@@ -63,7 +71,10 @@ fn unwritable_report_exits_1_naming_the_path() {
     let report = dir.join("missing").join("report.txt");
     let (code, stderr) = run_daemon(&dir, &dir.join("dataset.store"), &report);
     assert_eq!(code, Some(1), "stderr:\n{stderr}");
-    assert!(stderr.contains(&report.display().to_string()), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains(&report.display().to_string()),
+        "stderr:\n{stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -88,8 +99,14 @@ fn corrupt_kroot_segment_exits_1_and_publishes_no_report() {
     let report = dir.join("reports").join("report.txt");
     let (code, stderr) = run_daemon(&dir, &corrupt, &report);
     assert_eq!(code, Some(1), "stderr:\n{stderr}");
-    assert!(stderr.contains(&corrupt.display().to_string()), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains(&corrupt.display().to_string()),
+        "stderr:\n{stderr}"
+    );
     let published: Vec<_> = std::fs::read_dir(dir.join("reports")).unwrap().collect();
-    assert!(published.is_empty(), "a failed replay published {published:?}");
+    assert!(
+        published.is_empty(),
+        "a failed replay published {published:?}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -24,13 +24,17 @@ impl MonthlySnapshots {
     /// Uses the same table for all twelve months.
     pub fn uniform(table: RouteTable) -> MonthlySnapshots {
         let shared = Arc::new(table);
-        MonthlySnapshots { months: std::array::from_fn(|_| Arc::clone(&shared)) }
+        MonthlySnapshots {
+            months: std::array::from_fn(|_| Arc::clone(&shared)),
+        }
     }
 
     /// Builds from twelve per-month tables (January first).
     pub fn from_months(tables: [RouteTable; 12]) -> MonthlySnapshots {
         let mut iter = tables.into_iter().map(Arc::new);
-        MonthlySnapshots { months: std::array::from_fn(|_| iter.next().expect("12 tables")) }
+        MonthlySnapshots {
+            months: std::array::from_fn(|_| iter.next().expect("12 tables")),
+        }
     }
 
     /// Replaces snapshots from `month` (1-based) through December — the
@@ -138,8 +142,14 @@ mod tests {
         let mut snaps = MonthlySnapshots::uniform(before);
         snaps.set_from_month(7, after);
 
-        assert_eq!(snaps.asn_at(SimTime::from_date(6, 30, 23, 0, 0), a("10.0.1.1")), Asn(64500));
-        assert_eq!(snaps.asn_at(SimTime::from_date(7, 1, 1, 0, 0), a("10.0.1.1")), Asn::UNKNOWN);
+        assert_eq!(
+            snaps.asn_at(SimTime::from_date(6, 30, 23, 0, 0), a("10.0.1.1")),
+            Asn(64500)
+        );
+        assert_eq!(
+            snaps.asn_at(SimTime::from_date(7, 1, 1, 0, 0), a("10.0.1.1")),
+            Asn::UNKNOWN
+        );
         assert_eq!(
             snaps.asn_at(SimTime::from_date(12, 31, 0, 0, 0), a("172.16.1.1")),
             Asn(64500)
@@ -154,7 +164,10 @@ mod tests {
         // Dec 31 2014 — clamps to January's snapshot.
         assert_eq!(snaps.asn_at(SimTime(-3600), a("91.55.2.2")), Asn(3320));
         // Jan 2016 — clamps to December's snapshot.
-        assert_eq!(snaps.asn_at(SimTime(SimTime::YEAR_END.0 + 5), a("91.55.2.2")), Asn(3320));
+        assert_eq!(
+            snaps.asn_at(SimTime(SimTime::YEAR_END.0 + 5), a("91.55.2.2")),
+            Asn(3320)
+        );
     }
 
     #[test]
@@ -163,8 +176,14 @@ mod tests {
         t.announce(p("91.55.0.0/16"), Asn(3320));
         t.announce(p("91.55.128.0/17"), Asn(3320));
         let snaps = MonthlySnapshots::uniform(t);
-        assert_eq!(snaps.prefix_at(jan(1), a("91.55.200.1")), Some(p("91.55.128.0/17")));
-        assert_eq!(snaps.prefix_at(jan(1), a("91.55.1.1")), Some(p("91.55.0.0/16")));
+        assert_eq!(
+            snaps.prefix_at(jan(1), a("91.55.200.1")),
+            Some(p("91.55.128.0/17"))
+        );
+        assert_eq!(
+            snaps.prefix_at(jan(1), a("91.55.1.1")),
+            Some(p("91.55.0.0/16"))
+        );
         assert_eq!(snaps.prefix_at(jan(1), a("8.8.8.8")), None);
     }
 

@@ -30,7 +30,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "pfx2as parse error on line {}: {}", self.line, self.message)
+        write!(
+            f,
+            "pfx2as parse error on line {}: {}",
+            self.line, self.message
+        )
     }
 }
 
@@ -64,7 +68,9 @@ pub struct RouteTable {
 impl RouteTable {
     /// Creates an empty table.
     pub fn new() -> RouteTable {
-        RouteTable { trie: PrefixTrie::new() }
+        RouteTable {
+            trie: PrefixTrie::new(),
+        }
     }
 
     /// Builds a table from `(prefix, asn)` pairs. Later duplicates win.
@@ -93,7 +99,9 @@ impl RouteTable {
 
     /// Longest-prefix-match origin lookup for an address.
     pub fn origin(&self, addr: Ipv4Addr) -> Option<Origin> {
-        self.trie.lookup(addr).map(|(prefix, &asn)| Origin { prefix, asn })
+        self.trie
+            .lookup(addr)
+            .map(|(prefix, &asn)| Origin { prefix, asn })
     }
 
     /// Shorthand for the origin AS only; `Asn::UNKNOWN` when unannounced.
@@ -165,10 +173,7 @@ impl FromStr for RouteTable {
                 line: line_no,
                 message: e.to_string(),
             })?;
-            let first_asn = asn
-                .split(['_', ','])
-                .next()
-                .unwrap_or(asn);
+            let first_asn = asn.split(['_', ',']).next().unwrap_or(asn);
             let asn: u32 = first_asn.parse().map_err(|_| ParseError {
                 line: line_no,
                 message: format!("bad ASN {asn:?}"),
@@ -226,14 +231,18 @@ mod tests {
 
     #[test]
     fn parse_multi_origin_takes_first() {
-        let t: RouteTable = "10.0.0.0\t8\t701_702\n11.0.0.0\t8\t3320,3215\n".parse().unwrap();
+        let t: RouteTable = "10.0.0.0\t8\t701_702\n11.0.0.0\t8\t3320,3215\n"
+            .parse()
+            .unwrap();
         assert_eq!(t.asn_of(a("10.0.0.1")), Asn(701));
         assert_eq!(t.asn_of(a("11.0.0.1")), Asn(3320));
     }
 
     #[test]
     fn parse_errors_carry_line_numbers() {
-        let err = "10.0.0.0\t8\t701\nnot-an-ip\t8\t1\n".parse::<RouteTable>().unwrap_err();
+        let err = "10.0.0.0\t8\t701\nnot-an-ip\t8\t1\n"
+            .parse::<RouteTable>()
+            .unwrap_err();
         assert_eq!(err.line, 2);
         let err = "10.0.0.0\t99\t701\n".parse::<RouteTable>().unwrap_err();
         assert!(err.message.contains("99"), "{err}");
@@ -259,9 +268,8 @@ mod proptests {
     use proptest::prelude::*;
 
     fn arb_prefix() -> impl Strategy<Value = Prefix> {
-        (any::<u32>(), 0u8..=32).prop_map(|(base, len)| {
-            Prefix::new(Ipv4Addr::from(base), len).unwrap()
-        })
+        (any::<u32>(), 0u8..=32)
+            .prop_map(|(base, len)| Prefix::new(Ipv4Addr::from(base), len).unwrap())
     }
 
     proptest! {

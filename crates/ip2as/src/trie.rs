@@ -19,7 +19,10 @@ struct Node<T> {
 
 impl<T> Node<T> {
     fn new() -> Node<T> {
-        Node { children: [NO_NODE, NO_NODE], value: None }
+        Node {
+            children: [NO_NODE, NO_NODE],
+            value: None,
+        }
     }
 }
 
@@ -50,7 +53,10 @@ impl<T> Default for PrefixTrie<T> {
 impl<T> PrefixTrie<T> {
     /// Creates an empty trie.
     pub fn new() -> PrefixTrie<T> {
-        PrefixTrie { nodes: vec![Node::new()], len: 0 }
+        PrefixTrie {
+            nodes: vec![Node::new()],
+            len: 0,
+        }
     }
 
     /// Number of prefixes stored.

@@ -115,8 +115,14 @@ impl DhcpServer {
             (0.0..=1.0).contains(&config.renew_at) && config.renew_at > 0.0,
             "renew_at must be in (0, 1]"
         );
-        assert!(config.churn_rate_per_hour >= 0.0, "churn rate must be non-negative");
-        DhcpServer { config, bindings: HashMap::new() }
+        assert!(
+            config.churn_rate_per_hour >= 0.0,
+            "churn rate must be non-negative"
+        );
+        DhcpServer {
+            config,
+            bindings: HashMap::new(),
+        }
     }
 
     /// The server configuration.
@@ -154,8 +160,18 @@ impl DhcpServer {
         match self.bindings.get(&client).cloned() {
             // Active lease: plain renewal, same address.
             Some(b) if now <= b.expiry => {
-                self.bindings.insert(client, Binding { addr: b.addr, expiry });
-                LeaseOutcome { addr: b.addr, changed: false, renew_at }
+                self.bindings.insert(
+                    client,
+                    Binding {
+                        addr: b.addr,
+                        expiry,
+                    },
+                );
+                LeaseOutcome {
+                    addr: b.addr,
+                    changed: false,
+                    renew_at,
+                }
             }
             // Expired lease: the address went back to the pool at b.expiry.
             // Background demand may have claimed it since.
@@ -169,11 +185,20 @@ impl DhcpServer {
                 }
                 let idle_hours = (now - b.expiry).secs() as f64 / 3_600.0;
                 let survives = was_held
-                    && rng.gen::<f64>()
-                        < (-self.config.churn_rate_per_hour * idle_hours).exp();
+                    && rng.gen::<f64>() < (-self.config.churn_rate_per_hour * idle_hours).exp();
                 if survives && pool.claim_specific(client, b.addr) {
-                    self.bindings.insert(client, Binding { addr: b.addr, expiry });
-                    return LeaseOutcome { addr: b.addr, changed: false, renew_at };
+                    self.bindings.insert(
+                        client,
+                        Binding {
+                            addr: b.addr,
+                            expiry,
+                        },
+                    );
+                    return LeaseOutcome {
+                        addr: b.addr,
+                        changed: false,
+                        renew_at,
+                    };
                 }
                 if was_held && !survives {
                     // Someone else took it while the client was away.
@@ -184,13 +209,21 @@ impl DhcpServer {
                     .expect("pool exhausted");
                 let changed = addr != b.addr;
                 self.bindings.insert(client, Binding { addr, expiry });
-                LeaseOutcome { addr, changed, renew_at }
+                LeaseOutcome {
+                    addr,
+                    changed,
+                    renew_at,
+                }
             }
             // Unknown client: fresh allocation.
             None => {
                 let addr = pool.allocate(rng, client, None).expect("pool exhausted");
                 self.bindings.insert(client, Binding { addr, expiry });
-                LeaseOutcome { addr, changed: false, renew_at }
+                LeaseOutcome {
+                    addr,
+                    changed: false,
+                    renew_at,
+                }
             }
         }
     }
@@ -211,7 +244,9 @@ impl DhcpServer {
     /// server rotates at all.
     pub fn next_rotation<R: Rng + ?Sized>(&self, rng: &mut R, now: SimTime) -> Option<SimTime> {
         let mean = self.config.rotation_mean?;
-        let gap = dynaddr_types::dist::DurationDist::Exponential { mean: mean.secs() as f64 };
+        let gap = dynaddr_types::dist::DurationDist::Exponential {
+            mean: mean.secs() as f64,
+        };
         Some(now + gap.sample_duration(rng))
     }
 
@@ -234,7 +269,11 @@ impl DhcpServer {
         // purpose is to move the client.
         let addr = pool.allocate(rng, client, None).expect("pool exhausted");
         self.bindings.insert(client, Binding { addr, expiry });
-        LeaseOutcome { addr, changed: prev.map(|p| p != addr).unwrap_or(false), renew_at }
+        LeaseOutcome {
+            addr,
+            changed: prev.map(|p| p != addr).unwrap_or(false),
+            renew_at,
+        }
     }
 
     /// Records that the client kept renewing (on schedule) until `until`.
@@ -325,7 +364,12 @@ mod tests {
         let (mut s, mut pool, mut r) = setup(10.0); // vicious churn
         let first = s.acquire(&mut pool, &mut r, ClientId(1), T0);
         // Outage of 5 hours; lease is 6h, so the binding never expired.
-        let out = s.acquire(&mut pool, &mut r, ClientId(1), T0 + SimDuration::from_hours(5));
+        let out = s.acquire(
+            &mut pool,
+            &mut r,
+            ClientId(1),
+            T0 + SimDuration::from_hours(5),
+        );
         assert_eq!(out.addr, first.addr);
         assert!(!out.changed);
     }
@@ -334,7 +378,12 @@ mod tests {
     fn expired_lease_with_zero_churn_reissues_same_address() {
         let (mut s, mut pool, mut r) = setup(0.0);
         let first = s.acquire(&mut pool, &mut r, ClientId(1), T0);
-        let out = s.acquire(&mut pool, &mut r, ClientId(1), T0 + SimDuration::from_days(30));
+        let out = s.acquire(
+            &mut pool,
+            &mut r,
+            ClientId(1),
+            T0 + SimDuration::from_days(30),
+        );
         assert_eq!(out.addr, first.addr, "no churn → §4.3.1 keeps the address");
         assert!(!out.changed);
     }
@@ -344,7 +393,12 @@ mod tests {
         let (mut s, mut pool, mut r) = setup(1.0); // ~1 claim/hour
         let first = s.acquire(&mut pool, &mut r, ClientId(1), T0);
         // Expired for days under heavy churn: address is certainly gone.
-        let out = s.acquire(&mut pool, &mut r, ClientId(1), T0 + SimDuration::from_days(10));
+        let out = s.acquire(
+            &mut pool,
+            &mut r,
+            ClientId(1),
+            T0 + SimDuration::from_days(10),
+        );
         assert_ne!(out.addr, first.addr);
         assert!(out.changed);
     }
@@ -373,12 +427,22 @@ mod tests {
             });
             s.acquire(&mut pool, &mut rng, ClientId(1), T0);
             // 8-hour outage: expired for 2 h.
-            let o1 = s.acquire(&mut pool, &mut rng, ClientId(1), T0 + SimDuration::from_hours(8));
+            let o1 = s.acquire(
+                &mut pool,
+                &mut rng,
+                ClientId(1),
+                T0 + SimDuration::from_hours(8),
+            );
             if o1.changed {
                 changed_short += 1;
             }
             // Another 3-day outage on top.
-            let o2 = s.acquire(&mut pool, &mut rng, ClientId(1), T0 + SimDuration::from_days(4));
+            let o2 = s.acquire(
+                &mut pool,
+                &mut rng,
+                ClientId(1),
+                T0 + SimDuration::from_days(4),
+            );
             if o2.changed {
                 changed_long += 1;
             }
@@ -408,8 +472,16 @@ mod tests {
             42,
         );
         s.reset_all();
-        let out = s.acquire(&mut pool, &mut r, ClientId(1), T0 + SimDuration::from_hours(1));
-        assert!("198.18.0.0/19".parse::<dynaddr_types::Prefix>().unwrap().contains(out.addr));
+        let out = s.acquire(
+            &mut pool,
+            &mut r,
+            ClientId(1),
+            T0 + SimDuration::from_hours(1),
+        );
+        assert!("198.18.0.0/19"
+            .parse::<dynaddr_types::Prefix>()
+            .unwrap()
+            .contains(out.addr));
     }
 
     #[test]
@@ -423,7 +495,12 @@ mod tests {
             0.2,
             42,
         );
-        let out = s.acquire(&mut pool, &mut r, ClientId(1), T0 + SimDuration::from_days(1));
+        let out = s.acquire(
+            &mut pool,
+            &mut r,
+            ClientId(1),
+            T0 + SimDuration::from_days(1),
+        );
         assert!(out.changed);
     }
 

@@ -123,7 +123,10 @@ pub struct PppServer {
 impl PppServer {
     /// Creates a server with the given configuration.
     pub fn new(config: PppConfig) -> PppServer {
-        assert!(config.hold_timer.secs() >= 0, "hold timer must be non-negative");
+        assert!(
+            config.hold_timer.secs() >= 0,
+            "hold timer must be non-negative"
+        );
         if let Some(cap) = config.session_cap {
             assert!(cap.is_positive(), "session cap must be positive");
         }
@@ -131,7 +134,10 @@ impl PppServer {
             (0.0..1.0).contains(&config.skip_renumber_prob),
             "skip probability must be in [0,1)"
         );
-        PppServer { config, sessions: HashMap::new() }
+        PppServer {
+            config,
+            sessions: HashMap::new(),
+        }
     }
 
     /// The server configuration.
@@ -176,9 +182,16 @@ impl PppServer {
                 let deadline = self.cap_deadline_resample_free(s.started);
                 self.sessions.insert(
                     client,
-                    Session { addr: s.addr, started: s.started },
+                    Session {
+                        addr: s.addr,
+                        started: s.started,
+                    },
                 );
-                SessionOutcome { addr: s.addr, changed: false, cap_deadline: deadline }
+                SessionOutcome {
+                    addr: s.addr,
+                    changed: false,
+                    cap_deadline: deadline,
+                }
             }
             // Session torn down while the subscriber was away.
             Some(s) => {
@@ -187,22 +200,32 @@ impl PppServer {
                     pool.release(client);
                 }
                 let addr = if self.config.renumber_on_reconnect {
-                    pool.allocate(rng, client, Some(prev)).expect("pool exhausted")
+                    pool.allocate(rng, client, Some(prev))
+                        .expect("pool exhausted")
                 } else if pool.claim_specific(client, prev) {
                     prev
                 } else {
-                    pool.allocate(rng, client, Some(prev)).expect("pool exhausted")
+                    pool.allocate(rng, client, Some(prev))
+                        .expect("pool exhausted")
                 };
                 let deadline = self.cap_deadline(rng, now);
                 self.sessions.insert(client, Session { addr, started: now });
-                SessionOutcome { addr, changed: addr != prev, cap_deadline: deadline }
+                SessionOutcome {
+                    addr,
+                    changed: addr != prev,
+                    cap_deadline: deadline,
+                }
             }
             // Unknown client: fresh session.
             None => {
                 let addr = pool.allocate(rng, client, None).expect("pool exhausted");
                 let deadline = self.cap_deadline(rng, now);
                 self.sessions.insert(client, Session { addr, started: now });
-                SessionOutcome { addr, changed: false, cap_deadline: deadline }
+                SessionOutcome {
+                    addr,
+                    changed: false,
+                    cap_deadline: deadline,
+                }
             }
         }
     }
@@ -233,17 +256,23 @@ impl PppServer {
             }
         }
         let addr = match prev {
-            Some(prev) if !self.config.renumber_on_reconnect
-                && pool.claim_specific(client, prev) =>
+            Some(prev)
+                if !self.config.renumber_on_reconnect && pool.claim_specific(client, prev) =>
             {
                 prev
             }
-            Some(prev) => pool.allocate(rng, client, Some(prev)).expect("pool exhausted"),
+            Some(prev) => pool
+                .allocate(rng, client, Some(prev))
+                .expect("pool exhausted"),
             None => pool.allocate(rng, client, None).expect("pool exhausted"),
         };
         let deadline = self.cap_deadline(rng, now);
         self.sessions.insert(client, Session { addr, started: now });
-        SessionOutcome { addr, changed: prev.is_some() && prev != Some(addr), cap_deadline: deadline }
+        SessionOutcome {
+            addr,
+            changed: prev.is_some() && prev != Some(addr),
+            cap_deadline: deadline,
+        }
     }
 
     /// The ISP's scheduled session-cap expiry fires. With probability
@@ -287,15 +316,21 @@ impl PppServer {
             pool.release(client);
         }
         let addr = if self.config.renumber_on_reconnect {
-            pool.allocate(rng, client, Some(prev)).expect("pool exhausted")
+            pool.allocate(rng, client, Some(prev))
+                .expect("pool exhausted")
         } else if pool.claim_specific(client, prev) {
             prev
         } else {
-            pool.allocate(rng, client, Some(prev)).expect("pool exhausted")
+            pool.allocate(rng, client, Some(prev))
+                .expect("pool exhausted")
         };
         let deadline = self.cap_deadline(rng, now);
         self.sessions.insert(client, Session { addr, started: now });
-        SessionOutcome { addr, changed: addr != prev, cap_deadline: deadline }
+        SessionOutcome {
+            addr,
+            changed: addr != prev,
+            cap_deadline: deadline,
+        }
     }
 
     /// Client disconnects cleanly; the address returns to the pool.
@@ -428,13 +463,19 @@ mod tests {
         let cap = SimDuration::from_hours(48);
         let (mut s, mut pool, mut r) = setup(PppConfig {
             session_cap: Some(cap),
-            cap_jitter: Some(DurationDist::Uniform { lo: 0.0, hi: 6.0 * 3600.0 }),
+            cap_jitter: Some(DurationDist::Uniform {
+                lo: 0.0,
+                hi: 6.0 * 3600.0,
+            }),
             ..PppConfig::default()
         });
         for i in 0..50 {
             let out = s.connect(&mut pool, &mut r, ClientId(i), T0, None);
             let d = out.cap_deadline.unwrap() - T0;
-            assert!(d >= cap && d <= cap + SimDuration::from_hours(6), "deadline {d}");
+            assert!(
+                d >= cap && d <= cap + SimDuration::from_hours(6),
+                "deadline {d}"
+            );
         }
     }
 
@@ -453,7 +494,11 @@ mod tests {
             T0 + SimDuration::from_hours(3),
             Some(SimDuration::from_secs(30)),
         );
-        assert_eq!(out.cap_deadline, Some(T0 + cap), "deadline anchored to session start");
+        assert_eq!(
+            out.cap_deadline,
+            Some(T0 + cap),
+            "deadline anchored to session start"
+        );
     }
 
     #[test]
@@ -477,6 +522,11 @@ mod tests {
     fn cap_expiry_on_uncapped_server_panics() {
         let (mut s, mut pool, mut r) = setup(PppConfig::default());
         s.connect(&mut pool, &mut r, ClientId(1), T0, None);
-        s.on_cap_expiry(&mut pool, &mut r, ClientId(1), T0 + SimDuration::from_hours(1));
+        s.on_cap_expiry(
+            &mut pool,
+            &mut r,
+            ClientId(1),
+            T0 + SimDuration::from_hours(1),
+        );
     }
 }

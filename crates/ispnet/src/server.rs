@@ -113,7 +113,13 @@ impl IspNetwork {
             AccessConfig::Dhcp(c) => AccessServer::Dhcp(DhcpServer::new(c.clone())),
             AccessConfig::Ppp(c) => AccessServer::Ppp(PppServer::new(c.clone())),
         };
-        IspNetwork { asn, pool, server, access, schedule: HashMap::new() }
+        IspNetwork {
+            asn,
+            pool,
+            server,
+            access,
+            schedule: HashMap::new(),
+        }
     }
 
     /// The ISP's autonomous system number.
@@ -165,10 +171,14 @@ impl IspNetwork {
                         self.schedule.insert(client, NextIspAction::CapExpiry(t));
                     }
                     None => {
-                        self.schedule.insert(client, NextIspAction::Renew(out.renew_at));
+                        self.schedule
+                            .insert(client, NextIspAction::Renew(out.renew_at));
                     }
                 }
-                AccessOutcome { addr: out.addr, changed: out.changed }
+                AccessOutcome {
+                    addr: out.addr,
+                    changed: out.changed,
+                }
             }
             AccessServer::Ppp(s) => {
                 let out = s.connect(&mut self.pool, rng, client, now, offline_for);
@@ -180,7 +190,10 @@ impl IspNetwork {
                         self.schedule.remove(&client);
                     }
                 }
-                AccessOutcome { addr: out.addr, changed: out.changed }
+                AccessOutcome {
+                    addr: out.addr,
+                    changed: out.changed,
+                }
             }
         }
     }
@@ -212,10 +225,14 @@ impl IspNetwork {
                         self.schedule.insert(client, NextIspAction::CapExpiry(t));
                     }
                     None => {
-                        self.schedule.insert(client, NextIspAction::Renew(out.renew_at));
+                        self.schedule
+                            .insert(client, NextIspAction::Renew(out.renew_at));
                     }
                 }
-                AccessOutcome { addr: out.addr, changed: out.changed }
+                AccessOutcome {
+                    addr: out.addr,
+                    changed: out.changed,
+                }
             }
             AccessServer::Ppp(s) => {
                 let out = s.on_cap_expiry(&mut self.pool, rng, client, now);
@@ -227,7 +244,10 @@ impl IspNetwork {
                         self.schedule.remove(&client);
                     }
                 }
-                AccessOutcome { addr: out.addr, changed: out.changed }
+                AccessOutcome {
+                    addr: out.addr,
+                    changed: out.changed,
+                }
             }
         }
     }
@@ -245,8 +265,12 @@ impl IspNetwork {
         match &mut self.server {
             AccessServer::Dhcp(s) => {
                 let out = s.acquire(&mut self.pool, rng, client, now);
-                self.schedule.insert(client, NextIspAction::Renew(out.renew_at));
-                AccessOutcome { addr: out.addr, changed: out.changed }
+                self.schedule
+                    .insert(client, NextIspAction::Renew(out.renew_at));
+                AccessOutcome {
+                    addr: out.addr,
+                    changed: out.changed,
+                }
             }
             AccessServer::Ppp(s) => {
                 let out = s.reconnect_new_session(&mut self.pool, rng, client, now);
@@ -258,7 +282,10 @@ impl IspNetwork {
                         self.schedule.remove(&client);
                     }
                 }
-                AccessOutcome { addr: out.addr, changed: out.changed }
+                AccessOutcome {
+                    addr: out.addr,
+                    changed: out.changed,
+                }
             }
         }
     }
@@ -283,7 +310,8 @@ impl IspNetwork {
         background_occupancy: f64,
     ) {
         let seed = rng.gen::<u64>();
-        self.pool.migrate_prefixes(new_prefixes, background_occupancy, seed);
+        self.pool
+            .migrate_prefixes(new_prefixes, background_occupancy, seed);
         match &mut self.server {
             AccessServer::Dhcp(s) => s.reset_all(),
             AccessServer::Ppp(s) => s.reset_all(),
@@ -303,7 +331,10 @@ mod tests {
 
     fn pool_config() -> PoolConfig {
         PoolConfig {
-            prefixes: vec!["100.64.0.0/18".parse().unwrap(), "100.65.0.0/18".parse().unwrap()],
+            prefixes: vec![
+                "100.64.0.0/18".parse().unwrap(),
+                "100.65.0.0/18".parse().unwrap(),
+            ],
             policy: AllocationPolicy::RandomAny,
             background_occupancy: 0.5,
         }
@@ -364,7 +395,10 @@ mod tests {
     #[test]
     fn ground_truth_accessors() {
         let (isp, _) = ppp_isp(24);
-        assert_eq!(isp.access().periodic_period(), Some(SimDuration::from_hours(24)));
+        assert_eq!(
+            isp.access().periodic_period(),
+            Some(SimDuration::from_hours(24))
+        );
         assert!(isp.access().renumbers_on_reconnect());
         let (isp, _) = dhcp_isp();
         assert_eq!(isp.access().periodic_period(), None);
@@ -375,13 +409,20 @@ mod tests {
     fn admin_renumber_moves_all_clients() {
         let (mut isp, mut rng) = dhcp_isp();
         let before = isp.connect(&mut rng, ClientId(1), T0, None);
-        isp.admin_renumber(&mut rng, Arc::new(vec!["198.18.0.0/17".parse().unwrap()]), 0.3);
+        isp.admin_renumber(
+            &mut rng,
+            Arc::new(vec!["198.18.0.0/17".parse().unwrap()]),
+            0.3,
+        );
         assert_eq!(isp.next_action(ClientId(1)), None);
         let after = isp.connect(&mut rng, ClientId(1), T0 + SimDuration::from_hours(1), None);
         // `changed` is relative to the server's (reset) memory; the caller
         // observes the change by comparing addresses.
         assert_ne!(before.addr, after.addr);
-        assert!("198.18.0.0/17".parse::<Prefix>().unwrap().contains(after.addr));
+        assert!("198.18.0.0/17"
+            .parse::<Prefix>()
+            .unwrap()
+            .contains(after.addr));
     }
 
     #[test]
@@ -433,7 +474,10 @@ mod proptests {
 
     fn pool_config() -> PoolConfig {
         PoolConfig {
-            prefixes: vec!["10.0.0.0/22".parse().unwrap(), "10.1.0.0/23".parse().unwrap()],
+            prefixes: vec![
+                "10.0.0.0/22".parse().unwrap(),
+                "10.1.0.0/23".parse().unwrap(),
+            ],
             policy: AllocationPolicy::PreferPrevious,
             background_occupancy: 0.4,
         }

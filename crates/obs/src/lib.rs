@@ -32,9 +32,7 @@ pub use metrics::{
 pub use progress::Progress;
 pub use rss::{peak_rss_bytes, rss_bytes};
 pub use span::{span, take_spans, Span, SpanEvent};
-pub use trace::{
-    disable_trace, emit_event, flush_trace, init_trace, trace_enabled, Value,
-};
+pub use trace::{disable_trace, emit_event, flush_trace, init_trace, trace_enabled, Value};
 
 /// Log at `error` level (always printed unless logging is disabled).
 #[macro_export]

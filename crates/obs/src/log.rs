@@ -64,7 +64,10 @@ fn threshold() -> Level {
 /// Override the log threshold programmatically (e.g. from a `-q`/`-v`
 /// flag). `None` re-arms the lazy `DYNADDR_LOG` lookup.
 pub fn set_log_level(level: Option<Level>) {
-    LEVEL.store(level.map(|l| l as u8).unwrap_or(LEVEL_UNSET), Ordering::Relaxed);
+    LEVEL.store(
+        level.map(|l| l as u8).unwrap_or(LEVEL_UNSET),
+        Ordering::Relaxed,
+    );
 }
 
 /// Core logging entry point; use the `error!`/`warn!`/`info!`/`debug!`

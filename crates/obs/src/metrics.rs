@@ -48,7 +48,10 @@ impl Eq for Histogram {}
 
 impl Histogram {
     pub const fn new() -> Self {
-        Histogram { counts: [0; 65], sum: 0 }
+        Histogram {
+            counts: [0; 65],
+            sum: 0,
+        }
     }
 
     fn bucket(v: u64) -> usize {

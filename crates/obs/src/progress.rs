@@ -69,7 +69,11 @@ impl Progress {
 
     fn emit(&self, done: u64, fin: bool) {
         let elapsed = self.start.elapsed().as_secs_f64();
-        let rate = if elapsed > 0.0 { done as f64 / elapsed } else { 0.0 };
+        let rate = if elapsed > 0.0 {
+            done as f64 / elapsed
+        } else {
+            0.0
+        };
         let eta_s = if self.total > done && rate > 0.0 {
             (self.total - done) as f64 / rate
         } else {

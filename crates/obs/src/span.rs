@@ -115,7 +115,14 @@ pub fn span(name: &'static str) -> Span {
         t.stack.push(name);
         path
     });
-    Span { name, path, start, start_us, seq, done: false }
+    Span {
+        name,
+        path,
+        start,
+        start_us,
+        seq,
+        done: false,
+    }
 }
 
 impl Span {
@@ -234,6 +241,8 @@ mod tests {
         let (events, _) = take_spans();
         assert_eq!(events.iter().filter(|e| e.name == "worker").count(), 4);
         // Deterministic order: sorted keys are non-decreasing.
-        assert!(events.windows(2).all(|w| (w[0].start_us, w[0].seq) <= (w[1].start_us, w[1].seq)));
+        assert!(events
+            .windows(2)
+            .all(|w| (w[0].start_us, w[0].seq) <= (w[1].start_us, w[1].seq)));
     }
 }

@@ -36,7 +36,10 @@ pub fn init_trace(path: &std::path::Path) -> std::io::Result<()> {
     let file = File::create(path)?;
     *SINK.lock().unwrap() = Some(BufWriter::new(file));
     ENABLED.store(true, Ordering::Relaxed);
-    emit_event("trace_open", &[("pid", Value::U64(std::process::id() as u64))]);
+    emit_event(
+        "trace_open",
+        &[("pid", Value::U64(std::process::id() as u64))],
+    );
     Ok(())
 }
 
@@ -187,10 +190,16 @@ pub fn flush_trace() {
     }
     let snap = crate::metrics::metrics_snapshot();
     for (name, v) in &snap.counters {
-        emit_event("counter", &[("name", Value::Str(name)), ("value", Value::U64(*v))]);
+        emit_event(
+            "counter",
+            &[("name", Value::Str(name)), ("value", Value::U64(*v))],
+        );
     }
     for (name, v) in &snap.gauges {
-        emit_event("gauge", &[("name", Value::Str(name)), ("value", Value::U64(*v))]);
+        emit_event(
+            "gauge",
+            &[("name", Value::Str(name)), ("value", Value::U64(*v))],
+        );
     }
     for (name, h) in &snap.hists {
         let buckets = h.nonzero();
@@ -267,7 +276,10 @@ mod tests {
         assert!(body.contains("test.trace.counter"));
         // Every line is a single JSON object.
         for line in body.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "bad line: {line}");
+            assert!(
+                line.starts_with('{') && line.ends_with('}'),
+                "bad line: {line}"
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -37,7 +37,10 @@ pub struct CacheConfig {
 
 impl Default for CacheConfig {
     fn default() -> CacheConfig {
-        CacheConfig { shards: 16, budget_bytes: 256 << 20 }
+        CacheConfig {
+            shards: 16,
+            budget_bytes: 256 << 20,
+        }
     }
 }
 
@@ -86,7 +89,12 @@ struct Shard<V> {
 
 impl<V> Shard<V> {
     fn new() -> Shard<V> {
-        Shard { map: HashMap::new(), order: BTreeMap::new(), clock: 0, bytes: 0 }
+        Shard {
+            map: HashMap::new(),
+            order: BTreeMap::new(),
+            clock: 0,
+            bytes: 0,
+        }
     }
 
     /// Moves `key`'s entry to most-recently-used and returns its value.
@@ -166,7 +174,14 @@ impl<V> ShardedLru<V> {
         }
         g.clock += 1;
         let stamp = g.clock;
-        g.map.insert(key, Entry { value: value.clone(), cost, stamp });
+        g.map.insert(
+            key,
+            Entry {
+                value: value.clone(),
+                cost,
+                stamp,
+            },
+        );
         g.order.insert(stamp, key);
         g.bytes += cost;
         while g.bytes > self.budget_per_shard && g.map.len() > 1 {
@@ -219,7 +234,11 @@ impl<V> ShardedLru<V> {
         for (counter, published, name) in [
             (stats.hits, &self.published_hits, "query.cache.hits"),
             (stats.misses, &self.published_misses, "query.cache.misses"),
-            (stats.evictions, &self.published_evictions, "query.cache.evictions"),
+            (
+                stats.evictions,
+                &self.published_evictions,
+                "query.cache.evictions",
+            ),
         ] {
             let prev = published.swap(counter, Ordering::Relaxed);
             if counter > prev {
@@ -240,7 +259,10 @@ mod tests {
 
     #[test]
     fn hit_after_miss_returns_same_value() {
-        let c: ShardedLru<u32> = ShardedLru::new(CacheConfig { shards: 4, budget_bytes: 1024 });
+        let c: ShardedLru<u32> = ShardedLru::new(CacheConfig {
+            shards: 4,
+            budget_bytes: 1024,
+        });
         let a = c.get_or_try_insert(7, fill(70, 10)).unwrap();
         let b = c.get_or_try_insert(7, fill(999, 10)).unwrap();
         assert_eq!(*a, 70);
@@ -252,7 +274,10 @@ mod tests {
     #[test]
     fn evicts_least_recently_used_first() {
         // One shard so the eviction order is fully observable.
-        let c: ShardedLru<u32> = ShardedLru::new(CacheConfig { shards: 1, budget_bytes: 30 });
+        let c: ShardedLru<u32> = ShardedLru::new(CacheConfig {
+            shards: 1,
+            budget_bytes: 30,
+        });
         c.get_or_try_insert(1, fill(1, 10)).unwrap();
         c.get_or_try_insert(2, fill(2, 10)).unwrap();
         c.get_or_try_insert(3, fill(3, 10)).unwrap();
@@ -270,11 +295,17 @@ mod tests {
 
     #[test]
     fn oversized_entry_is_still_served_and_kept() {
-        let c: ShardedLru<u32> = ShardedLru::new(CacheConfig { shards: 1, budget_bytes: 8 });
+        let c: ShardedLru<u32> = ShardedLru::new(CacheConfig {
+            shards: 1,
+            budget_bytes: 8,
+        });
         let v = c.get_or_try_insert(5, fill(50, 100)).unwrap();
         assert_eq!(*v, 50);
         let s = c.stats();
-        assert_eq!(s.entries, 1, "the just-inserted entry is never its own victim");
+        assert_eq!(
+            s.entries, 1,
+            "the just-inserted entry is never its own victim"
+        );
         // The next insert evicts it.
         c.get_or_try_insert(6, fill(60, 100)).unwrap();
         assert_eq!(c.stats().evictions, 1);
@@ -283,12 +314,19 @@ mod tests {
 
     #[test]
     fn budget_holds_across_shards() {
-        let c: ShardedLru<u32> = ShardedLru::new(CacheConfig { shards: 4, budget_bytes: 400 });
+        let c: ShardedLru<u32> = ShardedLru::new(CacheConfig {
+            shards: 4,
+            budget_bytes: 400,
+        });
         for k in 0..1000usize {
             c.get_or_try_insert(k, fill(k as u32, 10)).unwrap();
         }
         let s = c.stats();
-        assert!(s.bytes <= 400, "resident {} bytes exceeds the 400-byte budget", s.bytes);
+        assert!(
+            s.bytes <= 400,
+            "resident {} bytes exceeds the 400-byte budget",
+            s.bytes
+        );
         assert_eq!(s.misses - s.evictions, s.entries);
     }
 
@@ -315,7 +353,10 @@ mod tests {
 
     #[test]
     fn shard_count_rounds_to_power_of_two() {
-        let c: ShardedLru<u32> = ShardedLru::new(CacheConfig { shards: 5, budget_bytes: 800 });
+        let c: ShardedLru<u32> = ShardedLru::new(CacheConfig {
+            shards: 5,
+            budget_bytes: 800,
+        });
         assert_eq!(c.shards.len(), 8);
         assert_eq!(c.budget_per_shard, 100);
     }

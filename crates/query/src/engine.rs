@@ -219,7 +219,9 @@ impl QueryEngine {
         // Per table, `(ordinal, info)` of each segment in file order.
         let mut tables: [Vec<(usize, SegmentInfo)>; 4] = Default::default();
         for info in FileReader::open(&bytes)?.segments() {
-            let Some(slot) = (1..=4).contains(&info.table).then(|| (info.table - 1) as usize)
+            let Some(slot) = (1..=4)
+                .contains(&info.table)
+                .then(|| (info.table - 1) as usize)
             else {
                 continue;
             };
@@ -271,7 +273,11 @@ impl QueryEngine {
         }
         let segments = |segs: Vec<(usize, SegmentInfo)>| -> Vec<Segment> {
             segs.into_iter()
-                .map(|(ordinal, info)| Segment { ordinal, info, dir: OnceLock::new() })
+                .map(|(ordinal, info)| Segment {
+                    ordinal,
+                    info,
+                    dir: OnceLock::new(),
+                })
                 .collect()
         };
         Ok(QueryEngine {
@@ -364,7 +370,11 @@ impl QueryEngine {
         ) -> T,
     ) -> Result<T, StoreError> {
         let key = probe.0;
-        let meta = self.meta.binary_search_by_key(&key, |m| m.probe.0).ok().map(|i| &self.meta[i]);
+        let meta = self
+            .meta
+            .binary_search_by_key(&key, |m| m.probe.0)
+            .ok()
+            .map(|i| &self.meta[i]);
         let tables = [&self.connections, &self.kroot, &self.uptime];
         if tables.iter().all(|segs| holding(segs, key).is_empty()) {
             return Ok(build(key, meta, &[], &[], &[]));
@@ -378,7 +388,13 @@ impl QueryEngine {
             let cost = logs.cost();
             Ok::<_, StoreError>((logs, cost))
         })?;
-        Ok(build(key, meta, &logs.connections, &logs.kroot, &logs.uptime))
+        Ok(build(
+            key,
+            meta,
+            &logs.connections,
+            &logs.kroot,
+            &logs.uptime,
+        ))
     }
 
     /// Raw rows for one probe (the [`Request::ProbeRecords`] payload).
@@ -406,13 +422,11 @@ impl QueryEngine {
                 Err(e) => Response::Error(e.to_string()),
             },
             Request::AsSummary(Asn(a)) => Response::AsSummary(self.stats.as_summary(*a)),
-            Request::CountrySummary(cc) => {
-                Response::CountrySummary(self.stats.country_summary(cc))
-            }
+            Request::CountrySummary(cc) => Response::CountrySummary(self.stats.country_summary(cc)),
             Request::TopMovers(n) => Response::TopMovers(self.stats.top_movers(*n)),
-            Request::ProbeTruth(p) => Response::ProbeTruth(
-                self.truth.as_ref().and_then(|t| t.probe(p.0)).cloned(),
-            ),
+            Request::ProbeTruth(p) => {
+                Response::ProbeTruth(self.truth.as_ref().and_then(|t| t.probe(p.0)).cloned())
+            }
             // The server front-end answers this itself; reaching the
             // engine means the caller went around the server.
             Request::ServerStats => {
@@ -456,8 +470,11 @@ pub fn series_reply(
     kroot: &[KrootPingRecord],
     uptime: &[SosUptimeRecord],
 ) -> ProbeSeriesReply {
-    let mut v4: Vec<ConnectionLogEntry> =
-        connections.iter().filter(|c| c.peer.v4().is_some()).cloned().collect();
+    let mut v4: Vec<ConnectionLogEntry> = connections
+        .iter()
+        .filter(|c| c.peer.v4().is_some())
+        .cloned()
+        .collect();
     let v6_entries = (connections.len() - v4.len()) as u64;
     let had_testing_entry = strip_testing_entries(&mut v4);
     let events = extract_events(&v4);

@@ -60,7 +60,10 @@ pub struct StatsBuilder<'s> {
 impl<'s> StatsBuilder<'s> {
     /// Starts an empty fold; `snaps` resolves first-address AS mappings.
     pub fn new(snaps: &'s MonthlySnapshots) -> StatsBuilder<'s> {
-        StatsBuilder { snaps, probes: BTreeMap::new() }
+        StatsBuilder {
+            snaps,
+            probes: BTreeMap::new(),
+        }
     }
 
     fn accum(&mut self, probe: u32) -> &mut Accum {
@@ -116,9 +119,17 @@ impl<'s> StatsBuilder<'s> {
         }
         let mut movers: Vec<usize> = (0..stats.len()).collect();
         movers.sort_by(|&a, &b| {
-            stats[b].changes.cmp(&stats[a].changes).then(stats[a].probe.cmp(&stats[b].probe))
+            stats[b]
+                .changes
+                .cmp(&stats[a].changes)
+                .then(stats[a].probe.cmp(&stats[b].probe))
         });
-        StatsIndex { stats, by_as, by_country, movers }
+        StatsIndex {
+            stats,
+            by_as,
+            by_country,
+            movers,
+        }
     }
 }
 
@@ -151,7 +162,10 @@ impl StatsIndex {
 
     /// One probe's row.
     pub fn stat_of(&self, probe: u32) -> Option<&ProbeStat> {
-        self.stats.binary_search_by_key(&probe, |s| s.probe).ok().map(|i| &self.stats[i])
+        self.stats
+            .binary_search_by_key(&probe, |s| s.probe)
+            .ok()
+            .map(|i| &self.stats[i])
     }
 
     /// Every probe id, ascending — the workload universe.
@@ -187,7 +201,9 @@ impl StatsIndex {
                 .then(self.stats[a].probe.cmp(&self.stats[b].probe))
         });
         idx.truncate(SUMMARY_MOVERS);
-        idx.into_iter().map(|i| self.mover_of(&self.stats[i])).collect()
+        idx.into_iter()
+            .map(|i| self.mover_of(&self.stats[i]))
+            .collect()
     }
 
     /// Aggregate over one AS; `None` for an AS no probe mapped to.
@@ -214,7 +230,10 @@ impl StatsIndex {
                 *countries.entry(&s.country).or_default() += 1;
             }
         }
-        reply.countries = countries.into_iter().map(|(c, n)| (c.to_string(), n)).collect();
+        reply.countries = countries
+            .into_iter()
+            .map(|(c, n)| (c.to_string(), n))
+            .collect();
         Some(reply)
     }
 
@@ -265,7 +284,10 @@ mod tests {
 
     fn snaps() -> MonthlySnapshots {
         let mut t = RouteTable::new();
-        t.announce(Prefix::new(Ipv4Addr::new(10, 0, 0, 0), 8).unwrap(), dynaddr_types::Asn(64500));
+        t.announce(
+            Prefix::new(Ipv4Addr::new(10, 0, 0, 0), 8).unwrap(),
+            dynaddr_types::Asn(64500),
+        );
         MonthlySnapshots::uniform(t)
     }
 
@@ -337,7 +359,10 @@ mod tests {
         assert!(idx.country_summary("JP").is_none());
         let asn = idx.as_summary(64500).unwrap();
         assert_eq!(asn.probes, 3);
-        assert_eq!(asn.countries, vec![("DE".to_string(), 2), ("US".to_string(), 1)]);
+        assert_eq!(
+            asn.countries,
+            vec![("DE".to_string(), 2), ("US".to_string(), 1)]
+        );
         assert!(idx.as_summary(1).is_none());
         let movers = idx.top_movers(2);
         assert_eq!(movers[0].probe, 1);

@@ -80,7 +80,11 @@ impl LocalAnswerer {
         truth: Option<&GroundTruth>,
     ) -> LocalAnswerer {
         let stats = StatsIndex::from_dataset(&ds, snaps);
-        LocalAnswerer { ds, stats, truth: truth.map(TruthIndex::new) }
+        LocalAnswerer {
+            ds,
+            stats,
+            truth: truth.map(TruthIndex::new),
+        }
     }
 
     /// The secondary indexes (also the workload operand universe).
@@ -117,13 +121,11 @@ impl LocalAnswerer {
                 self.ds.uptime_of(*p),
             )),
             Request::AsSummary(Asn(a)) => Response::AsSummary(self.stats.as_summary(*a)),
-            Request::CountrySummary(cc) => {
-                Response::CountrySummary(self.stats.country_summary(cc))
-            }
+            Request::CountrySummary(cc) => Response::CountrySummary(self.stats.country_summary(cc)),
             Request::TopMovers(n) => Response::TopMovers(self.stats.top_movers(*n)),
-            Request::ProbeTruth(p) => Response::ProbeTruth(
-                self.truth.as_ref().and_then(|t| t.probe(p.0)).cloned(),
-            ),
+            Request::ProbeTruth(p) => {
+                Response::ProbeTruth(self.truth.as_ref().and_then(|t| t.probe(p.0)).cloned())
+            }
             Request::ServerStats => {
                 Response::Error("ServerStats is answered by the serving front-end".into())
             }

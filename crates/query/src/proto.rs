@@ -380,7 +380,10 @@ impl<'a> WireReader<'a> {
     }
 
     fn u8(&mut self) -> Result<u8, WireError> {
-        let b = *self.buf.get(self.pos).ok_or_else(|| WireError("truncated".into()))?;
+        let b = *self
+            .buf
+            .get(self.pos)
+            .ok_or_else(|| WireError("truncated".into()))?;
         self.pos += 1;
         Ok(b)
     }
@@ -394,7 +397,10 @@ impl<'a> WireReader<'a> {
     }
 
     fn raw(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| WireError("length overflow".into()))?;
+        let end = self
+            .pos
+            .checked_add(n)
+            .ok_or_else(|| WireError("length overflow".into()))?;
         if end > self.buf.len() {
             return Err(WireError("truncated".into()));
         }
@@ -410,14 +416,18 @@ impl<'a> WireReader<'a> {
 
     fn string(&mut self) -> Result<String, WireError> {
         let s = std::str::from_utf8(self.bytes()?);
-        s.map(str::to_owned).map_err(|_| WireError("string is not UTF-8".into()))
+        s.map(str::to_owned)
+            .map_err(|_| WireError("string is not UTF-8".into()))
     }
 
     fn finish(self) -> Result<(), WireError> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {
-            Err(WireError(format!("{} trailing bytes", self.buf.len() - self.pos)))
+            Err(WireError(format!(
+                "{} trailing bytes",
+                self.buf.len() - self.pos
+            )))
         }
     }
 }
@@ -537,7 +547,10 @@ impl Wire for PeerAddr {
     fn take(r: &mut WireReader<'_>) -> Result<PeerAddr, WireError> {
         let octets = r.bytes()?;
         PeerAddr::from_octets(octets).ok_or_else(|| {
-            WireError(format!("peer address of {} bytes (want 4 or 16)", octets.len()))
+            WireError(format!(
+                "peer address of {} bytes (want 4 or 16)",
+                octets.len()
+            ))
         })
     }
 }
@@ -551,7 +564,9 @@ impl Wire for Country {
     fn take(r: &mut WireReader<'_>) -> Result<Country, WireError> {
         let code = r.string()?;
         if code.len() != 2 || !code.bytes().all(|b| b.is_ascii_uppercase()) {
-            return Err(WireError(format!("country {code:?} is not two uppercase letters")));
+            return Err(WireError(format!(
+                "country {code:?} is not two uppercase letters"
+            )));
         }
         Country::new(&code).map_err(|e| WireError(e.to_string()))
     }
@@ -575,7 +590,13 @@ macro_rules! wire_code {
     )+};
 }
 
-wire_code!(ProbeVersion, ProbeTag, ChangeCause, TruthOutageKind, ProbeClass);
+wire_code!(
+    ProbeVersion,
+    ProbeTag,
+    ChangeCause,
+    TruthOutageKind,
+    ProbeClass
+);
 
 fn put_option<T>(out: &mut Vec<u8>, v: Option<&T>, put: impl Fn(&T, &mut Vec<u8>)) {
     match v {
@@ -752,7 +773,11 @@ impl Wire for ProbeTruthReply {
     fn take(r: &mut WireReader<'_>) -> Result<ProbeTruthReply, WireError> {
         let probe = r.u32()?;
         let id = ProbeId(probe);
-        Ok(ProbeTruthReply { probe, changes: take_rows(r, id)?, outages: take_rows(r, id)? })
+        Ok(ProbeTruthReply {
+            probe,
+            changes: take_rows(r, id)?,
+            outages: take_rows(r, id)?,
+        })
     }
 }
 
@@ -811,7 +836,10 @@ impl Wire for Request {
             Request::AsSummary(a) => a.0.put(out),
             Request::CountrySummary(cc) => cc.put(out),
             Request::TopMovers(n) => n.put(out),
-            Request::Ping | Request::ServerStats | Request::DaemonSnapshot | Request::IngestStats => {}
+            Request::Ping
+            | Request::ServerStats
+            | Request::DaemonSnapshot
+            | Request::IngestStats => {}
         }
     }
     fn take(r: &mut WireReader<'_>) -> Result<Request, WireError> {
@@ -907,7 +935,10 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             if got == 0 {
                 return Ok(None);
             }
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated frame length"));
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "truncated frame length",
+            ));
         }
         got += n;
     }
@@ -1037,20 +1068,65 @@ mod tests {
                 tags: vec![ProbeTag::Dsl, ProbeTag::Home],
             }),
             connections: vec![
-                ConnectionLogEntry { probe, start: t(-5), end: t(100), peer: a.into() },
-                ConnectionLogEntry { probe, start: t(50), end: t(60), peer: Ipv6Addr::LOCALHOST.into() },
+                ConnectionLogEntry {
+                    probe,
+                    start: t(-5),
+                    end: t(100),
+                    peer: a.into(),
+                },
+                ConnectionLogEntry {
+                    probe,
+                    start: t(50),
+                    end: t(60),
+                    peer: Ipv6Addr::LOCALHOST.into(),
+                },
             ],
-            kroot: vec![KrootPingRecord { probe, timestamp: t(1), sent: 3, success: 0, lts_secs: 900 }],
-            uptime: vec![SosUptimeRecord { probe, timestamp: t(2), uptime_secs: 3600 }],
+            kroot: vec![KrootPingRecord {
+                probe,
+                timestamp: t(1),
+                sent: 3,
+                success: 0,
+                lts_secs: 900,
+            }],
+            uptime: vec![SosUptimeRecord {
+                probe,
+                timestamp: t(2),
+                uptime_secs: 3600,
+            }],
         }));
         roundtrip(&Response::ProbeSeries(ProbeSeriesReply {
             probe: 9,
             meta: None,
-            changes: vec![AddressChange { probe, gap_start: t(10), gap_end: t(20), from: a, to: b }],
-            spans: vec![AddressSpan { probe, addr: a, start: t(0), end: t(10), complete: false }],
-            gaps: vec![Gap { probe, start: t(10), end: t(20), address_changed: true }],
-            outages: vec![NetworkOutage { probe, start: t(5), end: t(6) }],
-            reboots: vec![Reboot { probe, boot_time: t(1), report_time: t(2) }],
+            changes: vec![AddressChange {
+                probe,
+                gap_start: t(10),
+                gap_end: t(20),
+                from: a,
+                to: b,
+            }],
+            spans: vec![AddressSpan {
+                probe,
+                addr: a,
+                start: t(0),
+                end: t(10),
+                complete: false,
+            }],
+            gaps: vec![Gap {
+                probe,
+                start: t(10),
+                end: t(20),
+                address_changed: true,
+            }],
+            outages: vec![NetworkOutage {
+                probe,
+                start: t(5),
+                end: t(6),
+            }],
+            reboots: vec![Reboot {
+                probe,
+                boot_time: t(1),
+                report_time: t(2),
+            }],
             had_testing_entry: true,
             v6_entries: 3,
         }));
@@ -1089,7 +1165,13 @@ mod tests {
         };
         assert!(from_bytes::<Response>(&meta("JP", 3, 7)).is_ok());
         // Countries that are not two uppercase letters, unknown enum codes.
-        let bad = [("jp", 3, 7), ("J1", 3, 7), ("JPN", 3, 7), ("JP", 4, 7), ("JP", 3, 8)];
+        let bad = [
+            ("jp", 3, 7),
+            ("J1", 3, 7),
+            ("JPN", 3, 7),
+            ("JP", 4, 7),
+            ("JP", 3, 8),
+        ];
         for (country, version, tag) in bad {
             let bytes = meta(country, version, tag);
             assert!(from_bytes::<Response>(&bytes).is_err(), "{bytes:?} decoded");
@@ -1118,7 +1200,10 @@ mod tests {
     fn overlong_varints_are_rejected() {
         // `[1, 0]` is `ProbeRecords(ProbeId(0))`; the same id padded with
         // a zero continuation byte would re-encode shorter.
-        assert_eq!(from_bytes::<Request>(&[1, 0]), Ok(Request::ProbeRecords(ProbeId(0))));
+        assert_eq!(
+            from_bytes::<Request>(&[1, 0]),
+            Ok(Request::ProbeRecords(ProbeId(0)))
+        );
         assert!(from_bytes::<Request>(&[1, 0x80, 0x00]).is_err());
         // A signed field: `DaemonSnapshot`'s `frontier_secs` follows the
         // tag and fourteen one-byte counters.
@@ -1164,7 +1249,10 @@ mod tests {
         // EOF: an error, and no read is offered more than the reserve.
         let mut header = (MAX_FRAME as u32).to_le_bytes().to_vec();
         header.extend_from_slice(b"abc");
-        let mut r = Recorder { data: &header, offered: Vec::new() };
+        let mut r = Recorder {
+            data: &header,
+            offered: Vec::new(),
+        };
         let err = read_frame(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         let largest = r.offered.iter().copied().max().unwrap();
@@ -1174,7 +1262,10 @@ mod tests {
         let body: Vec<u8> = (0..3 * FRAME_RESERVE + 7).map(|i| i as u8).collect();
         let mut buf = Vec::new();
         write_frame(&mut buf, &body).unwrap();
-        let mut r = Recorder { data: &buf, offered: Vec::new() };
+        let mut r = Recorder {
+            data: &buf,
+            offered: Vec::new(),
+        };
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), body);
 
         // A few-byte request frame costs one allocation of its own size.

@@ -165,7 +165,10 @@ impl<A: Answerer> Server<A> {
 
     /// A stop control for this server.
     pub fn handle(&self) -> ServerHandle {
-        ServerHandle { stop: Arc::clone(&self.stop), path: self.path.clone() }
+        ServerHandle {
+            stop: Arc::clone(&self.stop),
+            path: self.path.clone(),
+        }
     }
 
     /// Runs the accept loop until [`ServerHandle::stop`] is called.

@@ -11,19 +11,16 @@ use dynaddr_atlas::logs::{
 use dynaddr_atlas::truth::{ChangeCause, GroundTruth, TruthChange, TruthOutage, TruthOutageKind};
 use dynaddr_atlas::{paper_route_tables, paper_world, simulate};
 use dynaddr_ip2as::{MonthlySnapshots, RouteTable};
+use dynaddr_query::engine::EngineError;
 use dynaddr_query::proto::{self, Request, Response, ServerStatsReply};
 use dynaddr_query::{
     CacheConfig, EngineOptions, LocalAnswerer, QueryClient, QueryEngine, Workload,
 };
-use dynaddr_query::engine::EngineError;
 use dynaddr_store::crc32::crc32;
 use dynaddr_store::{
-    varint, ColumnarRecord, FileReader, SegmentInfo, StoreError, StreamWriter,
-    DEFAULT_SEGMENT_ROWS,
+    varint, ColumnarRecord, FileReader, SegmentInfo, StoreError, StreamWriter, DEFAULT_SEGMENT_ROWS,
 };
-use dynaddr_types::{
-    Asn, Country, Prefix, ProbeId, ProbeTag, ProbeVersion, SimDuration, SimTime,
-};
+use dynaddr_types::{Asn, Country, Prefix, ProbeId, ProbeTag, ProbeVersion, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -32,8 +29,14 @@ const PROBES: u32 = 40;
 
 fn snaps() -> MonthlySnapshots {
     let mut t = RouteTable::new();
-    t.announce(Prefix::new(Ipv4Addr::new(10, 0, 0, 0), 8).unwrap(), Asn(64500));
-    t.announce(Prefix::new(Ipv4Addr::new(172, 16, 0, 0), 12).unwrap(), Asn(64501));
+    t.announce(
+        Prefix::new(Ipv4Addr::new(10, 0, 0, 0), 8).unwrap(),
+        Asn(64500),
+    );
+    t.announce(
+        Prefix::new(Ipv4Addr::new(172, 16, 0, 0), 12).unwrap(),
+        Asn(64501),
+    );
     MonthlySnapshots::uniform(t)
 }
 
@@ -45,10 +48,13 @@ fn dataset() -> AtlasDataset {
         if p % 7 != 6 {
             ds.meta.push(ProbeMeta {
                 probe: ProbeId(p),
-                version: [ProbeVersion::V1, ProbeVersion::V2, ProbeVersion::V3]
-                    [p as usize % 3],
+                version: [ProbeVersion::V1, ProbeVersion::V2, ProbeVersion::V3][p as usize % 3],
                 country: Country::new(["DE", "US", "JP", "BR"][p as usize % 4]).unwrap(),
-                tags: if p % 2 == 0 { vec![ProbeTag::Home, ProbeTag::Dsl] } else { vec![] },
+                tags: if p % 2 == 0 {
+                    vec![ProbeTag::Home, ProbeTag::Dsl]
+                } else {
+                    vec![]
+                },
             });
         }
         let sessions = 3 + (p % 5) as i64;
@@ -72,7 +78,11 @@ fn dataset() -> AtlasDataset {
                 probe: ProbeId(p),
                 timestamp: SimTime(k * 240),
                 sent: 3,
-                success: if (8..11).contains(&k) && p % 3 == 0 { 0 } else { 3 },
+                success: if (8..11).contains(&k) && p % 3 == 0 {
+                    0
+                } else {
+                    3
+                },
                 lts_secs: 90,
             });
         }
@@ -81,7 +91,11 @@ fn dataset() -> AtlasDataset {
             ds.uptime.push(SosUptimeRecord {
                 probe: ProbeId(p),
                 timestamp: SimTime(k * 3_600),
-                uptime_secs: if reset { 60 } else { (k * 3_600 + 50_000) as u64 },
+                uptime_secs: if reset {
+                    60
+                } else {
+                    (k * 3_600 + 50_000) as u64
+                },
             });
         }
     }
@@ -97,8 +111,11 @@ fn truth() -> GroundTruth {
             time: SimTime(i64::from(p) * 777),
             from: (p > 0).then(|| Ipv4Addr::new(10, 1, p as u8, 0)),
             to: Ipv4Addr::new(10, 1, p as u8, 1),
-            cause: [ChangeCause::PeriodicCap, ChangeCause::NetworkOutage, ChangeCause::Moved]
-                [p as usize % 3],
+            cause: [
+                ChangeCause::PeriodicCap,
+                ChangeCause::NetworkOutage,
+                ChangeCause::Moved,
+            ][p as usize % 3],
         });
         t.outages.push(TruthOutage {
             probe: ProbeId(p),
@@ -135,7 +152,13 @@ fn with_footer(bytes: &[u8], edit: impl FnOnce(&mut [SegmentInfo])) -> Vec<u8> {
     varint::write_u64(&mut footer, entries.len() as u64);
     for e in &entries {
         footer.push(e.table);
-        for v in [u64::from(e.key_lo), u64::from(e.key_hi), e.rows, e.offset, e.len] {
+        for v in [
+            u64::from(e.key_lo),
+            u64::from(e.key_hi),
+            e.rows,
+            e.offset,
+            e.len,
+        ] {
             varint::write_u64(&mut footer, v);
         }
     }
@@ -154,7 +177,12 @@ fn engine_with(budget: usize) -> QueryEngine {
         store_bytes(&ds, 16),
         &snaps,
         Some(&t),
-        &EngineOptions { cache: CacheConfig { shards: 4, budget_bytes: budget } },
+        &EngineOptions {
+            cache: CacheConfig {
+                shards: 4,
+                budget_bytes: budget,
+            },
+        },
     )
     .expect("engine opens")
 }
@@ -172,7 +200,9 @@ fn workload_for(engine: &QueryEngine) -> Workload {
 
 /// Single-threaded reference answers for the first `n` workload requests.
 fn reference(engine: &QueryEngine, w: &Workload, n: u64) -> Vec<Vec<u8>> {
-    (0..n).map(|i| proto::to_bytes(&engine.query(&w.request(i)))).collect()
+    (0..n)
+        .map(|i| proto::to_bytes(&engine.query(&w.request(i))))
+        .collect()
 }
 
 #[test]
@@ -219,7 +249,10 @@ fn engine_matches_local_oracle_and_dataset() {
         for req in &requests {
             let from_engine = engine.query(req);
             let from_local = local.answer(req);
-            assert_eq!(from_engine, from_local, "{segment_rows}-row segments diverged on {req:?}");
+            assert_eq!(
+                from_engine, from_local,
+                "{segment_rows}-row segments diverged on {req:?}"
+            );
             assert_eq!(proto::to_bytes(&from_engine), proto::to_bytes(&from_local));
         }
 
@@ -242,16 +275,25 @@ fn engine_rejects_footer_spans_out_of_order() {
     open(with_footer(&bytes, |_| {})).expect("an unedited footer opens");
     // A k-root span whose end lies below its start.
     let inverted = with_footer(&bytes, |e| {
-        let s = e.iter_mut().find(|s| s.table == 3 && s.key_lo < s.key_hi).expect("span");
+        let s = e
+            .iter_mut()
+            .find(|s| s.table == 3 && s.key_lo < s.key_hi)
+            .expect("span");
         std::mem::swap(&mut s.key_lo, &mut s.key_hi);
     });
     // A meta segment starting at the previous one's last probe, which
     // would give that probe two meta rows.
     let touching = with_footer(&bytes, |e| {
-        assert!(e[0].table == 1 && e[1].table == 1, "meta segments come first");
+        assert!(
+            e[0].table == 1 && e[1].table == 1,
+            "meta segments come first"
+        );
         e[1].key_lo = e[0].key_hi;
     });
-    for (what, bytes, table) in [("inverted", inverted, "kroot"), ("touching", touching, "meta")] {
+    for (what, bytes, table) in [
+        ("inverted", inverted, "kroot"),
+        ("touching", touching, "meta"),
+    ] {
         match open(bytes) {
             Err(EngineError::Store(StoreError::OutOfOrder { table: t, .. })) => {
                 assert_eq!(t, table, "{what}")
@@ -268,7 +310,10 @@ fn footer_span_narrower_than_its_rows_fails_every_reader() {
     // rows would let them disagree, so every reader must reject it.
     let mut probe = 0;
     let bytes = with_footer(&store_bytes(&dataset(), 16), |e| {
-        let s = e.iter_mut().find(|s| s.table == 3 && s.key_lo < s.key_hi).expect("span");
+        let s = e
+            .iter_mut()
+            .find(|s| s.table == 3 && s.key_lo < s.key_hi)
+            .expect("span");
         s.key_hi -= 1;
         probe = s.key_lo;
     });
@@ -284,7 +329,10 @@ fn footer_span_narrower_than_its_rows_fails_every_reader() {
 
     match AtlasDataset::load_dir(&dir) {
         Err(dynaddr_atlas::LoadError::Store { source, .. }) => corrupt_kroot("load_dir", &source),
-        other => panic!("load_dir: expected a store error, got {:?}", other.map(|_| ())),
+        other => panic!(
+            "load_dir: expected a store error, got {:?}",
+            other.map(|_| ())
+        ),
     }
     let mut stream = dynaddr_atlas::DatasetStream::open(&dir.join("dataset.store")).unwrap();
     let err = loop {
@@ -377,7 +425,10 @@ fn cold_engine_misses_once_per_distinct_probe_and_hits_after() {
     }
     let stats = engine.cache_stats();
     let distinct = distinct.len() as u64;
-    assert!(distinct > 0 && lookups > distinct, "{lookups} lookups of {distinct} probes");
+    assert!(
+        distinct > 0 && lookups > distinct,
+        "{lookups} lookups of {distinct} probes"
+    );
     assert_eq!(
         (stats.misses, stats.hits, stats.evictions),
         (distinct, lookups - distinct, 0),
@@ -400,7 +451,10 @@ fn every_bit_flip_in_a_kroot_segment_fails_only_its_probes() {
     let span = seg.key_lo..=seg.key_hi;
     let mut requests = Vec::new();
     for p in 0..PROBES {
-        for req in [Request::ProbeRecords(ProbeId(p)), Request::ProbeSeries(ProbeId(p))] {
+        for req in [
+            Request::ProbeRecords(ProbeId(p)),
+            Request::ProbeSeries(ProbeId(p)),
+        ] {
             let expect = proto::to_bytes(&local.answer(&req));
             requests.push((p, req, expect));
         }
@@ -422,7 +476,11 @@ fn every_bit_flip_in_a_kroot_segment_fails_only_its_probes() {
                     }
                 }
             } else {
-                assert_eq!(&proto::to_bytes(&engine.query(req)), expect, "bit {bit}, {req:?}");
+                assert_eq!(
+                    &proto::to_bytes(&engine.query(req)),
+                    expect,
+                    "bit {bit}, {req:?}"
+                );
             }
         }
     }
@@ -444,13 +502,24 @@ fn responses_survive_cache_state_changes() {
     );
     // Cleared cache: decode everything again.
     engine.clear_cache();
-    assert_eq!(cold, reference(&engine, &w, N), "cleared cache changed an answer");
+    assert_eq!(
+        cold,
+        reference(&engine, &w, N),
+        "cleared cache changed an answer"
+    );
     // Thrashing: a budget too small to hold the working set forces
     // constant eviction; answers must not move.
     let tiny = engine_with(4 << 10);
-    assert_eq!(cold, reference(&tiny, &workload_for(&tiny), N), "tiny cache changed an answer");
+    assert_eq!(
+        cold,
+        reference(&tiny, &workload_for(&tiny), N),
+        "tiny cache changed an answer"
+    );
     let stats = tiny.cache_stats();
-    assert!(stats.evictions > 0, "tiny budget never evicted (budget not enforced?)");
+    assert!(
+        stats.evictions > 0,
+        "tiny budget never evicted (budget not enforced?)"
+    );
 }
 
 #[cfg(unix)]
@@ -474,7 +543,9 @@ fn socket_serving_matches_in_process_answers() {
         for i in 0..N {
             let req = w.request(i);
             let expected = proto::to_bytes(&engine.query(&req));
-            let got = clients[(i % 3) as usize].request_bytes(&req).expect("request");
+            let got = clients[(i % 3) as usize]
+                .request_bytes(&req)
+                .expect("request");
             assert_eq!(got, expected, "request {i} diverged over the socket");
         }
     }
@@ -483,16 +554,29 @@ fn socket_serving_matches_in_process_answers() {
         // the well-formed requests that follow.
         let mut raw = std::os::unix::net::UnixStream::connect(&path).expect("connect");
         proto::write_frame(&mut raw, &[200]).expect("send unknown request tag");
-        let body = proto::read_frame(&mut raw).expect("reply").expect("no hangup");
+        let body = proto::read_frame(&mut raw)
+            .expect("reply")
+            .expect("no hangup");
         let resp: Response = proto::from_bytes(&body).expect("reply decodes");
-        assert!(matches!(resp, Response::Error(_)), "malformed frame answered {resp:?}");
+        assert!(
+            matches!(resp, Response::Error(_)),
+            "malformed frame answered {resp:?}"
+        );
         proto::write_frame(&mut raw, &proto::to_bytes(&Request::Ping)).expect("send ping");
-        let body = proto::read_frame(&mut raw).expect("reply").expect("no hangup");
-        assert_eq!(proto::from_bytes::<Response>(&body).expect("reply decodes"), Response::Pong);
+        let body = proto::read_frame(&mut raw)
+            .expect("reply")
+            .expect("no hangup");
+        assert_eq!(
+            proto::from_bytes::<Response>(&body).expect("reply decodes"),
+            Response::Pong
+        );
     }
 
     handle.stop();
-    server_thread.join().expect("server thread").expect("server run");
+    server_thread
+        .join()
+        .expect("server thread")
+        .expect("server run");
     assert!(!path.exists(), "socket file should be removed on shutdown");
 }
 
@@ -501,7 +585,11 @@ fn socket_serving_matches_in_process_answers() {
 fn probe_replies(local: &LocalAnswerer) -> Vec<Vec<u8>> {
     let mut replies = Vec::new();
     for p in (0..=PROBES + 1).map(ProbeId) {
-        for req in [Request::ProbeRecords(p), Request::ProbeSeries(p), Request::ProbeTruth(p)] {
+        for req in [
+            Request::ProbeRecords(p),
+            Request::ProbeSeries(p),
+            Request::ProbeTruth(p),
+        ] {
             replies.push(proto::to_bytes(&local.answer(&req)));
         }
     }
@@ -528,9 +616,17 @@ fn summary_and_stats_reply_bytes_are_pinned() {
     let stats = local.stats();
     let mut requests = vec![Request::TopMovers(PROBES)];
     requests.extend(stats.asns().iter().map(|&a| Request::AsSummary(Asn(a))));
-    requests.extend(stats.countries().iter().cloned().map(Request::CountrySummary));
-    let mut replies: Vec<Vec<u8>> =
-        requests.iter().map(|req| proto::to_bytes(&local.answer(req))).collect();
+    requests.extend(
+        stats
+            .countries()
+            .iter()
+            .cloned()
+            .map(Request::CountrySummary),
+    );
+    let mut replies: Vec<Vec<u8>> = requests
+        .iter()
+        .map(|req| proto::to_bytes(&local.answer(req)))
+        .collect();
     replies.push(proto::to_bytes(&Response::ServerStats(ServerStatsReply {
         uptime_secs: 86_461,
         connections_total: 3,
@@ -555,7 +651,11 @@ fn truncated_and_bit_flipped_replies_decode_canonically_or_not_at_all() {
     let mut replies = probe_replies(&local);
     let asn = local.stats().asns()[0];
     let country = local.stats().countries()[0].clone();
-    for req in [Request::TopMovers(5), Request::AsSummary(Asn(asn)), Request::CountrySummary(country)] {
+    for req in [
+        Request::TopMovers(5),
+        Request::AsSummary(Asn(asn)),
+        Request::CountrySummary(country),
+    ] {
         replies.push(proto::to_bytes(&local.answer(&req)));
     }
     let (mut mutations, mut decoded, mut drifted) = (0, 0, Vec::new());

@@ -33,7 +33,9 @@ fn ping(socket: &Path) -> Result<Response, String> {
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     };
-    stream.set_read_timeout(Some(DEADLINE)).map_err(|e| e.to_string())?;
+    stream
+        .set_read_timeout(Some(DEADLINE))
+        .map_err(|e| e.to_string())?;
     proto::write_frame(&mut stream, &proto::to_bytes(&Request::Ping)).map_err(|e| e.to_string())?;
     let body = proto::read_frame(&mut stream)
         .map_err(|e| format!("read: {e}"))?
@@ -43,10 +45,11 @@ fn ping(socket: &Path) -> Result<Response, String> {
 
 #[test]
 fn queryd_survives_running_out_of_file_descriptors() {
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("queryd-emfile-{}", std::process::id()));
+    let dir: PathBuf = std::env::temp_dir().join(format!("queryd-emfile-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    AtlasDataset::default().save_dir(&dir).expect("write dataset");
+    AtlasDataset::default()
+        .save_dir(&dir)
+        .expect("write dataset");
     let socket = dir.join("q.sock");
     let err_path = dir.join("queryd.err");
 
@@ -70,8 +73,9 @@ fn queryd_survives_running_out_of_file_descriptors() {
 
     // More idle connections than the server has descriptors: the accepts
     // beyond its limit fail until some close.
-    let idle: Vec<UnixStream> =
-        (0..30).map(|_| UnixStream::connect(&socket).expect("connect")).collect();
+    let idle: Vec<UnixStream> = (0..30)
+        .map(|_| UnixStream::connect(&socket).expect("connect"))
+        .collect();
     let started = Instant::now();
     loop {
         if let Some(status) = server.0.try_wait().expect("wait for queryd") {
@@ -82,13 +86,23 @@ fn queryd_survives_running_out_of_file_descriptors() {
         if stderr.contains("accept failed") {
             break;
         }
-        assert!(started.elapsed() < DEADLINE, "no accept ever failed:\n{stderr}");
+        assert!(
+            started.elapsed() < DEADLINE,
+            "no accept ever failed:\n{stderr}"
+        );
         std::thread::sleep(Duration::from_millis(20));
     }
     drop(idle);
 
-    assert_eq!(ping(&socket), Ok(Response::Pong), "queryd stopped answering");
-    assert!(server.0.try_wait().expect("wait for queryd").is_none(), "queryd exited");
+    assert_eq!(
+        ping(&socket),
+        Ok(Response::Pong),
+        "queryd stopped answering"
+    );
+    assert!(
+        server.0.try_wait().expect("wait for queryd").is_none(),
+        "queryd exited"
+    );
     drop(server);
     std::fs::remove_dir_all(&dir).ok();
 }

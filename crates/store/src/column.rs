@@ -29,7 +29,9 @@ pub struct DecodeError {
 impl DecodeError {
     /// A decode error with the given reason.
     pub fn new(reason: impl Into<String>) -> DecodeError {
-        DecodeError { reason: reason.into() }
+        DecodeError {
+            reason: reason.into(),
+        }
     }
 }
 
@@ -71,7 +73,10 @@ impl ColumnBuilder {
     /// An empty builder of the given kind.
     pub fn new(kind: ColumnKind) -> ColumnBuilder {
         match kind {
-            ColumnKind::I64 => ColumnBuilder::I64 { prev: 0, buf: Vec::new() },
+            ColumnKind::I64 => ColumnBuilder::I64 {
+                prev: 0,
+                buf: Vec::new(),
+            },
             ColumnKind::Bytes => ColumnBuilder::Bytes { buf: Vec::new() },
         }
     }
@@ -132,7 +137,11 @@ impl<'a> ColumnReader<'a> {
     /// A reader over one column's payload bytes.
     pub fn new(kind: ColumnKind, buf: &'a [u8]) -> ColumnReader<'a> {
         match kind {
-            ColumnKind::I64 => ColumnReader::I64 { prev: 0, buf, pos: 0 },
+            ColumnKind::I64 => ColumnReader::I64 {
+                prev: 0,
+                buf,
+                pos: 0,
+            },
             ColumnKind::Bytes => ColumnReader::Bytes { buf, pos: 0 },
         }
     }
@@ -208,7 +217,10 @@ mod tests {
             sorted.push_i64(v);
         }
         let sorted_bytes = sorted.into_bytes();
-        assert!(sorted_bytes.len() <= 104, "sorted run should delta-compress");
+        assert!(
+            sorted_bytes.len() <= 104,
+            "sorted run should delta-compress"
+        );
     }
 
     #[test]

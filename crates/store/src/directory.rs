@@ -124,7 +124,15 @@ pub fn index_segment_at<R: ColumnarRecord>(
         .map(|(&kind, span)| (kind, body_at + span.start..body_at + span.end))
         .collect();
     let table = R::TABLE_ID;
-    let dir = KeyDirectory { table, index, offset: info.offset, columns, keys, starts, states };
+    let dir = KeyDirectory {
+        table,
+        index,
+        offset: info.offset,
+        columns,
+        keys,
+        starts,
+        states,
+    };
     Ok((rows, dir))
 }
 
@@ -153,7 +161,11 @@ impl KeyDirectory {
             reason,
         };
         if R::TABLE_ID != self.table {
-            let reason = format!("directory of table id {} read as {}", self.table, R::TABLE_ID);
+            let reason = format!(
+                "directory of table id {} read as {}",
+                self.table,
+                R::TABLE_ID
+            );
             return Err(corrupt(reason));
         }
         let Ok(run) = self.keys.binary_search(&key) else {
@@ -166,14 +178,23 @@ impl KeyDirectory {
                 .get(span.clone())
                 .ok_or_else(|| corrupt("column runs past the end of these bytes".to_string()))?;
             readers.push(match kind {
-                ColumnKind::I64 => ColumnReader::I64 { prev: state.prev, buf, pos: state.pos },
-                ColumnKind::Bytes => ColumnReader::Bytes { buf, pos: state.pos },
+                ColumnKind::I64 => ColumnReader::I64 {
+                    prev: state.prev,
+                    buf,
+                    pos: state.pos,
+                },
+                ColumnKind::Bytes => ColumnReader::Bytes {
+                    buf,
+                    pos: state.pos,
+                },
             });
         }
         let count = self.starts[run + 1] - self.starts[run];
         let rows = R::decode(&mut readers, count).map_err(|e| corrupt(e.reason))?;
         if let Some(other) = rows.iter().map(R::key).find(|&k| k != key) {
-            return Err(corrupt(format!("key {key}'s run decoded a row of key {other}")));
+            return Err(corrupt(format!(
+                "key {key}'s run decoded a row of key {other}"
+            )));
         }
         Ok(rows)
     }

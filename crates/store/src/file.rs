@@ -101,8 +101,12 @@ impl<W: Write> StreamWriter<W> {
 
     /// A writer splitting tables into segments of at most `segment_rows`
     /// rows (clamped to at least 1).
-    pub fn with_segment_rows(mut out: W, segment_rows: usize) -> Result<StreamWriter<W>, StoreError> {
-        out.write_all(&MAGIC).map_err(|e| StoreError::io("write magic", e))?;
+    pub fn with_segment_rows(
+        mut out: W,
+        segment_rows: usize,
+    ) -> Result<StreamWriter<W>, StoreError> {
+        out.write_all(&MAGIC)
+            .map_err(|e| StoreError::io("write magic", e))?;
         Ok(StreamWriter {
             out,
             offset: MAGIC.len() as u64,
@@ -190,7 +194,11 @@ impl<'a> FileReader<'a> {
     pub fn open(bytes: &'a [u8]) -> Result<FileReader<'a>, StoreError> {
         check_magic(bytes)?;
         let entries = parse_footer(bytes)?;
-        Ok(FileReader { bytes, entries, footer_rebuilt: false })
+        Ok(FileReader {
+            bytes,
+            entries,
+            footer_rebuilt: false,
+        })
     }
 
     /// Opens a file for recovery. The leading magic must still match —
@@ -200,7 +208,14 @@ impl<'a> FileReader<'a> {
     pub fn open_recover(bytes: &'a [u8]) -> Result<(FileReader<'a>, Vec<String>), StoreError> {
         check_magic(bytes)?;
         match parse_footer(bytes) {
-            Ok(entries) => Ok((FileReader { bytes, entries, footer_rebuilt: false }, Vec::new())),
+            Ok(entries) => Ok((
+                FileReader {
+                    bytes,
+                    entries,
+                    footer_rebuilt: false,
+                },
+                Vec::new(),
+            )),
             Err(err) => {
                 let (entries, mut notes) = scan_segments(bytes);
                 notes.insert(
@@ -211,7 +226,14 @@ impl<'a> FileReader<'a> {
                         entries.len()
                     ),
                 );
-                Ok((FileReader { bytes, entries, footer_rebuilt: true }, notes))
+                Ok((
+                    FileReader {
+                        bytes,
+                        entries,
+                        footer_rebuilt: true,
+                    },
+                    notes,
+                ))
             }
         }
     }
@@ -223,7 +245,11 @@ impl<'a> FileReader<'a> {
 
     /// Rows the index records for one table.
     pub fn table_rows(&self, table: u8) -> u64 {
-        self.entries.iter().filter(|e| e.table == table).map(|e| e.rows).sum()
+        self.entries
+            .iter()
+            .filter(|e| e.table == table)
+            .map(|e| e.rows)
+            .sum()
     }
 
     /// Decodes every segment of table `R`, in parallel, reassembling rows
@@ -338,8 +364,10 @@ fn decode_frame<R: ColumnarRecord>(
     let span = (info.key_lo, info.key_hi);
     if let (Some(first), Some(last)) = (rows.first(), rows.last()) {
         if (first.key(), last.key()) != span {
-            let (lo, hi) =
-                rows.iter().map(R::key).fold((u32::MAX, 0), |(lo, hi), k| (lo.min(k), hi.max(k)));
+            let (lo, hi) = rows
+                .iter()
+                .map(R::key)
+                .fold((u32::MAX, 0), |(lo, hi), k| (lo.min(k), hi.max(k)));
             if (lo, hi) != span {
                 return Err(corrupt(format!(
                     "rows span keys {lo}..={hi} where the index records {}..={}",
@@ -381,11 +409,13 @@ impl SegmentFileReader {
         file.read_exact(&mut magic).map_err(io("read magic"))?;
         check_magic(&magic)?;
         let mut trailer = [0u8; TRAILER_LEN];
-        file.seek(SeekFrom::Start((n - TRAILER_LEN) as u64)).map_err(io("seek to trailer"))?;
+        file.seek(SeekFrom::Start((n - TRAILER_LEN) as u64))
+            .map_err(io("seek to trailer"))?;
         file.read_exact(&mut trailer).map_err(io("read trailer"))?;
         let footer_offset = parse_trailer(&trailer, n)?;
         let mut region = vec![0u8; n - TRAILER_LEN - footer_offset];
-        file.seek(SeekFrom::Start(footer_offset as u64)).map_err(io("seek to footer"))?;
+        file.seek(SeekFrom::Start(footer_offset as u64))
+            .map_err(io("seek to footer"))?;
         file.read_exact(&mut region).map_err(io("read footer"))?;
         let entries = parse_footer_region(&region, footer_offset as u64)?;
         Ok(SegmentFileReader { file, entries })
@@ -398,7 +428,11 @@ impl SegmentFileReader {
 
     /// Rows the index records for one table.
     pub fn table_rows(&self, table: u8) -> u64 {
-        self.entries.iter().filter(|e| e.table == table).map(|e| e.rows).sum()
+        self.entries
+            .iter()
+            .filter(|e| e.table == table)
+            .map(|e| e.rows)
+            .sum()
     }
 
     /// Reads and decodes one segment (identified by its index entry and
@@ -427,7 +461,9 @@ fn check_magic(bytes: &[u8]) -> Result<(), StoreError> {
         return Err(StoreError::TooShort { len: bytes.len() });
     }
     if bytes[..MAGIC.len()] != MAGIC {
-        return Err(StoreError::BadMagic { found: bytes[..MAGIC.len()].to_vec() });
+        return Err(StoreError::BadMagic {
+            found: bytes[..MAGIC.len()].to_vec(),
+        });
     }
     Ok(())
 }
@@ -441,7 +477,9 @@ fn parse_footer(bytes: &[u8]) -> Result<Vec<SegmentInfo>, StoreError> {
         return Err(StoreError::TooShort { len: n });
     }
     if bytes[n - 8..] != MAGIC_END {
-        return Err(StoreError::BadTrailer { reason: "end marker missing".to_string() });
+        return Err(StoreError::BadTrailer {
+            reason: "end marker missing".to_string(),
+        });
     }
     let footer_offset = parse_trailer(&bytes[n - TRAILER_LEN..], n)?;
     let region = &bytes[footer_offset..n - TRAILER_LEN];
@@ -452,7 +490,9 @@ fn parse_footer(bytes: &[u8]) -> Result<Vec<SegmentInfo>, StoreError> {
 /// the footer offset it points at.
 fn parse_trailer(trailer: &[u8], n: usize) -> Result<usize, StoreError> {
     if trailer[8..] != MAGIC_END {
-        return Err(StoreError::BadTrailer { reason: "end marker missing".to_string() });
+        return Err(StoreError::BadTrailer {
+            reason: "end marker missing".to_string(),
+        });
     }
     let footer_offset = u64::from_le_bytes(trailer[..8].try_into().expect("8 bytes")) as usize;
     if footer_offset < MAGIC.len() || footer_offset + 5 > n - TRAILER_LEN {
@@ -470,7 +510,9 @@ fn parse_footer_region(region: &[u8], footer_offset: u64) -> Result<Vec<SegmentI
     let (footer, crc_bytes) = region.split_at(region.len() - 4);
     let stored_crc = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
     if crc32(footer) != stored_crc {
-        return Err(StoreError::BadFooter { reason: "checksum mismatch".to_string() });
+        return Err(StoreError::BadFooter {
+            reason: "checksum mismatch".to_string(),
+        });
     }
 
     let bad = |reason: String| StoreError::BadFooter { reason };
@@ -537,7 +579,9 @@ fn scan_segments(bytes: &[u8]) -> (Vec<SegmentInfo>, Vec<String>) {
     while pos + 8 <= bytes.len() {
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
         let body_start = pos + 4;
-        let Some(body_end) = body_start.checked_add(len).filter(|&e| e + 4 <= bytes.len())
+        let Some(body_end) = body_start
+            .checked_add(len)
+            .filter(|&e| e + 4 <= bytes.len())
         else {
             notes.push(format!(
                 "scan stopped at offset {pos}: frame length {len} runs past end of file"
@@ -623,7 +667,12 @@ mod tests {
     }
 
     fn sample_rows(n: usize) -> Vec<Row> {
-        (0..n).map(|i| Row { key: (i / 3) as u32, value: i as i64 * 17 - 40 }).collect()
+        (0..n)
+            .map(|i| Row {
+                key: (i / 3) as u32,
+                value: i as i64 * 17 - 40,
+            })
+            .collect()
     }
 
     fn sample_file(n: usize, segment_rows: usize) -> Vec<u8> {
@@ -682,7 +731,12 @@ mod tests {
             .and_then(|r| r.decode_table::<Row>(ReadMode::Strict).map(|_| ()))
             .unwrap_err();
         match &err {
-            StoreError::SegmentCorrupt { table, index, offset, .. } => {
+            StoreError::SegmentCorrupt {
+                table,
+                index,
+                offset,
+                ..
+            } => {
                 assert_eq!(table, "rows");
                 assert_eq!(*index, 2);
                 assert_eq!(*offset, victim.offset);
@@ -707,7 +761,10 @@ mod tests {
         // Smash the trailer's footer offset.
         let n = bytes.len();
         bytes[n - 12] ^= 0xff;
-        assert!(matches!(FileReader::open(&bytes), Err(StoreError::BadTrailer { .. })));
+        assert!(matches!(
+            FileReader::open(&bytes),
+            Err(StoreError::BadTrailer { .. })
+        ));
 
         let (reader, notes) = FileReader::open_recover(&bytes).unwrap();
         assert!(reader.footer_rebuilt);
@@ -721,8 +778,17 @@ mod tests {
     fn bad_magic_is_typed_in_both_modes() {
         let mut bytes = sample_file(4, 8);
         bytes[0] ^= 1;
-        assert!(matches!(FileReader::open(&bytes), Err(StoreError::BadMagic { .. })));
-        assert!(matches!(FileReader::open_recover(&bytes), Err(StoreError::BadMagic { .. })));
-        assert!(matches!(FileReader::open(&[]), Err(StoreError::TooShort { .. })));
+        assert!(matches!(
+            FileReader::open(&bytes),
+            Err(StoreError::BadMagic { .. })
+        ));
+        assert!(matches!(
+            FileReader::open_recover(&bytes),
+            Err(StoreError::BadMagic { .. })
+        ));
+        assert!(matches!(
+            FileReader::open(&[]),
+            Err(StoreError::TooShort { .. })
+        ));
     }
 }

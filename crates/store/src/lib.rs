@@ -128,7 +128,12 @@ impl fmt::Display for RecoveryReport {
         for d in &self.dropped {
             writeln!(f, "{d}")?;
         }
-        write!(f, "{} segments dropped, {} rows lost", self.dropped.len(), self.rows_dropped())
+        write!(
+            f,
+            "{} segments dropped, {} rows lost",
+            self.dropped.len(),
+            self.rows_dropped()
+        )
     }
 }
 
@@ -190,7 +195,10 @@ pub enum StoreError {
 impl StoreError {
     /// Wraps an I/O failure with what the store was doing at the time.
     pub fn io(context: impl Into<String>, source: std::io::Error) -> StoreError {
-        StoreError::Io { context: context.into(), source }
+        StoreError::Io {
+            context: context.into(),
+            source,
+        }
     }
 }
 
@@ -205,7 +213,12 @@ impl fmt::Display for StoreError {
             }
             StoreError::BadTrailer { reason } => write!(f, "bad store trailer: {reason}"),
             StoreError::BadFooter { reason } => write!(f, "bad store footer: {reason}"),
-            StoreError::SegmentCorrupt { table, index, offset, reason } => write!(
+            StoreError::SegmentCorrupt {
+                table,
+                index,
+                offset,
+                reason,
+            } => write!(
                 f,
                 "corrupt {table} segment {index} at offset {offset}: {reason}"
             ),

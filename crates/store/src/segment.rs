@@ -37,8 +37,10 @@ pub(crate) struct SegmentHeader {
 /// non-empty — empty tables simply have no segments.
 pub(crate) fn encode_segment<R: ColumnarRecord>(rows: &[R]) -> (Vec<u8>, u32, u32) {
     debug_assert!(!rows.is_empty(), "empty segments are never written");
-    let mut cols: Vec<ColumnBuilder> =
-        R::COLUMNS.iter().map(|&kind| ColumnBuilder::new(kind)).collect();
+    let mut cols: Vec<ColumnBuilder> = R::COLUMNS
+        .iter()
+        .map(|&kind| ColumnBuilder::new(kind))
+        .collect();
     R::encode(rows, &mut cols);
 
     let (mut key_lo, mut key_hi) = (u32::MAX, 0u32);
@@ -70,7 +72,9 @@ pub(crate) fn encode_segment<R: ColumnarRecord>(rows: &[R]) -> (Vec<u8>, u32, u3
 /// a footer entry without decoding the columns.
 pub(crate) fn parse_header(body: &[u8]) -> Result<SegmentHeader, DecodeError> {
     let mut pos = 0usize;
-    let table = *body.first().ok_or_else(|| DecodeError::new("empty segment body"))?;
+    let table = *body
+        .first()
+        .ok_or_else(|| DecodeError::new("empty segment body"))?;
     pos += 1;
     let key_lo = read_u32(body, &mut pos, "key_lo")?;
     let key_hi = read_u32(body, &mut pos, "key_hi")?;
@@ -82,7 +86,14 @@ pub(crate) fn parse_header(body: &[u8]) -> Result<SegmentHeader, DecodeError> {
         return Err(DecodeError::new(format!("implausible row count {rows}")));
     }
     let cols = varint::read_u64(body, &mut pos)?;
-    Ok(SegmentHeader { table, key_lo, key_hi, rows, payload_at: pos, cols })
+    Ok(SegmentHeader {
+        table,
+        key_lo,
+        key_hi,
+        rows,
+        payload_at: pos,
+        cols,
+    })
 }
 
 fn read_u32(body: &[u8], pos: &mut usize, what: &str) -> Result<u32, DecodeError> {

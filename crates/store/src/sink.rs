@@ -77,7 +77,10 @@ impl SegmentSink {
         if rows.is_empty() {
             return Ok(());
         }
-        debug_assert!(rows.windows(2).all(|w| w[0].key() <= w[1].key()), "batch not key-sorted");
+        debug_assert!(
+            rows.windows(2).all(|w| w[0].key() <= w[1].key()),
+            "batch not key-sorted"
+        );
         let before = self.spill.segments().len();
         self.spill.write_table(rows)?;
         let ordinal = self.table_segments.entry(R::TABLE_ID).or_default();
@@ -93,7 +96,11 @@ impl SegmentSink {
     pub fn finish(self) -> Result<RunMerger, StoreError> {
         self.spill.finish()?;
         let spill = SegmentFileReader::open(&self.path)?;
-        Ok(RunMerger { spill, runs: self.runs, path: self.path })
+        Ok(RunMerger {
+            spill,
+            runs: self.runs,
+            path: self.path,
+        })
     }
 }
 
@@ -142,7 +149,12 @@ impl RunMerger {
         let mut cursors: Vec<RunCursor<R>> = self
             .runs
             .range((R::TABLE_ID, 0)..=(R::TABLE_ID, u64::MAX))
-            .map(|(_, segs)| RunCursor { segs: segs.clone(), next_seg: 0, buf: Vec::new(), pos: 0 })
+            .map(|(_, segs)| RunCursor {
+                segs: segs.clone(),
+                next_seg: 0,
+                buf: Vec::new(),
+                pos: 0,
+            })
             .collect();
         // Min-heap of (peek key, run ordinal): the run ordinal both breaks
         // key ties deterministically and finds the cursor to drain.
@@ -160,7 +172,9 @@ impl RunMerger {
             loop {
                 let cur = &mut cursors[ri];
                 if cur.pos == cur.buf.len() {
-                    let Some(&(ordinal, seg)) = cur.segs.get(cur.next_seg) else { break };
+                    let Some(&(ordinal, seg)) = cur.segs.get(cur.next_seg) else {
+                        break;
+                    };
                     if !below_limit(seg.key_lo, ri, limit) {
                         break;
                     }
@@ -259,8 +273,12 @@ mod tests {
     /// the globally sorted rows.
     #[test]
     fn interleaved_runs_merge_to_canonical_bytes() {
-        let rows: Vec<Row> =
-            (0..90).map(|i| Row { key: i / 3, value: i64::from(i) * 7 - 100 }).collect();
+        let rows: Vec<Row> = (0..90)
+            .map(|i| Row {
+                key: i / 3,
+                value: i64::from(i) * 7 - 100,
+            })
+            .collect();
         let run_of = |r: &Row| u64::from(r.key % 3);
 
         let path = scratch("interleave.spill");
@@ -282,7 +300,11 @@ mod tests {
         sorted.sort_by_key(|r| r.key);
         let mut canonical = StreamWriter::with_segment_rows(Vec::new(), 7).unwrap();
         canonical.write_table(&sorted).unwrap();
-        assert_eq!(bytes, canonical.finish().unwrap(), "merged bytes differ from write_table's");
+        assert_eq!(
+            bytes,
+            canonical.finish().unwrap(),
+            "merged bytes differ from write_table's"
+        );
 
         let reader = FileReader::open(&bytes).unwrap();
         let (decoded, dropped) = reader.decode_table::<Row>(ReadMode::Strict).unwrap();
@@ -295,8 +317,10 @@ mod tests {
     fn equal_keys_across_runs_merge_in_run_order() {
         let path = scratch("ties.spill");
         let mut sink = SegmentSink::with_segment_rows(&path, 4).unwrap();
-        sink.append(1, &[Row { key: 5, value: 10 }, Row { key: 5, value: 11 }]).unwrap();
-        sink.append(0, &[Row { key: 5, value: 0 }, Row { key: 6, value: 1 }]).unwrap();
+        sink.append(1, &[Row { key: 5, value: 10 }, Row { key: 5, value: 11 }])
+            .unwrap();
+        sink.append(0, &[Row { key: 5, value: 0 }, Row { key: 6, value: 1 }])
+            .unwrap();
         let mut merger = sink.finish().unwrap();
         let mut bytes = Vec::new();
         let mut w = StreamWriter::with_segment_rows(&mut bytes, 4).unwrap();

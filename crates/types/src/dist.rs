@@ -127,7 +127,9 @@ pub fn poisson_gap<R: Rng + ?Sized>(rng: &mut R, rate_per_sec: f64) -> Option<Si
     if rate_per_sec <= 0.0 {
         return None;
     }
-    let d = DurationDist::Exponential { mean: 1.0 / rate_per_sec };
+    let d = DurationDist::Exponential {
+        mean: 1.0 / rate_per_sec,
+    };
     Some(d.sample_duration(rng))
 }
 
@@ -180,15 +182,24 @@ mod tests {
 
     #[test]
     fn lognormal_mean_converges() {
-        let d = DurationDist::LogNormal { mu: 4.0, sigma: 0.5 };
+        let d = DurationDist::LogNormal {
+            mu: 4.0,
+            sigma: 0.5,
+        };
         let expected = d.mean().unwrap();
         let m = sample_mean(&d, 100_000);
-        assert!((m - expected).abs() / expected < 0.05, "mean {m} vs {expected}");
+        assert!(
+            (m - expected).abs() / expected < 0.05,
+            "mean {m} vs {expected}"
+        );
     }
 
     #[test]
     fn pareto_respects_scale_floor() {
-        let d = DurationDist::Pareto { xm: 60.0, alpha: 1.5 };
+        let d = DurationDist::Pareto {
+            xm: 60.0,
+            alpha: 1.5,
+        };
         let mut r = rng();
         for _ in 0..1000 {
             assert!(d.sample(&mut r) >= 60.0);
@@ -197,8 +208,18 @@ mod tests {
 
     #[test]
     fn pareto_mean_none_for_heavy_tail() {
-        assert!(DurationDist::Pareto { xm: 1.0, alpha: 0.9 }.mean().is_none());
-        assert!(DurationDist::Pareto { xm: 1.0, alpha: 2.0 }.mean().is_some());
+        assert!(DurationDist::Pareto {
+            xm: 1.0,
+            alpha: 0.9
+        }
+        .mean()
+        .is_none());
+        assert!(DurationDist::Pareto {
+            xm: 1.0,
+            alpha: 2.0
+        }
+        .mean()
+        .is_some());
     }
 
     #[test]
@@ -220,7 +241,10 @@ mod tests {
     fn samples_never_negative() {
         let dists = [
             DurationDist::Constant(-5.0),
-            DurationDist::LogNormal { mu: -3.0, sigma: 2.0 },
+            DurationDist::LogNormal {
+                mu: -3.0,
+                sigma: 2.0,
+            },
             DurationDist::Exponential { mean: 1.0 },
         ];
         let mut r = rng();

@@ -72,36 +72,83 @@ impl std::error::Error for CountryParseError {}
 /// tables plus enough of each region to build diverse worlds.
 const COUNTRY_CONTINENTS: &[(&str, Continent)] = &[
     // Europe
-    ("DE", Continent::EU), ("FR", Continent::EU), ("GB", Continent::EU),
-    ("NL", Continent::EU), ("BE", Continent::EU), ("AT", Continent::EU),
-    ("HR", Continent::EU), ("PL", Continent::EU), ("HU", Continent::EU),
-    ("IT", Continent::EU), ("ES", Continent::EU), ("SE", Continent::EU),
-    ("NO", Continent::EU), ("FI", Continent::EU), ("DK", Continent::EU),
-    ("CH", Continent::EU), ("CZ", Continent::EU), ("SK", Continent::EU),
-    ("RO", Continent::EU), ("BG", Continent::EU), ("GR", Continent::EU),
-    ("PT", Continent::EU), ("IE", Continent::EU), ("RU", Continent::EU),
-    ("UA", Continent::EU), ("RS", Continent::EU), ("SI", Continent::EU),
-    ("LU", Continent::EU), ("EE", Continent::EU), ("LV", Continent::EU),
+    ("DE", Continent::EU),
+    ("FR", Continent::EU),
+    ("GB", Continent::EU),
+    ("NL", Continent::EU),
+    ("BE", Continent::EU),
+    ("AT", Continent::EU),
+    ("HR", Continent::EU),
+    ("PL", Continent::EU),
+    ("HU", Continent::EU),
+    ("IT", Continent::EU),
+    ("ES", Continent::EU),
+    ("SE", Continent::EU),
+    ("NO", Continent::EU),
+    ("FI", Continent::EU),
+    ("DK", Continent::EU),
+    ("CH", Continent::EU),
+    ("CZ", Continent::EU),
+    ("SK", Continent::EU),
+    ("RO", Continent::EU),
+    ("BG", Continent::EU),
+    ("GR", Continent::EU),
+    ("PT", Continent::EU),
+    ("IE", Continent::EU),
+    ("RU", Continent::EU),
+    ("UA", Continent::EU),
+    ("RS", Continent::EU),
+    ("SI", Continent::EU),
+    ("LU", Continent::EU),
+    ("EE", Continent::EU),
+    ("LV", Continent::EU),
     ("LT", Continent::EU),
     // North America
-    ("US", Continent::NA), ("CA", Continent::NA), ("MX", Continent::NA),
+    ("US", Continent::NA),
+    ("CA", Continent::NA),
+    ("MX", Continent::NA),
     // Asia
-    ("JP", Continent::AS), ("CN", Continent::AS), ("IN", Continent::AS),
-    ("KR", Continent::AS), ("SG", Continent::AS), ("HK", Continent::AS),
-    ("ID", Continent::AS), ("TH", Continent::AS), ("MY", Continent::AS),
-    ("KZ", Continent::AS), ("TR", Continent::AS), ("IL", Continent::AS),
-    ("AE", Continent::AS), ("IR", Continent::AS), ("PK", Continent::AS),
-    ("VN", Continent::AS), ("PH", Continent::AS), ("TW", Continent::AS),
+    ("JP", Continent::AS),
+    ("CN", Continent::AS),
+    ("IN", Continent::AS),
+    ("KR", Continent::AS),
+    ("SG", Continent::AS),
+    ("HK", Continent::AS),
+    ("ID", Continent::AS),
+    ("TH", Continent::AS),
+    ("MY", Continent::AS),
+    ("KZ", Continent::AS),
+    ("TR", Continent::AS),
+    ("IL", Continent::AS),
+    ("AE", Continent::AS),
+    ("IR", Continent::AS),
+    ("PK", Continent::AS),
+    ("VN", Continent::AS),
+    ("PH", Continent::AS),
+    ("TW", Continent::AS),
     // Africa
-    ("ZA", Continent::AF), ("MU", Continent::AF), ("EG", Continent::AF),
-    ("NG", Continent::AF), ("KE", Continent::AF), ("SN", Continent::AF),
-    ("MA", Continent::AF), ("TN", Continent::AF), ("GH", Continent::AF),
+    ("ZA", Continent::AF),
+    ("MU", Continent::AF),
+    ("EG", Continent::AF),
+    ("NG", Continent::AF),
+    ("KE", Continent::AF),
+    ("SN", Continent::AF),
+    ("MA", Continent::AF),
+    ("TN", Continent::AF),
+    ("GH", Continent::AF),
     // South America
-    ("BR", Continent::SA), ("UY", Continent::SA), ("AR", Continent::SA),
-    ("CL", Continent::SA), ("CO", Continent::SA), ("PE", Continent::SA),
-    ("EC", Continent::SA), ("VE", Continent::SA),
+    ("BR", Continent::SA),
+    ("UY", Continent::SA),
+    ("AR", Continent::SA),
+    ("CL", Continent::SA),
+    ("CO", Continent::SA),
+    ("PE", Continent::SA),
+    ("EC", Continent::SA),
+    ("VE", Continent::SA),
     // Oceania
-    ("AU", Continent::OC), ("NZ", Continent::OC), ("FJ", Continent::OC),
+    ("AU", Continent::OC),
+    ("NZ", Continent::OC),
+    ("FJ", Continent::OC),
 ];
 
 impl Country {
@@ -111,7 +158,10 @@ impl Country {
         if bytes.len() != 2 || !bytes.iter().all(|b| b.is_ascii_alphabetic()) {
             return Err(CountryParseError(code.to_string()));
         }
-        Ok(Country([bytes[0].to_ascii_uppercase(), bytes[1].to_ascii_uppercase()]))
+        Ok(Country([
+            bytes[0].to_ascii_uppercase(),
+            bytes[1].to_ascii_uppercase(),
+        ]))
     }
 
     /// The two-letter code.

@@ -113,7 +113,8 @@ impl Prefix {
 
     /// The offset of `addr` within the prefix, if it is contained.
     pub fn index_of(self, addr: Ipv4Addr) -> Option<u64> {
-        self.contains(addr).then(|| u64::from(ipv4_to_u32(addr) - self.base))
+        self.contains(addr)
+            .then(|| u64::from(ipv4_to_u32(addr) - self.base))
     }
 }
 
@@ -169,10 +170,22 @@ mod tests {
 
     #[test]
     fn parse_errors() {
-        assert!(matches!("1.2.3.4".parse::<Prefix>(), Err(PrefixParseError::Malformed(_))));
-        assert!(matches!("1.2.3.4/33".parse::<Prefix>(), Err(PrefixParseError::BadLength(33))));
-        assert!(matches!("1.2.3/8".parse::<Prefix>(), Err(PrefixParseError::Malformed(_))));
-        assert!(matches!("1.2.3.4/x".parse::<Prefix>(), Err(PrefixParseError::Malformed(_))));
+        assert!(matches!(
+            "1.2.3.4".parse::<Prefix>(),
+            Err(PrefixParseError::Malformed(_))
+        ));
+        assert!(matches!(
+            "1.2.3.4/33".parse::<Prefix>(),
+            Err(PrefixParseError::BadLength(33))
+        ));
+        assert!(matches!(
+            "1.2.3/8".parse::<Prefix>(),
+            Err(PrefixParseError::Malformed(_))
+        ));
+        assert!(matches!(
+            "1.2.3.4/x".parse::<Prefix>(),
+            Err(PrefixParseError::Malformed(_))
+        ));
     }
 
     #[test]

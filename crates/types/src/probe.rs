@@ -97,7 +97,10 @@ impl ProbeTag {
     /// Tags that cause a probe to be dropped from the analysis outright
     /// (Table 2 row "Multihomed / Core / Datacenter (tags)").
     pub fn disqualifies(self) -> bool {
-        matches!(self, ProbeTag::Multihomed | ProbeTag::Datacentre | ProbeTag::Core)
+        matches!(
+            self,
+            ProbeTag::Multihomed | ProbeTag::Datacentre | ProbeTag::Core
+        )
     }
 
     /// The tag's fixed code in the store's meta table and on the query
@@ -174,7 +177,10 @@ mod tests {
         for c in 0..=u8::MAX {
             let version = ProbeVersion::from_code(c).map(ProbeVersion::code);
             assert_eq!(version, (1..=3).contains(&c).then_some(c));
-            assert_eq!(ProbeTag::from_code(c).map(ProbeTag::code), (c < 8).then_some(c));
+            assert_eq!(
+                ProbeTag::from_code(c).map(ProbeTag::code),
+                (c < 8).then_some(c)
+            );
         }
         assert_eq!((ProbeVersion::V3.code(), ProbeTag::Home.code()), (3, 7));
     }

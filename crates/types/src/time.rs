@@ -55,7 +55,10 @@ impl SimTime {
             (1..=month_len as u32).contains(&day),
             "day {day} out of range for month {month}"
         );
-        assert!(hour < 24 && min < 60 && sec < 60, "time-of-day out of range");
+        assert!(
+            hour < 24 && min < 60 && sec < 60,
+            "time-of-day out of range"
+        );
         let days = MONTH_START_DAY[month as usize - 1] + i64::from(day) - 1;
         SimTime(days * DAY + i64::from(hour) * HOUR + i64::from(min) * MINUTE + i64::from(sec))
     }
@@ -87,7 +90,10 @@ impl SimTime {
     /// snapshot, where clamping is the right behaviour for boundary noise.
     pub fn month_of_2015(self) -> u32 {
         let day = self.day_of_year().clamp(0, DAYS_IN_2015 - 1);
-        let m = MONTH_START_DAY.iter().rposition(|&start| start <= day).unwrap_or(0);
+        let m = MONTH_START_DAY
+            .iter()
+            .rposition(|&start| start <= day)
+            .unwrap_or(0);
         (m + 1).clamp(1, 12) as u32
     }
 
@@ -220,7 +226,11 @@ impl fmt::Display for SimTime {
         let (h, m, s) = (tod / HOUR, (tod % HOUR) / MINUTE, tod % MINUTE);
         if (0..DAYS_IN_2015).contains(&day) {
             let (month, dom) = self.month_day();
-            write!(f, "{} {dom} {h:02}:{m:02}:{s:02}", MONTH_ABBR[month as usize - 1])
+            write!(
+                f,
+                "{} {dom} {h:02}:{m:02}:{s:02}",
+                MONTH_ABBR[month as usize - 1]
+            )
         } else {
             write!(f, "day{day} {h:02}:{m:02}:{s:02}")
         }
@@ -273,7 +283,10 @@ mod tests {
 
     #[test]
     fn year_has_365_days() {
-        assert_eq!(SimTime::YEAR_END - SimTime::YEAR_START, SimDuration::from_days(365));
+        assert_eq!(
+            SimTime::YEAR_END - SimTime::YEAR_START,
+            SimDuration::from_days(365)
+        );
         assert!(!SimTime::YEAR_END.in_measurement_year());
         assert!((SimTime::YEAR_END - SimDuration::from_secs(1)).in_measurement_year());
     }
@@ -300,7 +313,10 @@ mod tests {
     fn duration_units() {
         assert_eq!(SimDuration::from_hours(24), SimDuration::from_days(1));
         assert!((SimDuration::from_hours(36).as_days() - 1.5).abs() < 1e-12);
-        assert_eq!(SimDuration::from_hours_f64(23.6).secs(), (23.6 * 3600.0) as i64);
+        assert_eq!(
+            SimDuration::from_hours_f64(23.6).secs(),
+            (23.6 * 3600.0) as i64
+        );
     }
 
     #[test]

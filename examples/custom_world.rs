@@ -18,13 +18,16 @@ use dynaddr::atlas::simulate;
 use dynaddr::atlas::world::paper_route_tables;
 use dynaddr::ispnet::pool::AllocationPolicy;
 use dynaddr::ispnet::{AccessConfig, DhcpConfig, PppConfig};
-use dynaddr::types::{SimDuration};
+use dynaddr::types::SimDuration;
 use std::collections::BTreeMap;
 
 fn main() {
     // --- 1. Describe the world -------------------------------------------
     let mut dsl = IspSpec::new("Fictional DSL", 64900, "DE", 12);
-    dsl.prefixes = vec!["198.18.0.0/16".parse().unwrap(), "198.19.0.0/16".parse().unwrap()];
+    dsl.prefixes = vec![
+        "198.18.0.0/16".parse().unwrap(),
+        "198.19.0.0/16".parse().unwrap(),
+    ];
     dsl.allocation = AllocationPolicy::RandomAny;
     dsl.shares = vec![AccessShare {
         weight: 1.0,

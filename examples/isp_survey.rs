@@ -43,7 +43,9 @@ fn main() {
     // Inferred regime per AS.
     let mut inferred: BTreeMap<u32, Regime> = BTreeMap::new();
     for row in rows.iter().filter(|r| r.asn != 0) {
-        inferred.entry(row.asn).or_insert(Regime::Periodic(row.d_hours));
+        inferred
+            .entry(row.asn)
+            .or_insert(Regime::Periodic(row.d_hours));
     }
     // Non-periodic ASes: split by median P(ac|nw).
     let mut per_as_probs: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
@@ -53,7 +55,10 @@ fn main() {
         }
         let cp = cond_prob(p.probe(), &oa.outages, OutageKind::Network);
         if cp.outages >= 3 {
-            per_as_probs.entry(p.primary_asn.0).or_default().push(cp.p());
+            per_as_probs
+                .entry(p.primary_asn.0)
+                .or_default()
+                .push(cp.p());
         }
     }
     for (asn, probs) in &per_as_probs {
@@ -65,7 +70,11 @@ fn main() {
         let median = sorted[sorted.len() / 2];
         inferred.insert(
             *asn,
-            if median > 0.6 { Regime::RenumberOnReconnect } else { Regime::Stable },
+            if median > 0.6 {
+                Regime::RenumberOnReconnect
+            } else {
+                Regime::Stable
+            },
         );
     }
 
@@ -78,7 +87,9 @@ fn main() {
     );
     println!("{}", "-".repeat(82));
     for (asn, regime) in &inferred {
-        let Some(policy) = out.truth.isp_policies.get(asn) else { continue };
+        let Some(policy) = out.truth.isp_policies.get(asn) else {
+            continue;
+        };
         // ISPs where periodic plans are a small minority of the plant are
         // legitimately seen as non-periodic from a handful of probes.
         let effectively_periodic =

@@ -11,9 +11,7 @@
 
 use dynaddr::analysis::assoc::{associate_network, associate_power, OutageKind};
 use dynaddr::analysis::changes::extract_events;
-use dynaddr::analysis::outages::{
-    detect_network_outages, detect_power_outages, detect_reboots,
-};
+use dynaddr::analysis::outages::{detect_network_outages, detect_power_outages, detect_reboots};
 use dynaddr::atlas::simulate;
 use dynaddr::atlas::world::paper_world;
 use dynaddr::types::ProbeId;
@@ -75,7 +73,10 @@ fn main() {
     assoc.extend(associate_power(&events.gaps, &power));
     assoc.sort_by_key(|a| a.start);
 
-    println!("{:<16} {:>8} {:>10} {:>8}", "when", "kind", "duration", "renumber");
+    println!(
+        "{:<16} {:>8} {:>10} {:>8}",
+        "when", "kind", "duration", "renumber"
+    );
     println!("{}", "-".repeat(48));
     for a in assoc.iter().take(30) {
         println!(

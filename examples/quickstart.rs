@@ -31,7 +31,10 @@ fn main() {
     // 3. The pipeline needs the monthly IP-to-AS snapshots (the CAIDA
     //    pfx2as stand-in) and, cosmetically, ISP display names.
     let snaps = paper_route_tables(&world);
-    let mut cfg = AnalysisConfig { fig3_min_years: 0.3, ..AnalysisConfig::default() };
+    let mut cfg = AnalysisConfig {
+        fig3_min_years: 0.3,
+        ..AnalysisConfig::default()
+    };
     for (asn, policy) in &out.truth.isp_policies {
         cfg.as_names.insert(*asn, policy.name.clone());
     }

@@ -13,8 +13,11 @@ fn detects_the_configured_event_and_nothing_else() {
     let h = harness();
     let filtered = filter_probes(&h.out.dataset, &h.snaps);
     let events = detect_admin_renumbering(&filtered.probes, &h.snaps, &AdminConfig::default());
-    let (truth_asn, truth_when) =
-        h.out.truth.admin_renumbering.expect("world configures one event");
+    let (truth_asn, truth_when) = h
+        .out
+        .truth
+        .admin_renumbering
+        .expect("world configures one event");
 
     assert_eq!(
         events.len(),
@@ -33,7 +36,10 @@ fn detects_the_configured_event_and_nothing_else() {
     // The new prefixes the detector reports must belong to the renumbering
     // AS in the post-migration snapshots.
     for p in &e.new_prefixes {
-        assert_eq!(h.snaps.month(12).origin(p.nth(1)).map(|o| o.asn.0), Some(truth_asn.0));
+        assert_eq!(
+            h.snaps.month(12).origin(p.nth(1)).map(|o| o.asn.0),
+            Some(truth_asn.0)
+        );
     }
 }
 
@@ -60,11 +66,17 @@ fn stricter_thresholds_still_find_it_looser_ones_add_no_phantoms() {
     let h = harness();
     let filtered = filter_probes(&h.out.dataset, &h.snaps);
     // Stricter: demand 60% of the AS moved.
-    let strict = AdminConfig { min_fraction: 0.6, ..AdminConfig::default() };
+    let strict = AdminConfig {
+        min_fraction: 0.6,
+        ..AdminConfig::default()
+    };
     let strict_events = detect_admin_renumbering(&filtered.probes, &h.snaps, &strict);
     assert!(strict_events.len() <= 1);
     // Looser fraction: still only the one AS migrates prefixes en masse.
-    let loose = AdminConfig { min_fraction: 0.3, ..AdminConfig::default() };
+    let loose = AdminConfig {
+        min_fraction: 0.3,
+        ..AdminConfig::default()
+    };
     let loose_events = detect_admin_renumbering(&filtered.probes, &h.snaps, &loose);
     let distinct_asns: std::collections::BTreeSet<u32> =
         loose_events.iter().map(|e| e.asn).collect();

@@ -37,6 +37,11 @@ pub fn harness() -> &'static Harness {
             cfg.as_names.insert(*asn, policy.name.clone());
         }
         let report = analyze(&out.dataset, &snaps, &cfg);
-        Harness { out, snaps, cfg, report }
+        Harness {
+            out,
+            snaps,
+            cfg,
+            report,
+        }
     })
 }

@@ -78,14 +78,20 @@ fn reports(
     let mut out = Vec::new();
     for threads in [1, 2] {
         dynaddr_exec::set_threads(Some(threads));
-        out.push((format!("analyze threads={threads}"), json(analyze(ds, snaps, cfg))));
+        out.push((
+            format!("analyze threads={threads}"),
+            json(analyze(ds, snaps, cfg)),
+        ));
     }
     dynaddr_exec::set_threads(None);
 
     let path = write_store(ds, segment_rows);
     for batch in [1, 7, DEFAULT_BATCH_PROBES] {
         let report = analyze_streamed_batched(&path, snaps, cfg, batch).expect("streamed analyze");
-        out.push((format!("analyze_streamed_batched batch={batch}"), json(report)));
+        out.push((
+            format!("analyze_streamed_batched batch={batch}"),
+            json(report),
+        ));
     }
     std::fs::remove_file(&path).ok();
 
@@ -97,9 +103,16 @@ fn reports(
         for range in batch_ranges(ds.meta.len(), batch) {
             live.install(build_probes(ds, range, snaps));
         }
-        assert_eq!(live.rolling_counts(), record.rolling_counts(), "install batch={batch}");
+        assert_eq!(
+            live.rolling_counts(),
+            record.rolling_counts(),
+            "install batch={batch}"
+        );
         assert_eq!(live.stats(), record.stats(), "install batch={batch}");
-        out.push((format!("build_probes+install+seal batch={batch}"), json(live.seal(cfg))));
+        out.push((
+            format!("build_probes+install+seal batch={batch}"),
+            json(live.seal(cfg)),
+        ));
     }
     out
 }
@@ -168,8 +181,10 @@ fn arb_share() -> impl Strategy<Value = AccessShare> {
                 access: AccessConfig::Ppp(PppConfig {
                     session_cap: CAPS_H[period].map(SimDuration::from_hours),
                     skip_renumber_prob: skip,
-                    skip_extension: flag
-                        .then_some(DurationDist::Uniform { lo: 4.0 * 3_600.0, hi: 44.0 * 3_600.0 }),
+                    skip_extension: flag.then_some(DurationDist::Uniform {
+                        lo: 4.0 * 3_600.0,
+                        hi: 44.0 * 3_600.0,
+                    }),
                     ..PppConfig::default()
                 }),
                 schedule: None,
@@ -203,16 +218,21 @@ fn arb_isp() -> impl Strategy<Value = IspKnobs> {
 type WorldKnobs = (FillerSpec, usize, bool, Option<(usize, i64)>);
 
 fn arb_world_knobs() -> impl Strategy<Value = WorldKnobs> {
-    let filler = ((0usize..=3, 0usize..=3, 0usize..=3), (0usize..=3, 0usize..=3, 0usize..=3))
-        .prop_map(|((never, dual, v6), (tagged, alternating, testing))| FillerSpec {
-            never_changed: never,
-            dual_stack: dual,
-            ipv6_only: v6,
-            tagged,
-            tagged_alternating_frac: 0.5,
-            alternating,
-            testing_static: testing,
-        });
+    let filler = (
+        (0usize..=3, 0usize..=3, 0usize..=3),
+        (0usize..=3, 0usize..=3, 0usize..=3),
+    )
+        .prop_map(
+            |((never, dual, v6), (tagged, alternating, testing))| FillerSpec {
+                never_changed: never,
+                dual_stack: dual,
+                ipv6_only: v6,
+                tagged,
+                tagged_alternating_frac: 0.5,
+                alternating,
+                testing_static: testing,
+            },
+        );
     let admin =
         (any::<bool>(), 0usize..4, 30i64..330).prop_map(|(on, isp, day)| on.then_some((isp, day)));
     (filler, 0usize..=2, any::<bool>(), admin)
@@ -226,8 +246,9 @@ fn build_world(seed: u64, isps: Vec<IspKnobs>, knobs: WorldKnobs) -> WorldConfig
     for (k, ((probes, first, second), (allocation, outage_mult))) in isps.into_iter().enumerate() {
         let asn = 64_900 + k as u32;
         let mut isp = IspSpec::new(&format!("ISP {k}"), asn, COUNTRIES[k % 4], probes);
-        isp.prefixes =
-            (0..2).map(|j| format!("{}.{j}.0.0/16", 20 + k).parse().expect("prefix")).collect();
+        isp.prefixes = (0..2)
+            .map(|j| format!("{}.{j}.0.0/16", 20 + k).parse().expect("prefix"))
+            .collect();
         isp.allocation = match allocation {
             0 => AllocationPolicy::PreferPrevious,
             1 => AllocationPolicy::RandomAny,
@@ -317,7 +338,12 @@ struct Probe {
 
 impl Probe {
     fn new(id: u32, days: i64) -> Probe {
-        Probe { id, days, power: Vec::new(), network: Vec::new() }
+        Probe {
+            id,
+            days,
+            power: Vec::new(),
+            network: Vec::new(),
+        }
     }
 
     fn dark(&self, t: i64) -> bool {
@@ -384,8 +410,10 @@ fn dataset(probes: &[Probe]) -> AtlasDataset {
 /// on day 1, both renumbering it.
 fn outaged(id: u32) -> Probe {
     let mut p = Probe::new(id, 3);
-    p.power.push((DAY + 6 * HOUR + 7 * ROUND, DAY + 7 * HOUR + 3 * ROUND + 17));
-    p.network.push((DAY + 12 * HOUR, DAY + 12 * HOUR + 10 * ROUND));
+    p.power
+        .push((DAY + 6 * HOUR + 7 * ROUND, DAY + 7 * HOUR + 3 * ROUND + 17));
+    p.network
+        .push((DAY + 12 * HOUR, DAY + 12 * HOUR + 10 * ROUND));
     p
 }
 
@@ -415,7 +443,10 @@ fn probe_rows_straddle_segment_boundaries() {
         .windows(2)
         .filter(|w| w[0].table == w[1].table && w[0].key_hi == w[1].key_lo)
         .count();
-    assert!(straddles > 10, "only {straddles} segment boundaries fall inside a probe");
+    assert!(
+        straddles > 10,
+        "only {straddles} segment boundaries fall inside a probe"
+    );
     assert_drivers_agree(&ds, &snaps(), segment_rows);
 }
 
@@ -428,12 +459,18 @@ fn network_outage_open_at_the_last_kroot_record() {
     let mut p = outaged(1);
     p.network.push((last - 200, last + 2 * HOUR));
     let mut ds = dataset(&[p, outaged(2)]);
-    ds.kroot.retain(|r| r.probe != ProbeId(1) || r.timestamp <= SimTime(last));
+    ds.kroot
+        .retain(|r| r.probe != ProbeId(1) || r.timestamp <= SimTime(last));
     ds.normalize();
     let kroot = ds.kroot_of(ProbeId(1));
-    assert!(kroot.last().is_some_and(|r| r.all_lost() && r.timestamp == SimTime(last)));
+    assert!(kroot
+        .last()
+        .is_some_and(|r| r.all_lost() && r.timestamp == SimTime(last)));
     let network = dynaddr::analysis::outages::detect_network_outages(kroot);
-    assert_eq!(network.last().map(|n| (n.start, n.end)), Some((SimTime(last), SimTime(last))));
+    assert_eq!(
+        network.last().map(|n| (n.start, n.end)),
+        Some((SimTime(last), SimTime(last)))
+    );
     assert_drivers_agree(&ds, &snaps(), 64);
 }
 
@@ -445,9 +482,15 @@ fn reboot_at_the_instant_of_a_kroot_round() {
     let boot = DAY + 9 * HOUR + 5 * ROUND;
     p.power.push((DAY + 8 * HOUR + 2 * ROUND + 11, boot));
     let ds = dataset(&[p, outaged(2)]);
-    assert!(ds.kroot_of(ProbeId(1)).iter().any(|r| r.timestamp == SimTime(boot)));
+    assert!(ds
+        .kroot_of(ProbeId(1))
+        .iter()
+        .any(|r| r.timestamp == SimTime(boot)));
     let reboots = dynaddr::analysis::outages::detect_reboots(ds.uptime_of(ProbeId(1)));
-    assert_eq!(reboots.iter().map(|r| r.boot_time).collect::<Vec<_>>(), [SimTime(boot)]);
+    assert_eq!(
+        reboots.iter().map(|r| r.boot_time).collect::<Vec<_>>(),
+        [SimTime(boot)]
+    );
     assert_drivers_agree(&ds, &snaps(), 64);
 }
 
@@ -457,13 +500,21 @@ fn uptime_and_kroot_records_share_a_timestamp() {
     // The post-boot uptime report that reveals the reboot lands on a
     // k-root round too, so replay order decides which machine sees its
     // timestamp first.
-    p.power.push((DAY + 3 * HOUR + 100, DAY + 3 * HOUR + 40 * 60 + 30));
+    p.power
+        .push((DAY + 3 * HOUR + 100, DAY + 3 * HOUR + 40 * 60 + 30));
     let ds = dataset(&[p, outaged(2)]);
-    let kroot: Vec<SimTime> = ds.kroot_of(ProbeId(1)).iter().map(|r| r.timestamp).collect();
+    let kroot: Vec<SimTime> = ds
+        .kroot_of(ProbeId(1))
+        .iter()
+        .map(|r| r.timestamp)
+        .collect();
     let reboots = dynaddr::analysis::outages::detect_reboots(ds.uptime_of(ProbeId(1)));
     assert_eq!(reboots.len(), 1);
     assert!(kroot.contains(&reboots[0].report_time));
-    assert!(ds.uptime.iter().all(|u| kroot.contains(&u.timestamp) || u.probe != ProbeId(1)));
+    assert!(ds
+        .uptime
+        .iter()
+        .all(|u| kroot.contains(&u.timestamp) || u.probe != ProbeId(1)));
     assert_drivers_agree(&ds, &snaps(), 64);
 }
 
@@ -490,7 +541,11 @@ fn log_rows_of_probes_without_a_meta_row() {
         daemon.replay(&ds, rate);
         let ingest = daemon.ingest_reply();
         assert_eq!(ingest.unknown_probe_rows, orphan_rows, "{rate:?}");
-        assert_eq!((ingest.rows_ingested, ingest.rows_planned), (all_rows, all_rows), "{rate:?}");
+        assert_eq!(
+            (ingest.rows_ingested, ingest.rows_planned),
+            (all_rows, all_rows),
+            "{rate:?}"
+        );
         assert_eq!(ingest.meta_rows, 2, "{rate:?}");
     }
 }

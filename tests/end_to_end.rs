@@ -167,12 +167,19 @@ fn inferred_periods_match_configured_policies() {
         }
         majors += 1;
         if let Some(d) = detected.get(asn) {
-            if policy.periodic_hours.iter().any(|h| (h - d).abs() <= (h / 50).max(1)) {
+            if policy
+                .periodic_hours
+                .iter()
+                .any(|h| (h - d).abs() <= (h / 50).max(1))
+            {
                 hits += 1;
             }
         }
     }
-    assert!(majors >= 10, "expected many majority-periodic ISPs, got {majors}");
+    assert!(
+        majors >= 10,
+        "expected many majority-periodic ISPs, got {majors}"
+    );
     assert!(
         hits as f64 >= 0.7 * majors as f64,
         "only {hits} of {majors} majority-periodic ISPs were recovered"
@@ -188,11 +195,18 @@ fn detected_outage_change_rates_track_truth() {
     let filtered = filter_probes(&h.out.dataset, &h.snaps);
     let oa = outage_analysis(&h.out.dataset, &filtered.probes);
 
-    let detected_nw: Vec<_> =
-        oa.outages.iter().filter(|o| o.kind == OutageKind::Network).collect();
-    assert!(detected_nw.len() > 500, "network outages detected: {}", detected_nw.len());
-    let det_rate = detected_nw.iter().filter(|o| o.address_changed).count() as f64
-        / detected_nw.len() as f64;
+    let detected_nw: Vec<_> = oa
+        .outages
+        .iter()
+        .filter(|o| o.kind == OutageKind::Network)
+        .collect();
+    assert!(
+        detected_nw.len() > 500,
+        "network outages detected: {}",
+        detected_nw.len()
+    );
+    let det_rate =
+        detected_nw.iter().filter(|o| o.address_changed).count() as f64 / detected_nw.len() as f64;
     let truth_rate = outage_change_rate(&h.out.truth, TruthOutageKind::Network)
         .expect("truth has network outages");
     assert!(
@@ -211,7 +225,13 @@ fn firmware_reboots_do_not_leak_into_power_outages() {
     // After the spike filter, surviving reboots near firmware dates should
     // be roughly background-level: count reboots within the staggered
     // 36-hour windows after each push.
-    let fw_days: Vec<i64> = h.out.truth.firmware_dates.iter().map(|d| d.day_of_year()).collect();
+    let fw_days: Vec<i64> = h
+        .out
+        .truth
+        .firmware_dates
+        .iter()
+        .map(|d| d.day_of_year())
+        .collect();
     let near = |day: i64| fw_days.iter().any(|f| (day - f) == 0 || (day - f) == 1);
     let survivors = oa
         .reboots
@@ -230,7 +250,11 @@ fn firmware_reboots_do_not_leak_into_power_outages() {
 #[test]
 fn admin_renumbering_visible_in_truth_and_data() {
     let h = harness();
-    let (asn, when) = h.out.truth.admin_renumbering.expect("world has one admin event");
+    let (asn, when) = h
+        .out
+        .truth
+        .admin_renumbering
+        .expect("world has one admin event");
     let admin_changes: Vec<_> = h
         .out
         .truth
@@ -240,8 +264,15 @@ fn admin_renumbering_visible_in_truth_and_data() {
         .collect();
     assert!(!admin_changes.is_empty());
     for c in &admin_changes {
-        assert!((c.time - when).secs().abs() < 3 * 3_600, "clustered at the event");
-        assert_eq!(h.snaps.asn_at(c.time, c.to).0, asn.0, "new space belongs to the ISP");
+        assert!(
+            (c.time - when).secs().abs() < 3 * 3_600,
+            "clustered at the event"
+        );
+        assert_eq!(
+            h.snaps.asn_at(c.time, c.to).0,
+            asn.0,
+            "new space belongs to the ISP"
+        );
     }
 }
 

@@ -86,9 +86,7 @@ fn the_pipeline_only_trusts_v3_for_power() {
             .probes
             .iter()
             .filter(|p| {
-                !p.multi_as
-                    && p.primary_asn.0 == panel.asn
-                    && p.meta.version.reliable_uptime()
+                !p.multi_as && p.primary_asn.0 == panel.asn && p.meta.version.reliable_uptime()
             })
             .count();
         assert!(

@@ -31,7 +31,10 @@ fn empty_dataset_analyzes_to_empty_report() {
 #[test]
 fn metadata_without_logs_is_never_changed_free() {
     let mut ds = AtlasDataset::default();
-    ds.meta.push(ProbeMeta { probe: ProbeId(1), ..ProbeMeta::default() });
+    ds.meta.push(ProbeMeta {
+        probe: ProbeId(1),
+        ..ProbeMeta::default()
+    });
     ds.normalize();
     let report = analyze(&ds, &empty_snaps(), &AnalysisConfig::default());
     assert_eq!(report.filter.total, 1);
@@ -42,7 +45,10 @@ fn metadata_without_logs_is_never_changed_free() {
 #[test]
 fn single_connection_probe() {
     let mut ds = AtlasDataset::default();
-    ds.meta.push(ProbeMeta { probe: ProbeId(1), ..ProbeMeta::default() });
+    ds.meta.push(ProbeMeta {
+        probe: ProbeId(1),
+        ..ProbeMeta::default()
+    });
     ds.connections.push(ConnectionLogEntry {
         probe: ProbeId(1),
         start: SimTime(0),
@@ -60,7 +66,10 @@ fn unannounced_address_space_degrades_gracefully() {
     // still produce durations (the paper keeps unmapped space in the
     // geographic analysis).
     let mut ds = AtlasDataset::default();
-    ds.meta.push(ProbeMeta { probe: ProbeId(1), ..ProbeMeta::default() });
+    ds.meta.push(ProbeMeta {
+        probe: ProbeId(1),
+        ..ProbeMeta::default()
+    });
     for k in 0..10i64 {
         ds.connections.push(ConnectionLogEntry {
             probe: ProbeId(1),

@@ -17,17 +17,34 @@ fn table2_funnel_proportions() {
     let f = &harness().report.filter;
     // Partition property.
     assert_eq!(
-        f.never_changed + f.dual_stack + f.ipv6_only + f.tagged + f.multihomed
-            + f.testing_only + f.analyzable_geo,
+        f.never_changed
+            + f.dual_stack
+            + f.ipv6_only
+            + f.tagged
+            + f.multihomed
+            + f.testing_only
+            + f.analyzable_geo,
         f.total
     );
     assert_eq!(f.analyzable_geo, f.analyzable_as + f.multi_as);
     // Paper proportions (of 10,977): dual-stack ≈ 34%, never ≈ 28%,
     // analyzable-geo ≈ 28%, v6-only ≈ 2%. Allow generous slack.
     let frac = |n: usize| n as f64 / f.total as f64;
-    assert!((0.25..0.45).contains(&frac(f.dual_stack)), "dual {}", frac(f.dual_stack));
-    assert!((0.20..0.45).contains(&frac(f.never_changed)), "never {}", frac(f.never_changed));
-    assert!((0.15..0.40).contains(&frac(f.analyzable_geo)), "geo {}", frac(f.analyzable_geo));
+    assert!(
+        (0.25..0.45).contains(&frac(f.dual_stack)),
+        "dual {}",
+        frac(f.dual_stack)
+    );
+    assert!(
+        (0.20..0.45).contains(&frac(f.never_changed)),
+        "never {}",
+        frac(f.never_changed)
+    );
+    assert!(
+        (0.15..0.40).contains(&frac(f.analyzable_geo)),
+        "geo {}",
+        frac(f.analyzable_geo)
+    );
     assert!(frac(f.ipv6_only) < 0.05);
     // Multi-AS probes are a strict minority of analyzable probes but exist.
     assert!(f.multi_as > 0 && f.multi_as < f.analyzable_geo / 2);
@@ -76,7 +93,12 @@ fn fig1_north_america_is_long_lived_and_modeless() {
             .map(|(_, f)| *f)
             .unwrap_or(0.0)
     };
-    assert!(at_1w(eu) > 3.0 * at_1w(na), "EU {} vs NA {}", at_1w(eu), at_1w(na));
+    assert!(
+        at_1w(eu) > 3.0 * at_1w(na),
+        "EU {} vs NA {}",
+        at_1w(eu),
+        at_1w(na)
+    );
 }
 
 #[test]
@@ -115,9 +137,14 @@ fn fig2_top_ases_include_contrasting_regimes() {
         "a DTAG-like series must exist"
     );
     assert!(
-        r.fig2_top_ases.iter().any(|s| s.mode_24h < 0.05 && s.median_hours > 24.0 * 7.0),
+        r.fig2_top_ases
+            .iter()
+            .any(|s| s.mode_24h < 0.05 && s.median_hours > 24.0 * 7.0),
         "an LGI/Verizon-like series must exist: {:?}",
-        r.fig2_top_ases.iter().map(|s| (&s.label, s.mode_24h, s.median_hours)).collect::<Vec<_>>()
+        r.fig2_top_ases
+            .iter()
+            .map(|s| (&s.label, s.mode_24h, s.median_hours))
+            .collect::<Vec<_>>()
     );
 }
 
@@ -145,20 +172,36 @@ fn table5_detects_the_flagship_periods() {
     assert_eq!(d_of(18881), Some(48), "GVT renumbers every two days");
     assert_eq!(d_of(6830), None, "LGI must not appear periodic");
     assert_eq!(d_of(701), None, "Verizon must not appear periodic");
-    assert_eq!(d_of(31334), None, "Kabel Deutschland must not appear periodic");
+    assert_eq!(
+        d_of(31334),
+        None,
+        "Kabel Deutschland must not appear periodic"
+    );
 }
 
 #[test]
 fn table5_all_rows_exist_and_24h_dominates() {
     let rows = &harness().report.table5;
-    let all24 = rows.iter().find(|r| r.name == "All" && r.d_hours == 24).expect("All@24h");
-    let all168 = rows.iter().find(|r| r.name == "All" && r.d_hours == 168).expect("All@168h");
-    assert!(all24.fp25 > all168.fp25, "daily renumbering is the most common period");
+    let all24 = rows
+        .iter()
+        .find(|r| r.name == "All" && r.d_hours == 24)
+        .expect("All@24h");
+    let all168 = rows
+        .iter()
+        .find(|r| r.name == "All" && r.d_hours == 168)
+        .expect("All@168h");
+    assert!(
+        all24.fp25 > all168.fp25,
+        "daily renumbering is the most common period"
+    );
     // Paper: 8.5% of AS-level probes at 24 h, 5.4% at one week.
     let f24 = all24.fp25 as f64 / all24.n as f64;
     let f168 = all168.fp25 as f64 / all168.n as f64;
     assert!((0.05..0.75).contains(&f24), "24h periodic fraction {f24}");
-    assert!((0.02..0.40).contains(&f168), "168h periodic fraction {f168}");
+    assert!(
+        (0.02..0.40).contains(&f168),
+        "168h periodic fraction {f168}"
+    );
     // Weekly plans are overwhelmingly harmonic/bounded (paper: 94–98%).
     assert!(all168.pct_max_le_d > 70.0);
     assert!(all168.pct_harmonic > 80.0);
@@ -169,7 +212,10 @@ fn table5_gvt_overruns_are_not_harmonic() {
     let rows = &harness().report.table5;
     let gvt = rows.iter().find(|r| r.asn == 18881).expect("GVT row");
     assert!(gvt.pct_max_le_d < 30.0, "GVT probes overrun the cap");
-    assert!(gvt.pct_harmonic < 40.0, "GVT overruns are not multiples of d");
+    assert!(
+        gvt.pct_harmonic < 40.0,
+        "GVT overruns are not multiples of d"
+    );
     // Contrast with an orderly daily ISP.
     let dtag = rows.iter().find(|r| r.asn == 3320).expect("DTAG row");
     assert!(dtag.pct_harmonic > 60.0);
@@ -188,8 +234,16 @@ fn fig4_fig5_orange_free_runs_dtag_synchronizes() {
     assert!(dtag.hist.iter().sum::<usize>() > 300);
     // Orange: roughly uniform (peak 6h window near 0.25); DTAG: most
     // changes between 00:00 and 06:00 GMT (paper: almost three quarters).
-    assert!(orange.peak6h_fraction < 0.45, "Orange peak {}", orange.peak6h_fraction);
-    assert!(dtag.peak6h_fraction > 0.55, "DTAG peak {}", dtag.peak6h_fraction);
+    assert!(
+        orange.peak6h_fraction < 0.45,
+        "Orange peak {}",
+        orange.peak6h_fraction
+    );
+    assert!(
+        dtag.peak6h_fraction > 0.55,
+        "DTAG peak {}",
+        dtag.peak6h_fraction
+    );
     let night: usize = dtag.hist[0..6].iter().sum();
     let total: usize = dtag.hist.iter().sum();
     assert!(
@@ -241,9 +295,16 @@ fn fig6_firmware_spikes_land_on_push_dates() {
 fn fig7_ppp_isps_renumber_on_network_outages() {
     let panels = &harness().report.fig7_network;
     assert!(!panels.is_empty());
-    let orange = panels.iter().find(|p| p.asn == 3215).expect("Orange in Fig 7");
+    let orange = panels
+        .iter()
+        .find(|p| p.asn == 3215)
+        .expect("Orange in Fig 7");
     // Paper: around half of Orange probes had P(ac|nw) = 1.
-    assert!(orange.fraction_ge(1.0) > 0.4, "Orange P=1 fraction {}", orange.fraction_ge(1.0));
+    assert!(
+        orange.fraction_ge(1.0) > 0.4,
+        "Orange P=1 fraction {}",
+        orange.fraction_ge(1.0)
+    );
     assert!(orange.fraction_ge(0.8) > 0.6);
 }
 
@@ -267,7 +328,11 @@ fn fig7_dhcp_isps_rarely_renumber_on_outages() {
             lgi_probs.push(cp.p());
         }
     }
-    assert!(lgi_probs.len() >= 4, "LGI probes with outages: {}", lgi_probs.len());
+    assert!(
+        lgi_probs.len() >= 4,
+        "LGI probes with outages: {}",
+        lgi_probs.len()
+    );
     let high = lgi_probs.iter().filter(|&&p| p > 0.8).count();
     assert!(
         (high as f64) < 0.3 * lgi_probs.len() as f64,
@@ -287,7 +352,12 @@ fn table6_is_consistent_and_headed_by_ppp_isps() {
         if row.asn != 0 {
             // Rows qualify via P(ac|nw) > 0.8 probes; power behaviour
             // corroborates (paper §5.3 finding).
-            assert!(row.pct_pw_gt08 > 30.0, "{}: power {}", row.name, row.pct_pw_gt08);
+            assert!(
+                row.pct_pw_gt08 > 30.0,
+                "{}: power {}",
+                row.name,
+                row.pct_pw_gt08
+            );
         }
     }
 }
@@ -314,8 +384,15 @@ fn fig9_lgi_rises_with_duration_orange_flat_high() {
 
     // Orange: even the shortest outages renumber (paper: 91% under 5 min).
     let o_pct = orange.buckets.percentages();
-    assert!(o_pct[0].unwrap_or(0.0) > 75.0, "Orange <5m rate {:?}", o_pct[0]);
-    assert!(orange.buckets.total[0] > 30, "Orange sees many short outages");
+    assert!(
+        o_pct[0].unwrap_or(0.0) > 75.0,
+        "Orange <5m rate {:?}",
+        o_pct[0]
+    );
+    assert!(
+        orange.buckets.total[0] > 30,
+        "Orange sees many short outages"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -343,9 +420,14 @@ fn table7_changes_span_prefixes() {
     // Consistency: diff_8 ≤ diff_16 cannot be asserted in general (BGP
     // prefixes are not nested in /16s), but counts never exceed changes.
     for (asn, c) in &t7.per_as {
-        assert!(c.diff_bgp <= c.changes && c.diff_16 <= c.changes && c.diff_8 <= c.changes,
-            "AS{asn} counts exceed changes");
-        assert!(c.diff_8 <= c.diff_16, "/8 change implies /16 change (AS{asn})");
+        assert!(
+            c.diff_bgp <= c.changes && c.diff_16 <= c.changes && c.diff_8 <= c.changes,
+            "AS{asn} counts exceed changes"
+        );
+        assert!(
+            c.diff_8 <= c.diff_16,
+            "/8 change implies /16 change (AS{asn})"
+        );
     }
 }
 
@@ -359,8 +441,18 @@ fn full_report_renders() {
     let h = harness();
     let text = report::render_full(&h.report, &h.cfg.as_names);
     for needle in [
-        "Table 2", "Fig 1", "Fig 2", "Fig 3", "Table 5", "Hour-of-day", "Fig 6",
-        "Fig 7", "Fig 8", "Table 6", "Fig 9", "Table 7",
+        "Table 2",
+        "Fig 1",
+        "Fig 2",
+        "Fig 3",
+        "Table 5",
+        "Hour-of-day",
+        "Fig 6",
+        "Fig 7",
+        "Fig 8",
+        "Table 6",
+        "Fig 9",
+        "Table 7",
     ] {
         assert!(text.contains(needle), "rendered report misses {needle}");
     }

@@ -5,11 +5,11 @@
 //! that caused it.
 
 use dynaddr::atlas::logs::LoadError;
+use dynaddr::atlas::truth::IspPolicyTruth;
 use dynaddr::atlas::{
     AtlasDataset, ConnectionLogEntry, GroundTruth, KrootPingRecord, PeerAddr, ProbeMeta,
     SosUptimeRecord,
 };
-use dynaddr::atlas::truth::IspPolicyTruth;
 use dynaddr::store::{
     decode_segment_at, index_segment_at, ColumnarRecord, FileReader, ReadMode, SegmentInfo,
     StoreError, StreamWriter, MAGIC,
@@ -32,7 +32,8 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn arb_dataset() -> impl Strategy<Value = AtlasDataset> {
     let meta = proptest::collection::vec((0u32..40, 0u8..3, 0u8..4, 0u8..4), 0..12);
     let conns = proptest::collection::vec((0u32..40, 0i64..100_000, 0i64..50_000, 0u8..255), 0..30);
-    let kroot = proptest::collection::vec((0u32..40, 0i64..100_000, 0u8..4, -100i64..100_000), 0..30);
+    let kroot =
+        proptest::collection::vec((0u32..40, 0i64..100_000, 0u8..4, -100i64..100_000), 0..30);
     let uptime = proptest::collection::vec((0u32..40, 0i64..100_000, 0u64..1_000_000), 0..20);
     (meta, conns, kroot, uptime).prop_map(|(meta, conns, kroot, uptime)| {
         let mut ds = AtlasDataset::default();
@@ -45,8 +46,7 @@ fn arb_dataset() -> impl Strategy<Value = AtlasDataset> {
                 probe: ProbeId(p),
                 version: [ProbeVersion::V1, ProbeVersion::V2, ProbeVersion::V3][ver as usize],
                 country: Country::new(["DE", "US", "JP", "GR"][country as usize]).unwrap(),
-                tags: [ProbeTag::Home, ProbeTag::Dsl, ProbeTag::Nat][..tags as usize % 4]
-                    .to_vec(),
+                tags: [ProbeTag::Home, ProbeTag::Dsl, ProbeTag::Nat][..tags as usize % 4].to_vec(),
             });
         }
         for (p, start, len, addr) in conns {
@@ -104,8 +104,16 @@ where
         prop_assert_eq!(&indexed, &rows);
         for key in info.key_lo..=info.key_hi {
             let want: Vec<&R> = rows.iter().filter(|r| r.key() == key).collect();
-            let got = dir.decode_key::<R>(bytes, key).expect("indexed key decodes");
-            prop_assert_eq!(got.iter().collect::<Vec<_>>(), want, "{} key {}", R::TABLE_NAME, key);
+            let got = dir
+                .decode_key::<R>(bytes, key)
+                .expect("indexed key decodes");
+            prop_assert_eq!(
+                got.iter().collect::<Vec<_>>(),
+                want,
+                "{} key {}",
+                R::TABLE_NAME,
+                key
+            );
             prop_assert_eq!(dir.rows(key).len(), got.len());
         }
     }
@@ -167,10 +175,15 @@ fn sample_dataset() -> AtlasDataset {
 
 /// The file's regions, located from the public layout: magic, segments,
 /// footer, trailer (footer offset + end magic in the last 16 bytes).
-fn regions(bytes: &[u8]) -> (std::ops::Range<usize>, std::ops::Range<usize>, std::ops::Range<usize>) {
+fn regions(
+    bytes: &[u8],
+) -> (
+    std::ops::Range<usize>,
+    std::ops::Range<usize>,
+    std::ops::Range<usize>,
+) {
     let n = bytes.len();
-    let footer_at =
-        u64::from_le_bytes(bytes[n - 16..n - 8].try_into().unwrap()) as usize;
+    let footer_at = u64::from_le_bytes(bytes[n - 16..n - 8].try_into().unwrap()) as usize;
     (MAGIC.len()..footer_at, footer_at..n - 16, n - 16..n)
 }
 
@@ -181,11 +194,12 @@ fn bit_flip_in_magic_is_bad_magic() {
     for mode in [ReadMode::Strict, ReadMode::Recover] {
         let err = match mode {
             ReadMode::Strict => AtlasDataset::from_store_bytes(&bytes).unwrap_err(),
-            ReadMode::Recover => {
-                AtlasDataset::from_store_bytes_recover(&bytes).unwrap_err()
-            }
+            ReadMode::Recover => AtlasDataset::from_store_bytes_recover(&bytes).unwrap_err(),
         };
-        assert!(matches!(err, StoreError::BadMagic { .. }), "{mode:?}: {err}");
+        assert!(
+            matches!(err, StoreError::BadMagic { .. }),
+            "{mode:?}: {err}"
+        );
     }
 }
 
@@ -193,7 +207,10 @@ fn bit_flip_in_magic_is_bad_magic() {
 fn bit_flip_in_any_segment_is_segment_corrupt() {
     let bytes = sample_dataset().to_store_bytes();
     let (segments, _, _) = regions(&bytes);
-    let segs = FileReader::open(&bytes).expect("clean file opens").segments().to_vec();
+    let segs = FileReader::open(&bytes)
+        .expect("clean file opens")
+        .segments()
+        .to_vec();
     // Flip one bit in every 13th byte of the segment region (all of them
     // is the store crate's own exhaustive test; this pins the typed error
     // and the segment attribution at the dataset level).
@@ -209,15 +226,16 @@ fn bit_flip_in_any_segment_is_segment_corrupt() {
             other => panic!("byte {at}: expected SegmentCorrupt, got {other}"),
         }
         let msg = err.to_string();
-        assert!(msg.contains("segment"), "error should mention the segment: {msg}");
+        assert!(
+            msg.contains("segment"),
+            "error should mention the segment: {msg}"
+        );
 
         // Indexing the segment the flip landed in fails the same way and
         // yields no directory.
         let hit = segs
             .iter()
-            .position(|s| {
-                (s.offset as usize) <= at && at < s.offset as usize + s.len as usize + 8
-            })
+            .position(|s| (s.offset as usize) <= at && at < s.offset as usize + s.len as usize + 8)
             .expect("flip lands in a segment frame");
         let info = segs[hit];
         let ordinal = segs[..hit].iter().filter(|s| s.table == info.table).count();
@@ -257,7 +275,10 @@ fn bit_flip_in_trailer_is_typed() {
         copy[at] ^= 0x40;
         let err = AtlasDataset::from_store_bytes(&copy).unwrap_err();
         assert!(
-            matches!(err, StoreError::BadTrailer { .. } | StoreError::BadFooter { .. }),
+            matches!(
+                err,
+                StoreError::BadTrailer { .. } | StoreError::BadFooter { .. }
+            ),
             "byte {at}: expected BadTrailer/BadFooter, got {err}"
         );
     }
@@ -367,7 +388,12 @@ fn load_errors_name_the_offending_file() {
     assert!(err.to_string().contains("dataset.store"), "{err}");
 
     // Legacy JSON-lines files are not a dataset: still the missing store.
-    for name in ["meta.jsonl", "connections.jsonl", "kroot.jsonl", "uptime.jsonl"] {
+    for name in [
+        "meta.jsonl",
+        "connections.jsonl",
+        "kroot.jsonl",
+        "uptime.jsonl",
+    ] {
         std::fs::write(dir.join(name), "{}\n").unwrap();
     }
     let err = AtlasDataset::load_dir(&dir).unwrap_err();
@@ -379,7 +405,10 @@ fn load_errors_name_the_offending_file() {
     let err = AtlasDataset::load_dir(&dir).unwrap_err();
     assert!(matches!(
         err,
-        LoadError::Store { source: StoreError::BadMagic { .. }, .. }
+        LoadError::Store {
+            source: StoreError::BadMagic { .. },
+            ..
+        }
     ));
     assert!(err.to_string().contains("dataset.store"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
@@ -432,20 +461,32 @@ fn sink_merges_interleaved_runs_to_canonical_bytes() {
             .filter(|c| u64::from(c.probe.0) % 3 == run)
             .cloned()
             .collect();
-        sink.append(run, &meta[..meta.len() / 2]).expect("append meta");
-        sink.append(run, &meta[meta.len() / 2..]).expect("append meta");
-        sink.append(run, &conns[..conns.len() / 2]).expect("append conns");
-        sink.append(run, &conns[conns.len() / 2..]).expect("append conns");
+        sink.append(run, &meta[..meta.len() / 2])
+            .expect("append meta");
+        sink.append(run, &meta[meta.len() / 2..])
+            .expect("append meta");
+        sink.append(run, &conns[..conns.len() / 2])
+            .expect("append conns");
+        sink.append(run, &conns[conns.len() / 2..])
+            .expect("append conns");
     }
     let mut merger = sink.finish().expect("seal spill");
 
     let out_path = dir.join("sink.store");
     let file = std::fs::File::create(&out_path).expect("create out");
     let mut w = StreamWriter::new(std::io::BufWriter::new(file)).expect("stream writer");
-    merger.merge_table::<ProbeMeta, _>(&mut w).expect("merge meta");
-    merger.merge_table::<ConnectionLogEntry, _>(&mut w).expect("merge connections");
-    merger.merge_table::<KrootPingRecord, _>(&mut w).expect("merge kroot");
-    merger.merge_table::<SosUptimeRecord, _>(&mut w).expect("merge uptime");
+    merger
+        .merge_table::<ProbeMeta, _>(&mut w)
+        .expect("merge meta");
+    merger
+        .merge_table::<ConnectionLogEntry, _>(&mut w)
+        .expect("merge connections");
+    merger
+        .merge_table::<KrootPingRecord, _>(&mut w)
+        .expect("merge kroot");
+    merger
+        .merge_table::<SosUptimeRecord, _>(&mut w)
+        .expect("merge uptime");
     w.finish().expect("finish file");
 
     // The merged file is the canonical encoding, bit for bit, and decodes
@@ -455,7 +496,10 @@ fn sink_merges_interleaved_runs_to_canonical_bytes() {
         merged == ds.to_store_bytes(),
         "merged file differs from the canonical batch encoding"
     );
-    assert_eq!(AtlasDataset::from_store_bytes(&merged).expect("decodes"), ds);
+    assert_eq!(
+        AtlasDataset::from_store_bytes(&merged).expect("decodes"),
+        ds
+    );
 
     // Bit flips in the appended segments stay typed through the
     // file-backed reader the streaming paths use.
@@ -468,15 +512,15 @@ fn sink_merges_interleaved_runs_to_canonical_bytes() {
         let segs = reader.segments().to_vec();
         let hit = segs
             .iter()
-            .position(|s| {
-                (s.offset as usize) <= at && at < s.offset as usize + s.len as usize + 8
-            })
+            .position(|s| (s.offset as usize) <= at && at < s.offset as usize + s.len as usize + 8)
             .expect("flip lands in a segment frame");
         let info = segs[hit];
         let ordinal = segs[..hit].iter().filter(|s| s.table == info.table).count();
         let err = match info.table {
             1 => reader.read_segment::<ProbeMeta>(ordinal, info).unwrap_err(),
-            2 => reader.read_segment::<ConnectionLogEntry>(ordinal, info).unwrap_err(),
+            2 => reader
+                .read_segment::<ConnectionLogEntry>(ordinal, info)
+                .unwrap_err(),
             other => panic!("unexpected table id {other}"),
         };
         assert!(
@@ -507,7 +551,10 @@ fn assert_readers_reject(dir: &Path, table: &str) {
 
     for (what, loaded) in [
         ("load_dir", AtlasDataset::load_dir(dir).map(|_| ())),
-        ("load_dir_recover", AtlasDataset::load_dir_recover(dir).map(|_| ())),
+        (
+            "load_dir_recover",
+            AtlasDataset::load_dir_recover(dir).map(|_| ()),
+        ),
     ] {
         match loaded {
             Err(LoadError::Store { source, .. }) => assert_names_table(what, &source, table),
@@ -572,8 +619,16 @@ fn reversed_log_tables_are_rejected() {
 /// change; only the rows inside it fall out of order.
 fn swap_inside_first_segment<R: ColumnarRecord>(bytes: &[u8], rows: &mut [R]) -> SegmentInfo {
     let reader = FileReader::open(bytes).expect("opens");
-    let segs: Vec<_> = reader.segments().iter().filter(|s| s.table == R::TABLE_ID).collect();
-    assert!(segs.len() > 1, "the {} table needs more than one segment", R::TABLE_NAME);
+    let segs: Vec<_> = reader
+        .segments()
+        .iter()
+        .filter(|s| s.table == R::TABLE_ID)
+        .collect();
+    assert!(
+        segs.len() > 1,
+        "the {} table needs more than one segment",
+        R::TABLE_NAME
+    );
     let first = *segs[0];
     let at = (0..first.rows as usize - 1)
         .find(|&i| rows[i].key() != rows[i + 1].key())

@@ -15,11 +15,18 @@ fn streamed_analyze_reads_each_segment_once() {
     let world = paper_world(0.01, 3);
     simulate_to_store(&world, &SimOptions::default(), &path).expect("streamed sim");
     let bytes = std::fs::read(&path).expect("read store");
-    let segments = FileReader::open(&bytes).expect("store opens").segments().len() as u64;
+    let segments = FileReader::open(&bytes)
+        .expect("store opens")
+        .segments()
+        .len() as u64;
 
     dynaddr_obs::reset_metrics();
-    analyze_streamed(&path, &paper_route_tables(&world), &AnalysisConfig::default())
-        .expect("streamed analyze");
+    analyze_streamed(
+        &path,
+        &paper_route_tables(&world),
+        &AnalysisConfig::default(),
+    )
+    .expect("streamed analyze");
     let read = dynaddr_obs::metrics_snapshot()
         .counters
         .iter()
