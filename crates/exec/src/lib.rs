@@ -234,14 +234,27 @@ where
     out
 }
 
-/// Chunked parallel reduction: folds `items` into per-chunk accumulators
-/// (each starting from `init()`), then merges the accumulators left to
-/// right in chunk order.
+/// Blocks [`par_fold`] cuts its items into per worker, when there are that
+/// many items: enough that a worker stuck on one costly block leaves the
+/// rest to the others, few enough that per-block accumulators and merges
+/// stay noise.
+const BLOCKS_PER_WORKER: usize = 8;
+
+/// Self-balancing parallel reduction: cuts `items` into contiguous blocks,
+/// folds each block from `init()`, and merges the block accumulators left
+/// to right in block order.
 ///
-/// Chunk boundaries depend on the worker count, so the result is identical
+/// Workers claim the next unclaimed block from a shared cursor as each
+/// becomes free, so a few costly items (the simulator's big shards) do not
+/// leave the other workers idle, and no cost estimate is needed. There are
+/// about eight blocks per worker, or one item per block when there are
+/// fewer items than that.
+///
+/// Block boundaries depend on the worker count, so the result is identical
 /// at any thread count **iff** `(init, merge)` form a monoid and `fold` is
 /// compatible with it: `merge` associative, `init()` its identity, and
-/// `fold(merge(a, init()), x) == merge(a, fold(init(), x))`. Every
+/// `fold(merge(a, init()), x) == merge(a, fold(init(), x))`. Which worker
+/// folds a block never matters: the merge follows block order. Every
 /// concatenation- or counter-shaped reduction (Vec append, sums, per-key
 /// map merges) satisfies this; a unit test pins the property for those
 /// shapes. With one worker this degrades to a plain sequential fold.
@@ -262,28 +275,45 @@ where
         record_region(&[(n, busy, 0)], busy, true);
         return out;
     }
-    let chunk_size = items.len().div_ceil(threads);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
+    let block_size = items.len().div_ceil(threads * BLOCKS_PER_WORKER);
+    // Each block sits in its own slot; the cursor hands every slot to
+    // exactly one worker, so the locks are never contended. The slot's
+    // lock, not the cursor, publishes the block to its worker, so the
+    // cursor can be relaxed.
+    let mut blocks: Vec<Mutex<Option<Vec<T>>>> = Vec::new();
     let mut rest = items.into_iter();
     loop {
-        let chunk: Vec<T> = rest.by_ref().take(chunk_size).collect();
-        if chunk.is_empty() {
+        let block: Vec<T> = rest.by_ref().take(block_size).collect();
+        if block.is_empty() {
             break;
         }
-        chunks.push(chunk);
+        blocks.push(Mutex::new(Some(block)));
     }
-    let measured: Vec<(A, u64, u64, u64)> = std::thread::scope(|scope| {
-        let (init, fold) = (&init, &fold);
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
+    let cursor = AtomicUsize::new(0);
+    let measured: Vec<_> = std::thread::scope(|scope| {
+        let (init, fold, blocks, cursor) = (&init, &fold, &blocks, &cursor);
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
                 let spawned_at = Instant::now();
                 scope.spawn(move || {
                     let wait_ns = spawned_at.elapsed().as_nanos() as u64;
                     let t0 = Instant::now();
-                    let n = chunk.len() as u64;
-                    let acc = chunk.into_iter().fold(init(), fold);
-                    (acc, n, t0.elapsed().as_nanos() as u64, wait_ns)
+                    let mut folded = Vec::new();
+                    let mut n = 0u64;
+                    loop {
+                        let b = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(slot) = blocks.get(b) else {
+                            break;
+                        };
+                        let block = slot
+                            .lock()
+                            .expect("par_fold block lock")
+                            .take()
+                            .expect("the cursor hands out each block once");
+                        n += block.len() as u64;
+                        folded.push((b, block.into_iter().fold(init(), fold)));
+                    }
+                    (folded, n, t0.elapsed().as_nanos() as u64, wait_ns)
                 })
             })
             .collect();
@@ -298,11 +328,16 @@ where
         .map(|&(_, tasks, busy, wait)| (tasks, busy, wait))
         .collect();
     record_region(&per_slot, wall_ns, false);
-    measured
+    let mut folded: Vec<(usize, A)> = measured
         .into_iter()
-        .map(|(acc, ..)| acc)
+        .flat_map(|(folded, ..)| folded)
+        .collect();
+    folded.sort_unstable_by_key(|&(b, _)| b);
+    folded
+        .into_iter()
+        .map(|(_, acc)| acc)
         .reduce(merge)
-        .expect("at least one chunk")
+        .expect("at least one block")
 }
 
 /// Runs a set of heterogeneous tasks, one scoped thread each, returning
@@ -451,6 +486,78 @@ mod tests {
             assert_eq!(count(items.clone()), seq, "threads={threads}");
         }
         set_threads(None);
+    }
+
+    #[test]
+    fn par_fold_folds_about_eight_blocks_per_worker() {
+        let _guard = LOCK.lock().unwrap();
+        let inits = AtomicUsize::new(0);
+        let fold_count = |n: u64| {
+            inits.store(0, Ordering::SeqCst);
+            let sum = par_fold(
+                (0..n).collect(),
+                || {
+                    inits.fetch_add(1, Ordering::SeqCst);
+                    0u64
+                },
+                |a, x| a + x,
+                |a, b| a + b,
+            );
+            assert_eq!(sum, n * n.saturating_sub(1) / 2);
+            inits.load(Ordering::SeqCst)
+        };
+        set_threads(Some(2));
+        // 1000 items in blocks of ceil(1000 / 16) = 63: 16 blocks.
+        assert_eq!(fold_count(1000), 16);
+        // Fewer items than blocks wanted: one item per block.
+        assert_eq!(fold_count(5), 5);
+        set_threads(Some(3));
+        // Blocks of ceil(100 / 24) = 5: 20 blocks.
+        assert_eq!(fold_count(100), 20);
+        set_threads(None);
+    }
+
+    #[test]
+    fn par_fold_hands_free_workers_the_remaining_blocks() {
+        // The worker that claims block 0 stalls on item 0 until every item
+        // outside block 0 is folded. Contiguous per-worker chunks would
+        // leave half of those items behind the stall; dealt blocks let the
+        // other worker take them all.
+        let _guard = LOCK.lock().unwrap();
+        set_threads(Some(2));
+        let items: Vec<u64> = (0..160).collect();
+        let block = items.len().div_ceil(2 * BLOCKS_PER_WORKER);
+        let others = items.len() - block;
+        let (folded_elsewhere, stalled) = std::sync::mpsc::channel::<()>();
+        let stalled = Mutex::new(stalled);
+        let stalled_ok = AtomicUsize::new(0);
+        let cat = par_fold(
+            items.clone(),
+            Vec::new,
+            |mut a: Vec<u64>, x| {
+                if x == 0 {
+                    let stalled = stalled.lock().unwrap();
+                    let timeout = std::time::Duration::from_secs(30);
+                    let done = (0..others).all(|_| stalled.recv_timeout(timeout).is_ok());
+                    stalled_ok.store(usize::from(done), Ordering::SeqCst);
+                } else if x as usize >= block {
+                    folded_elsewhere.send(()).unwrap();
+                }
+                a.push(x);
+                a
+            },
+            |mut a, mut b| {
+                a.append(&mut b);
+                a
+            },
+        );
+        set_threads(None);
+        assert_eq!(cat, items, "blocks merge in block order");
+        assert_eq!(
+            stalled_ok.load(Ordering::SeqCst),
+            1,
+            "the free worker did not take every other block"
+        );
     }
 
     #[test]
