@@ -178,8 +178,11 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Load-balance ratio: events in the busiest shard over the per-shard
-    /// mean. 1.0 is perfect balance; `shards` is one shard doing all work.
+    /// Load-balance ratio of the shard partition: events in the busiest
+    /// shard over the per-shard mean. 1.0 is perfect balance; `shards` is
+    /// one shard doing all work. It describes how the world was cut into
+    /// shards, not how the executor dealt them to workers: the partition
+    /// is the same at any worker count, so this ratio is too.
     pub fn shard_balance(&self) -> f64 {
         if self.shards == 0 || self.queue.pops == 0 {
             return 1.0;
@@ -240,7 +243,7 @@ pub fn simulate_to_store(
     out_path: &std::path::Path,
 ) -> Result<(GroundTruth, SimStats), StoreError> {
     let spill_path = out_path.with_extension("spill");
-    let sink = Mutex::new(SegmentSink::create(&spill_path)?);
+    let sink = SegmentSink::create(&spill_path)?;
     // The fold must stay infallible, so the first append failure parks
     // here until the fold is done.
     let sink_err: Mutex<Option<StoreError>> = Mutex::new(None);
@@ -251,13 +254,13 @@ pub fn simulate_to_store(
         rows.connections.sort_by_key(|c| (c.probe, c.start, c.end));
         rows.kroot.sort_by_key(|k| (k.probe, k.timestamp));
         rows.uptime.sort_by_key(|u| (u.probe, u.timestamp));
-        let appended = {
-            let mut sink = sink.lock().expect("sink lock");
-            sink.append(run, &rows.meta)
-                .and_then(|_| sink.append(run, &rows.connections))
-                .and_then(|_| sink.append(run, &rows.kroot))
-                .and_then(|_| sink.append(run, &rows.uptime))
-        };
+        // Each append encodes on this worker and locks the sink only to
+        // write the frames, so workers encode concurrently.
+        let appended = sink
+            .append(run, &rows.meta)
+            .and_then(|_| sink.append(run, &rows.connections))
+            .and_then(|_| sink.append(run, &rows.kroot))
+            .and_then(|_| sink.append(run, &rows.uptime));
         if let Err(e) = appended {
             sink_err.lock().expect("sink error lock").get_or_insert(e);
         }
@@ -266,7 +269,7 @@ pub fn simulate_to_store(
     let sp_merge = dynaddr_obs::span("store_merge");
     let merged = match sink_err.into_inner().expect("sink error lock") {
         Some(e) => Err(e),
-        None => merge_spill(sink.into_inner().expect("sink lock"), out_path),
+        None => merge_spill(sink, out_path),
     };
     let _ = std::fs::remove_file(&spill_path);
     merged?;

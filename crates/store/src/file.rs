@@ -80,11 +80,10 @@ fn footer_and_trailer(entries: &[SegmentInfo], footer_offset: u64) -> Vec<u8> {
 /// Segments go out as they are encoded and only the footer index stays in
 /// memory. Within a table every segment but the last holds exactly
 /// `segment_rows` rows, counted from the table's first row, and rows
-/// arrive in ascending key order (see [`ColumnarRecord`]): so the same
-/// rows give the same bytes whichever method wrote them.
-/// [`write_table`](StreamWriter::write_table) chunks a whole table itself;
-/// [`write_segment`](StreamWriter::write_segment) takes one chunk at a
-/// time from a caller that produces rows in order (the spill merge).
+/// arrive in ascending key order (see [`ColumnarRecord`]). A table may be
+/// written in several [`write_table`](StreamWriter::write_table) calls,
+/// as the spill merge does: when every call but the last passes a multiple
+/// of `segment_rows` rows, the bytes are those of one call with all rows.
 pub struct StreamWriter<W: Write> {
     out: W,
     offset: u64,
@@ -138,20 +137,16 @@ impl<W: Write> StreamWriter<W> {
         Ok(())
     }
 
-    /// Encodes and writes one segment of `rows` (non-empty, at most
-    /// `segment_rows` — the caller owns the chunk discipline).
-    pub fn write_segment<R: ColumnarRecord>(&mut self, rows: &[R]) -> Result<(), StoreError> {
-        debug_assert!(!rows.is_empty() && rows.len() <= self.segment_rows);
-        self.put_frame::<R>(encode_segment(rows), rows.len())
-    }
-
-    /// Writes one encoded frame of `rows` rows and indexes it.
-    fn put_frame<R: ColumnarRecord>(
+    /// Writes one encoded frame of `rows` rows and returns the footer
+    /// entry that indexes it. The caller owns the chunk discipline:
+    /// [`SegmentSink`](crate::SegmentSink) encodes its batches on its
+    /// producers' threads and writes the frames here.
+    pub(crate) fn put_frame<R: ColumnarRecord>(
         &mut self,
         (frame, key_lo, key_hi): (Vec<u8>, u32, u32),
         rows: usize,
-    ) -> Result<(), StoreError> {
-        self.entries.push(SegmentInfo {
+    ) -> Result<SegmentInfo, StoreError> {
+        let info = SegmentInfo {
             table: R::TABLE_ID,
             key_lo,
             key_hi,
@@ -159,7 +154,8 @@ impl<W: Write> StreamWriter<W> {
             offset: self.offset,
             // Frame = 4-byte length prefix + body + 4-byte CRC.
             len: (frame.len() - 8) as u64,
-        });
+        };
+        self.entries.push(info);
         self.out
             .write_all(&frame)
             .map_err(|e| StoreError::io(format!("write {} segment", R::TABLE_NAME), e))?;
@@ -167,7 +163,7 @@ impl<W: Write> StreamWriter<W> {
         dynaddr_obs::counter_add("store.segments_written", 1);
         dynaddr_obs::counter_add("store.bytes_written", frame.len() as u64);
         dynaddr_obs::hist_record("store.segment_bytes", frame.len() as u64);
-        Ok(())
+        Ok(info)
     }
 
     /// Writes the footer and trailer, flushes, and returns the sink.
@@ -327,7 +323,7 @@ pub fn decode_segment_at<R: ColumnarRecord>(
 /// that keep every row (`load_dir`) must see the same file. Rows in order
 /// settle the span from their ends; rows out of order pay for a scan and,
 /// if their span holds, reach the callers' probe-order checks.
-fn decode_frame<R: ColumnarRecord>(
+pub(crate) fn decode_frame<R: ColumnarRecord>(
     frame: Option<&[u8]>,
     index: usize,
     info: SegmentInfo,
@@ -443,16 +439,23 @@ impl SegmentFileReader {
         index: usize,
         info: SegmentInfo,
     ) -> Result<Vec<R>, StoreError> {
+        let frame = self.read_frame(info);
+        decode_frame(frame.as_deref(), index, info)
+    }
+
+    /// Reads one segment's raw frame (`len + 8` bytes at its offset)
+    /// unchecked, or `None` when the file ends first; [`decode_frame`]
+    /// checks and decodes it. The spill merge reads a window of frames
+    /// here and decodes them in parallel.
+    pub(crate) fn read_frame(&mut self, info: SegmentInfo) -> Option<Vec<u8>> {
         let mut frame = vec![0u8; info.len as usize + 8];
-        let read = self
-            .file
+        self.file
             .seek(SeekFrom::Start(info.offset))
-            .and_then(|_| self.file.read_exact(&mut frame));
-        if read.is_ok() {
-            dynaddr_obs::counter_add("store.segments_read", 1);
-            dynaddr_obs::counter_add("store.bytes_read", frame.len() as u64);
-        }
-        decode_frame(read.ok().map(|()| &frame[..]), index, info)
+            .and_then(|_| self.file.read_exact(&mut frame))
+            .ok()?;
+        dynaddr_obs::counter_add("store.segments_read", 1);
+        dynaddr_obs::counter_add("store.bytes_read", frame.len() as u64);
+        Some(frame)
     }
 }
 

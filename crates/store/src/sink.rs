@@ -5,30 +5,46 @@
 //! table order, rows in global key order, chunk boundaries restarting at
 //! row 0 for each table. [`SegmentSink`] reconciles the two. Producers
 //! append *runs* — independent, key-sorted row sequences (one per shard) —
-//! as they complete; the sink writes each batch through a [`StreamWriter`]
-//! into a spill, an ordinary store file, so a finished shard's rows never
-//! sit in memory. [`SegmentSink::finish`] reopens the spill as a
-//! [`SegmentFileReader`] inside a [`RunMerger`], which streams a k-way
-//! merge of the runs into the output [`StreamWriter`], producing bytes
-//! identical to writing the globally sorted rows with
-//! [`StreamWriter::write_table`]. Spilled segments pass the same frame
-//! check as every other segment read.
+//! as they complete, from any thread: each batch is encoded on its
+//! producer's thread and written into a spill, an ordinary store file, so
+//! a finished shard's rows never sit in memory. [`SegmentSink::finish`]
+//! reopens the spill as a [`SegmentFileReader`] inside a [`RunMerger`],
+//! which streams a k-way merge of the runs into the output
+//! [`StreamWriter`], producing bytes identical to writing the globally
+//! sorted rows with [`StreamWriter::write_table`]. Spilled segments pass
+//! the same frame check as every other segment read.
 //!
-//! Memory during the merge is bounded by one decoded segment per run, and
-//! during appends by one batch — the full table never materializes.
+//! The merge's heap runs on one thread, but it decodes spilled segments
+//! ahead in windows, in parallel, and writes merged rows a window's worth
+//! of whole segments at a time, which `write_table` encodes in parallel.
+//! Memory during the merge is bounded by one decoded segment per run plus
+//! one window: its decoded segments and as many merged, not yet written
+//! segments. During appends it is one batch per producer — the full table
+//! never materializes.
 //!
 //! Ordering contract (debug-asserted): within one `(table, run)`, appended
 //! batches arrive with non-decreasing keys, and runs with equal keys merge
 //! in run-id order (with key-disjoint runs, as shard splitting guarantees,
 //! the tie-break never fires).
 
-use crate::file::{SegmentFileReader, SegmentInfo, StreamWriter};
+use crate::file::{decode_frame, SegmentFileReader, SegmentInfo, StreamWriter};
 use crate::record::ColumnarRecord;
+use crate::segment::encode_segment;
 use crate::{StoreError, DEFAULT_SEGMENT_ROWS};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
+
+/// Spilled segments the merge decodes ahead per worker, and whole output
+/// segments it writes per `write_table` call. Each window pays two
+/// scoped-thread spawns (decode, encode), so small windows lose to them.
+const WINDOW_SEGMENTS_PER_WORKER: usize = 8;
+
+/// The most segments one window holds, whatever the worker count, so many
+/// workers cannot undo the out-of-core merge's memory bound.
+const MAX_WINDOW_SEGMENTS: usize = 64;
 
 /// The spilled segments of each `(table, run)`, in append order (= key
 /// order), each with its ordinal among the spill's segments of that table.
@@ -38,8 +54,14 @@ type Runs = BTreeMap<(u8, u64), Vec<(usize, SegmentInfo)>>;
 /// them into a spilled store file as they arrive. See the module docs for
 /// the ordering contract.
 pub struct SegmentSink {
-    spill: StreamWriter<BufWriter<std::fs::File>>,
+    spill: Mutex<Spill>,
     path: PathBuf,
+    segment_rows: usize,
+}
+
+/// What [`SegmentSink::append`] writes under the sink's lock.
+struct Spill {
+    writer: StreamWriter<BufWriter<std::fs::File>>,
     runs: Runs,
     /// Segments written so far per table, for each segment's ordinal.
     table_segments: BTreeMap<u8, usize>,
@@ -57,11 +79,15 @@ impl SegmentSink {
     pub fn with_segment_rows(path: &Path, segment_rows: usize) -> Result<SegmentSink, StoreError> {
         let file = std::fs::File::create(path)
             .map_err(|e| StoreError::io(format!("create spill {}", path.display()), e))?;
+        let writer = StreamWriter::with_segment_rows(BufWriter::new(file), segment_rows)?;
         Ok(SegmentSink {
-            spill: StreamWriter::with_segment_rows(BufWriter::new(file), segment_rows)?,
+            segment_rows: writer.segment_rows(),
+            spill: Mutex::new(Spill {
+                writer,
+                runs: BTreeMap::new(),
+                table_segments: BTreeMap::new(),
+            }),
             path: path.to_path_buf(),
-            runs: BTreeMap::new(),
-            table_segments: BTreeMap::new(),
         })
     }
 
@@ -72,8 +98,10 @@ impl SegmentSink {
 
     /// Appends one key-sorted batch of rows to run `run` of table `R`.
     /// Batches of the same run must arrive in ascending key order; an
-    /// empty batch is a no-op.
-    pub fn append<R: ColumnarRecord>(&mut self, run: u64, rows: &[R]) -> Result<(), StoreError> {
+    /// empty batch is a no-op. The batch's segments are encoded on the
+    /// calling thread; the sink's lock is held only to write and index
+    /// them, so producers on several threads encode concurrently.
+    pub fn append<R: ColumnarRecord>(&self, run: u64, rows: &[R]) -> Result<(), StoreError> {
         if rows.is_empty() {
             return Ok(());
         }
@@ -81,12 +109,20 @@ impl SegmentSink {
             rows.windows(2).all(|w| w[0].key() <= w[1].key()),
             "batch not key-sorted"
         );
-        let before = self.spill.segments().len();
-        self.spill.write_table(rows)?;
-        let ordinal = self.table_segments.entry(R::TABLE_ID).or_default();
-        let segs = self.runs.entry((R::TABLE_ID, run)).or_default();
-        for &info in &self.spill.segments()[before..] {
-            segs.push((*ordinal, info));
+        let frames: Vec<_> = rows
+            .chunks(self.segment_rows)
+            .map(|chunk| (encode_segment(chunk), chunk.len()))
+            .collect();
+        let mut spill = self.spill.lock().expect("spill lock");
+        let Spill {
+            writer,
+            runs,
+            table_segments,
+        } = &mut *spill;
+        let ordinal = table_segments.entry(R::TABLE_ID).or_default();
+        let segs = runs.entry((R::TABLE_ID, run)).or_default();
+        for (frame, n) in frames {
+            segs.push((*ordinal, writer.put_frame::<R>(frame, n)?));
             *ordinal += 1;
         }
         Ok(())
@@ -94,11 +130,11 @@ impl SegmentSink {
 
     /// Finishes the spill file and reopens it for merging.
     pub fn finish(self) -> Result<RunMerger, StoreError> {
-        self.spill.finish()?;
-        let spill = SegmentFileReader::open(&self.path)?;
+        let spill = self.spill.into_inner().expect("spill lock");
+        spill.writer.finish()?;
         Ok(RunMerger {
-            spill,
-            runs: self.runs,
+            spill: SegmentFileReader::open(&self.path)?,
+            runs: spill.runs,
             path: self.path,
         })
     }
@@ -132,6 +168,84 @@ impl<R: ColumnarRecord> RunCursor<R> {
     }
 }
 
+/// Where the merge finds a spilled segment: its run's ordinal among the
+/// table's runs, and its position within the run.
+type RunSegment = (usize, usize);
+
+/// One spilled segment as the merge opens it: its [`RunSegment`], and its
+/// ordinal and footer entry in the spill.
+type SegmentRef = (RunSegment, (usize, SegmentInfo));
+
+/// Decodes one table's spilled segments ahead of the merge, a window at a
+/// time. A window is the next segments in the order the heap opens them:
+/// ascending `(key_lo, run, segment)`, because a run's segment opens only
+/// once every other run's rows below its first key are out. Their frames
+/// are read serially, then checked and decoded under `par_map`.
+struct DecodeAhead<R> {
+    /// Every segment of the table, in open order.
+    order: Vec<SegmentRef>,
+    /// How many of `order` have been windowed.
+    next: usize,
+    size: usize,
+    window: VecDeque<(RunSegment, Result<Vec<R>, StoreError>)>,
+}
+
+impl<R: ColumnarRecord> DecodeAhead<R> {
+    fn new(cursors: &[RunCursor<R>], size: usize) -> DecodeAhead<R> {
+        let mut order: Vec<SegmentRef> = cursors
+            .iter()
+            .enumerate()
+            .flat_map(|(ri, c)| {
+                c.segs
+                    .iter()
+                    .enumerate()
+                    .map(move |(s, &seg)| ((ri, s), seg))
+            })
+            .collect();
+        order.sort_by_key(|&((ri, s), (_, info))| (info.key_lo, ri, s));
+        DecodeAhead {
+            order,
+            next: 0,
+            size,
+            window: VecDeque::new(),
+        }
+    }
+
+    /// The rows of segment `s` of run `ri`: from the window, refilled when
+    /// it runs dry, or decoded directly if the window does not hold it.
+    fn take(
+        &mut self,
+        spill: &mut SegmentFileReader,
+        (ri, s): RunSegment,
+        (ordinal, info): (usize, SegmentInfo),
+    ) -> Result<Vec<R>, StoreError> {
+        if self.window.is_empty() {
+            self.fill(spill);
+        }
+        if let Some(i) = self.window.iter().position(|(at, _)| *at == (ri, s)) {
+            if let Some((_, rows)) = self.window.remove(i) {
+                return rows;
+            }
+        }
+        spill.read_segment(ordinal, info)
+    }
+
+    /// Reads and decodes the next window of segments.
+    fn fill(&mut self, spill: &mut SegmentFileReader) {
+        let end = (self.next + self.size).min(self.order.len());
+        let frames: Vec<(Option<Vec<u8>>, usize, SegmentInfo)> = self.order[self.next..end]
+            .iter()
+            .map(|&(_, (ordinal, info))| (spill.read_frame(info), ordinal, info))
+            .collect();
+        let decoded = dynaddr_exec::par_map(&frames, |(frame, ordinal, info)| {
+            decode_frame::<R>(frame.as_deref(), *ordinal, *info)
+        });
+        let at = self.order[self.next..end].iter().map(|&(at, _)| at);
+        self.window.extend(at.zip(decoded));
+        self.next = end;
+    }
+}
+
 impl RunMerger {
     /// The spill path, for removal once every table has been merged.
     pub fn spill_path(&self) -> &Path {
@@ -156,6 +270,9 @@ impl RunMerger {
                 pos: 0,
             })
             .collect();
+        let window =
+            (dynaddr_exec::current_threads() * WINDOW_SEGMENTS_PER_WORKER).min(MAX_WINDOW_SEGMENTS);
+        let mut ahead = DecodeAhead::<R>::new(&cursors, window);
         // Min-heap of (peek key, run ordinal): the run ordinal both breaks
         // key ties deterministically and finds the cursor to drain.
         let mut heap: BinaryHeap<Reverse<(u32, usize)>> = cursors
@@ -165,32 +282,34 @@ impl RunMerger {
             .collect();
         dynaddr_obs::gauge_max("sink.spill_runs", cursors.len() as u64);
         dynaddr_obs::gauge_max("sink.merge_heap_depth", heap.len() as u64);
-        let mut out: Vec<R> = Vec::with_capacity(w.segment_rows());
+        // A multiple of the segment size, so every flush but the last
+        // leaves the segment boundaries where one write_table would.
+        let flush_rows = window.saturating_mul(w.segment_rows());
+        let mut out: Vec<R> = Vec::new();
         while let Some(Reverse((_, ri))) = heap.pop() {
             // Everything below the runner-up's peek belongs to this run.
             let limit = heap.peek().map(|Reverse((k, i))| (*k, *i));
             loop {
                 let cur = &mut cursors[ri];
                 if cur.pos == cur.buf.len() {
-                    let Some(&(ordinal, seg)) = cur.segs.get(cur.next_seg) else {
+                    let Some(&seg) = cur.segs.get(cur.next_seg) else {
                         break;
                     };
-                    if !below_limit(seg.key_lo, ri, limit) {
+                    if !below_limit(seg.1.key_lo, ri, limit) {
                         break;
                     }
-                    cur.buf = self.spill.read_segment::<R>(ordinal, seg)?;
+                    cur.buf = ahead.take(&mut self.spill, (ri, cur.next_seg), seg)?;
                     cur.pos = 0;
                     cur.next_seg += 1;
                 }
-                let cur = &mut cursors[ri];
                 while cur.pos < cur.buf.len() {
                     if !below_limit(cur.buf[cur.pos].key(), ri, limit) {
                         break;
                     }
                     out.push(cur.buf[cur.pos].clone());
                     cur.pos += 1;
-                    if out.len() == w.segment_rows() {
-                        w.write_segment(&out)?;
+                    if out.len() == flush_rows {
+                        w.write_table(&out)?;
                         out.clear();
                     }
                 }
@@ -202,9 +321,7 @@ impl RunMerger {
                 heap.push(Reverse((k, ri)));
             }
         }
-        if !out.is_empty() {
-            w.write_segment(&out)?;
-        }
+        w.write_table(&out)?;
         self.runs.retain(|(table, _), _| *table != R::TABLE_ID);
         Ok(())
     }
@@ -282,7 +399,7 @@ mod tests {
         let run_of = |r: &Row| u64::from(r.key % 3);
 
         let path = scratch("interleave.spill");
-        let mut sink = SegmentSink::with_segment_rows(&path, 7).unwrap();
+        let sink = SegmentSink::with_segment_rows(&path, 7).unwrap();
         for run in [2u64, 0, 1] {
             let mine: Vec<Row> = rows.iter().filter(|r| run_of(r) == run).cloned().collect();
             let (a, b) = mine.split_at(mine.len() / 2);
@@ -312,11 +429,126 @@ mod tests {
         assert_eq!(decoded, sorted);
     }
 
+    /// 60 runs of 3-row segments, appended from four threads in several
+    /// batches each, so the decode-ahead windows and the `write_table`
+    /// flushes wrap many times at every worker count. Run 0's key 0 has
+    /// seven rows, which fill two whole spilled segments with the same
+    /// `key_lo` and start a third; keys that are multiples of 50 also
+    /// appear in a second run, whose rows follow in run order.
+    fn windowed_runs() -> Vec<Vec<Row>> {
+        (0..60u32)
+            .map(|run| {
+                let mut keys: Vec<u32> = (0..1800).filter(|k| k % 60 == run).collect();
+                if run == 7 {
+                    keys.extend((0..1800).step_by(50).filter(|k| k % 60 != 7));
+                    keys.sort_unstable();
+                }
+                keys.iter()
+                    .flat_map(|&key| {
+                        let n = if key == 0 { 7 } else { 1 + key % 4 };
+                        (0..n).map(move |i| Row {
+                            key,
+                            value: i64::from(run) * 1_000_000 + i64::from(key) * 10 + i64::from(i),
+                        })
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Writes `runs` into a fresh 3-row spill, appending each run in
+    /// batches of at most 50 rows from four threads at once.
+    fn spill_runs(name: &str, runs: &[Vec<Row>]) -> SegmentSink {
+        let sink = SegmentSink::with_segment_rows(&scratch(name), 3).unwrap();
+        std::thread::scope(|scope| {
+            for lane in 0..4 {
+                let sink = &sink;
+                scope.spawn(move || {
+                    for (run, rows) in runs.iter().enumerate().skip(lane).step_by(4) {
+                        for batch in rows.chunks(50) {
+                            sink.append(run as u64, batch).unwrap();
+                        }
+                    }
+                });
+            }
+        });
+        sink
+    }
+
+    #[test]
+    fn windowed_merge_matches_write_table_at_any_worker_count() {
+        let runs = windowed_runs();
+        let mut sorted: Vec<Row> = runs.concat();
+        sorted.sort_by_key(|r| r.key);
+        let mut canonical = StreamWriter::with_segment_rows(Vec::new(), 3).unwrap();
+        canonical.write_table(&sorted).unwrap();
+        let canonical = canonical.finish().unwrap();
+        for threads in [1, 2, 3, 64] {
+            dynaddr_exec::set_threads(Some(threads));
+            let mut merger = spill_runs("windowed.spill", &runs).finish().unwrap();
+            let segments: Vec<usize> = merger.runs.values().map(Vec::len).collect();
+            assert!(
+                segments.iter().sum::<usize>() > 20 * MAX_WINDOW_SEGMENTS,
+                "too few spilled segments to wrap the windows: {segments:?}"
+            );
+            let zero: Vec<u32> = merger.runs[&(Row::TABLE_ID, 0)][..3]
+                .iter()
+                .map(|(_, s)| s.key_lo)
+                .collect();
+            assert_eq!(zero, [0, 0, 0], "key 0 straddles run 0's segments");
+            let mut w = StreamWriter::with_segment_rows(Vec::new(), 3).unwrap();
+            merger.merge_table::<Row, _>(&mut w).unwrap();
+            std::fs::remove_file(merger.spill_path()).unwrap();
+            assert!(
+                w.finish().unwrap() == canonical,
+                "merged bytes differ from write_table's at threads={threads}"
+            );
+        }
+        dynaddr_exec::set_threads(None);
+    }
+
+    /// A flipped body byte in the spill fails the merge with the damaged
+    /// segment's table and ordinal, from a decode-ahead window or not.
+    #[test]
+    fn damaged_spill_fails_the_merge_with_segment_corrupt() {
+        let runs = windowed_runs();
+        for threads in [1, 2, 64] {
+            dynaddr_exec::set_threads(Some(threads));
+            let mut merger = spill_runs("damaged.spill", &runs).finish().unwrap();
+            let path = merger.spill_path().to_path_buf();
+            let spilled = SegmentFileReader::open(&path).unwrap().segments().to_vec();
+            let ordinal = spilled.len() * 2 / 3;
+            let victim = spilled[ordinal];
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[victim.offset as usize + 6] ^= 0x10;
+            std::fs::write(&path, &bytes).unwrap();
+
+            let mut w = StreamWriter::with_segment_rows(Vec::new(), 3).unwrap();
+            let err = merger.merge_table::<Row, _>(&mut w).unwrap_err();
+            std::fs::remove_file(&path).unwrap();
+            match err {
+                StoreError::SegmentCorrupt {
+                    table,
+                    index,
+                    offset,
+                    reason,
+                } => {
+                    assert_eq!(table, "sink_rows");
+                    assert_eq!(index, ordinal, "threads={threads}");
+                    assert_eq!(offset, victim.offset);
+                    assert_eq!(reason, "checksum mismatch");
+                }
+                other => panic!("expected SegmentCorrupt, got {other:?}"),
+            }
+        }
+        dynaddr_exec::set_threads(None);
+    }
+
     /// Runs with overlapping equal keys merge stably in run-id order.
     #[test]
     fn equal_keys_across_runs_merge_in_run_order() {
         let path = scratch("ties.spill");
-        let mut sink = SegmentSink::with_segment_rows(&path, 4).unwrap();
+        let sink = SegmentSink::with_segment_rows(&path, 4).unwrap();
         sink.append(1, &[Row { key: 5, value: 10 }, Row { key: 5, value: 11 }])
             .unwrap();
         sink.append(0, &[Row { key: 5, value: 0 }, Row { key: 6, value: 1 }])

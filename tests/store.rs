@@ -447,7 +447,7 @@ fn sink_merges_interleaved_runs_to_canonical_bytes() {
 
     // Three "shards" own probes by id % 3; each appends its key-sorted
     // rows in two batches, and the shards arrive in scrambled order.
-    let mut sink = SegmentSink::with_segment_rows(&spill, 7).expect("create sink");
+    let sink = SegmentSink::with_segment_rows(&spill, 7).expect("create sink");
     for run in [2u64, 0, 1] {
         let meta: Vec<ProbeMeta> = ds
             .meta
