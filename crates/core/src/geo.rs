@@ -1,8 +1,8 @@
 //! Geographic rollups of address durations (§4.2, Figs. 1 and 3).
 //!
 //! Each rollup is a keyed reduction over independent probes, run through
-//! `dynaddr_exec::par_fold`: per-chunk `BTreeMap` accumulators merged key
-//! by key with [`TtfDistribution::merge`], whose chunk-order concatenation
+//! `dynaddr_exec::par_fold`: per-block `BTreeMap` accumulators merged key
+//! by key with [`TtfDistribution::merge`], whose block-order concatenation
 //! and left-to-right float totals make the result byte-identical to a
 //! sequential build at any worker count (asserted by a test below).
 
@@ -11,7 +11,7 @@ use crate::ttf::{TtfCurve, TtfDistribution};
 use dynaddr_types::{Asn, Continent};
 use std::collections::BTreeMap;
 
-/// Merges per-chunk keyed distributions, left chunk first — the shared
+/// Merges per-block keyed distributions, left block first — the shared
 /// `par_fold` merge of every rollup in this module.
 fn merge_keyed<K: Ord>(
     mut a: BTreeMap<K, TtfDistribution>,

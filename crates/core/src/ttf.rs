@@ -148,20 +148,25 @@ impl TtfDistribution {
         }
     }
 
-    /// Absorbs another distribution built from a later chunk of the same
+    /// Absorbs another distribution built from a later block of the same
     /// probe sequence. Deterministic under `par_fold`: the points
-    /// concatenate in chunk order, so [`finalize`]'s stable sort sees the
-    /// tie order of a sequential build, and the float total is recomputed
-    /// as one left-to-right sum over the concatenation. Float addition is
-    /// not associative, so summing the chunks' totals would drift from
-    /// what sequential `push`es accumulate. The result is byte-identical
-    /// to a sequential build at any worker count.
+    /// concatenate in block order, so [`finalize`]'s stable sort sees the
+    /// tie order of a sequential build, and the float total carries this
+    /// distribution's running sum on over the other's points, in order:
+    /// the one left-to-right sum over the concatenation that sequential
+    /// `push`es accumulate. Float addition is not associative, so adding
+    /// the other's own total would drift from it. The result is
+    /// byte-identical to a sequential build at any worker count, and a
+    /// merge costs the other's points only, however many blocks came
+    /// before.
     ///
     /// [`finalize`]: TtfDistribution::finalize
     pub fn merge(&mut self, mut other: TtfDistribution) {
+        self.total_weight = other
+            .points
+            .iter()
+            .fold(self.total_weight, |total, (_, w)| total + w);
         self.points.append(&mut other.points);
-        // `+ 0.0` normalizes the `-0.0` an empty f64 sum produces.
-        self.total_weight = self.points.iter().map(|(_, w)| w).sum::<f64>() + 0.0;
         self.total_secs += other.total_secs;
     }
 
@@ -380,6 +385,30 @@ mod tests {
         assert_eq!(curve.fraction_le_hours(24.0), 0.0);
         assert_eq!(curve.fraction_at_mode(24.0, 0.05), 0.0);
         assert!(curve.curve().is_empty());
+    }
+
+    #[test]
+    fn merging_blocks_matches_sequential_pushes_bit_for_bit() {
+        // Weights near 2^53 seconds make f64 addition order-dependent
+        // (2^53 + 1 + 1 is 2^53 left to right, 2^53 + 2 by partial
+        // totals), so a merge that added the blocks' totals would differ.
+        let big = 1i64 << 53;
+        let secs: Vec<i64> = (0..40)
+            .map(|i| if i % 10 == 0 { big } else { 1 + i % 3 })
+            .collect();
+        let build = |secs: &[i64]| {
+            let mut dist = TtfDistribution::new();
+            dist.extend(secs.iter().map(|&s| SimDuration::from_secs(s)));
+            dist
+        };
+        let sequential = build(&secs).finalize();
+        for block in [1, 2, 3, 7, 40] {
+            let mut merged = TtfDistribution::new();
+            for chunk in secs.chunks(block) {
+                merged.merge(build(chunk));
+            }
+            assert_eq!(merged.finalize(), sequential, "blocks of {block}");
+        }
     }
 
     #[test]
