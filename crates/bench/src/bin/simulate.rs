@@ -24,7 +24,8 @@
 //! heartbeats, executor stats); the dataset bytes are identical with and
 //! without it. `DYNADDR_LOG` (error|warn|info|debug) sets the stderr
 //! log level. A missing or malformed flag value exits 2 with the usage
-//! line.
+//! line. The process's peak RSS is printed to stderr on exit
+//! (`peak_rss_bytes: N`) so CI can assert a memory ceiling.
 
 use dynaddr_atlas::world::{paper_route_tables, paper_world};
 use dynaddr_atlas::{simulate_to_store, SimOptions};
@@ -127,4 +128,6 @@ fn main() {
     dynaddr_bench::emit_exec_stats_event();
     dynaddr_obs::flush_trace();
     dynaddr_obs::disable_trace();
+    // Raw eprintln on purpose: ci.sh greps this exact line.
+    eprintln!("peak_rss_bytes: {}", dynaddr_bench::peak_rss_bytes());
 }

@@ -200,6 +200,7 @@ fn streamed_pipeline_matches_materialized_byte_for_byte() {
             std::fs::remove_file(&path).ok();
         }
     }
+    std::fs::remove_dir(&dir).expect("remove scratch dir");
 }
 
 #[test]
