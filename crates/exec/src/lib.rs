@@ -234,10 +234,10 @@ where
     out
 }
 
-/// Blocks [`par_fold`] cuts its items into per worker, when there are that
-/// many items: enough that a worker stuck on one costly block leaves the
-/// rest to the others, few enough that per-block accumulators and merges
-/// stay noise.
+/// How many blocks per worker [`par_fold`] cuts its items into, when there
+/// are that many items: enough that a worker stuck on one costly block
+/// leaves the rest to the others, few enough that per-block accumulators
+/// and merges stay noise.
 const BLOCKS_PER_WORKER: usize = 8;
 
 /// Self-balancing parallel reduction: cuts `items` into contiguous blocks,
