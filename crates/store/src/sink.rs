@@ -179,13 +179,12 @@ type SegmentRef = (RunSegment, (usize, SegmentInfo));
 /// Decodes one table's spilled segments ahead of the merge, a window at a
 /// time. A window is the next segments in the order the heap opens them:
 /// ascending `(key_lo, run, segment)`, because a run's segment opens only
-/// once every other run's rows below its first key are out. Their frames
-/// are read serially, then checked and decoded under `par_map`.
+/// once every other run's rows below its first key are out, so the window
+/// is a plain queue. Its frames are read serially, then checked and
+/// decoded under `par_map`.
 struct DecodeAhead<R> {
-    /// Every segment of the table, in open order.
-    order: Vec<SegmentRef>,
-    /// How many of `order` have been windowed.
-    next: usize,
+    /// The table's segments not yet windowed, in open order.
+    order: std::vec::IntoIter<SegmentRef>,
     size: usize,
     window: VecDeque<(RunSegment, Result<Vec<R>, StoreError>)>,
 }
@@ -204,45 +203,43 @@ impl<R: ColumnarRecord> DecodeAhead<R> {
             .collect();
         order.sort_by_key(|&((ri, s), (_, info))| (info.key_lo, ri, s));
         DecodeAhead {
-            order,
-            next: 0,
+            order: order.into_iter(),
             size,
             window: VecDeque::new(),
         }
     }
 
-    /// The rows of segment `s` of run `ri`: from the window, refilled when
-    /// it runs dry, or decoded directly if the window does not hold it.
+    /// The rows of segment `s` of run `ri`, which must be the next
+    /// segment in open order: the window's front, refilled when it runs
+    /// dry.
     fn take(
         &mut self,
         spill: &mut SegmentFileReader,
-        (ri, s): RunSegment,
-        (ordinal, info): (usize, SegmentInfo),
+        at: RunSegment,
     ) -> Result<Vec<R>, StoreError> {
         if self.window.is_empty() {
             self.fill(spill);
         }
-        if let Some(i) = self.window.iter().position(|(at, _)| *at == (ri, s)) {
-            if let Some((_, rows)) = self.window.remove(i) {
-                return rows;
-            }
-        }
-        spill.read_segment(ordinal, info)
+        let (_, rows) = self
+            .window
+            .pop_front()
+            .filter(|(next, _)| *next == at)
+            .expect("the heap opens each spilled segment once, in (key_lo, run, segment) order");
+        rows
     }
 
     /// Reads and decodes the next window of segments.
     fn fill(&mut self, spill: &mut SegmentFileReader) {
-        let end = (self.next + self.size).min(self.order.len());
-        let frames: Vec<(Option<Vec<u8>>, usize, SegmentInfo)> = self.order[self.next..end]
-            .iter()
-            .map(|&(_, (ordinal, info))| (spill.read_frame(info), ordinal, info))
-            .collect();
+        let (at, frames): (Vec<RunSegment>, Vec<_>) = self
+            .order
+            .by_ref()
+            .take(self.size)
+            .map(|(at, (ordinal, info))| (at, (spill.read_frame(info), ordinal, info)))
+            .unzip();
         let decoded = dynaddr_exec::par_map(&frames, |(frame, ordinal, info)| {
             decode_frame::<R>(frame.as_deref(), *ordinal, *info)
         });
-        let at = self.order[self.next..end].iter().map(|&(at, _)| at);
-        self.window.extend(at.zip(decoded));
-        self.next = end;
+        self.window.extend(at.into_iter().zip(decoded));
     }
 }
 
@@ -292,13 +289,13 @@ impl RunMerger {
             loop {
                 let cur = &mut cursors[ri];
                 if cur.pos == cur.buf.len() {
-                    let Some(&seg) = cur.segs.get(cur.next_seg) else {
+                    let Some((_, seg)) = cur.segs.get(cur.next_seg) else {
                         break;
                     };
-                    if !below_limit(seg.1.key_lo, ri, limit) {
+                    if !below_limit(seg.key_lo, ri, limit) {
                         break;
                     }
-                    cur.buf = ahead.take(&mut self.spill, (ri, cur.next_seg), seg)?;
+                    cur.buf = ahead.take(&mut self.spill, (ri, cur.next_seg))?;
                     cur.pos = 0;
                     cur.next_seg += 1;
                 }
@@ -508,7 +505,7 @@ mod tests {
     }
 
     /// A flipped body byte in the spill fails the merge with the damaged
-    /// segment's table and ordinal, from a decode-ahead window or not.
+    /// segment's table and ordinal, whatever the window size.
     #[test]
     fn damaged_spill_fails_the_merge_with_segment_corrupt() {
         let runs = windowed_runs();
