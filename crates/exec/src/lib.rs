@@ -244,11 +244,11 @@ const BLOCKS_PER_WORKER: usize = 8;
 /// folds each block from `init()`, and merges the block accumulators left
 /// to right in block order.
 ///
-/// Workers claim the next unclaimed block from a shared cursor as each
-/// becomes free, so a few costly items (the simulator's big shards) do not
-/// leave the other workers idle, and no cost estimate is needed. There are
-/// about eight blocks per worker, or one item per block when there are
-/// fewer items than that.
+/// Each worker takes the next block of the remaining items, under one
+/// lock, as it becomes free, so a few costly items (the simulator's big
+/// shards) do not leave the other workers idle, and no cost estimate is
+/// needed. There are about eight blocks per worker, or one item per block
+/// when there are fewer items than that.
 ///
 /// Block boundaries depend on the worker count, so the result is identical
 /// at any thread count **iff** `(init, merge)` form a monoid and `fold` is
@@ -276,22 +276,11 @@ where
         return out;
     }
     let block_size = items.len().div_ceil(threads * BLOCKS_PER_WORKER);
-    // Each block sits in its own slot; the cursor hands every slot to
-    // exactly one worker, so the locks are never contended. The slot's
-    // lock, not the cursor, publishes the block to its worker, so the
-    // cursor can be relaxed.
-    let mut blocks: Vec<Mutex<Option<Vec<T>>>> = Vec::new();
-    let mut rest = items.into_iter();
-    loop {
-        let block: Vec<T> = rest.by_ref().take(block_size).collect();
-        if block.is_empty() {
-            break;
-        }
-        blocks.push(Mutex::new(Some(block)));
-    }
-    let cursor = AtomicUsize::new(0);
+    // The next block's index and the items not yet dealt. A worker takes
+    // a block under the lock and folds it outside.
+    let rest = Mutex::new((0usize, items.into_iter()));
     let measured: Vec<_> = std::thread::scope(|scope| {
-        let (init, fold, blocks, cursor) = (&init, &fold, &blocks, &cursor);
+        let (init, fold, rest) = (&init, &fold, &rest);
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let spawned_at = Instant::now();
@@ -301,15 +290,16 @@ where
                     let mut folded = Vec::new();
                     let mut n = 0u64;
                     loop {
-                        let b = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = blocks.get(b) else {
-                            break;
+                        let (b, block) = {
+                            let mut rest = rest.lock().expect("par_fold items lock");
+                            let (next, items) = &mut *rest;
+                            let block: Vec<T> = items.take(block_size).collect();
+                            *next += 1;
+                            (*next - 1, block)
                         };
-                        let block = slot
-                            .lock()
-                            .expect("par_fold block lock")
-                            .take()
-                            .expect("the cursor hands out each block once");
+                        if block.is_empty() {
+                            break;
+                        }
                         n += block.len() as u64;
                         folded.push((b, block.into_iter().fold(init(), fold)));
                     }
