@@ -4,7 +4,7 @@
 # and a one-rung ladder, CLI usage errors, store, query-serving
 # (queryd/queryc), dynaddrd replay, streamed and traced pipeline smokes,
 # the paper-tier memory ceilings (simulate, streamed analyze, dynaddrd
-# and queryd), paper-tier simulate bytes at 1 thread vs ambient, and the
+# and queryd), paper-tier simulate bytes at 1, 2 and 64 threads, and the
 # quickstart.
 #
 # The perfsnap step fails if tracing costs more than 2% (and 10 ms) of an
@@ -197,26 +197,39 @@ grep -q '"ev":"exec_stats"' "$SMOKE/analyze-trace.jsonl"
 grep -q '"ev":"heartbeat"' "$SMOKE/analyze-trace.jsonl"
 grep -q '"ev":"span"' "$SMOKE/analyze-trace.jsonl"
 
-echo "==> paper-tier streamed smoke (memory ceilings, 1 thread vs ambient)"
-# simulate must write the paper tier out-of-core under 80 MiB peak RSS
-# (about 50 MiB on a 2-vCPU Xeon VM; the old in-memory write peaked near
-# 250 MiB), so the merge's decode-ahead windows cannot quietly undo it.
-# A second run on one executor thread must write the same bytes: the
-# determinism tests stop far below the paper tier's shard and spill
-# counts. The full 10,977-probe tier must then analyze out-of-core under
-# 150 MiB peak RSS — a ceiling the materialized path exceeds (~220 MB).
-# Both binaries self-report VmHWM on stderr as "peak_rss_bytes: N".
+echo "==> paper-tier streamed smoke (memory ceilings, 1 vs 2 vs 64 threads)"
+# simulate must write the paper tier out-of-core: under 80 MiB peak RSS
+# on two executor threads (about 47-56 MiB on a 2-vCPU Xeon VM; the old
+# in-memory write peaked near 250 MiB). Peak RSS grows with the thread
+# count, because each worker holds a live shard, so every run pins its
+# count and the ceilings hold on any host. On 64 threads, where the
+# merge's decode-ahead window reaches its 64-segment cap, it must stay
+# under 136 MiB (about 89-112 MiB; 150-193 MiB with the cap removed).
+# The 1- and 64-thread runs must write the same bytes as the 2-thread
+# run: the determinism tests stop far below the paper tier's shard and
+# spill counts. The full 10,977-probe tier must then analyze out-of-core
+# under 150 MiB peak RSS — a ceiling the materialized path exceeds
+# (~220 MB). Both binaries self-report VmHWM on stderr as
+# "peak_rss_bytes: N".
 cargo run --release -q -p dynaddr-bench --bin simulate -- \
-    --out "$SMOKE/paper" --tier paper --streamed 2> "$SMOKE/paper-simulate.err" \
+    --out "$SMOKE/paper" --tier paper --streamed --threads 2 2> "$SMOKE/paper-simulate.err" \
     || { cat "$SMOKE/paper-simulate.err"; exit 1; }
 RSS="$(sed -n 's/^peak_rss_bytes: //p' "$SMOKE/paper-simulate.err")"
-echo "    paper-tier simulate peak RSS: $RSS bytes"
+echo "    paper-tier simulate peak RSS, 2 threads: $RSS bytes"
 test -n "$RSS"
 test "$RSS" -lt 83886080
+./target/release/simulate --out "$SMOKE/paper-64t" --tier paper --threads 64 \
+    2> "$SMOKE/paper-simulate-64t.err" || { cat "$SMOKE/paper-simulate-64t.err"; exit 1; }
+RSS="$(sed -n 's/^peak_rss_bytes: //p' "$SMOKE/paper-simulate-64t.err")"
+echo "    paper-tier simulate peak RSS, 64 threads: $RSS bytes"
+test -n "$RSS"
+test "$RSS" -lt 142606336
 ./target/release/simulate --out "$SMOKE/paper-1t" --tier paper --threads 1
-cmp "$SMOKE/paper/dataset.store" "$SMOKE/paper-1t/dataset.store"
-cmp "$SMOKE/paper/truth.store" "$SMOKE/paper-1t/truth.store"
-rm -r "$SMOKE/paper-1t"
+for T in 1t 64t; do
+    cmp "$SMOKE/paper/dataset.store" "$SMOKE/paper-$T/dataset.store"
+    cmp "$SMOKE/paper/truth.store" "$SMOKE/paper-$T/truth.store"
+    rm -r "$SMOKE/paper-$T"
+done
 cargo run --release -q -p dynaddr-bench --bin analyze -- \
     --data "$SMOKE/paper" --streamed --report "$SMOKE/paper.txt" \
     > /dev/null 2> "$SMOKE/paper-analyze.err"
